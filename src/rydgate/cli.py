@@ -38,6 +38,8 @@ from .schemas import (
     validate_report,
 )
 from .sequential import (
+    GROVER_TERMS,
+    SEQUENTIAL_TERMS,
     budget_grover_uniform,
     budget_sequential_lattice,
     budget_sequential_uniform,
@@ -45,12 +47,14 @@ from .sequential import (
     gate_duration_sequential,
 )
 from .simultaneous import (
+    SIMULTANEOUS_TERMS,
     SimultaneousParams,
     budget_simultaneous_lattice,
     budget_simultaneous_uniform,
     gate_duration_simultaneous,
 )
 from .simulator import (
+    _MAX_K_TABLE,
     canonical_sequence,
     gate_error_sim,
     sequence_duration,
@@ -68,17 +72,11 @@ from .units import (
     us_from_seconds,
 )
 
-_MAX_SIM_K = 8
-
-_SEQ_TERMS = ("se_c_1", "se_c_2", "se_t_1", "se_t_2", "r_c_1", "r_c_2", "r_t_1", "r_t_2")
-_GROVER_TERMS = ("se_c_1", "se_c_2", "r_c_1", "r_c_2")
-_SIMU_TERMS = ("se_c", "se_t", "r_c_1", "r_c_2", "r_t")
-
 # Fixed CSV column orders.  These are part of the CLI contract; tests pin
 # them and the README documents them.
 BUDGET_COLUMNS: dict[str, tuple[str, ...]] = {
     "sequential": ("scheme", "mode", "label", "k", "b_mhz", "omega_mhz", "duration_us")
-    + _SEQ_TERMS
+    + SEQUENTIAL_TERMS
     + (
         "total",
         "omega_opt_analytic_mhz",
@@ -87,7 +85,7 @@ BUDGET_COLUMNS: dict[str, tuple[str, ...]] = {
         "opt_converged",
     ),
     "grover": ("scheme", "mode", "label", "k", "b_mhz", "omega_mhz", "duration_us")
-    + _GROVER_TERMS
+    + GROVER_TERMS
     + (
         "total",
         "diag_collapsed_total_variant",
@@ -107,7 +105,7 @@ BUDGET_COLUMNS: dict[str, tuple[str, ...]] = {
         "omega_t_mhz",
         "duration_us",
     )
-    + _SIMU_TERMS
+    + SIMULTANEOUS_TERMS
     + (
         "total",
         "diag_r_c_1_cubic_variant",
@@ -119,8 +117,8 @@ BUDGET_COLUMNS: dict[str, tuple[str, ...]] = {
 }
 
 SWEEP_COLUMNS: dict[str, tuple[str, ...]] = {
-    "sequential": ("row_type", "label", "k", "omega_mhz", "total") + _SEQ_TERMS,
-    "grover": ("row_type", "label", "k", "omega_mhz", "total") + _GROVER_TERMS,
+    "sequential": ("row_type", "label", "k", "omega_mhz", "total") + SEQUENTIAL_TERMS,
+    "grover": ("row_type", "label", "k", "omega_mhz", "total") + GROVER_TERMS,
 }
 
 LATTICE_COLUMNS = ("k", "index", "x_um", "y_um", "role", "r_um")
@@ -228,8 +226,8 @@ def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
         sim = cfg["simulate"]
         for k in cfg["k"]:
             _require(
-                k <= _MAX_SIM_K,
-                f"simulate supports k <= {_MAX_SIM_K}, got k={k}",
+                k <= _MAX_K_TABLE,
+                f"simulate supports k <= {_MAX_K_TABLE}, got k={k}",
             )
         if sim["sequence"] in ("sequential", "grover"):
             _require("omega_mhz" in sim, "simulate/omega_mhz is required")
@@ -758,6 +756,15 @@ def _report(
     columns: Sequence[str],
     rows: list[dict[str, Any]],
 ) -> dict[str, Any]:
+    for row in rows:
+        for column, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(
+                    f"{command} row k={row.get('k')} label {row.get('label')!r}: "
+                    f"{column} is {value}: a blockade shift meets omega10_mhz = "
+                    f"{cfg.get('omega10_mhz')} MHz, so the leakage term detuned "
+                    "by omega10 - B diverges"
+                )
     report = {
         "schema": REPORT_SCHEMA_VERSION,
         "command": command,
@@ -770,7 +777,7 @@ def _report(
 
 
 def render_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_cell(value: Any) -> str:
@@ -816,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     subcommands = [
         ("budget", "error budget rows, one per configuration and k"),
         ("sweep-omega", "total error over a drive-frequency grid plus minima"),
-        ("simulate", "state-vector pulse simulation truth tables (k <= 8)"),
+        ("simulate", f"state-vector pulse simulation truth tables (k <= {_MAX_K_TABLE})"),
         ("lattice", "square-lattice layout export"),
         ("optimize", "numeric drive-frequency optimization summary"),
     ]

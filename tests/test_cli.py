@@ -137,6 +137,23 @@ def test_simulate_k_cap(tmp_path, capsys):
     assert "k <= 8" in capsys.readouterr().err
 
 
+def test_non_finite_budget_exits_2_with_lab_units(tmp_path, capsys):
+    # B equal to the qubit splitting puts the leakage detuned by
+    # omega10 - B on resonance; no report with inf in it may be written
+    cfg = uniform_cfg(
+        k=[2, 8],
+        uniform={"b_mhz": 9200.0, "tau_us": 540.0, "label": "b equals omega10"},
+        frequencies={"mode": "fixed", "omega_mhz": 10.0},
+    )
+    assert main(["budget", "--config", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget row k=2 label 'b equals omega10': r_c_2 is inf" in captured.err
+    assert "omega10_mhz = 9200.0 MHz" in captured.err
+    with pytest.raises(ValueError):
+        render_json({"total": math.inf})
+
+
 def test_schema_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="scheme"):
         validate_config({"k": 1})

@@ -4,6 +4,7 @@ The simulator is the independent oracle for the closed-form budgets, so
 its own tests avoid the budget formulas wherever possible: truth tables
 are checked against hand permutations, leakage against the two-level
 detuned-drive solution, and decay against first-order exposure times.
+The block propagator is checked against a dense full-space oracle.
 """
 
 import math
@@ -11,10 +12,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import expm
 
 from rydgate import (
     GateParams,
     PulseStep,
+    SimState,
     budget_sequential_uniform,
     canonical_sequence,
     computational_state,
@@ -34,7 +37,7 @@ W10 = angular_from_mhz(9200.0)
 
 # ------------------------------------------------------------ ideal tables
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
 def test_cnot_truth_table_in_ideal_limit(k):
     seq = canonical_sequence("sequential", k, omega=OMEGA)
     res = gate_error_sim(seq, k, uniform_interactions(k, math.inf))
@@ -210,3 +213,93 @@ def test_computational_state_round_trip(k, index):
         assert digit in (0, 1)
         bits = (bits << 1) | digit
     assert bits == index
+
+
+# ------------------------------------------------------------ dense oracle
+
+def _dense_hamiltonian(natoms, step, interactions, decay_rates):
+    """The whole 3^n pulse Hamiltonian: pair shifts and decay on the
+    diagonal, half-Rabi couplings per driven atom, and every state holding
+    a doubly excited infinite-shift pair decoupled."""
+    dim = 3**natoms
+    digits = (np.arange(dim)[:, None] // 3 ** np.arange(natoms - 1, -1, -1)) % 3
+    excited = (digits == 2).astype(float)
+    finite = np.where(np.isinf(interactions), 0.0, interactions)
+    diag = 0.5 * np.einsum("sa,ab,sb->s", excited, finite, excited)
+    diag = diag - 0.5j * excited @ decay_rates
+    forbidden = np.zeros(dim, dtype=bool)
+    for a, b in np.argwhere(np.isinf(np.triu(interactions, k=1))):
+        forbidden |= (digits[:, a] == 2) & (digits[:, b] == 2)
+    h = np.diag(np.where(forbidden, 0.0, diag))
+    ground = {"g0-r": 0, "g1-r": 1, "g0-s": 0}[step.transition]
+    half = 0.5 * step.rabi * np.exp(1j * step.phase)
+    for a in step.atoms:
+        s_g = np.flatnonzero(digits[:, a] == ground)
+        s_e = s_g + (2 - ground) * 3 ** (natoms - 1 - a)
+        keep = ~(forbidden[s_g] | forbidden[s_e])
+        h[s_e[keep], s_g[keep]] = half
+        h[s_g[keep], s_e[keep]] = np.conj(half)
+    return h
+
+
+@st.composite
+def _pulse_instances(draw):
+    """k <= 3 with random symmetric shifts (some infinite), per-atom decay
+    (some zero), 1..n-atom pulses on every transition at random phase and
+    length, and a random start state over the whole basis."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = k + 1
+    v = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            shift = draw(st.one_of(st.just(math.inf), st.floats(-5.0, 5.0)))
+            v[a, b] = v[b, a] = shift * OMEGA
+    rate = st.one_of(st.just(0.0), st.floats(0.0, 0.3))
+    decay = np.array([draw(rate) * OMEGA for _ in range(n)])
+    pulse = st.builds(
+        PulseStep,
+        transition=st.sampled_from(["g0-r", "g1-r", "g0-s"]),
+        rabi=st.floats(0.5, 3.0).map(lambda x: x * OMEGA),
+        atoms=st.lists(st.integers(0, k), min_size=1, max_size=n, unique=True).map(
+            tuple
+        ),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        duration=st.floats(0.1, 3.0).map(lambda x: x * math.pi / OMEGA),
+    )
+    steps = draw(st.lists(pulse, min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+    return k, v, decay, steps, start / np.linalg.norm(start)
+
+
+@given(_pulse_instances())
+def test_block_propagator_matches_dense_oracle(instance):
+    k, v, decay, steps, start = instance
+    n = k + 1
+    u = np.eye(3**n, dtype=complex)
+    for step in steps:
+        h = _dense_hamiltonian(n, step, v, decay)
+        u = expm(-1j * step.effective_duration * h) @ u
+
+    state = SimState(amplitudes=start)
+    for step in steps:
+        state = evolve(state, step, v, decay_rates=decay)
+    expected = u @ start
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=0.0, atol=1e-10)
+    deficit = 1.0 - np.vdot(expected, expected).real
+    assert state.norm_deficit == pytest.approx(deficit, abs=1e-10)
+
+    res = gate_error_sim(steps, k, v, decay_rates=decay)
+    inputs = 2**n
+    comp = [int(format(m, f"0{n}b"), 3) for m in range(inputs)]
+    outputs = u[np.ix_(comp, comp)]
+    np.testing.assert_allclose(
+        res.truth_table, np.abs(outputs.T) ** 2, rtol=0.0, atol=1e-10
+    )
+    phases = np.array([ideal_output_phase(k, m) for m in range(inputs)])
+    ideal = [ideal_output_index(k, m) for m in range(inputs)]
+    overlap = np.conj(phases)[:, None] * outputs[ideal, :]
+    f_avg = (np.sum(np.abs(overlap) ** 2) + abs(np.trace(overlap)) ** 2) / (
+        inputs * (inputs + 1)
+    )
+    assert res.avg_error == pytest.approx(1.0 - f_avg, abs=1e-10)
