@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+# largest control count any budget accepts
+_MAX_K = 64
+
 
 @dataclass(frozen=True)
 class ErrorBudget:

@@ -5,6 +5,11 @@ drive frequency with analytic and numeric minima), ``simulate``
 (state-vector truth tables, k <= 8), ``lattice`` (layout export),
 ``optimize`` (frequency optimization summary).
 
+``budget``, ``optimize`` and ``sweep-omega`` are projections of one
+``_Case`` per (uniform entry or lattice block, k): a budget row is its head,
+frequencies, duration, budget terms and optimum; an optimize row is that
+row renamed and cut; a sweep row is its budget at one grid frequency.
+
 Configs are JSON in laboratory units (MHz, us, um) and are validated
 against ``schemas.CONFIG_SCHEMA``.  Reports carry schema version
 "rydgate-report/1" and are deterministic: the same config always produces
@@ -19,10 +24,11 @@ import io
 import json
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
-from .lattice import LatticeGeometry, build_layout, pair_sets
+from .budget import ErrorBudget
+from .lattice import build_layout, pair_sets
 from .model import GateParams, InteractionModel, fit_single_anchor, pair_shift
 from .optimize import (
     DEFAULT_BRACKET,
@@ -68,7 +74,6 @@ from .units import (
     meters_from_um,
     mhz_from_angular,
     seconds_from_us,
-    um_from_meters,
     us_from_seconds,
 )
 
@@ -345,10 +350,6 @@ def build_interaction(obj: dict[str, Any], path: str) -> InteractionModel:
 
 # ----------------------------------------------------------------- helpers
 
-def _geometric_mean(values: Sequence[float]) -> float:
-    return math.exp(math.fsum(math.log(v) for v in values) / len(values))
-
-
 def _omega_grid(grid_cfg: dict[str, Any]) -> list[float]:
     lo = angular_from_mhz(grid_cfg["min"])
     hi = angular_from_mhz(grid_cfg["max"])
@@ -360,312 +361,178 @@ def _omega_grid(grid_cfg: dict[str, Any]) -> list[float]:
     return [lo * ratio**i for i in range(points)]
 
 
-class _SequentialCase:
-    """One uniform series or lattice configuration for sequential/grover."""
+# drive-frequency keys, shared by the fixed-mode config and the report
+# columns, per number of frequencies
+_FREQUENCY_KEYS = {1: ("omega_mhz",), 2: ("omega_c_mhz", "omega_t_mhz")}
 
-    def __init__(self, cfg: dict[str, Any], entry: dict[str, Any] | None):
-        self.scheme = cfg["scheme"]
-        self.omega10 = angular_from_mhz(cfg["omega10_mhz"])
-        if entry is not None:
-            self.mode = "uniform"
-            self.label = entry.get("label", "")
-            self.b = angular_from_mhz(entry["b_mhz"])
-            self.tau = seconds_from_us(entry["tau_us"])
-            self.model = None
-            self.d = None
-        else:
-            lattice = cfg["lattice"]
-            self.mode = "lattice"
-            self.label = ""
-            self.tau = seconds_from_us(lattice["tau_us"])
-            self.model = build_interaction(cfg["interaction"], "interaction")
-            self.d = meters_from_um(lattice["d_um"])
-            self.b = None
+# budget-row keys as the optimize report names them; the projection keeps
+# only what then falls in OPTIMIZE_COLUMNS
+_OPTIMIZE_RENAME = {
+    "omega_mhz": "omega_opt_mhz",
+    "omega_c_mhz": "omega_c_opt_mhz",
+    "omega_t_mhz": "omega_t_opt_mhz",
+    "total": "min_total",
+    "opt_evaluations": "evaluations",
+    "opt_converged": "converged",
+}
 
-    def geometry(self, k: int) -> LatticeGeometry | None:
-        if self.mode == "uniform":
-            return None
-        return build_layout(self.d, k)
 
-    def mean_b(self, k: int) -> float:
-        """Blockade scale for the analytic recipe.
+class _Case:
+    """One (uniform entry or lattice block, k) pair of a budget config.
 
-        Uniform runs use the configured shift; lattice runs use the
-        geometric mean of every pair shift that occurs in the layout,
-        control-target and control-control alike.
-        """
-        if self.mode == "uniform":
-            return self.b
-        geom = self.geometry(k)
-        ps = pair_sets(geom)
-        separations = list(ps.control_target) + list(ps.control_control_all)
-        shifts = [pair_shift(self.model, r) for r in separations]
-        return _geometric_mean(shifts)
+    Geometry, interaction models and blockade means are built once here;
+    ``budget`` and ``duration`` then take only the ``dims`` drive
+    frequencies (rad/s).  ``head`` holds the cells that name the case and
+    its blockade scale: the configured shift for uniform runs; for lattice
+    runs the geometric mean of every pair shift (sequential) or the
+    control-target and control-control means (simultaneous).  ``analytic``
+    holds the analytic-optimum cells of the single-frequency schemes.
+    """
 
-    def budget_fn(self, k: int) -> Callable[[float], Any]:
-        if self.mode == "uniform":
-            if self.scheme == "grover":
-                return lambda om: budget_grover_uniform(
-                    GateParams(k=k, omega10=self.omega10, omega=om), self.b, self.tau
-                )
-            return lambda om: budget_sequential_uniform(
-                GateParams(k=k, omega10=self.omega10, omega=om), self.b, self.tau
+    def __init__(self, cfg: dict[str, Any], entry: dict[str, Any] | None, k: int):
+        scheme = cfg["scheme"]
+        omega10 = angular_from_mhz(cfg["omega10_mhz"])
+        self.omega10_mhz = cfg["omega10_mhz"]
+        self.head: dict[str, Any] = {
+            "scheme": scheme,
+            "mode": "lattice" if entry is None else "uniform",
+            "label": "" if entry is None else entry.get("label", ""),
+            "k": k,
+        }
+        self.analytic: dict[str, float] = {}
+        lifetimes = cfg["lattice"] if entry is None else entry
+        if entry is None:
+            geom = build_layout(meters_from_um(cfg["lattice"]["d_um"]), k)
+            ps = pair_sets(geom)
+
+        if scheme == "simultaneous":
+            self.dims = 2
+            b_ct = d_cc = None
+            if entry is not None:
+                b_ct = angular_from_mhz(entry["b_ct_mhz"])
+                d_cc = angular_from_mhz(entry["d_cc_mhz"])
+                self.head.update(b_ct_mhz=entry["b_ct_mhz"], d_cc_mhz=entry["d_cc_mhz"])
+                self._budget = budget_simultaneous_uniform
+            else:
+                model_ct = build_interaction(cfg["interaction_ct"], "interaction_ct")
+                model_cc = build_interaction(cfg["interaction_cc"], "interaction_cc")
+                ct = [pair_shift(model_ct, r) for r in ps.control_target]
+                cc = [pair_shift(model_cc, r) for r in ps.control_control_all]
+                self.head["b_ct_mhz"] = mhz_from_angular(math.fsum(ct) / k)
+                self.head["d_cc_mhz"] = mhz_from_angular(math.fsum(cc) / len(cc)) if cc else 0.0
+                self._budget = lambda p: budget_simultaneous_lattice(p, model_ct, model_cc, geom)
+            tau_c = seconds_from_us(lifetimes["tau_c_us"])
+            tau_t = seconds_from_us(lifetimes["tau_t_us"])
+            self._params = lambda oc, ot: SimultaneousParams(
+                k=k, omega_c=oc, omega_t=ot, tau_c=tau_c, tau_t=tau_t,
+                omega10=omega10, b_ct=b_ct, d_cc=d_cc,
             )
-        geom = self.geometry(k)
-        return lambda om: budget_sequential_lattice(
-            GateParams(k=k, omega10=self.omega10, omega=om), self.model, geom, self.tau
-        )
+            self._duration = gate_duration_simultaneous
+            return
 
-    def duration(self, k: int, omega: float) -> float:
-        p = GateParams(k=k, omega10=self.omega10, omega=omega)
-        if self.scheme == "grover":
-            return gate_duration_grover(p)
-        return gate_duration_sequential(p)
+        self.dims = 1
+        tau = seconds_from_us(lifetimes["tau_us"])
+        if entry is not None:
+            b = angular_from_mhz(entry["b_mhz"])
+            uniform = budget_grover_uniform if scheme == "grover" else budget_sequential_uniform
+            self._budget = lambda p: uniform(p, b, tau)
+        else:
+            model = build_interaction(cfg["interaction"], "interaction")
+            shifts = [pair_shift(model, r) for r in ps.control_target + ps.control_control_all]
+            b = math.exp(math.fsum(math.log(v) for v in shifts) / len(shifts))
+            self._budget = lambda p: budget_sequential_lattice(p, model, geom, tau)
+        self._params = lambda om: GateParams(k=k, omega10=omega10, omega=om)
+        self._duration = gate_duration_grover if scheme == "grover" else gate_duration_sequential
+        self.head["b_mhz"] = mhz_from_angular(b)
+        self.analytic = {
+            "omega_opt_analytic_mhz": mhz_from_angular(omega_opt_analytic(b, tau)),
+            "e_opt_analytic": e_opt_analytic(b, tau, k),
+        }
+
+    def budget(self, *omegas: float) -> ErrorBudget:
+        return self._budget(self._params(*omegas))
+
+    def duration(self, *omegas: float) -> float:
+        return self._duration(self._params(*omegas))
+
+    def optimize(self, command: str) -> OptimizationResult:
+        """Minimize the total error over the drive frequencies."""
+
+        def total(*omegas: float) -> float:
+            value = self.budget(*omegas).total
+            if not math.isfinite(value):
+                cause = f"the optimized total is {value}"
+                raise _divergence(command, self.omega10_mhz, self.head, cause)
+            return value
+
+        return minimize_error(total, dims=self.dims, bracket=DEFAULT_BRACKET)
 
 
-def _pick_omega(
-    case: _SequentialCase, cfg: dict[str, Any], k: int
-) -> tuple[float, OptimizationResult | None]:
+def _cases(cfg: dict[str, Any]) -> Iterator[_Case]:
+    for entry in cfg.get("uniform", [None]):
+        for k in cfg["k"]:
+            yield _Case(cfg, entry, k)
+
+
+def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
+    """One row per case at the fixed or the optimized frequencies."""
     freq = cfg["frequencies"]
-    if freq["mode"] == "fixed":
-        return angular_from_mhz(freq["omega_mhz"]), None
-    fn = case.budget_fn(k)
-    result = minimize_error(
-        lambda om: fn(om).total,
-        bracket=DEFAULT_BRACKET,
-        analytic_argmin=omega_opt_analytic(case.mean_b(k), case.tau),
-    )
-    return result.argmin[0], result
-
-
-def _sequential_cases(cfg: dict[str, Any]) -> list[_SequentialCase]:
-    if "uniform" in cfg:
-        return [_SequentialCase(cfg, entry) for entry in cfg["uniform"]]
-    return [_SequentialCase(cfg, None)]
+    rows: list[dict[str, Any]] = []
+    for case in _cases(cfg):
+        keys = _FREQUENCY_KEYS[case.dims]
+        opt = None
+        if freq["mode"] == "fixed":
+            omegas = tuple(angular_from_mhz(freq[key]) for key in keys)
+        else:
+            opt = case.optimize(command)
+            omegas = opt.argmin
+        row = dict(case.head)
+        row.update((key, mhz_from_angular(om)) for key, om in zip(keys, omegas))
+        row["duration_us"] = us_from_seconds(case.duration(*omegas))
+        row.update(case.budget(*omegas).as_dict())
+        row.update(case.analytic)
+        if opt is not None:
+            row.update(opt_evaluations=opt.evaluations, opt_converged=opt.converged)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_budget(cfg: dict[str, Any]) -> dict[str, Any]:
-    scheme = cfg["scheme"]
-    rows: list[dict[str, Any]] = []
-    if scheme in ("sequential", "grover"):
-        for case in _sequential_cases(cfg):
-            for k in cfg["k"]:
-                omega, opt = _pick_omega(case, cfg, k)
-                budget = case.budget_fn(k)(omega)
-                b_mean = case.mean_b(k)
-                row: dict[str, Any] = {
-                    "scheme": scheme,
-                    "mode": case.mode,
-                    "label": case.label,
-                    "k": k,
-                    "b_mhz": mhz_from_angular(b_mean),
-                    "omega_mhz": mhz_from_angular(omega),
-                    "duration_us": us_from_seconds(case.duration(k, omega)),
-                    "omega_opt_analytic_mhz": mhz_from_angular(
-                        omega_opt_analytic(b_mean, case.tau)
-                    ),
-                    "e_opt_analytic": e_opt_analytic(b_mean, case.tau, k),
-                }
-                row.update(budget.terms)
-                row["total"] = budget.total
-                for key, value in budget.diagnostics.items():
-                    row[f"diag_{key}"] = value
-                if opt is not None:
-                    row["opt_evaluations"] = opt.evaluations
-                    row["opt_converged"] = opt.converged
-                rows.append(row)
-        columns = BUDGET_COLUMNS[scheme]
-    else:
-        rows = _simultaneous_rows(cfg)
-        columns = BUDGET_COLUMNS["simultaneous"]
-    return _report("budget", cfg, columns, rows)
+    rows = _budget_rows(cfg, "budget")
+    return _report("budget", cfg, BUDGET_COLUMNS[cfg["scheme"]], rows)
 
 
-def _simultaneous_params(
-    cfg: dict[str, Any],
-    entry: dict[str, Any] | None,
-    k: int,
-    omega_c: float,
-    omega_t: float,
-) -> SimultaneousParams:
-    omega10 = angular_from_mhz(cfg["omega10_mhz"])
-    if entry is not None:
-        return SimultaneousParams(
-            k=k,
-            omega_c=omega_c,
-            omega_t=omega_t,
-            tau_c=seconds_from_us(entry["tau_c_us"]),
-            tau_t=seconds_from_us(entry["tau_t_us"]),
-            omega10=omega10,
-            b_ct=angular_from_mhz(entry["b_ct_mhz"]),
-            d_cc=angular_from_mhz(entry["d_cc_mhz"]),
-        )
-    lattice = cfg["lattice"]
-    return SimultaneousParams(
-        k=k,
-        omega_c=omega_c,
-        omega_t=omega_t,
-        tau_c=seconds_from_us(lattice["tau_c_us"]),
-        tau_t=seconds_from_us(lattice["tau_t_us"]),
-        omega10=omega10,
-    )
-
-
-def _simultaneous_rows(cfg: dict[str, Any]) -> list[dict[str, Any]]:
-    freq = cfg["frequencies"]
-    entries: list[dict[str, Any] | None]
-    if "uniform" in cfg:
-        entries = list(cfg["uniform"])
-        model_ct = model_cc = None
-        geom_of = None
-    else:
-        entries = [None]
-        model_ct = build_interaction(cfg["interaction_ct"], "interaction_ct")
-        model_cc = build_interaction(cfg["interaction_cc"], "interaction_cc")
-        d = meters_from_um(cfg["lattice"]["d_um"])
-        geom_of = lambda k: build_layout(d, k)
-
-    rows: list[dict[str, Any]] = []
-    for entry in entries:
-        for k in cfg["k"]:
-            def total_fn(oc: float, ot: float, k: int = k, entry=entry) -> float:
-                p = _simultaneous_params(cfg, entry, k, oc, ot)
-                if entry is not None:
-                    return budget_simultaneous_uniform(p).total
-                return budget_simultaneous_lattice(p, model_ct, model_cc, geom_of(k)).total
-
-            opt: OptimizationResult | None = None
-            if freq["mode"] == "fixed":
-                omega_c = angular_from_mhz(freq["omega_c_mhz"])
-                omega_t = angular_from_mhz(freq["omega_t_mhz"])
-            else:
-                opt = minimize_error(total_fn, dims=2, bracket=DEFAULT_BRACKET)
-                omega_c, omega_t = opt.argmin
-
-            p = _simultaneous_params(cfg, entry, k, omega_c, omega_t)
-            if entry is not None:
-                budget = budget_simultaneous_uniform(p)
-                b_ct_mhz = entry["b_ct_mhz"]
-                d_cc_mhz = entry["d_cc_mhz"]
-                label = entry.get("label", "")
-            else:
-                geom = geom_of(k)
-                budget = budget_simultaneous_lattice(p, model_ct, model_cc, geom)
-                ps = pair_sets(geom)
-                b_ct_mhz = mhz_from_angular(
-                    math.fsum(pair_shift(model_ct, r) for r in ps.control_target) / k
-                )
-                cc = ps.control_control_all
-                d_cc_mhz = (
-                    mhz_from_angular(
-                        math.fsum(pair_shift(model_cc, r) for r in cc) / len(cc)
-                    )
-                    if cc
-                    else 0.0
-                )
-                label = ""
-            row: dict[str, Any] = {
-                "scheme": "simultaneous",
-                "mode": budget.mode,
-                "label": label,
-                "k": k,
-                "b_ct_mhz": b_ct_mhz,
-                "d_cc_mhz": d_cc_mhz,
-                "omega_c_mhz": mhz_from_angular(omega_c),
-                "omega_t_mhz": mhz_from_angular(omega_t),
-                "duration_us": us_from_seconds(gate_duration_simultaneous(p)),
-            }
-            row.update(budget.terms)
-            row["total"] = budget.total
-            for key, value in budget.diagnostics.items():
-                row[f"diag_{key}"] = value
-            if opt is not None:
-                row["opt_evaluations"] = opt.evaluations
-                row["opt_converged"] = opt.converged
-            rows.append(row)
-    return rows
+def _sweep_row(
+    base: dict[str, Any], row_type: str, omega: float, budget: ErrorBudget
+) -> dict[str, Any]:
+    return dict(base, row_type=row_type, omega_mhz=mhz_from_angular(omega),
+                **budget.terms, total=budget.total)
 
 
 def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
-    scheme = cfg["scheme"]
     grid = _omega_grid(cfg["sweep"]["omega_mhz"])
     rows: list[dict[str, Any]] = []
-    for case in _sequential_cases(cfg):
-        for k in cfg["k"]:
-            fn = case.budget_fn(k)
-            base = {"label": case.label, "k": k}
-            for omega in grid:
-                budget = fn(omega)
-                row = dict(base)
-                row["row_type"] = "grid"
-                row["omega_mhz"] = mhz_from_angular(omega)
-                row.update(budget.terms)
-                row["total"] = budget.total
-                rows.append(row)
-            b_mean = case.mean_b(k)
-            rows.append(
-                dict(
-                    base,
-                    row_type="analytic_opt",
-                    omega_mhz=mhz_from_angular(omega_opt_analytic(b_mean, case.tau)),
-                    total=e_opt_analytic(b_mean, case.tau, k),
-                )
-            )
-            numeric = minimize_error(lambda om: fn(om).total, bracket=DEFAULT_BRACKET)
-            budget = fn(numeric.argmin[0])
-            row = dict(base)
-            row["row_type"] = "numeric_opt"
-            row["omega_mhz"] = mhz_from_angular(numeric.argmin[0])
-            row.update(budget.terms)
-            row["total"] = budget.total
-            rows.append(row)
-    return _report("sweep-omega", cfg, SWEEP_COLUMNS[scheme], rows)
+    for case in _cases(cfg):
+        base = {"label": case.head["label"], "k": case.head["k"]}
+        rows.extend(_sweep_row(base, "grid", omega, case.budget(omega)) for omega in grid)
+        rows.append(dict(base, row_type="analytic_opt",
+                         omega_mhz=case.analytic["omega_opt_analytic_mhz"],
+                         total=case.analytic["e_opt_analytic"]))
+        omega = case.optimize("sweep-omega").argmin[0]
+        rows.append(_sweep_row(base, "numeric_opt", omega, case.budget(omega)))
+    return _report("sweep-omega", cfg, SWEEP_COLUMNS[cfg["scheme"]], rows)
 
 
 def cmd_optimize(cfg: dict[str, Any]) -> dict[str, Any]:
-    """Numeric frequency optimization, reported without the term breakdown."""
-    forced = dict(cfg)
-    forced["frequencies"] = {"mode": "optimize"}
-    scheme = cfg["scheme"]
-    rows: list[dict[str, Any]] = []
-    if scheme in ("sequential", "grover"):
-        for case in _sequential_cases(forced):
-            for k in forced["k"]:
-                omega, opt = _pick_omega(case, forced, k)
-                b_mean = case.mean_b(k)
-                rows.append(
-                    {
-                        "scheme": scheme,
-                        "mode": case.mode,
-                        "label": case.label,
-                        "k": k,
-                        "omega_opt_mhz": mhz_from_angular(omega),
-                        "min_total": opt.min_error,
-                        "omega_opt_analytic_mhz": mhz_from_angular(
-                            omega_opt_analytic(b_mean, case.tau)
-                        ),
-                        "e_opt_analytic": e_opt_analytic(b_mean, case.tau, k),
-                        "evaluations": opt.evaluations,
-                        "converged": opt.converged,
-                    }
-                )
-    else:
-        for row in _simultaneous_rows(forced):
-            rows.append(
-                {
-                    "scheme": "simultaneous",
-                    "mode": row["mode"],
-                    "label": row["label"],
-                    "k": row["k"],
-                    "omega_c_opt_mhz": row["omega_c_mhz"],
-                    "omega_t_opt_mhz": row["omega_t_mhz"],
-                    "min_total": row["total"],
-                    "evaluations": row.get("opt_evaluations"),
-                    "converged": row.get("opt_converged"),
-                }
-            )
+    """Numeric frequency optimization: the budget rows in optimize mode,
+    renamed by ``_OPTIMIZE_RENAME`` and cut to ``OPTIMIZE_COLUMNS``."""
+    forced = dict(cfg, frequencies={"mode": "optimize"})
+    rows = []
+    for row in _budget_rows(forced, "optimize"):
+        renamed = {_OPTIMIZE_RENAME.get(key, key): value for key, value in row.items()}
+        rows.append({key: renamed[key] for key in OPTIMIZE_COLUMNS if key in renamed})
     return _report("optimize", cfg, OPTIMIZE_COLUMNS, rows)
 
 
@@ -750,6 +617,17 @@ def cmd_lattice(cfg: dict[str, Any]) -> dict[str, Any]:
 
 # ------------------------------------------------------------ serialization
 
+def _divergence(
+    command: str, omega10_mhz: Any, row: dict[str, Any], cause: str
+) -> ConfigError:
+    """The lab-unit refusal of a row whose budget diverges."""
+    return ConfigError(
+        f"{command} row k={row.get('k')} label {row.get('label')!r}: {cause}: "
+        f"a blockade shift meets omega10_mhz = {omega10_mhz} MHz, so the "
+        "leakage term detuned by omega10 - B diverges"
+    )
+
+
 def _report(
     command: str,
     cfg: dict[str, Any],
@@ -759,11 +637,8 @@ def _report(
     for row in rows:
         for column, value in row.items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(
-                    f"{command} row k={row.get('k')} label {row.get('label')!r}: "
-                    f"{column} is {value}: a blockade shift meets omega10_mhz = "
-                    f"{cfg.get('omega10_mhz')} MHz, so the leakage term detuned "
-                    "by omega10 - B diverges"
+                raise _divergence(
+                    command, cfg.get("omega10_mhz"), row, f"{column} is {value}"
                 )
     report = {
         "schema": REPORT_SCHEMA_VERSION,
@@ -815,11 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rydgate",
         description="Intrinsic error budgets for multi-control blockade gates.",
     )
-    parser.add_argument(
-        "--seedless",
-        action="store_true",
-        help="no-op; every run is deterministic and uses no random numbers",
-    )
     subcommands = [
         ("budget", "error budget rows, one per configuration and k"),
         ("sweep-omega", "total error over a drive-frequency grid plus minima"),
@@ -857,10 +727,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 exit_code = 1
         else:
             report = _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     fmt = args.format or cfg.get("output", {}).get("format") or "json"

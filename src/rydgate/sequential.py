@@ -35,11 +35,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .budget import ErrorBudget
+from .budget import _MAX_K, ErrorBudget
 from .lattice import LatticeGeometry, pair_sets
 from .model import GateParams, pair_shift
-
-_MAX_K = 64
 
 SEQUENTIAL_TERMS = (
     "se_c_1",

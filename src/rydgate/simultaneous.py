@@ -33,11 +33,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .budget import ErrorBudget
+from .budget import _MAX_K, ErrorBudget
 from .lattice import LatticeGeometry, pair_sets
 from .model import pair_shift
 
-_MAX_K = 64
 _ENUMERATION_MAX_K = 20
 
 SIMULTANEOUS_TERMS = ("se_c", "se_t", "r_c_1", "r_c_2", "r_t")

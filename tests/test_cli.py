@@ -137,19 +137,42 @@ def test_simulate_k_cap(tmp_path, capsys):
     assert "k <= 8" in capsys.readouterr().err
 
 
-def test_non_finite_budget_exits_2_with_lab_units(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "scheme, command, mode",
+    [
+        pytest.param("sequential", "budget", "fixed", id="budget-fixed"),
+        pytest.param("sequential", "budget", "optimize", id="budget-optimize"),
+        pytest.param("sequential", "optimize", "fixed", id="optimize-fixed"),
+        pytest.param("sequential", "optimize", "optimize", id="optimize-optimize"),
+        pytest.param("sequential", "sweep-omega", "fixed", id="sweep-omega-fixed"),
+        pytest.param("sequential", "sweep-omega", "optimize", id="sweep-omega-optimize"),
+        pytest.param("grover", "optimize", "optimize", id="grover-optimize"),
+    ],
+)
+def test_non_finite_budget_exits_2_with_lab_units(tmp_path, capsys, scheme, command, mode):
     # B equal to the qubit splitting puts the leakage detuned by
-    # omega10 - B on resonance; no report with inf in it may be written
+    # omega10 - B on resonance; no report with inf in it may be written,
+    # and the optimizer's refusal names the row in lab units too
+    frequencies = {"mode": mode}
+    if mode == "fixed":
+        frequencies["omega_mhz"] = 10.0
     cfg = uniform_cfg(
+        scheme=scheme,
         k=[2, 8],
         uniform={"b_mhz": 9200.0, "tau_us": 540.0, "label": "b equals omega10"},
-        frequencies={"mode": "fixed", "omega_mhz": 10.0},
+        frequencies=frequencies,
+        sweep={"omega_mhz": {"min": 0.5, "max": 50.0, "points": 10}},
     )
-    assert main(["budget", "--config", write_config(tmp_path, cfg)]) == 2
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "budget row k=2 label 'b equals omega10': r_c_2 is inf" in captured.err
+    # only fixed-frequency budget rows get as far as the report's cell check
+    fixed_budget = (command, mode) == ("budget", "fixed")
+    cause = "r_c_2 is inf" if fixed_budget else "the optimized total is inf"
+    assert f"{command} row k=2 label 'b equals omega10': {cause}" in captured.err
     assert "omega10_mhz = 9200.0 MHz" in captured.err
+    assert "np.float64" not in captured.err
+    assert "62831" not in captured.err  # the bracket's 2 pi x 10 kHz in rad/s
     with pytest.raises(ValueError):
         render_json({"total": math.inf})
 
@@ -195,7 +218,7 @@ def test_main_writes_output_file(tmp_path):
     cfg = uniform_cfg(output={"format": "json"})
     out = tmp_path / "report.json"
     code = main(
-        ["--seedless", "budget", "--config", write_config(tmp_path, cfg), "--out", str(out)]
+        ["budget", "--config", write_config(tmp_path, cfg), "--out", str(out)]
     )
     assert code == 0
     report = json.loads(out.read_text(encoding="utf-8"))
