@@ -24,12 +24,13 @@ import io
 import json
 import math
 import sys
+import warnings
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
 from .budget import ErrorBudget
-from .lattice import build_layout, pair_sets
-from .model import GateParams, InteractionModel, fit_single_anchor, pair_shift
+from .lattice import build_layout
+from .model import GateParams, InteractionModel, fit_single_anchor
 from .optimize import (
     DEFAULT_BRACKET,
     OptimizationResult,
@@ -47,17 +48,18 @@ from .sequential import (
     GROVER_TERMS,
     SEQUENTIAL_TERMS,
     budget_grover_uniform,
-    budget_sequential_lattice,
     budget_sequential_uniform,
     gate_duration_grover,
     gate_duration_sequential,
+    sequential_lattice_sums,
 )
 from .simultaneous import (
     SIMULTANEOUS_TERMS,
+    BlockadeRegimeWarning,
     SimultaneousParams,
-    budget_simultaneous_lattice,
     budget_simultaneous_uniform,
     gate_duration_simultaneous,
+    simultaneous_lattice_sums,
 )
 from .simulator import (
     _MAX_K_TABLE,
@@ -380,9 +382,10 @@ _OPTIMIZE_RENAME = {
 class _Case:
     """One (uniform entry or lattice block, k) pair of a budget config.
 
-    Geometry, interaction models and blockade means are built once here;
-    ``budget`` and ``duration`` then take only the ``dims`` drive
-    frequencies (rad/s).  ``head`` holds the cells that name the case and
+    Interaction models, blockade means and, for lattice runs, the
+    frequency-free pair sums of the budget are built once here; ``budget``
+    and ``evaluate`` then take only the ``dims`` drive frequencies (rad/s)
+    and cost O(1) in k.  ``head`` holds the cells that name the case and
     its blockade scale: the configured shift for uniform runs; for lattice
     runs the geometric mean of every pair shift (sequential) or the
     control-target and control-control means (simultaneous).  ``analytic``
@@ -403,7 +406,6 @@ class _Case:
         lifetimes = cfg["lattice"] if entry is None else entry
         if entry is None:
             geom = build_layout(meters_from_um(cfg["lattice"]["d_um"]), k)
-            ps = pair_sets(geom)
 
         if scheme == "simultaneous":
             self.dims = 2
@@ -416,11 +418,11 @@ class _Case:
             else:
                 model_ct = build_interaction(cfg["interaction_ct"], "interaction_ct")
                 model_cc = build_interaction(cfg["interaction_cc"], "interaction_cc")
-                ct = [pair_shift(model_ct, r) for r in ps.control_target]
-                cc = [pair_shift(model_cc, r) for r in ps.control_control_all]
-                self.head["b_ct_mhz"] = mhz_from_angular(math.fsum(ct) / k)
+                sums = simultaneous_lattice_sums(model_ct, model_cc, geom, omega10)
+                cc = sums.d_cc
+                self.head["b_ct_mhz"] = mhz_from_angular(math.fsum(sums.b_ct) / k)
                 self.head["d_cc_mhz"] = mhz_from_angular(math.fsum(cc) / len(cc)) if cc else 0.0
-                self._budget = lambda p: budget_simultaneous_lattice(p, model_ct, model_cc, geom)
+                self._budget = sums.budget
             tau_c = seconds_from_us(lifetimes["tau_c_us"])
             tau_t = seconds_from_us(lifetimes["tau_t_us"])
             self._params = lambda oc, ot: SimultaneousParams(
@@ -438,9 +440,10 @@ class _Case:
             self._budget = lambda p: uniform(p, b, tau)
         else:
             model = build_interaction(cfg["interaction"], "interaction")
-            shifts = [pair_shift(model, r) for r in ps.control_target + ps.control_control_all]
+            sums = sequential_lattice_sums(model, geom, tau, omega10)
+            shifts = sums.b_ct + sums.b_cc
             b = math.exp(math.fsum(math.log(v) for v in shifts) / len(shifts))
-            self._budget = lambda p: budget_sequential_lattice(p, model, geom, tau)
+            self._budget = lambda p: sums.budget(p.omega)
         self._params = lambda om: GateParams(k=k, omega10=omega10, omega=om)
         self._duration = gate_duration_grover if scheme == "grover" else gate_duration_sequential
         self.head["b_mhz"] = mhz_from_angular(b)
@@ -452,11 +455,16 @@ class _Case:
     def budget(self, *omegas: float) -> ErrorBudget:
         return self._budget(self._params(*omegas))
 
-    def duration(self, *omegas: float) -> float:
-        return self._duration(self._params(*omegas))
+    def evaluate(self, *omegas: float) -> tuple[float, ErrorBudget]:
+        """Gate duration and budget from one set of drive parameters, so a
+        regime warning fires once per reported row."""
+        p = self._params(*omegas)
+        return self._duration(p), self._budget(p)
 
     def optimize(self, command: str) -> OptimizationResult:
-        """Minimize the total error over the drive frequencies."""
+        """Minimize the total error over the drive frequencies.  Regime
+        warnings are left to the reported row: the grid scan visits
+        frequencies outside the regime that no row reports."""
 
         def total(*omegas: float) -> float:
             value = self.budget(*omegas).total
@@ -465,7 +473,9 @@ class _Case:
                 raise _divergence(command, self.omega10_mhz, self.head, cause)
             return value
 
-        return minimize_error(total, dims=self.dims, bracket=DEFAULT_BRACKET)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BlockadeRegimeWarning)
+            return minimize_error(total, dims=self.dims, bracket=DEFAULT_BRACKET)
 
 
 def _cases(cfg: dict[str, Any]) -> Iterator[_Case]:
@@ -488,8 +498,9 @@ def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
             omegas = opt.argmin
         row = dict(case.head)
         row.update((key, mhz_from_angular(om)) for key, om in zip(keys, omegas))
-        row["duration_us"] = us_from_seconds(case.duration(*omegas))
-        row.update(case.budget(*omegas).as_dict())
+        duration, budget = case.evaluate(*omegas)
+        row["duration_us"] = us_from_seconds(duration)
+        row.update(budget.as_dict())
         row.update(case.analytic)
         if opt is not None:
             row.update(opt_evaluations=opt.evaluations, opt_converged=opt.converged)

@@ -13,17 +13,19 @@ states.  Two error classes are tracked per atom group:
   proportional to Omega^2 over the squared detuning (blockade shift B,
   qubit splitting omega10, or their combination).
 
-Closed forms and their un-collapsed per-state sums are both provided; the
-sums use exact rational state weights and serve as the independent check
-of every collapsed expression.  The +/- ambiguity in (omega10 +/- B)
+The uniform budgets are closed forms; their un-collapsed per-state sums,
+with exact rational state weights, live in the tests as the independent
+check of every collapsed expression.  The +/- ambiguity in (omega10 +/- B)
 denominators is resolved conservatively: each term takes the sign that
 maximizes it.
 
-For lattice-averaged budgets the substitution happens before the sums
-collapse: each blockade shift keeps the identity of the atom pair that
+Lattice-averaged budgets keep each blockade shift with the atom pair that
 produced it, weighted by the probability that this pair is the one acting
 (the first control found in |0> blocks everyone after it, which happens
-with probability 2^-i for control i in excitation order).
+with probability 2^-i for control i in excitation order).  Each such term
+is an Omega-free pair sum times a power of Omega, so
+``sequential_lattice_sums`` builds the sums once per geometry and
+``SequentialLatticeSums.budget`` evaluates them per frequency in O(1).
 
 A phase-inversion variant with 2k pulses and no target (the conditional
 phase used inside quantum-search circuits) shares the control bookkeeping;
@@ -33,7 +35,7 @@ its four terms are evaluated by ``budget_grover_uniform``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .budget import _MAX_K, ErrorBudget
 from .lattice import LatticeGeometry, pair_sets
@@ -110,83 +112,66 @@ def budget_sequential_uniform(p: GateParams, b: float, tau: float) -> ErrorBudge
     return ErrorBudget.from_terms("sequential", "uniform", terms)
 
 
-# Exact rational state weights for the un-collapsed sums.  Control i
-# (1-based, excitation order) is the first control in |0> with probability
-# 2^-i; a later control m in |0> coexists with first-blocker j in
-# 2^(k-j) of the 2^(k+1) basis states.
+@dataclass(frozen=True)
+class SequentialLatticeSums:
+    """Omega-free pair sums of the lattice-averaged sequential budget.
 
-
-def _sum_se_c_1_weight(k: int) -> Fraction:
-    # per state: one excitation plus one return pulse (two half-populated
-    # pulses -> 1) plus n_wait = 3 + 2(k-i) fully excited pulse slots
-    return sum(
-        (Fraction(1, 2**i) * (1 + 3 + 2 * (k - i)) for i in range(1, k + 1)),
-        Fraction(0),
-    )
-
-
-def _sum_se_c_2_weight(k: int) -> Fraction:
-    return sum(
-        (
-            Fraction((1 + 3 + 2 * (k - i)) * sum(2 ** (k - j) for j in range(1, i)), 2 ** (k + 1))
-            for i in range(2, k + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _sum_blocked_pair_weight(k: int) -> Fraction:
-    # sum over blocked control m and earlier blocker j of 2^-(j+1)
-    return sum(
-        (Fraction(1, 2 ** (j + 1)) for m in range(2, k + 1) for j in range(1, m)),
-        Fraction(0),
-    )
-
-
-def sum_oracle_sequential(p: GateParams, b: float, tau: float) -> ErrorBudget:
-    """Budget evaluated from the per-state sums before any collapse.
-
-    Combinatorial weights are exact rationals; only the final product with
-    the physical prefactor is floating point.  Serves as the independent
-    oracle for ``budget_sequential_uniform``.
+    Control j (1-based, excitation order) blocks a later control m with
+    weight w = 2^-(j+1) over n_m = 4 + 2(k-m) pulse slots, and blocks the
+    target as the first control in |0> with weight w = 2^-j; ``det`` is
+    ``worst_case_detuned_inv_sq(omega10, B)`` of the pair's shift B.
     """
-    _check_inputs(p, b, tau)
-    k, om, w10 = p.k, p.omega, p.omega10
-    det = worst_case_detuned_inv_sq(w10, b)
 
-    se_c_1 = math.pi / (om * tau) * float(_sum_se_c_1_weight(k))
-    se_c_2 = math.pi * om / (2.0 * b * b * tau) * float(_sum_se_c_2_weight(k))
-    se_t_1 = math.pi / (om * tau) * float(Fraction(2, 2 ** (k + 1)))
-    # blocked-target leak, resolved by which control blocks first
-    w = sum((Fraction(2 ** (k - i), 2 ** (k + 1)) for i in range(1, k + 1)), Fraction(0))
-    se_t_2 = 5.0 * math.pi * om / (4.0 * b * b * tau) * float(w)
-    w = Fraction(sum(2**k - 2**i for i in range(1, k)), 2 ** (k + 1))
-    r_c_1 = om * om / (b * b) * float(w)
-    w_res = sum((Fraction(1, 2**i) for i in range(1, k + 1)), Fraction(0))
-    w_det = sum(
-        (
-            Fraction(sum(2 ** (k - j) for j in range(0, i - 1)), 2 ** (k + 2))
-            for i in range(2, k + 1)
-        ),
-        Fraction(0),
+    tau: float
+    omega10: float
+    b_ct: tuple[float, ...]  # control-target shifts, excitation order
+    b_cc: tuple[float, ...]  # control-control shifts, in pair_sets order
+    cc_slots_inv_sq: float  # sum over control pairs of n_m w / B^2
+    cc_inv_sq: float  # sum over control pairs of w / B^2
+    cc_det: float  # sum over control pairs of w det
+    ct_inv_sq: float  # sum over control-target pairs of w / B^2
+    ct_det: float  # sum over control-target pairs of w det
+
+    def budget(self, om: float) -> ErrorBudget:
+        """The budget at drive frequency ``om`` (rad/s), O(1) in k."""
+        k, w10, tau = len(self.b_ct), self.omega10, self.tau
+        half_k = math.ldexp(1.0, -k)
+        om2 = om * om
+        terms = {
+            "se_c_1": 2.0 * math.pi * k / (om * tau),
+            "se_c_2": math.pi * om / (2.0 * tau) * self.cc_slots_inv_sq,
+            "se_t_1": math.pi / (om * tau) * half_k,
+            "se_t_2": 5.0 * math.pi * om / (8.0 * tau) * self.ct_inv_sq,
+            "r_c_1": om2 * self.cc_inv_sq,
+            "r_c_2": om2 / (w10 * w10) * (1.0 - half_k) + om2 * self.cc_det,
+            "r_t_1": 0.75 * om2 * self.ct_inv_sq,
+            "r_t_2": half_k * om2 / (2.0 * w10 * w10) + 1.5 * om2 * self.ct_det,
+        }
+        return ErrorBudget.from_terms("sequential", "lattice", terms)
+
+
+def sequential_lattice_sums(
+    model, geom: LatticeGeometry, tau: float, omega10: float
+) -> SequentialLatticeSums:
+    """The pair sums of one geometry, from one ``pair_shift`` per pair."""
+    ps = pair_sets(geom)
+    b_ct = tuple(pair_shift(model, r) for r in ps.control_target)
+    b_cc = tuple(pair_shift(model, sep) for sep in ps.control_control_all)
+    if not all(shift > 0.0 for shift in b_ct + b_cc):
+        raise ValueError("pair shift must be positive for every pair")
+    cc_slots = cc_inv = cc_det = ct_inv = ct_det = 0.0
+    for (j0, m0, _), b in zip(ps.control_control_ordered, b_cc):
+        w = math.ldexp(1.0, -(j0 + 2))  # 2^-(j+1), 1-based blocker j
+        cc_slots += (4 + 2 * (geom.k - m0 - 1)) * w / (b * b)
+        cc_inv += w / (b * b)
+        cc_det += w * worst_case_detuned_inv_sq(omega10, b)
+    for i0, b in enumerate(b_ct):
+        w = math.ldexp(1.0, -(i0 + 1))  # 2^-i, 1-based first-in-|0> control i
+        ct_inv += w / (b * b)
+        ct_det += w * worst_case_detuned_inv_sq(omega10, b)
+    return SequentialLatticeSums(
+        tau, omega10, b_ct, b_cc, cc_slots, cc_inv, cc_det, ct_inv, ct_det
     )
-    r_c_2 = om * om / (w10 * w10) * float(w_res) + om * om * det * float(w_det)
-    w = sum((Fraction(1, 2 ** (i + 1)) for i in range(1, k + 1)), Fraction(0))
-    r_t_1 = 3.0 * om * om / (2.0 * b * b) * float(w)
-    r_t_2 = float(Fraction(1, 2**k)) * om * om / (2.0 * w10 * w10) + float(
-        Fraction(2**k - 1, 2**k)
-    ) * 1.5 * om * om * det
-    terms = {
-        "se_c_1": se_c_1,
-        "se_c_2": se_c_2,
-        "se_t_1": se_t_1,
-        "se_t_2": se_t_2,
-        "r_c_1": r_c_1,
-        "r_c_2": r_c_2,
-        "r_t_1": r_t_1,
-        "r_t_2": r_t_2,
-    }
-    return ErrorBudget.from_terms("sequential", "uniform", terms)
 
 
 def budget_sequential_lattice(
@@ -199,62 +184,13 @@ def budget_sequential_lattice(
     control m through pair_shift(R_jm) and blocks the target through
     pair_shift(R_j,target).  Terms without blockade dependence keep their
     closed forms.  With a distance-independent model this reproduces
-    ``budget_sequential_uniform`` exactly.
+    ``budget_sequential_uniform`` exactly.  Builds the sums once and
+    evaluates them; see ``sequential_lattice_sums``.
     """
     _check_inputs(p, None, tau)
     if geom.k != p.k:
         raise ValueError("geometry and GateParams disagree on k")
-    k, om, w10 = p.k, p.omega, p.omega10
-    half_k = math.ldexp(1.0, -k)
-    ps = pair_sets(geom)
-    b_ct = [pair_shift(model, r) for r in ps.control_target]
-    b_cc: dict[tuple[int, int], float] = {
-        (i, j): pair_shift(model, sep) for (i, j, sep) in ps.control_control_ordered
-    }
-    for shift in list(b_cc.values()) + b_ct:
-        if not (shift > 0.0):
-            raise ValueError("pair shift must be positive for every pair")
-
-    # weight of (blocker j, blocked m): 2^-(j+1) with 1-based j
-    def blocker_weight(j1: int) -> float:
-        return math.ldexp(1.0, -(j1 + 1))
-
-    se_c_2 = 0.0
-    r_c_1 = 0.0
-    r_c_2_det = 0.0
-    for m0 in range(1, k):  # blocked control, 0-based
-        m1 = m0 + 1
-        n_pulses = 1 + 3 + 2 * (k - m1)
-        for j0 in range(m0):  # earlier blocker, 0-based
-            w = blocker_weight(j0 + 1)
-            shift = b_cc[(j0, m0)]
-            inv2 = 1.0 / (shift * shift)
-            se_c_2 += math.pi * om / (2.0 * tau) * n_pulses * w * inv2
-            r_c_1 += om * om * w * inv2
-            r_c_2_det += om * om * w * worst_case_detuned_inv_sq(w10, shift)
-
-    se_t_2 = 0.0
-    r_t_1 = 0.0
-    r_t_2_det = 0.0
-    for i0 in range(k):  # first-in-|0> control blocking the target
-        w_first = math.ldexp(1.0, -(i0 + 1))  # 2^-i, 1-based i
-        shift = b_ct[i0]
-        inv2 = 1.0 / (shift * shift)
-        se_t_2 += 5.0 * math.pi * om / (4.0 * tau) * 0.5 * w_first * inv2
-        r_t_1 += 0.75 * om * om * w_first * inv2
-        r_t_2_det += 1.5 * om * om * w_first * worst_case_detuned_inv_sq(w10, shift)
-
-    terms = {
-        "se_c_1": 2.0 * math.pi * k / (om * tau),
-        "se_c_2": se_c_2,
-        "se_t_1": math.pi / (om * tau) * half_k,
-        "se_t_2": se_t_2,
-        "r_c_1": r_c_1,
-        "r_c_2": om * om / (w10 * w10) * (1.0 - half_k) + r_c_2_det,
-        "r_t_1": r_t_1,
-        "r_t_2": half_k * om * om / (2.0 * w10 * w10) + r_t_2_det,
-    }
-    return ErrorBudget.from_terms("sequential", "lattice", terms)
+    return sequential_lattice_sums(model, geom, tau, p.omega10).budget(p.omega)
 
 
 def budget_grover_uniform(p: GateParams, b: float, tau: float) -> ErrorBudget:
@@ -289,44 +225,6 @@ def budget_grover_uniform(p: GateParams, b: float, tau: float) -> ErrorBudget:
     return ErrorBudget.from_terms(
         "grover", "uniform", terms, {"collapsed_total_variant": combined}
     )
-
-
-def sum_oracle_grover(p: GateParams, b: float, tau: float) -> ErrorBudget:
-    """Per-state-sum oracle for ``budget_grover_uniform``.
-
-    Re-derived from the same bookkeeping as the C_kNOT sums: the first
-    |0> control waits n_wait = 2(k-i) pulses between its two resonant
-    pulses; blocked pair weights are identical because dropping the target
-    halves both the state count and the pair-state count.
-    """
-    _check_inputs(p, b, tau)
-    k, om, w10 = p.k, p.omega, p.omega10
-    det = worst_case_detuned_inv_sq(w10, b)
-
-    w = sum(
-        (Fraction(1 + 2 * (k - i), 2**i) for i in range(1, k + 1)), Fraction(0)
-    )
-    se_c_1 = math.pi / (om * tau) * float(w)
-    w = sum(
-        (
-            Fraction(1 + 2 * (k - m), 2 ** (j + 1))
-            for m in range(2, k + 1)
-            for j in range(1, m)
-        ),
-        Fraction(0),
-    )
-    se_c_2 = math.pi * om / (2.0 * b * b * tau) * float(w)
-    w_pair = _sum_blocked_pair_weight(k)
-    r_c_1 = om * om / (b * b) * float(w_pair)
-    w_res = sum((Fraction(1, 2**i) for i in range(1, k + 1)), Fraction(0))
-    r_c_2 = om * om / (w10 * w10) * float(w_res) + om * om * det * float(w_pair)
-    terms = {
-        "se_c_1": se_c_1,
-        "se_c_2": se_c_2,
-        "r_c_1": r_c_1,
-        "r_c_2": r_c_2,
-    }
-    return ErrorBudget.from_terms("grover", "uniform", terms)
 
 
 def gate_duration_sequential(p: GateParams) -> float:

@@ -19,7 +19,10 @@ concrete excited subset.  The quadratic control term has an exact
 closed-moment expectation; the target terms need E[1/X^2] over random
 subsets, computed exactly by enumeration for small k and otherwise by a
 deterministic Laplace-transform quadrature (1/X^2 = integral of
-t*exp(-tX)), which keeps the evaluation polynomial in k.
+t*exp(-tX)), which keeps the cost polynomial in k.  None of these sums
+depends on the drive frequencies: ``simultaneous_lattice_sums`` builds
+them once per geometry and ``SimultaneousLatticeSums.budget`` evaluates
+them per frequency pair in O(1).
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -82,7 +84,7 @@ class SimultaneousParams:
                 "control-control shift >= control Rabi frequency; the "
                 "perturbative budget is outside its regime",
                 BlockadeRegimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
 
@@ -189,11 +191,62 @@ def subset_inverse_square_expectations(
     )
 
 
-@lru_cache(maxsize=128)
-def _cached_subset_expectations(
-    shifts: tuple[float, ...], omega10: float
-) -> tuple[float, float]:
-    return subset_inverse_square_expectations(shifts, omega10)
+@dataclass(frozen=True)
+class SimultaneousLatticeSums:
+    """Frequency-free sums of the lattice-averaged simultaneous budget.
+
+    ``cc_moment`` is the sum over controls i of E[(sum_m eps_m D_im)^2]
+    with independent eps ~ Bernoulli(1/2), i.e. 1/2 s2 + 1/4 (s1^2 - s2)
+    for the row sums s1 of D and s2 of D^2.  ``e_block``/``e_split`` are
+    ``subset_inverse_square_expectations`` of the control-target shifts.
+    """
+
+    omega10: float
+    b_ct: tuple[float, ...]  # control-target shifts, excitation order
+    d_cc: tuple[float, ...]  # control-control shifts, in pair_sets order
+    cc_moment: float
+    e_block: float
+    e_split: float
+
+    def budget(self, p: SimultaneousParams) -> ErrorBudget:
+        """The budget at ``p.omega_c``/``p.omega_t``, O(1) in k."""
+        if (p.k, p.omega10) != (len(self.b_ct), self.omega10):
+            raise ValueError("lattice sums and SimultaneousParams disagree on k or omega10")
+        k = p.k
+        half_k = math.ldexp(1.0, -k)
+        se_c = math.pi * k / (2.0 * p.omega_c * p.tau_c) + 3.0 * math.pi * k / (
+            2.0 * p.omega_t * p.tau_c
+        )
+        terms = {
+            "se_c": se_c,
+            "se_t": math.pi / (p.omega_t * p.tau_t) * half_k,
+            "r_c_1": self.cc_moment / (4.0 * p.omega_c**2),
+            "r_c_2": p.omega_c**2 * k / (2.0 * p.omega10**2),
+            "r_t": 0.75 * p.omega_t**2 * (self.e_block + self.e_split),
+        }
+        diagnostics = {
+            "r_t_blockade_part": 0.75 * p.omega_t**2 * self.e_block,
+            "r_t_splitting_part": 0.75 * p.omega_t**2 * self.e_split,
+        }
+        return ErrorBudget.from_terms("simultaneous", "lattice", terms, diagnostics)
+
+
+def simultaneous_lattice_sums(
+    model_ct, model_cc, geom: LatticeGeometry, omega10: float
+) -> SimultaneousLatticeSums:
+    """The sums of one geometry, from one ``pair_shift`` per pair."""
+    k = geom.k
+    ps = pair_sets(geom)
+    b_ct = tuple(pair_shift(model_ct, r) for r in ps.control_target)
+    d_cc = tuple(pair_shift(model_cc, sep) for sep in ps.control_control_all)
+    d = np.zeros((k, k))
+    for (i, j, _), shift in zip(ps.control_control_ordered, d_cc):
+        d[i, j] = d[j, i] = shift
+    s1 = d.sum(axis=1)
+    s2 = (d * d).sum(axis=1)
+    cc_moment = float(np.sum(0.5 * s2 + 0.25 * (s1 * s1 - s2)))
+    e_block, e_split = subset_inverse_square_expectations(b_ct, omega10)
+    return SimultaneousLatticeSums(omega10, b_ct, d_cc, cc_moment, e_block, e_split)
 
 
 def budget_simultaneous_lattice(
@@ -206,49 +259,12 @@ def budget_simultaneous_lattice(
     summed shift each control sees from the random excited subset of the
     others.  The blocked-target term averages 1/X^2 over the excited
     subset exactly (see ``subset_inverse_square_expectations``).  Constant
-    models reproduce ``budget_simultaneous_uniform``.
+    models reproduce ``budget_simultaneous_uniform``.  Builds the sums of
+    ``geom`` and evaluates them once; see ``simultaneous_lattice_sums``.
     """
     if geom.k != p.k:
         raise ValueError("geometry and SimultaneousParams disagree on k")
-    k = p.k
-    half_k = math.ldexp(1.0, -k)
-    ps = pair_sets(geom)
-    b_ct = tuple(pair_shift(model_ct, r) for r in ps.control_target)
-    d = np.zeros((k, k))
-    for (i, j, sep) in ps.control_control_ordered:
-        d[i, j] = d[j, i] = pair_shift(model_cc, sep)
-
-    se_c = math.pi * k / (2.0 * p.omega_c * p.tau_c) + 3.0 * math.pi * k / (
-        2.0 * p.omega_t * p.tau_c
-    )
-    se_t = math.pi / (p.omega_t * p.tau_t) * half_k
-
-    # E[(sum_m eps_m D_im)^2] with independent eps ~ Bernoulli(1/2):
-    # 1/2 sum D^2 + 1/4 sum_{m != m'} D D'
-    r_c_1 = 0.0
-    for i in range(k):
-        row = np.delete(d[i], i)
-        s1 = float(np.sum(row))
-        s2 = float(np.sum(row * row))
-        r_c_1 += (0.5 * s2 + 0.25 * (s1 * s1 - s2)) / (4.0 * p.omega_c**2)
-
-    r_c_2 = p.omega_c**2 * k / (2.0 * p.omega10**2)
-
-    e_block, e_split = _cached_subset_expectations(b_ct, p.omega10)
-    r_t = 0.75 * p.omega_t**2 * (e_block + e_split)
-
-    terms = {
-        "se_c": se_c,
-        "se_t": se_t,
-        "r_c_1": r_c_1,
-        "r_c_2": r_c_2,
-        "r_t": r_t,
-    }
-    diagnostics = {
-        "r_t_blockade_part": 0.75 * p.omega_t**2 * e_block,
-        "r_t_splitting_part": 0.75 * p.omega_t**2 * e_split,
-    }
-    return ErrorBudget.from_terms("simultaneous", "lattice", terms, diagnostics)
+    return simultaneous_lattice_sums(model_ct, model_cc, geom, p.omega10).budget(p)
 
 
 def gate_duration_simultaneous(p: SimultaneousParams) -> float:

@@ -1,0 +1,238 @@
+"""Independent oracles for the budget closed forms and lattice sums.
+
+``sum_oracle_sequential`` and ``sum_oracle_grover`` evaluate the uniform
+budgets from their per-state sums with exact rational weights.
+``sequential_lattice_loops`` and ``simultaneous_lattice_loops`` evaluate
+the lattice budgets the direct way: every call rebuilds the pair sets and
+calls ``pair_shift`` for each pair inside the per-pair weighted loops, with
+the drive frequency inside every summand.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from rydgate import ErrorBudget, GateParams, pair_sets, pair_shift
+from rydgate.sequential import _check_inputs, worst_case_detuned_inv_sq
+from rydgate.simultaneous import subset_inverse_square_expectations
+
+
+# Exact rational state weights for the un-collapsed sums.  Control i
+# (1-based, excitation order) is the first control in |0> with probability
+# 2^-i; a later control m in |0> coexists with first-blocker j in
+# 2^(k-j) of the 2^(k+1) basis states.
+
+
+def _sum_se_c_1_weight(k: int) -> Fraction:
+    # per state: one excitation plus one return pulse (two half-populated
+    # pulses -> 1) plus n_wait = 3 + 2(k-i) fully excited pulse slots
+    return sum(
+        (Fraction(1, 2**i) * (1 + 3 + 2 * (k - i)) for i in range(1, k + 1)),
+        Fraction(0),
+    )
+
+
+def _sum_se_c_2_weight(k: int) -> Fraction:
+    return sum(
+        (
+            Fraction((1 + 3 + 2 * (k - i)) * sum(2 ** (k - j) for j in range(1, i)), 2 ** (k + 1))
+            for i in range(2, k + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def _sum_blocked_pair_weight(k: int) -> Fraction:
+    # sum over blocked control m and earlier blocker j of 2^-(j+1)
+    return sum(
+        (Fraction(1, 2 ** (j + 1)) for m in range(2, k + 1) for j in range(1, m)),
+        Fraction(0),
+    )
+
+
+def sum_oracle_sequential(p: GateParams, b: float, tau: float) -> ErrorBudget:
+    """Budget evaluated from the per-state sums before any collapse.
+
+    Combinatorial weights are exact rationals; only the final product with
+    the physical prefactor is floating point.  Serves as the independent
+    oracle for ``budget_sequential_uniform``.
+    """
+    _check_inputs(p, b, tau)
+    k, om, w10 = p.k, p.omega, p.omega10
+    det = worst_case_detuned_inv_sq(w10, b)
+
+    se_c_1 = math.pi / (om * tau) * float(_sum_se_c_1_weight(k))
+    se_c_2 = math.pi * om / (2.0 * b * b * tau) * float(_sum_se_c_2_weight(k))
+    se_t_1 = math.pi / (om * tau) * float(Fraction(2, 2 ** (k + 1)))
+    # blocked-target leak, resolved by which control blocks first
+    w = sum((Fraction(2 ** (k - i), 2 ** (k + 1)) for i in range(1, k + 1)), Fraction(0))
+    se_t_2 = 5.0 * math.pi * om / (4.0 * b * b * tau) * float(w)
+    w = Fraction(sum(2**k - 2**i for i in range(1, k)), 2 ** (k + 1))
+    r_c_1 = om * om / (b * b) * float(w)
+    w_res = sum((Fraction(1, 2**i) for i in range(1, k + 1)), Fraction(0))
+    w_det = sum(
+        (
+            Fraction(sum(2 ** (k - j) for j in range(0, i - 1)), 2 ** (k + 2))
+            for i in range(2, k + 1)
+        ),
+        Fraction(0),
+    )
+    r_c_2 = om * om / (w10 * w10) * float(w_res) + om * om * det * float(w_det)
+    w = sum((Fraction(1, 2 ** (i + 1)) for i in range(1, k + 1)), Fraction(0))
+    r_t_1 = 3.0 * om * om / (2.0 * b * b) * float(w)
+    r_t_2 = float(Fraction(1, 2**k)) * om * om / (2.0 * w10 * w10) + float(
+        Fraction(2**k - 1, 2**k)
+    ) * 1.5 * om * om * det
+    terms = {
+        "se_c_1": se_c_1,
+        "se_c_2": se_c_2,
+        "se_t_1": se_t_1,
+        "se_t_2": se_t_2,
+        "r_c_1": r_c_1,
+        "r_c_2": r_c_2,
+        "r_t_1": r_t_1,
+        "r_t_2": r_t_2,
+    }
+    return ErrorBudget.from_terms("sequential", "uniform", terms)
+
+
+def sum_oracle_grover(p: GateParams, b: float, tau: float) -> ErrorBudget:
+    """Per-state-sum oracle for ``budget_grover_uniform``.
+
+    Re-derived from the same bookkeeping as the C_kNOT sums: the first
+    |0> control waits n_wait = 2(k-i) pulses between its two resonant
+    pulses; blocked pair weights are identical because dropping the target
+    halves both the state count and the pair-state count.
+    """
+    _check_inputs(p, b, tau)
+    k, om, w10 = p.k, p.omega, p.omega10
+    det = worst_case_detuned_inv_sq(w10, b)
+
+    w = sum(
+        (Fraction(1 + 2 * (k - i), 2**i) for i in range(1, k + 1)), Fraction(0)
+    )
+    se_c_1 = math.pi / (om * tau) * float(w)
+    w = sum(
+        (
+            Fraction(1 + 2 * (k - m), 2 ** (j + 1))
+            for m in range(2, k + 1)
+            for j in range(1, m)
+        ),
+        Fraction(0),
+    )
+    se_c_2 = math.pi * om / (2.0 * b * b * tau) * float(w)
+    w_pair = _sum_blocked_pair_weight(k)
+    r_c_1 = om * om / (b * b) * float(w_pair)
+    w_res = sum((Fraction(1, 2**i) for i in range(1, k + 1)), Fraction(0))
+    r_c_2 = om * om / (w10 * w10) * float(w_res) + om * om * det * float(w_pair)
+    terms = {
+        "se_c_1": se_c_1,
+        "se_c_2": se_c_2,
+        "r_c_1": r_c_1,
+        "r_c_2": r_c_2,
+    }
+    return ErrorBudget.from_terms("grover", "uniform", terms)
+
+
+def sequential_lattice_loops(p, model, geom, tau) -> ErrorBudget:
+    """Lattice-averaged sequential budget, summed pair by pair per call."""
+    _check_inputs(p, None, tau)
+    if geom.k != p.k:
+        raise ValueError("geometry and GateParams disagree on k")
+    k, om, w10 = p.k, p.omega, p.omega10
+    half_k = math.ldexp(1.0, -k)
+    ps = pair_sets(geom)
+    b_ct = [pair_shift(model, r) for r in ps.control_target]
+    b_cc: dict[tuple[int, int], float] = {
+        (i, j): pair_shift(model, sep) for (i, j, sep) in ps.control_control_ordered
+    }
+    for shift in list(b_cc.values()) + b_ct:
+        if not (shift > 0.0):
+            raise ValueError("pair shift must be positive for every pair")
+
+    # weight of (blocker j, blocked m): 2^-(j+1) with 1-based j
+    def blocker_weight(j1: int) -> float:
+        return math.ldexp(1.0, -(j1 + 1))
+
+    se_c_2 = 0.0
+    r_c_1 = 0.0
+    r_c_2_det = 0.0
+    for m0 in range(1, k):  # blocked control, 0-based
+        m1 = m0 + 1
+        n_pulses = 1 + 3 + 2 * (k - m1)
+        for j0 in range(m0):  # earlier blocker, 0-based
+            w = blocker_weight(j0 + 1)
+            shift = b_cc[(j0, m0)]
+            inv2 = 1.0 / (shift * shift)
+            se_c_2 += math.pi * om / (2.0 * tau) * n_pulses * w * inv2
+            r_c_1 += om * om * w * inv2
+            r_c_2_det += om * om * w * worst_case_detuned_inv_sq(w10, shift)
+
+    se_t_2 = 0.0
+    r_t_1 = 0.0
+    r_t_2_det = 0.0
+    for i0 in range(k):  # first-in-|0> control blocking the target
+        w_first = math.ldexp(1.0, -(i0 + 1))  # 2^-i, 1-based i
+        shift = b_ct[i0]
+        inv2 = 1.0 / (shift * shift)
+        se_t_2 += 5.0 * math.pi * om / (4.0 * tau) * 0.5 * w_first * inv2
+        r_t_1 += 0.75 * om * om * w_first * inv2
+        r_t_2_det += 1.5 * om * om * w_first * worst_case_detuned_inv_sq(w10, shift)
+
+    terms = {
+        "se_c_1": 2.0 * math.pi * k / (om * tau),
+        "se_c_2": se_c_2,
+        "se_t_1": math.pi / (om * tau) * half_k,
+        "se_t_2": se_t_2,
+        "r_c_1": r_c_1,
+        "r_c_2": om * om / (w10 * w10) * (1.0 - half_k) + r_c_2_det,
+        "r_t_1": r_t_1,
+        "r_t_2": half_k * om * om / (2.0 * w10 * w10) + r_t_2_det,
+    }
+    return ErrorBudget.from_terms("sequential", "lattice", terms)
+
+
+def simultaneous_lattice_loops(p, model_ct, model_cc, geom) -> ErrorBudget:
+    """Lattice-averaged simultaneous budget, summed pair by pair per call."""
+    if geom.k != p.k:
+        raise ValueError("geometry and SimultaneousParams disagree on k")
+    k = p.k
+    half_k = math.ldexp(1.0, -k)
+    ps = pair_sets(geom)
+    b_ct = tuple(pair_shift(model_ct, r) for r in ps.control_target)
+    d = np.zeros((k, k))
+    for (i, j, sep) in ps.control_control_ordered:
+        d[i, j] = d[j, i] = pair_shift(model_cc, sep)
+
+    se_c = math.pi * k / (2.0 * p.omega_c * p.tau_c) + 3.0 * math.pi * k / (
+        2.0 * p.omega_t * p.tau_c
+    )
+    se_t = math.pi / (p.omega_t * p.tau_t) * half_k
+
+    # E[(sum_m eps_m D_im)^2] with independent eps ~ Bernoulli(1/2):
+    # 1/2 sum D^2 + 1/4 sum_{m != m'} D D'
+    r_c_1 = 0.0
+    for i in range(k):
+        row = np.delete(d[i], i)
+        s1 = float(np.sum(row))
+        s2 = float(np.sum(row * row))
+        r_c_1 += (0.5 * s2 + 0.25 * (s1 * s1 - s2)) / (4.0 * p.omega_c**2)
+
+    r_c_2 = p.omega_c**2 * k / (2.0 * p.omega10**2)
+
+    e_block, e_split = subset_inverse_square_expectations(b_ct, p.omega10)
+    r_t = 0.75 * p.omega_t**2 * (e_block + e_split)
+
+    terms = {
+        "se_c": se_c,
+        "se_t": se_t,
+        "r_c_1": r_c_1,
+        "r_c_2": r_c_2,
+        "r_t": r_t,
+    }
+    diagnostics = {
+        "r_t_blockade_part": 0.75 * p.omega_t**2 * e_block,
+        "r_t_splitting_part": 0.75 * p.omega_t**2 * e_split,
+    }
+    return ErrorBudget.from_terms("simultaneous", "lattice", terms, diagnostics)

@@ -29,8 +29,6 @@ from rydgate import (
     gate_error_sim,
     minimize_error,
     omega_opt_analytic,
-    sum_oracle_grover,
-    sum_oracle_sequential,
     uniform_interactions,
 )
 from rydgate.cli import build_interaction, cmd_budget, load_config, preset_path
@@ -41,6 +39,8 @@ from rydgate.units import (
     seconds_from_us,
     us_from_seconds,
 )
+
+from oracles import sum_oracle_grover, sum_oracle_sequential
 
 W10 = angular_from_mhz(9200.0)
 

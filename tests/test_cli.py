@@ -8,9 +8,13 @@ import csv
 import io
 import json
 import math
+import os
+import warnings
+from collections import Counter
 
 import pytest
 
+from rydgate import BlockadeRegimeWarning, cli, sequential, simultaneous
 from rydgate.cli import (
     BUDGET_COLUMNS,
     LATTICE_COLUMNS,
@@ -27,6 +31,7 @@ from rydgate.cli import (
     render_json,
 )
 from rydgate.schemas import ConfigError, validate_config, validate_report
+from rydgate.units import angular_from_mhz
 
 PRESETS = [
     "sequential_uniform",
@@ -175,6 +180,70 @@ def test_non_finite_budget_exits_2_with_lab_units(tmp_path, capsys, scheme, comm
     assert "62831" not in captured.err  # the bracket's 2 pi x 10 kHz in rad/s
     with pytest.raises(ValueError):
         render_json({"total": math.inf})
+
+
+@pytest.mark.parametrize(
+    "frequencies, expected",
+    [
+        pytest.param({"mode": "optimize"}, 0, id="optimize-reports-inside-regime"),
+        pytest.param(
+            {"mode": "fixed", "omega_c_mhz": 1.0, "omega_t_mhz": 4.5}, 1,
+            id="fixed-omega_c-below-d_cc",
+        ),
+    ],
+)
+def test_regime_warning_only_for_reported_frequencies(tmp_path, frequencies, expected):
+    # the optimizer's grid scan visits omega_c < d_cc; only a reported row
+    # outside the regime may warn, and the warning names a real source line
+    cfg = {
+        "scheme": "simultaneous",
+        "k": 4,
+        "omega10_mhz": 9200.0,
+        "uniform": {"b_ct_mhz": 50.0, "d_cc_mhz": 2.0, "tau_c_us": 148.0, "tau_t_us": 97.0},
+        "frequencies": frequencies,
+    }
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["budget", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    regime = [w for w in caught if issubclass(w.category, BlockadeRegimeWarning)]
+    assert len(regime) == expected
+    for w in regime:
+        assert w.filename != "<string>" and os.path.isfile(w.filename), w.filename
+    row = json.loads(out.read_text(encoding="utf-8"))["rows"][0]
+    if frequencies["mode"] == "optimize":
+        assert row["omega_c_mhz"] == pytest.approx(151.7, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "name", ["sequential_lattice_crossover", "simultaneous_lattice_room_temp"]
+)
+def test_lattice_case_shifts_pairs_once(monkeypatch, name):
+    # a case computes its pair shifts when it is built; budget evaluations
+    # and the whole optimizer run never go back to the geometry
+    calls = Counter()
+
+    def counted(fn_name, fn):
+        def wrapper(*args):
+            calls[fn_name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (cli, sequential, simultaneous):
+        for fn_name in ("pair_sets", "pair_shift"):
+            if hasattr(module, fn_name):
+                monkeypatch.setattr(module, fn_name, counted(fn_name, getattr(module, fn_name)))
+    cfg = load_config(preset_path(name))
+    for k in cfg["k"]:
+        before = dict(calls)
+        case = cli._Case(cfg, None, k)
+        case.budget(*[angular_from_mhz(10.0)] * case.dims)
+        after_one = dict(calls)
+        assert after_one["pair_sets"] - before.get("pair_sets", 0) == 1
+        assert after_one["pair_shift"] - before.get("pair_shift", 0) == k + k * (k - 1) // 2
+        case.optimize("optimize")
+        assert dict(calls) == after_one
 
 
 def test_schema_rejects_unknown_fields():

@@ -1,0 +1,106 @@
+"""Lattice-averaged budgets against the per-pair loop oracles.
+
+The production budgets build their frequency-free pair sums once per
+geometry and evaluate them per frequency; the oracles in ``oracles.py``
+rebuild the pair sets and sum pair by pair with the drive frequency inside
+every summand.  Random layouts, interaction laws and drive frequencies
+over several decades must give the same terms.
+"""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from rydgate import (
+    GateParams,
+    InteractionModel,
+    LatticeGeometry,
+    SimultaneousParams,
+    budget_sequential_lattice,
+    budget_simultaneous_lattice,
+)
+from rydgate.sequential import sequential_lattice_sums
+from rydgate.simultaneous import simultaneous_lattice_sums
+from rydgate.units import (
+    angular_from_mhz,
+    c3_si_from_mhz_um3,
+    c6_si_from_mhz_um6,
+    meters_from_um,
+    seconds_from_us,
+)
+
+from oracles import sequential_lattice_loops, simultaneous_lattice_loops
+
+W10 = angular_from_mhz(9200.0)
+
+SITE = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda s: s != (0, 0))
+
+
+@st.composite
+def layouts(draw):
+    """Up to 12 controls on distinct random sites around the target."""
+    k = draw(st.integers(min_value=1, max_value=12))
+    sites = draw(st.lists(SITE, min_size=k, max_size=k, unique=True))
+    d = meters_from_um(draw(st.floats(min_value=0.5, max_value=10.0)))
+    return LatticeGeometry(d=d, k=k, target_site=(0, 0), control_sites=tuple(sites))
+
+
+@st.composite
+def laws(draw):
+    """A c3, c6 or continuous c3/c6 crossover law."""
+    kind = draw(st.sampled_from(["c3", "c6", "crossover"]))
+    c3 = c3_si_from_mhz_um3(draw(st.floats(min_value=1.0e2, max_value=1.0e4)))
+    if kind == "c3":
+        return InteractionModel(c3=c3)
+    if kind == "c6":
+        return InteractionModel(c6=c6_si_from_mhz_um6(draw(st.floats(1.0e3, 1.0e6))))
+    rx = meters_from_um(draw(st.floats(min_value=1.0, max_value=10.0)))
+    return InteractionModel(c3=c3, c6=c3 * rx**3, crossover_radius=rx)
+
+
+# drive frequencies nu = Omega/2pi from 10 kHz to 10 GHz
+OMEGAS = st.lists(st.floats(min_value=-2.0, max_value=4.0), min_size=1, max_size=4).map(
+    lambda logs: [angular_from_mhz(10.0**x) for x in logs]
+)
+
+
+def assert_same_budget(got, want):
+    assert tuple(got.terms) == tuple(want.terms)
+    for name, value in want.terms.items():
+        assert got.terms[name] == pytest.approx(value, rel=1e-12), name
+    assert got.total == pytest.approx(want.total, rel=1e-12)
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for name, value in want.diagnostics.items():
+        assert got.diagnostics[name] == pytest.approx(value, rel=1e-12), name
+
+
+@given(geom=layouts(), model=laws(), omegas=OMEGAS, tau_us=st.floats(10.0, 1000.0))
+def test_sequential_lattice_matches_pair_loop_oracle(geom, model, omegas, tau_us):
+    tau = seconds_from_us(tau_us)
+    sums = sequential_lattice_sums(model, geom, tau, W10)
+    for omega in omegas:
+        p = GateParams(k=geom.k, omega10=W10, omega=omega)
+        want = sequential_lattice_loops(p, model, geom, tau)
+        assert_same_budget(sums.budget(omega), want)
+        assert_same_budget(budget_sequential_lattice(p, model, geom, tau), want)
+
+
+@given(
+    geom=layouts(),
+    model_ct=laws(),
+    model_cc=laws(),
+    omega_cs=OMEGAS,
+    omega_ts=OMEGAS,
+    tau_us=st.tuples(st.floats(10.0, 1000.0), st.floats(10.0, 1000.0)),
+)
+def test_simultaneous_lattice_matches_pair_loop_oracle(
+    geom, model_ct, model_cc, omega_cs, omega_ts, tau_us
+):
+    sums = simultaneous_lattice_sums(model_ct, model_cc, geom, W10)
+    for omega_c, omega_t in zip(omega_cs, omega_ts):
+        p = SimultaneousParams(
+            k=geom.k, omega_c=omega_c, omega_t=omega_t, tau_c=seconds_from_us(tau_us[0]),
+            tau_t=seconds_from_us(tau_us[1]), omega10=W10,
+        )
+        want = simultaneous_lattice_loops(p, model_ct, model_cc, geom)
+        assert_same_budget(sums.budget(p), want)
+        assert_same_budget(budget_simultaneous_lattice(p, model_ct, model_cc, geom), want)

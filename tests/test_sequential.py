@@ -19,11 +19,11 @@ from rydgate import (
     build_layout,
     gate_duration_grover,
     gate_duration_sequential,
-    sum_oracle_grover,
-    sum_oracle_sequential,
     worst_case_detuned_inv_sq,
 )
 from rydgate.units import angular_from_mhz
+
+from oracles import sum_oracle_grover, sum_oracle_sequential
 
 W10 = angular_from_mhz(9200.0)
 
