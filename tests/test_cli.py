@@ -9,11 +9,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
 import pytest
 
+import rydgate
 from rydgate import BlockadeRegimeWarning, cli, sequential, simultaneous
 from rydgate.cli import (
     BUDGET_COLUMNS,
@@ -379,6 +382,46 @@ def test_simulate_report_without_check_exits_zero(tmp_path):
     report, passed = cmd_simulate(load_config(write_config(tmp_path, cfg)))
     assert not passed
     assert report["rows"][0]["avg_error"] > 0.0
+
+
+# --------------------------------------------------------------- no scipy
+
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from rydgate.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    configs = {name: preset_path(name) for name in PRESETS}
+    configs["sweep"] = write_config(tmp_path, sweep_cfg(), "sweep.json")
+    for sequence, extra in [
+        ("sequential", {"omega_mhz": 1.0, "b_mhz": 10.0, "decay_mhz": 0.01}),
+        ("grover", {"gate": "grover", "omega_mhz": 1.0, "b_mhz": 10.0}),
+        ("simultaneous", {"omega_c_mhz": 50.0, "omega_t_mhz": 2.0,
+                          "b_ct_mhz": 300.0, "d_cc_mhz": 1.0, "decay_mhz": 0.01}),
+    ]:
+        cfg = {"scheme": "simulate", "k": 2, "simulate": {"sequence": sequence, **extra}}
+        configs[sequence] = write_config(tmp_path, cfg, f"simulate_{sequence}.json")
+    runs = [(command, name) for name in PRESETS for command in ("budget", "optimize")]
+    runs += [("lattice", "sequential_lattice_crossover"),
+             ("lattice", "simultaneous_lattice_room_temp"),
+             ("sweep-omega", "sweep")]
+    runs += [("simulate", sequence) for sequence in ("sequential", "grover", "simultaneous")]
+    argvs = [
+        [command, "--config", configs[name], "--out", str(tmp_path / f"{command}.{name}.out")]
+        for command, name in runs
+    ]
+    path = [os.path.dirname(os.path.dirname(rydgate.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert dict(zip(runs, json.loads(proc.stdout))) == {run: 0 for run in runs}
 
 
 # ---------------------------------------------------------------- lattice

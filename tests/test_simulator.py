@@ -29,6 +29,7 @@ from rydgate import (
     simultaneous_interactions,
     uniform_interactions,
 )
+from rydgate.simulator import _expm
 from rydgate.units import angular_from_mhz
 
 OMEGA = 2.0 * math.pi * 1.0e6
@@ -213,6 +214,39 @@ def test_computational_state_round_trip(k, index):
         assert digit in (0, 1)
         bits = (bits << 1) | digit
     assert bits == index
+
+
+# ------------------------------------------------------------ exponential
+
+@st.composite
+def _block_stacks(draw):
+    """A batch of n x n blocks shaped like a pulse's: a Hermitian coupling
+    and real shifts, a -i Gamma/2 decay diagonal, times -i t.  Each block
+    gets its own 1-norm, 0 or 1e-3..1e4, so one batch mixes norms."""
+    n = draw(st.sampled_from([1, 2, 4, 16]))
+    norms = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(-3.0, 4.0).map(lambda x: 10.0**x)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    decay_share = draw(st.floats(0.0, 0.1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for norm in norms:
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = h + h.conj().T
+        h = h - 1j * decay_share * np.diag(np.abs(rng.normal(size=n)))
+        a = -1j * h
+        blocks.append(a * (norm / np.abs(a).sum(axis=0).max()))
+    return np.stack(blocks)
+
+
+@given(_block_stacks())
+def test_pade_exponential_matches_scipy(stack):
+    want = np.stack([expm(a) for a in stack])
+    np.testing.assert_allclose(_expm(stack), want, rtol=0.0, atol=1e-12)
 
 
 # ------------------------------------------------------------ dense oracle

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rydgate import (
     BlockadeRegimeWarning,
@@ -24,13 +24,14 @@ from rydgate import (
     subset_inverse_square_expectations,
     target_blockade_sums,
 )
-from rydgate.simultaneous import _subset_inv_sq_enumerated, _subset_inv_sq_quad
 from rydgate.units import (
     angular_from_mhz,
     c3_si_from_mhz_um3,
     c6_si_from_mhz_um6,
     meters_from_um,
 )
+
+from oracles import subset_inv_sq_enumerated, subset_inv_sq_quad
 
 W10 = angular_from_mhz(9200.0)
 
@@ -106,16 +107,29 @@ def test_subset_expectation_enumeration_vs_quadrature(k, log_b):
     base = 10.0**log_b
     shifts = tuple(base / (1.0 + 0.37 * i) for i in range(k))
     for offset in (0.0, W10):
-        exact = _subset_inv_sq_enumerated(shifts, offset)
-        quad_value = _subset_inv_sq_quad(shifts, offset)
-        assert quad_value == pytest.approx(exact, rel=1e-8)
+        exact = subset_inv_sq_enumerated(shifts, offset)
+        quad_value = subset_inv_sq_quad(shifts, offset)
+        assert quad_value == pytest.approx(exact, rel=1e-8, abs=0.0)
 
 
-def test_subset_expectations_dispatch_matches_enumeration():
-    shifts = tuple(angular_from_mhz(10.0) / (1.0 + i) for i in range(6))
+@st.composite
+def _shift_sets(draw):
+    """k = 1..64 shifts from 1e5..1e9 rad/s up to 1e5 times that, spread
+    evenly in log or clustered at the two ends."""
+    k = draw(st.integers(min_value=1, max_value=64))
+    base = 10.0 ** draw(st.floats(min_value=5.0, max_value=9.0))
+    spread = draw(st.sampled_from([st.floats(0.0, 5.0), st.sampled_from([0.0, 5.0])]))
+    return tuple(base * 10.0 ** draw(spread) for _ in range(k))
+
+
+@given(_shift_sets())
+@example((1.0e7,) + (1.0e12,) * 63)  # two scales, the quadrature rule's hardest case
+def test_subset_expectations_match_oracles(shifts):
+    # enumeration is exact but 2^k; past k = 20 adaptive quadrature stands in
+    oracle = subset_inv_sq_enumerated if len(shifts) <= 20 else subset_inv_sq_quad
     e_block, e_split = subset_inverse_square_expectations(shifts, W10)
-    assert e_block == pytest.approx(_subset_inv_sq_enumerated(shifts, 0.0), rel=1e-12)
-    assert e_split == pytest.approx(_subset_inv_sq_enumerated(shifts, W10), rel=1e-12)
+    assert e_block == pytest.approx(oracle(shifts, 0.0), rel=1e-12, abs=0.0)
+    assert e_split == pytest.approx(oracle(shifts, W10), rel=1e-12, abs=0.0)
 
 
 # Frozen lattice-averaged totals for the bundled room-temperature preset:
