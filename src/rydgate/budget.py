@@ -1,9 +1,13 @@
-"""Shared error-budget container."""
+"""Shared error-budget containers."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import mul
+
+import numpy as np
 
 # largest control count any budget accepts
 _MAX_K = 64
@@ -48,3 +52,60 @@ class ErrorBudget:
         for key, value in self.diagnostics.items():
             out[f"diag_{key}"] = value
         return out
+
+
+class LaurentBudget:
+    """A budget as frequency-free coefficients of monomials c Omega^p.
+
+    Every term and diagnostic of every budget is a sum of such monomials, so
+    a budget is built once per configuration and evaluated at any drive
+    frequency in O(1).  ``powers`` lists the monomial basis, one
+    (axis, p) pair per coefficient column: axis 0 is the drive frequency
+    (omega_c for the simultaneous gate), axis 1 is omega_t.  ``terms`` and
+    ``diagnostics`` map each name to one coefficient per column.
+    ``pair_shifts`` keeps the (control-target, control-control) shifts a
+    lattice budget was built from; it is empty for uniform budgets.
+    """
+
+    def __init__(
+        self,
+        scheme: str,
+        mode: str,
+        powers: tuple[tuple[int, int], ...],
+        terms: dict[str, tuple[float, ...]],
+        diagnostics: dict[str, tuple[float, ...]] | None = None,
+        pair_shifts: tuple[tuple[float, ...], ...] = (),
+    ):
+        diagnostics = diagnostics or {}
+        self.scheme, self.mode = scheme, mode
+        self.powers = tuple(powers)
+        self.dims = 1 + max(axis for axis, _ in self.powers)
+        self.terms = tuple(terms)
+        self.diagnostics = tuple(diagnostics)
+        self.pair_shifts = pair_shifts
+        # one row per term, then per diagnostic; one column per monomial
+        self.coefficients = tuple(map(tuple, [*terms.values(), *diagnostics.values()]))
+        # the coefficients of the total, one per column
+        self.total_coefficients = tuple(
+            map(math.fsum, zip(*self.coefficients[: len(self.terms)]))
+        )
+
+    def at(self, *omegas: float) -> ErrorBudget:
+        """The budget at one drive frequency per axis, rad/s."""
+        monomials = [omegas[axis] ** p for axis, p in self.powers]
+        values = [sum(map(mul, row, monomials)) for row in self.coefficients]
+        n = len(self.terms)
+        return ErrorBudget.from_terms(
+            self.scheme, self.mode, dict(zip(self.terms, values[:n])),
+            dict(zip(self.diagnostics, values[n:])),
+        )
+
+    def table(self, omegas: list[float]) -> Iterator[dict[str, float]]:
+        """Terms and total of a single-frequency budget at each of
+        ``omegas`` (rad/s), from one array evaluation, one point at a time."""
+        monomials = np.array([np.asarray(omegas, dtype=float) ** p for _, p in self.powers])
+        # broadcast and sum rather than matmul: a BLAS call grows peak memory
+        coefficients = np.array(self.coefficients[: len(self.terms)])
+        values = (coefficients[:, :, None] * monomials).sum(axis=1)
+        for column, total in zip(values.T, values.sum(axis=0).tolist()):
+            yield dict(zip(self.terms, column.tolist()), total=total)

@@ -34,6 +34,7 @@ from .model import GateParams, InteractionModel, fit_single_anchor
 from .optimize import (
     DEFAULT_BRACKET,
     OptimizationResult,
+    OptimizerEdgeWarning,
     e_opt_analytic,
     minimize_error,
     omega_opt_analytic,
@@ -47,19 +48,18 @@ from .schemas import (
 from .sequential import (
     GROVER_TERMS,
     SEQUENTIAL_TERMS,
-    budget_grover_uniform,
-    budget_sequential_uniform,
     gate_duration_grover,
     gate_duration_sequential,
-    sequential_lattice_sums,
+    laurent_grover_uniform,
+    laurent_sequential_lattice,
+    laurent_sequential_uniform,
 )
 from .simultaneous import (
     SIMULTANEOUS_TERMS,
-    BlockadeRegimeWarning,
     SimultaneousParams,
-    budget_simultaneous_uniform,
     gate_duration_simultaneous,
-    simultaneous_lattice_sums,
+    laurent_simultaneous_lattice,
+    laurent_simultaneous_uniform,
 )
 from .simulator import (
     _MAX_K_TABLE,
@@ -367,6 +367,8 @@ def _omega_grid(grid_cfg: dict[str, Any]) -> list[float]:
 # columns, per number of frequencies
 _FREQUENCY_KEYS = {1: ("omega_mhz",), 2: ("omega_c_mhz", "omega_t_mhz")}
 
+_BRACKET_MHZ = "{:g} .. {:g} MHz".format(*map(mhz_from_angular, DEFAULT_BRACKET))
+
 # budget-row keys as the optimize report names them; the projection keeps
 # only what then falls in OPTIMIZE_COLUMNS
 _OPTIMIZE_RENAME = {
@@ -382,14 +384,14 @@ _OPTIMIZE_RENAME = {
 class _Case:
     """One (uniform entry or lattice block, k) pair of a budget config.
 
-    Interaction models, blockade means and, for lattice runs, the
-    frequency-free pair sums of the budget are built once here; ``budget``
-    and ``evaluate`` then take only the ``dims`` drive frequencies (rad/s)
-    and cost O(1) in k.  ``head`` holds the cells that name the case and
-    its blockade scale: the configured shift for uniform runs; for lattice
-    runs the geometric mean of every pair shift (sequential) or the
-    control-target and control-control means (simultaneous).  ``analytic``
-    holds the analytic-optimum cells of the single-frequency schemes.
+    Interaction models, blockade means and the frequency-free Laurent
+    coefficients of the budget (``laurent``) are built once here; evaluating
+    them at the drive frequencies (rad/s) then costs O(1) in k.  ``head``
+    holds the cells that name the case and its blockade scale: the
+    configured shift for uniform runs; for lattice runs the geometric mean
+    of every pair shift (sequential) or the control-target and
+    control-control means (simultaneous).  ``analytic`` holds the
+    analytic-optimum cells of the single-frequency schemes.
     """
 
     def __init__(self, cfg: dict[str, Any], entry: dict[str, Any] | None, k: int):
@@ -408,23 +410,23 @@ class _Case:
             geom = build_layout(meters_from_um(cfg["lattice"]["d_um"]), k)
 
         if scheme == "simultaneous":
-            self.dims = 2
+            tau_c = seconds_from_us(lifetimes["tau_c_us"])
+            tau_t = seconds_from_us(lifetimes["tau_t_us"])
             b_ct = d_cc = None
             if entry is not None:
                 b_ct = angular_from_mhz(entry["b_ct_mhz"])
                 d_cc = angular_from_mhz(entry["d_cc_mhz"])
                 self.head.update(b_ct_mhz=entry["b_ct_mhz"], d_cc_mhz=entry["d_cc_mhz"])
-                self._budget = budget_simultaneous_uniform
+                self.laurent = laurent_simultaneous_uniform(k, b_ct, d_cc, tau_c, tau_t, omega10)
             else:
                 model_ct = build_interaction(cfg["interaction_ct"], "interaction_ct")
                 model_cc = build_interaction(cfg["interaction_cc"], "interaction_cc")
-                sums = simultaneous_lattice_sums(model_ct, model_cc, geom, omega10)
-                cc = sums.d_cc
-                self.head["b_ct_mhz"] = mhz_from_angular(math.fsum(sums.b_ct) / k)
+                self.laurent = laurent_simultaneous_lattice(
+                    model_ct, model_cc, geom, tau_c, tau_t, omega10
+                )
+                ct, cc = self.laurent.pair_shifts
+                self.head["b_ct_mhz"] = mhz_from_angular(math.fsum(ct) / k)
                 self.head["d_cc_mhz"] = mhz_from_angular(math.fsum(cc) / len(cc)) if cc else 0.0
-                self._budget = sums.budget
-            tau_c = seconds_from_us(lifetimes["tau_c_us"])
-            tau_t = seconds_from_us(lifetimes["tau_t_us"])
             self._params = lambda oc, ot: SimultaneousParams(
                 k=k, omega_c=oc, omega_t=ot, tau_c=tau_c, tau_t=tau_t,
                 omega10=omega10, b_ct=b_ct, d_cc=d_cc,
@@ -432,18 +434,16 @@ class _Case:
             self._duration = gate_duration_simultaneous
             return
 
-        self.dims = 1
         tau = seconds_from_us(lifetimes["tau_us"])
         if entry is not None:
             b = angular_from_mhz(entry["b_mhz"])
-            uniform = budget_grover_uniform if scheme == "grover" else budget_sequential_uniform
-            self._budget = lambda p: uniform(p, b, tau)
+            uniform = laurent_grover_uniform if scheme == "grover" else laurent_sequential_uniform
+            self.laurent = uniform(k, b, tau, omega10)
         else:
             model = build_interaction(cfg["interaction"], "interaction")
-            sums = sequential_lattice_sums(model, geom, tau, omega10)
-            shifts = sums.b_ct + sums.b_cc
+            self.laurent = laurent_sequential_lattice(model, geom, tau, omega10)
+            shifts = [v for group in self.laurent.pair_shifts for v in group]
             b = math.exp(math.fsum(math.log(v) for v in shifts) / len(shifts))
-            self._budget = lambda p: sums.budget(p.omega)
         self._params = lambda om: GateParams(k=k, omega10=omega10, omega=om)
         self._duration = gate_duration_grover if scheme == "grover" else gate_duration_sequential
         self.head["b_mhz"] = mhz_from_angular(b)
@@ -452,30 +452,28 @@ class _Case:
             "e_opt_analytic": e_opt_analytic(b, tau, k),
         }
 
-    def budget(self, *omegas: float) -> ErrorBudget:
-        return self._budget(self._params(*omegas))
-
     def evaluate(self, *omegas: float) -> tuple[float, ErrorBudget]:
-        """Gate duration and budget from one set of drive parameters, so a
-        regime warning fires once per reported row."""
-        p = self._params(*omegas)
-        return self._duration(p), self._budget(p)
+        """Gate duration and budget at one set of drive frequencies; the
+        drive parameters are built here, so a regime warning fires once per
+        reported row."""
+        return self._duration(self._params(*omegas)), self.laurent.at(*omegas)
 
     def optimize(self, command: str) -> OptimizationResult:
-        """Minimize the total error over the drive frequencies.  Regime
-        warnings are left to the reported row: the grid scan visits
-        frequencies outside the regime that no row reports."""
-
-        def total(*omegas: float) -> float:
-            value = self.budget(*omegas).total
-            if not math.isfinite(value):
-                cause = f"the optimized total is {value}"
-                raise _divergence(command, self.omega10_mhz, self.head, cause)
-            return value
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BlockadeRegimeWarning)
-            return minimize_error(total, dims=self.dims, bracket=DEFAULT_BRACKET)
+        """Minimize the total error over the drive frequencies, warning on
+        stderr when the optimum is clamped to a bracket edge."""
+        # the total at unit frequencies, finite exactly when every coefficient is
+        total = math.fsum(self.laurent.total_coefficients)
+        if not math.isfinite(total):
+            cause = f"the optimized total is {total}"
+            raise _divergence(command, self.omega10_mhz, self.head, cause)
+        opt = minimize_error(self.laurent)
+        for key, omega in zip(_FREQUENCY_KEYS[self.laurent.dims], opt.argmin):
+            if not opt.converged and omega in DEFAULT_BRACKET:
+                warnings.warn(f"{command} row k={self.head['k']} label {self.head['label']!r}: "
+                              f"{key} = {mhz_from_angular(omega):g} MHz is clamped to the edge "
+                              f"of the optimizer bracket ({_BRACKET_MHZ}); the budget's own "
+                              "minimum lies outside it", OptimizerEdgeWarning, stacklevel=2)
+        return opt
 
 
 def _cases(cfg: dict[str, Any]) -> Iterator[_Case]:
@@ -489,7 +487,7 @@ def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
     freq = cfg["frequencies"]
     rows: list[dict[str, Any]] = []
     for case in _cases(cfg):
-        keys = _FREQUENCY_KEYS[case.dims]
+        keys = _FREQUENCY_KEYS[case.laurent.dims]
         opt = None
         if freq["mode"] == "fixed":
             omegas = tuple(angular_from_mhz(freq[key]) for key in keys)
@@ -515,24 +513,22 @@ def cmd_budget(cfg: dict[str, Any]) -> dict[str, Any]:
     return _report("budget", cfg, BUDGET_COLUMNS[cfg["scheme"]], rows)
 
 
-def _sweep_row(
-    base: dict[str, Any], row_type: str, omega: float, budget: ErrorBudget
-) -> dict[str, Any]:
-    return dict(base, row_type=row_type, omega_mhz=mhz_from_angular(omega),
-                **budget.terms, total=budget.total)
-
-
 def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
     grid = _omega_grid(cfg["sweep"]["omega_mhz"])
+    grid_mhz = [mhz_from_angular(omega) for omega in grid]
     rows: list[dict[str, Any]] = []
     for case in _cases(cfg):
         base = {"label": case.head["label"], "k": case.head["k"]}
-        rows.extend(_sweep_row(base, "grid", omega, case.budget(omega)) for omega in grid)
+        # optimizing first refuses a diverging budget before the grid meets it
+        omega = case.optimize("sweep-omega").argmin[0]
+        rows.extend(dict(base, row_type="grid", omega_mhz=omega_mhz, **cells)
+                    for omega_mhz, cells in zip(grid_mhz, case.laurent.table(grid)))
         rows.append(dict(base, row_type="analytic_opt",
                          omega_mhz=case.analytic["omega_opt_analytic_mhz"],
                          total=case.analytic["e_opt_analytic"]))
-        omega = case.optimize("sweep-omega").argmin[0]
-        rows.append(_sweep_row(base, "numeric_opt", omega, case.budget(omega)))
+        budget = case.laurent.at(omega)
+        rows.append(dict(base, row_type="numeric_opt", omega_mhz=mhz_from_angular(omega),
+                         **budget.terms, total=budget.total))
     return _report("sweep-omega", cfg, SWEEP_COLUMNS[cfg["scheme"]], rows)
 
 

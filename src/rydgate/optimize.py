@@ -12,40 +12,48 @@ with minimum error
     e_opt = 3 pi^(2/3)/2^(1/3) * k/(b tau)^(2/3)
           + pi^(4/3)/2^(8/3) * k^2/(b tau)^(4/3).
 
-The numeric path scans a 64-point logarithmic grid and refines the best
-bracket by golden-section search on log(Omega); budgets vary over decades,
-so all bracketing is logarithmic.  Two-frequency budgets are minimized by
-coordinate descent, reusing the same 1-D routine per axis.  Everything is
-deterministic: identical inputs give bit-identical results.
+``minimize_error`` finds the exact minimum of the full budget instead.
+Along each drive frequency the total is a Laurent polynomial
+E = c_-2/W^2 + c_-1/W + c_1 W + c_2 W^2 with non-negative coefficients, and
+the two-frequency budget of the collective gate is a sum of one such
+polynomial per frequency.  The minimum along an axis is the one positive
+root of W^3 E'(W) = 2 c_2 W^4 + c_1 W^3 - c_-1 W - 2 c_-2: the cubic
+2 gamma W^3 + beta W^2 - alpha = 0 of the single-frequency schemes (times
+W), the quartic 2 c W^4 - a W - 2 b = 0 for omega_c, and the closed form
+(a/2c)^(1/3) for omega_t.  That polynomial is convex on W > 0 and not
+positive at 0, so Newton's method started right of the root descends onto
+it monotonically.  The root is clamped to ``DEFAULT_BRACKET``.  Everything
+is deterministic: identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
-import numpy as np
-
+from .budget import LaurentBudget
 from .units import TWO_PI
 
 # 2 pi * (0.01 MHz .. 10 GHz)
 DEFAULT_BRACKET = (TWO_PI * 1.0e4, TWO_PI * 1.0e10)
 
-_GRID_POINTS = 64
-_LOG_TOL = 1.0e-4
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_ROUNDS_2D = 50
-_ROUND_TOL_2D = 1.0e-3
+
+class OptimizerEdgeWarning(UserWarning):
+    """A reported optimum was clamped to an edge of the frequency bracket."""
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """``argmin`` holds one frequency per axis (rad/s).  ``evaluations``
+    counts the Newton steps to the roots, summed over the axes: one
+    evaluation of the stationarity polynomial each, the last being the one
+    that finds the root.  ``converged`` is False when a root lay outside
+    ``DEFAULT_BRACKET`` and was clamped to its edge."""
+
     argmin: tuple[float, ...]
     min_error: float
     evaluations: int
     converged: bool
-    analytic_argmin: float | None = None
 
 
 def omega_opt_analytic(b: float, tau: float) -> float:
@@ -67,129 +75,56 @@ def e_opt_analytic(b: float, tau: float, k: int) -> float:
     return first + second
 
 
-class _CountedObjective:
-    def __init__(self, fn: Callable[..., float]):
-        self.fn = fn
-        self.evaluations = 0
+def _stationary_point(c: dict[int, float]) -> tuple[float, int]:
+    """The positive root of W^3 E'(W) for E = sum of c[p] W^p, and the
+    Newton steps taken to it, each one evaluation of that polynomial.
 
-    def __call__(self, *args: float) -> float:
-        self.evaluations += 1
-        value = self.fn(*args)
-        if not math.isfinite(value):
-            raise ValueError(
-                f"objective returned non-finite value {value!r} at {args!r}"
-            )
-        return float(value)
-
-
-def _golden_section_log(
-    f: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float]:
-    """Golden-section minimization of f(exp(u)) on [log lo, log hi]."""
-    a, b = math.log(lo), math.log(hi)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(math.exp(x1)), f(math.exp(x2))
-    while b - a > _LOG_TOL:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(math.exp(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(math.exp(x2))
-    if f1 <= f2:
-        return math.exp(x1), f1
-    return math.exp(x2), f2
-
-
-def _minimize_1d(
-    f: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float, bool]:
-    grid = np.logspace(math.log10(lo), math.log10(hi), _GRID_POINTS)
-    values = [f(x) for x in grid]
-    best = min(range(_GRID_POINTS), key=values.__getitem__)
-    interior = 0 < best < _GRID_POINTS - 1
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, _GRID_POINTS - 1)]
-    x_ref, f_ref = _golden_section_log(f, a, b)
-    # never report a point worse than the scanned grid
-    if values[best] < f_ref:
-        x_ref, f_ref = float(grid[best]), values[best]
-    return x_ref, f_ref, interior
-
-
-def _normalize_brackets(
-    dims: int, bracket: Sequence[float] | Sequence[Sequence[float]]
-) -> list[tuple[float, float]]:
-    seq = list(bracket)
-    if len(seq) == 2 and all(isinstance(v, (int, float)) for v in seq):
-        pairs = [(float(seq[0]), float(seq[1]))] * dims
-    else:
-        pairs = [(float(lo), float(hi)) for (lo, hi) in seq]
-        if len(pairs) != dims:
-            raise ValueError("one bracket per dimension is required")
-    for lo, hi in pairs:
-        if not (0.0 < lo < hi):
-            raise ValueError("brackets must satisfy 0 < lo < hi")
-    return pairs
-
-
-def minimize_error(
-    budget_fn: Callable[..., float],
-    dims: int = 1,
-    bracket: Sequence[float] | Sequence[Sequence[float]] = DEFAULT_BRACKET,
-    analytic_argmin: float | None = None,
-) -> OptimizationResult:
-    """Minimize a scalar error objective over 1 or 2 Rabi frequencies.
-
-    ``budget_fn`` takes ``dims`` positional frequencies (rad/s) and
-    returns the total error.  A minimum found at a bracket edge is
-    returned with ``converged=False``.
+    The start is the smaller of two points at which one positive monomial
+    of 2 c[2] W^4 + c[1] W^3 - c[-1] W - 2 c[-2] alone outweighs both
+    negative ones.  The polynomial is not negative there, and the start
+    lies within a factor 2 of the root.
     """
-    if dims not in (1, 2):
-        raise ValueError("dims must be 1 or 2")
-    brackets = _normalize_brackets(dims, bracket)
-    counted = _CountedObjective(budget_fn)
+    cm2, cm1, c1, c2 = c[-2], c[-1], c[1], c[2]
+    if min(c.values()) < 0.0 or not (cm2 + cm1 > 0.0 and c1 + c2 > 0.0):
+        raise ValueError(f"no interior minimum for coefficients {c}")
+    n = (cm1 > 0.0) + (cm2 > 0.0)
+    x = math.inf
+    if c2 > 0.0:
+        x = max((n * cm1 / (2.0 * c2)) ** (1.0 / 3.0), (n * cm2 / c2) ** 0.25)
+    if c1 > 0.0:
+        x = min(x, max((n * cm1 / c1) ** 0.5, (2.0 * n * cm2 / c1) ** (1.0 / 3.0)))
+    steps = 1
+    while True:
+        p = ((2.0 * c2 * x + c1) * x * x - cm1) * x - 2.0 * cm2
+        if p <= 0.0:
+            return x, steps
+        step = p / ((8.0 * c2 * x + 3.0 * c1) * x * x - cm1)
+        if not x - step < x:
+            return x, steps
+        x -= step
+        steps += 1
 
-    if dims == 1:
-        lo, hi = brackets[0]
-        x, fx, interior = _minimize_1d(counted, lo, hi)
-        return OptimizationResult(
-            argmin=(x,),
-            min_error=fx,
-            evaluations=counted.evaluations,
-            converged=interior,
-            analytic_argmin=analytic_argmin,
-        )
 
-    point = [math.sqrt(lo * hi) for (lo, hi) in brackets]
-    value = counted(*point)
-    interior_flags = [True, True]
-    converged = False
-    for _ in range(_MAX_ROUNDS_2D):
-        moved = 0.0
-        for axis in (0, 1):
-            lo, hi = brackets[axis]
+def minimize_error(budget: LaurentBudget) -> OptimizationResult:
+    """Minimize the total of ``budget`` over its drive frequencies.
 
-            def along(x: float, axis: int = axis) -> float:
-                trial = list(point)
-                trial[axis] = x
-                return counted(*trial)
-
-            x, fx, interior = _minimize_1d(along, lo, hi)
-            moved = max(moved, abs(x - point[axis]) / point[axis])
-            point[axis] = x
-            value = fx
-            interior_flags[axis] = interior
-        if moved < _ROUND_TOL_2D:
-            converged = True
-            break
-    return OptimizationResult(
-        argmin=tuple(point),
-        min_error=value,
-        evaluations=counted.evaluations,
-        converged=converged and all(interior_flags),
-        analytic_argmin=analytic_argmin,
-    )
+    Raises ValueError when a coefficient of the total is not finite or an
+    axis has no interior minimum.
+    """
+    if not all(math.isfinite(c) for c in budget.total_coefficients):
+        raise ValueError("the budget total has a non-finite coefficient")
+    lo, hi = DEFAULT_BRACKET
+    argmin, steps, converged = [], 0, True
+    for axis in range(budget.dims):
+        coefficients = dict.fromkeys((-2, -1, 1, 2), 0.0)
+        for (on, p), value in zip(budget.powers, budget.total_coefficients):
+            if on == axis:
+                coefficients[p] += value
+        root, n = _stationary_point(coefficients)
+        steps += n
+        omega = min(max(root, lo), hi)
+        converged = converged and omega == root
+        argmin.append(omega)
+    total = math.fsum(c * argmin[axis] ** p
+                      for c, (axis, p) in zip(budget.total_coefficients, budget.powers))
+    return OptimizationResult(tuple(argmin), total, steps, converged)

@@ -22,10 +22,12 @@ maximizes it.
 Lattice-averaged budgets keep each blockade shift with the atom pair that
 produced it, weighted by the probability that this pair is the one acting
 (the first control found in |0> blocks everyone after it, which happens
-with probability 2^-i for control i in excitation order).  Each such term
-is an Omega-free pair sum times a power of Omega, so
-``sequential_lattice_sums`` builds the sums once per geometry and
-``SequentialLatticeSums.budget`` evaluates them per frequency in O(1).
+with probability 2^-i for control i in excitation order).
+
+Every term is c Omega^p with p in {-1, 1, 2}.  ``laurent_sequential_uniform``
+and ``laurent_sequential_lattice`` build those coefficients once (the
+uniform closed forms are the lattice pair sums with one shift for every
+pair), and the ``budget_*`` functions evaluate them at one frequency.
 
 A phase-inversion variant with 2k pulses and no target (the conditional
 phase used inside quantum-search circuits) shares the control bookkeeping;
@@ -35,9 +37,8 @@ its four terms are evaluated by ``budget_grover_uniform``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .budget import _MAX_K, ErrorBudget
+from .budget import _MAX_K, ErrorBudget, LaurentBudget
 from .lattice import LatticeGeometry, pair_sets
 from .model import GateParams, pair_shift
 
@@ -55,15 +56,19 @@ SEQUENTIAL_TERMS = (
 GROVER_TERMS = ("se_c_1", "se_c_2", "r_c_1", "r_c_2")
 
 
-def _check_inputs(p: GateParams, b: float | None, tau: float) -> None:
-    if p.omega is None:
-        raise ValueError("GateParams.omega is required for this scheme")
-    if p.k > _MAX_K:
-        raise ValueError(f"k = {p.k} exceeds the supported maximum of {_MAX_K}")
+def _check_inputs(k: int, b: float | None, tau: float) -> None:
+    if k > _MAX_K:
+        raise ValueError(f"k = {k} exceeds the supported maximum of {_MAX_K}")
     if b is not None and not (b > 0.0):
         raise ValueError("blockade shift b must be positive")
     if not (tau > 0.0):
         raise ValueError("lifetime tau must be positive")
+
+
+def _drive(p: GateParams) -> float:
+    if p.omega is None:
+        raise ValueError("GateParams.omega is required for this scheme")
+    return p.omega
 
 
 def worst_case_detuned_inv_sq(omega10: float, b: float) -> float:
@@ -80,6 +85,57 @@ def worst_case_detuned_inv_sq(omega10: float, b: float) -> float:
     return max(worst, 1.0 / (minus * minus))
 
 
+# the monomial basis of the single-frequency budgets: Omega^-1, Omega, Omega^2
+_POWERS = ((0, -1), (0, 1), (0, 2))
+
+
+def _sequential_laurent(
+    k: int,
+    tau: float,
+    omega10: float,
+    mode: str,
+    sums: tuple[float, float, float, float, float],
+    pair_shifts: tuple[tuple[float, ...], ...] = (),
+) -> LaurentBudget:
+    """The C_kNOT budget from its five blockade sums over weighted pairs.
+
+    ``sums`` are (cc_slots_inv_sq, cc_inv_sq, cc_det, ct_inv_sq, ct_det):
+    control j (1-based, excitation order) blocks a later control m with
+    weight w = 2^-(j+1) over n_m = 4 + 2(k-m) pulse slots, and blocks the
+    target as the first control in |0> with weight w = 2^-j.  The sums run
+    over control pairs of n_m w / B^2, w / B^2 and w det, then over
+    control-target pairs of w / B^2 and w det, where ``det`` is
+    ``worst_case_detuned_inv_sq(omega10, B)`` of the pair's shift B.
+    """
+    cc_slots_inv_sq, cc_inv_sq, cc_det, ct_inv_sq, ct_det = sums
+    half_k = math.ldexp(1.0, -k)
+    inv_w10 = 1.0 / (omega10 * omega10)
+    terms = {
+        "se_c_1": (2.0 * math.pi * k / tau, 0.0, 0.0),
+        "se_c_2": (0.0, math.pi / (2.0 * tau) * cc_slots_inv_sq, 0.0),
+        "se_t_1": (math.pi / tau * half_k, 0.0, 0.0),
+        "se_t_2": (0.0, 5.0 * math.pi / (8.0 * tau) * ct_inv_sq, 0.0),
+        "r_c_1": (0.0, 0.0, cc_inv_sq),
+        "r_c_2": (0.0, 0.0, inv_w10 * (1.0 - half_k) + cc_det),
+        "r_t_1": (0.0, 0.0, 0.75 * ct_inv_sq),
+        "r_t_2": (0.0, 0.0, half_k * 0.5 * inv_w10 + 1.5 * ct_det),
+    }
+    return LaurentBudget("sequential", mode, _POWERS, terms, pair_shifts=pair_shifts)
+
+
+def laurent_sequential_uniform(k: int, b: float, tau: float, omega10: float) -> LaurentBudget:
+    """Closed-form budget with one blockade shift ``b`` (rad/s) for every
+    pair; ``tau`` is the Rydberg lifetime, s."""
+    _check_inputs(k, b, tau)
+    half_k = math.ldexp(1.0, -k)  # 2^-k, exact
+    inv_b2 = 1.0 / (b * b)
+    det = worst_case_detuned_inv_sq(omega10, b)
+    pairs = 0.5 * (k - 2.0 + 2.0 * half_k)  # sum over control pairs of w
+    sums = (0.5 * (k * k - k) * inv_b2, pairs * inv_b2, pairs * det,
+            (1.0 - half_k) * inv_b2, (1.0 - half_k) * det)
+    return _sequential_laurent(k, tau, omega10, "uniform", sums)
+
+
 def budget_sequential_uniform(p: GateParams, b: float, tau: float) -> ErrorBudget:
     """Closed-form budget with one blockade shift ``b`` for every pair.
 
@@ -92,68 +148,16 @@ def budget_sequential_uniform(p: GateParams, b: float, tau: float) -> ErrorBudge
     tau : float
         Rydberg lifetime, s.
     """
-    _check_inputs(p, b, tau)
-    k, om, w10 = p.k, p.omega, p.omega10
-    half_k = math.ldexp(1.0, -k)  # 2^-k, exact
-    inv_b2 = 1.0 / (b * b)
-    det = worst_case_detuned_inv_sq(w10, b)
-    terms = {
-        "se_c_1": 2.0 * math.pi * k / (om * tau),
-        "se_c_2": math.pi * om * inv_b2 / (4.0 * tau) * (k * k - k),
-        "se_t_1": math.pi / (om * tau) * half_k,
-        "se_t_2": 5.0 * math.pi * om * inv_b2 / (8.0 * tau) * (1.0 - half_k),
-        "r_c_1": 0.5 * om * om * inv_b2 * (k - 2.0 + 2.0 * half_k),
-        "r_c_2": om * om / (w10 * w10) * (1.0 - half_k)
-        + 0.5 * om * om * det * (k - 2.0 + 2.0 * half_k),
-        "r_t_1": 0.75 * om * om * inv_b2 * (1.0 - half_k),
-        "r_t_2": half_k * om * om / (2.0 * w10 * w10)
-        + (1.0 - half_k) * 1.5 * om * om * det,
-    }
-    return ErrorBudget.from_terms("sequential", "uniform", terms)
+    return laurent_sequential_uniform(p.k, b, tau, p.omega10).at(_drive(p))
 
 
-@dataclass(frozen=True)
-class SequentialLatticeSums:
-    """Omega-free pair sums of the lattice-averaged sequential budget.
-
-    Control j (1-based, excitation order) blocks a later control m with
-    weight w = 2^-(j+1) over n_m = 4 + 2(k-m) pulse slots, and blocks the
-    target as the first control in |0> with weight w = 2^-j; ``det`` is
-    ``worst_case_detuned_inv_sq(omega10, B)`` of the pair's shift B.
-    """
-
-    tau: float
-    omega10: float
-    b_ct: tuple[float, ...]  # control-target shifts, excitation order
-    b_cc: tuple[float, ...]  # control-control shifts, in pair_sets order
-    cc_slots_inv_sq: float  # sum over control pairs of n_m w / B^2
-    cc_inv_sq: float  # sum over control pairs of w / B^2
-    cc_det: float  # sum over control pairs of w det
-    ct_inv_sq: float  # sum over control-target pairs of w / B^2
-    ct_det: float  # sum over control-target pairs of w det
-
-    def budget(self, om: float) -> ErrorBudget:
-        """The budget at drive frequency ``om`` (rad/s), O(1) in k."""
-        k, w10, tau = len(self.b_ct), self.omega10, self.tau
-        half_k = math.ldexp(1.0, -k)
-        om2 = om * om
-        terms = {
-            "se_c_1": 2.0 * math.pi * k / (om * tau),
-            "se_c_2": math.pi * om / (2.0 * tau) * self.cc_slots_inv_sq,
-            "se_t_1": math.pi / (om * tau) * half_k,
-            "se_t_2": 5.0 * math.pi * om / (8.0 * tau) * self.ct_inv_sq,
-            "r_c_1": om2 * self.cc_inv_sq,
-            "r_c_2": om2 / (w10 * w10) * (1.0 - half_k) + om2 * self.cc_det,
-            "r_t_1": 0.75 * om2 * self.ct_inv_sq,
-            "r_t_2": half_k * om2 / (2.0 * w10 * w10) + 1.5 * om2 * self.ct_det,
-        }
-        return ErrorBudget.from_terms("sequential", "lattice", terms)
-
-
-def sequential_lattice_sums(
+def laurent_sequential_lattice(
     model, geom: LatticeGeometry, tau: float, omega10: float
-) -> SequentialLatticeSums:
-    """The pair sums of one geometry, from one ``pair_shift`` per pair."""
+) -> LaurentBudget:
+    """The lattice-averaged budget of one geometry, from one ``pair_shift``
+    per pair; ``pair_shifts`` holds the control-target shifts in excitation
+    order and the control-control shifts in ``pair_sets`` order."""
+    _check_inputs(geom.k, None, tau)
     ps = pair_sets(geom)
     b_ct = tuple(pair_shift(model, r) for r in ps.control_target)
     b_cc = tuple(pair_shift(model, sep) for sep in ps.control_control_all)
@@ -169,9 +173,8 @@ def sequential_lattice_sums(
         w = math.ldexp(1.0, -(i0 + 1))  # 2^-i, 1-based first-in-|0> control i
         ct_inv += w / (b * b)
         ct_det += w * worst_case_detuned_inv_sq(omega10, b)
-    return SequentialLatticeSums(
-        tau, omega10, b_ct, b_cc, cc_slots, cc_inv, cc_det, ct_inv, ct_det
-    )
+    sums = (cc_slots, cc_inv, cc_det, ct_inv, ct_det)
+    return _sequential_laurent(geom.k, tau, omega10, "lattice", sums, (b_ct, b_cc))
 
 
 def budget_sequential_lattice(
@@ -184,13 +187,34 @@ def budget_sequential_lattice(
     control m through pair_shift(R_jm) and blocks the target through
     pair_shift(R_j,target).  Terms without blockade dependence keep their
     closed forms.  With a distance-independent model this reproduces
-    ``budget_sequential_uniform`` exactly.  Builds the sums once and
-    evaluates them; see ``sequential_lattice_sums``.
+    ``budget_sequential_uniform`` exactly.  Builds the coefficients once and
+    evaluates them; see ``laurent_sequential_lattice``.
     """
-    _check_inputs(p, None, tau)
     if geom.k != p.k:
         raise ValueError("geometry and GateParams disagree on k")
-    return sequential_lattice_sums(model, geom, tau, p.omega10).budget(p.omega)
+    return laurent_sequential_lattice(model, geom, tau, p.omega10).at(_drive(p))
+
+
+def laurent_grover_uniform(k: int, b: float, tau: float, omega10: float) -> LaurentBudget:
+    """Coefficients of ``budget_grover_uniform``."""
+    _check_inputs(k, b, tau)
+    half_k = math.ldexp(1.0, -k)
+    inv_b2 = 1.0 / (b * b)
+    det = worst_case_detuned_inv_sq(omega10, b)
+    pairs = 0.5 * (k - 2.0 + 2.0 * half_k)
+    se_c_1 = math.pi / tau * (2.0 * k - 3.0 + 3.0 * half_k)
+    se_c_2 = math.pi * inv_b2 / (4.0 * tau) * (k * k - 4.0 * k + 6.0 - 6.0 * half_k)
+    r_c_1 = pairs * inv_b2
+    terms = {
+        "se_c_1": (se_c_1, 0.0, 0.0),
+        "se_c_2": (0.0, se_c_2, 0.0),
+        "r_c_1": (0.0, 0.0, r_c_1),
+        "r_c_2": (0.0, 0.0, (1.0 - half_k) / (omega10 * omega10) + pairs * det),
+    }
+    # the variant keeps k det / 2 of r_c_2 only
+    combined = (se_c_1, se_c_2, r_c_1 + 0.5 * det * k)
+    return LaurentBudget("grover", "uniform", _POWERS, terms,
+                         {"collapsed_total_variant": combined})
 
 
 def budget_grover_uniform(p: GateParams, b: float, tau: float) -> ErrorBudget:
@@ -203,28 +227,7 @@ def budget_grover_uniform(p: GateParams, b: float, tau: float) -> ErrorBudget:
     drops the omega10-only rotation piece and the 2^-k remainders of the
     combined detuning weight) is reported under diagnostics.
     """
-    _check_inputs(p, b, tau)
-    k, om, w10 = p.k, p.omega, p.omega10
-    half_k = math.ldexp(1.0, -k)
-    inv_b2 = 1.0 / (b * b)
-    det = worst_case_detuned_inv_sq(w10, b)
-    terms = {
-        "se_c_1": math.pi / (om * tau) * (2.0 * k - 3.0 + 3.0 * half_k),
-        "se_c_2": math.pi * om * inv_b2 / (4.0 * tau)
-        * (k * k - 4.0 * k + 6.0 - 6.0 * half_k),
-        "r_c_1": 0.5 * om * om * inv_b2 * (k - 2.0 + 2.0 * half_k),
-        "r_c_2": om * om / (w10 * w10) * (1.0 - half_k)
-        + om * om * det * (0.5 * k + half_k - 1.0),
-    }
-    combined = (
-        math.pi * om * inv_b2 / (4.0 * tau) * (k * k - 4.0 * k + 6.0 * (1.0 - half_k))
-        + 2.0 * math.pi / (om * tau) * (k - 1.5 + 1.5 * half_k)
-        + 0.5 * om * om * inv_b2 * (k - 2.0 + 2.0 * half_k)
-        + 0.5 * om * om * det * k
-    )
-    return ErrorBudget.from_terms(
-        "grover", "uniform", terms, {"collapsed_total_variant": combined}
-    )
+    return laurent_grover_uniform(p.k, b, tau, p.omega10).at(_drive(p))
 
 
 def gate_duration_sequential(p: GateParams) -> float:

@@ -20,9 +20,13 @@ closed-moment expectation; the target terms need E[1/X^2] over random
 subsets.  1/X^2 is the integral of t*exp(-tX) over t > 0 and the subset
 average of exp(-tX) is a product over the shifts, so one fixed exp-sinh
 quadrature rule gives it in O(k) work per node, for every k.  None of
-these sums depends on the drive frequencies: ``simultaneous_lattice_sums``
-builds them once per geometry and ``SimultaneousLatticeSums.budget``
-evaluates them per frequency pair in O(1).
+these sums depends on the drive frequencies.
+
+Every term is c omega_c^p (p in {-1, -2, 2}) or c omega_t^p (p in
+{-1, 2}), so the budget separates into an omega_c part and an omega_t
+part.  ``laurent_simultaneous_uniform`` and ``laurent_simultaneous_lattice``
+build those coefficients once; the ``budget_*`` functions evaluate them at
+one frequency pair.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .budget import _MAX_K, ErrorBudget
+from .budget import _MAX_K, ErrorBudget, LaurentBudget
 from .lattice import LatticeGeometry, pair_sets
 from .model import pair_shift
 
@@ -121,34 +125,61 @@ def target_blockade_sums(k: int, b_ct: float, omega10: float) -> tuple[float, fl
     return s_block, s_split
 
 
+# the monomial basis: omega_c^-1, omega_c^-2, omega_c^2, omega_t^-1, omega_t^2
+_POWERS = ((0, -1), (0, -2), (0, 2), (1, -1), (1, 2))
+
+
+def _simultaneous_laurent(
+    k: int,
+    tau_c: float,
+    tau_t: float,
+    omega10: float,
+    mode: str,
+    sums: tuple[float, float, float],
+    diagnostics: dict[str, tuple[float, ...]] | None = None,
+    pair_shifts: tuple[tuple[float, ...], ...] = (),
+) -> LaurentBudget:
+    """The collective-gate budget from its three frequency-free sums.
+
+    ``sums`` are (cc_moment, e_block, e_split): the sum over controls i of
+    E[(sum_m eps_m D_im)^2] with independent eps ~ Bernoulli(1/2), then
+    E[1/X^2] and E[1/(X + omega10)^2] for X the summed control-target
+    shift of the excited subset.
+    """
+    cc_moment, e_block, e_split = sums
+    half_k = math.ldexp(1.0, -k)
+    se_c = math.pi * k / (2.0 * tau_c)
+    terms = {
+        "se_c": (se_c, 0.0, 0.0, 3.0 * se_c, 0.0),
+        "se_t": (0.0, 0.0, 0.0, math.pi / tau_t * half_k, 0.0),
+        "r_c_1": (0.0, cc_moment / 4.0, 0.0, 0.0, 0.0),
+        "r_c_2": (0.0, 0.0, k / (2.0 * omega10**2), 0.0, 0.0),
+        "r_t": (0.0, 0.0, 0.0, 0.0, 0.75 * (e_block + e_split)),
+    }
+    diagnostics = dict(
+        diagnostics or {},
+        r_t_blockade_part=(0.0, 0.0, 0.0, 0.0, 0.75 * e_block),
+        r_t_splitting_part=(0.0, 0.0, 0.0, 0.0, 0.75 * e_split),
+    )
+    return LaurentBudget("simultaneous", mode, _POWERS, terms, diagnostics, pair_shifts)
+
+
+def laurent_simultaneous_uniform(
+    k: int, b_ct: float, d_cc: float, tau_c: float, tau_t: float, omega10: float
+) -> LaurentBudget:
+    """Closed-form coefficients with uniform per-pair shifts (rad/s)."""
+    cc_moment = 4.0 * d_cc**2 * float(cc_rotation_weight(k))
+    cubic = {"r_c_1_cubic_variant": (0.0, d_cc**2 * (k**3 - k) / 16.0, 0.0, 0.0, 0.0)}
+    sums = (cc_moment, *target_blockade_sums(k, b_ct, omega10))
+    return _simultaneous_laurent(k, tau_c, tau_t, omega10, "uniform", sums, cubic)
+
+
 def budget_simultaneous_uniform(p: SimultaneousParams) -> ErrorBudget:
     """Closed-form budget with uniform per-pair shifts."""
     if p.b_ct is None or p.d_cc is None:
         raise ValueError("uniform budget requires b_ct and d_cc")
-    k = p.k
-    half_k = math.ldexp(1.0, -k)
-    se_c = math.pi * k / (2.0 * p.omega_c * p.tau_c) + 3.0 * math.pi * k / (
-        2.0 * p.omega_t * p.tau_c
-    )
-    se_t = math.pi / (p.omega_t * p.tau_t) * half_k
-    w_rc1 = cc_rotation_weight(k)
-    r_c_1 = p.d_cc**2 / p.omega_c**2 * float(w_rc1)
-    r_c_2 = p.omega_c**2 * k / (2.0 * p.omega10**2)
-    s_block, s_split = target_blockade_sums(k, p.b_ct, p.omega10)
-    r_t = 0.75 * p.omega_t**2 * (s_block + s_split)
-    terms = {
-        "se_c": se_c,
-        "se_t": se_t,
-        "r_c_1": r_c_1,
-        "r_c_2": r_c_2,
-        "r_t": r_t,
-    }
-    diagnostics = {
-        "r_c_1_cubic_variant": p.d_cc**2 / p.omega_c**2 * (k**3 - k) / 16.0,
-        "r_t_blockade_part": 0.75 * p.omega_t**2 * s_block,
-        "r_t_splitting_part": 0.75 * p.omega_t**2 * s_split,
-    }
-    return ErrorBudget.from_terms("simultaneous", "uniform", terms, diagnostics)
+    laurent = laurent_simultaneous_uniform(p.k, p.b_ct, p.d_cc, p.tau_c, p.tau_t, p.omega10)
+    return laurent.at(p.omega_c, p.omega_t)
 
 
 def subset_inverse_square_expectations(
@@ -175,50 +206,15 @@ def subset_inverse_square_expectations(
     return float(e_block), float(e_split)
 
 
-@dataclass(frozen=True)
-class SimultaneousLatticeSums:
-    """Frequency-free sums of the lattice-averaged simultaneous budget.
-
-    ``cc_moment`` is the sum over controls i of E[(sum_m eps_m D_im)^2]
-    with independent eps ~ Bernoulli(1/2), i.e. 1/2 s2 + 1/4 (s1^2 - s2)
-    for the row sums s1 of D and s2 of D^2.  ``e_block``/``e_split`` are
-    ``subset_inverse_square_expectations`` of the control-target shifts.
+def laurent_simultaneous_lattice(
+    model_ct, model_cc, geom: LatticeGeometry, tau_c: float, tau_t: float, omega10: float
+) -> LaurentBudget:
+    """The lattice-averaged coefficients of one geometry, from one
+    ``pair_shift`` per pair; ``pair_shifts`` holds the control-target
+    shifts in excitation order and the control-control shifts in
+    ``pair_sets`` order.  With the row sums s1 of the control-control
+    shift matrix D and s2 of D^2, cc_moment = sum 1/2 s2 + 1/4 (s1^2 - s2).
     """
-
-    omega10: float
-    b_ct: tuple[float, ...]  # control-target shifts, excitation order
-    d_cc: tuple[float, ...]  # control-control shifts, in pair_sets order
-    cc_moment: float
-    e_block: float
-    e_split: float
-
-    def budget(self, p: SimultaneousParams) -> ErrorBudget:
-        """The budget at ``p.omega_c``/``p.omega_t``, O(1) in k."""
-        if (p.k, p.omega10) != (len(self.b_ct), self.omega10):
-            raise ValueError("lattice sums and SimultaneousParams disagree on k or omega10")
-        k = p.k
-        half_k = math.ldexp(1.0, -k)
-        se_c = math.pi * k / (2.0 * p.omega_c * p.tau_c) + 3.0 * math.pi * k / (
-            2.0 * p.omega_t * p.tau_c
-        )
-        terms = {
-            "se_c": se_c,
-            "se_t": math.pi / (p.omega_t * p.tau_t) * half_k,
-            "r_c_1": self.cc_moment / (4.0 * p.omega_c**2),
-            "r_c_2": p.omega_c**2 * k / (2.0 * p.omega10**2),
-            "r_t": 0.75 * p.omega_t**2 * (self.e_block + self.e_split),
-        }
-        diagnostics = {
-            "r_t_blockade_part": 0.75 * p.omega_t**2 * self.e_block,
-            "r_t_splitting_part": 0.75 * p.omega_t**2 * self.e_split,
-        }
-        return ErrorBudget.from_terms("simultaneous", "lattice", terms, diagnostics)
-
-
-def simultaneous_lattice_sums(
-    model_ct, model_cc, geom: LatticeGeometry, omega10: float
-) -> SimultaneousLatticeSums:
-    """The sums of one geometry, from one ``pair_shift`` per pair."""
     k = geom.k
     ps = pair_sets(geom)
     b_ct = tuple(pair_shift(model_ct, r) for r in ps.control_target)
@@ -229,8 +225,9 @@ def simultaneous_lattice_sums(
     s1 = d.sum(axis=1)
     s2 = (d * d).sum(axis=1)
     cc_moment = float(np.sum(0.5 * s2 + 0.25 * (s1 * s1 - s2)))
-    e_block, e_split = subset_inverse_square_expectations(b_ct, omega10)
-    return SimultaneousLatticeSums(omega10, b_ct, d_cc, cc_moment, e_block, e_split)
+    sums = (cc_moment, *subset_inverse_square_expectations(b_ct, omega10))
+    return _simultaneous_laurent(k, tau_c, tau_t, omega10, "lattice", sums,
+                                 pair_shifts=(b_ct, d_cc))
 
 
 def budget_simultaneous_lattice(
@@ -243,12 +240,16 @@ def budget_simultaneous_lattice(
     summed shift each control sees from the random excited subset of the
     others.  The blocked-target term averages 1/X^2 over the excited
     subset exactly (see ``subset_inverse_square_expectations``).  Constant
-    models reproduce ``budget_simultaneous_uniform``.  Builds the sums of
-    ``geom`` and evaluates them once; see ``simultaneous_lattice_sums``.
+    models reproduce ``budget_simultaneous_uniform``.  Builds the
+    coefficients of ``geom`` and evaluates them once; see
+    ``laurent_simultaneous_lattice``.
     """
     if geom.k != p.k:
         raise ValueError("geometry and SimultaneousParams disagree on k")
-    return simultaneous_lattice_sums(model_ct, model_cc, geom, p.omega10).budget(p)
+    laurent = laurent_simultaneous_lattice(
+        model_ct, model_cc, geom, p.tau_c, p.tau_t, p.omega10
+    )
+    return laurent.at(p.omega_c, p.omega_t)
 
 
 def gate_duration_simultaneous(p: SimultaneousParams) -> float:

@@ -8,7 +8,10 @@ calls ``pair_shift`` for each pair inside the per-pair weighted loops, with
 the drive frequency inside every summand.  ``subset_inv_sq_enumerated``
 and ``subset_inv_sq_quad`` are two independent routes to the subset
 expectation E[1/(X + offset)^2]: all 2^k subsets, and adaptive quadrature
-of its Laplace-transform integral.
+of its Laplace-transform integral.  ``golden_section_minimize`` minimizes
+any objective numerically (a 64-point logarithmic grid refined by
+golden-section search, coordinate descent over two frequencies): the
+oracle of the closed-form argmin.
 """
 
 import math
@@ -17,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from rydgate import ErrorBudget, GateParams, pair_sets, pair_shift
+from rydgate import ErrorBudget, GateParams, OptimizationResult, pair_sets, pair_shift
+from rydgate.optimize import DEFAULT_BRACKET
 from rydgate.sequential import _check_inputs, worst_case_detuned_inv_sq
 from rydgate.simultaneous import subset_inverse_square_expectations
 
@@ -62,7 +66,7 @@ def sum_oracle_sequential(p: GateParams, b: float, tau: float) -> ErrorBudget:
     the physical prefactor is floating point.  Serves as the independent
     oracle for ``budget_sequential_uniform``.
     """
-    _check_inputs(p, b, tau)
+    _check_inputs(p.k, b, tau)
     k, om, w10 = p.k, p.omega, p.omega10
     det = worst_case_detuned_inv_sq(w10, b)
 
@@ -109,7 +113,7 @@ def sum_oracle_grover(p: GateParams, b: float, tau: float) -> ErrorBudget:
     pulses; blocked pair weights are identical because dropping the target
     halves both the state count and the pair-state count.
     """
-    _check_inputs(p, b, tau)
+    _check_inputs(p.k, b, tau)
     k, om, w10 = p.k, p.omega, p.omega10
     det = worst_case_detuned_inv_sq(w10, b)
 
@@ -141,7 +145,7 @@ def sum_oracle_grover(p: GateParams, b: float, tau: float) -> ErrorBudget:
 
 def sequential_lattice_loops(p, model, geom, tau) -> ErrorBudget:
     """Lattice-averaged sequential budget, summed pair by pair per call."""
-    _check_inputs(p, None, tau)
+    _check_inputs(p.k, None, tau)
     if geom.k != p.k:
         raise ValueError("geometry and GateParams disagree on k")
     k, om, w10 = p.k, p.omega, p.omega10
@@ -277,3 +281,92 @@ def subset_inv_sq_quad(shifts: tuple[float, ...], offset: float) -> float:
         for lo, hi in zip([0.0, *edges], [*edges, np.inf])
     ]
     return math.fsum(pieces) / scale
+
+
+_GRID_POINTS = 64
+_LOG_TOL = 1.0e-4
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_ROUNDS_2D = 50
+_ROUND_TOL_2D = 1.0e-3
+
+
+class _CountedObjective:
+    def __init__(self, fn):
+        self.fn = fn
+        self.evaluations = 0
+
+    def __call__(self, *args: float) -> float:
+        self.evaluations += 1
+        value = self.fn(*args)
+        if not math.isfinite(value):
+            raise ValueError(f"objective returned non-finite value {value!r} at {args!r}")
+        return float(value)
+
+
+def _golden_section_log(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section minimization of f(exp(u)) on [log lo, log hi]."""
+    a, b = math.log(lo), math.log(hi)
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(math.exp(x1)), f(math.exp(x2))
+    while b - a > _LOG_TOL:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(math.exp(x1))
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(math.exp(x2))
+    if f1 <= f2:
+        return math.exp(x1), f1
+    return math.exp(x2), f2
+
+
+def _minimize_1d(f, lo: float, hi: float) -> tuple[float, float, bool]:
+    grid = np.logspace(math.log10(lo), math.log10(hi), _GRID_POINTS)
+    values = [f(x) for x in grid]
+    best = min(range(_GRID_POINTS), key=values.__getitem__)
+    interior = 0 < best < _GRID_POINTS - 1
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, _GRID_POINTS - 1)]
+    x_ref, f_ref = _golden_section_log(f, a, b)
+    # never report a point worse than the scanned grid
+    if values[best] < f_ref:
+        x_ref, f_ref = float(grid[best]), values[best]
+    return x_ref, f_ref, interior
+
+
+def golden_section_minimize(fn, dims: int = 1, bracket=DEFAULT_BRACKET) -> OptimizationResult:
+    """Numeric minimum of ``fn`` over ``dims`` frequencies in ``bracket``.
+
+    A minimum found at a grid edge is returned with ``converged=False``.
+    """
+    lo, hi = bracket
+    counted = _CountedObjective(fn)
+    if dims == 1:
+        x, fx, interior = _minimize_1d(counted, lo, hi)
+        return OptimizationResult((x,), fx, counted.evaluations, interior)
+
+    point = [math.sqrt(lo * hi)] * dims
+    value = counted(*point)
+    interior_flags = [True] * dims
+    converged = False
+    for _ in range(_MAX_ROUNDS_2D):
+        moved = 0.0
+        for axis in range(dims):
+
+            def along(x: float, axis: int = axis) -> float:
+                trial = list(point)
+                trial[axis] = x
+                return counted(*trial)
+
+            x, value, interior_flags[axis] = _minimize_1d(along, lo, hi)
+            moved = max(moved, abs(x - point[axis]) / point[axis])
+            point[axis] = x
+        if moved < _ROUND_TOL_2D:
+            converged = True
+            break
+    return OptimizationResult(
+        tuple(point), value, counted.evaluations, converged and all(interior_flags)
+    )

@@ -78,8 +78,8 @@ def test_room_temp_preset_budget_rows():
     assert [row["k"] for row in report["rows"]] == [3, 8, 15, 24, 35]
     assert report["columns"] == list(BUDGET_COLUMNS["simultaneous"])
     k35 = report["rows"][-1]
-    assert k35["duration_us"] == pytest.approx(0.9400641, rel=1e-6)
-    assert k35["total"] == pytest.approx(0.14588604151728835, rel=1e-10)
+    assert k35["duration_us"] == pytest.approx(0.9400641, rel=1e-6, abs=0.0)
+    assert k35["total"] == pytest.approx(0.14588604151728835, rel=1e-10, abs=0.0)
 
 
 # ------------------------------------------------------------- validation
@@ -137,6 +137,13 @@ def test_grover_lattice_rejected(tmp_path):
     }
     with pytest.raises(ConfigError, match="uniform"):
         check_cross_rules(load_config(write_config(tmp_path, cfg)), "budget")
+
+
+@pytest.mark.parametrize("scheme", ["sequential", "grover"])
+def test_budget_k_cap(tmp_path, capsys, scheme):
+    cfg = uniform_cfg(scheme=scheme, k=65)
+    assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "k = 65 exceeds the supported maximum of 64" in capsys.readouterr().err
 
 
 def test_simulate_k_cap(tmp_path, capsys):
@@ -215,7 +222,7 @@ def test_regime_warning_only_for_reported_frequencies(tmp_path, frequencies, exp
         assert w.filename != "<string>" and os.path.isfile(w.filename), w.filename
     row = json.loads(out.read_text(encoding="utf-8"))["rows"][0]
     if frequencies["mode"] == "optimize":
-        assert row["omega_c_mhz"] == pytest.approx(151.7, rel=1e-3)
+        assert row["omega_c_mhz"] == pytest.approx(151.7, rel=1e-3, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -241,7 +248,7 @@ def test_lattice_case_shifts_pairs_once(monkeypatch, name):
     for k in cfg["k"]:
         before = dict(calls)
         case = cli._Case(cfg, None, k)
-        case.budget(*[angular_from_mhz(10.0)] * case.dims)
+        case.laurent.at(*[angular_from_mhz(10.0)] * case.laurent.dims)
         after_one = dict(calls)
         assert after_one["pair_sets"] - before.get("pair_sets", 0) == 1
         assert after_one["pair_shift"] - before.get("pair_shift", 0) == k + k * (k - 1) // 2
@@ -424,6 +431,46 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert dict(zip(runs, json.loads(proc.stdout))) == {run: 0 for run in runs}
 
 
+_EDGE_WARNINGS = """
+import sys, warnings
+from rydgate.cli import main
+from rydgate.optimize import OptimizerEdgeWarning
+action, config, out_dir = sys.argv[1:]
+warnings.simplefilter(action, OptimizerEdgeWarning)
+codes = [main([command, "--config", config, "--out", f"{out_dir}/{action}.{command}.json"])
+         for command in ("budget", "optimize", "sweep-omega")]
+codes.append(main(["optimize", "--config", config]))
+sys.exit(max(codes))
+"""
+
+
+def test_optimizer_edge_warning_leaves_reports_unchanged(tmp_path):
+    # B = 100 Hz and tau = 10 ms put the optimum near 1e-4 MHz, below the
+    # optimizer bracket's 0.01 MHz: every optimized row is clamped
+    cfg = dict(sweep_cfg(), k=[2], uniform={"b_mhz": 1.0e-4, "tau_us": 1.0e4, "label": "slow"})
+    config = write_config(tmp_path, cfg)
+    path = [os.path.dirname(os.path.dirname(rydgate.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    runs = {
+        action: subprocess.run(
+            [sys.executable, "-c", _EDGE_WARNINGS, action, config, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        for action in ("default", "ignore")
+    }
+    assert [run.returncode for run in runs.values()] == [0, 0], runs["default"].stderr
+    assert runs["ignore"].stderr == ""
+    assert runs["default"].stdout == runs["ignore"].stdout
+    assert json.loads(runs["default"].stdout)["rows"][0]["converged"] is False
+    for command in ("budget", "optimize", "sweep-omega"):
+        reports = [(tmp_path / f"{action}.{command}.json").read_bytes() for action in runs]
+        assert reports[0] == reports[1], command
+        assert (
+            f"OptimizerEdgeWarning: {command} row k=2 label 'slow': omega_mhz = 0.01 MHz "
+            "is clamped to the edge of the optimizer bracket (0.01 .. 10000 MHz)"
+        ) in runs["default"].stderr
+
+
 # ---------------------------------------------------------------- lattice
 
 def test_lattice_export(tmp_path):
@@ -447,6 +494,6 @@ def test_optimize_command_close_to_analytic(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "opt.json").read_text(encoding="utf-8"))
     row = report["rows"][0]
-    assert row["omega_opt_mhz"] == pytest.approx(row["omega_opt_analytic_mhz"], rel=0.10)
-    assert row["min_total"] == pytest.approx(0.0614507, rel=1e-4)
+    assert row["omega_opt_mhz"] == pytest.approx(row["omega_opt_analytic_mhz"], rel=0.10, abs=0.0)
+    assert row["min_total"] == pytest.approx(0.0614507, rel=1e-4, abs=0.0)
     assert row["converged"] is True

@@ -23,20 +23,20 @@ UM = 1.0e-6
 def test_c6_anchor_reproduces_anchor_exactly():
     b = angular_from_mhz(52.0)
     model = fit_single_anchor("c6", b, 20.0 * UM)
-    assert pair_shift(model, 20.0 * UM) == pytest.approx(b, rel=1e-15)
+    assert pair_shift(model, 20.0 * UM) == pytest.approx(b, rel=1e-15, abs=0.0)
 
 
 def test_c6_doubling_radius_divides_by_64():
     model = fit_single_anchor("c6", angular_from_mhz(52.0), 20.0 * UM)
     assert pair_shift(model, 40.0 * UM) == pytest.approx(
-        angular_from_mhz(52.0 / 64.0), rel=1e-12
+        angular_from_mhz(52.0 / 64.0), rel=1e-12, abs=0.0
     )
 
 
 def test_c6_halving_radius_multiplies_by_64():
     model = fit_single_anchor("c6", angular_from_mhz(52.0), 20.0 * UM)
     assert pair_shift(model, 10.0 * UM) == pytest.approx(
-        angular_from_mhz(52.0 * 64.0), rel=1e-12
+        angular_from_mhz(52.0 * 64.0), rel=1e-12, abs=0.0
     )
 
 
@@ -85,7 +85,7 @@ def test_dmin_power_law_by_hand():
     model = fit_single_anchor("c6", 3.0, 1.0)
     level = RydbergLevel(n=100, tau=1.0, gap=1.0, label="toy")
     d = dmin_resonance_rule(model, level, factor=1.5)
-    assert d == pytest.approx(2.0 ** (1.0 / 6.0), rel=1e-9)
+    assert d == pytest.approx(2.0 ** (1.0 / 6.0), rel=1e-9, abs=0.0)
 
 
 def test_dmin_anchor_radius_recovered():
@@ -93,7 +93,7 @@ def test_dmin_anchor_radius_recovered():
     model = fit_single_anchor("c6", b, 20.0 * UM)
     level = RydbergLevel(n=150, tau=820e-6, gap=b / 1.5, label="anchor")
     assert dmin_resonance_rule(model, level, factor=1.5) == pytest.approx(
-        20.0 * UM, rel=1e-9
+        20.0 * UM, rel=1e-9, abs=0.0
     )
 
 

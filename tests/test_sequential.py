@@ -61,8 +61,8 @@ def test_frozen_k5_budget():
     )
     assert budget.terms.keys() == FROZEN_K5.keys()
     for name, expected in FROZEN_K5.items():
-        assert budget.terms[name] == pytest.approx(expected, rel=1e-12), name
-    assert budget.total == pytest.approx(0.01568984196544752, rel=1e-12)
+        assert budget.terms[name] == pytest.approx(expected, rel=1e-12, abs=0.0), name
+    assert budget.total == pytest.approx(0.01568984196544752, rel=1e-12, abs=0.0)
 
 
 def test_first_control_decay_term_is_exact():
@@ -113,11 +113,11 @@ def test_grover_frozen_k5():
         _params(5, angular_from_mhz(1.0)), angular_from_mhz(20.0), 500e-6
     )
     assert tuple(budget.terms) == ("se_c_1", "se_c_2", "r_c_1", "r_c_2")
-    assert budget.total == pytest.approx(0.010928662428277192, rel=1e-12)
+    assert budget.total == pytest.approx(0.010928662428277192, rel=1e-12, abs=0.0)
     # the single-expression reduction is an independent diagnostic, kept
     # out of the total; it differs from the term sum only at higher order
     variant = budget.diagnostics["collapsed_total_variant"]
-    assert variant == pytest.approx(budget.total, rel=1e-6)
+    assert variant == pytest.approx(budget.total, rel=1e-6, abs=0.0)
     assert variant != budget.total
 
 
@@ -130,7 +130,7 @@ def test_lattice_collapses_to_uniform_for_constant_law(k):
     lattice = budget_sequential_lattice(_params(k, omega), ConstantLaw(b), geom, tau)
     uniform = budget_sequential_uniform(_params(k, omega), b, tau)
     for name in uniform.terms:
-        assert lattice.terms[name] == pytest.approx(uniform.terms[name], rel=1e-12), name
+        assert lattice.terms[name] == pytest.approx(uniform.terms[name], rel=1e-12, abs=0.0), name
     assert lattice.mode == "lattice"
     assert uniform.mode == "uniform"
 
@@ -146,12 +146,12 @@ def test_lattice_geometry_k_mismatch_rejected():
 def test_duration_sequential():
     # 2k+3 pi pulses at pi/omega each: k=5 at omega/2pi = 1 MHz gives 6.5 us
     p = _params(5, angular_from_mhz(1.0))
-    assert gate_duration_sequential(p) == pytest.approx(6.5e-6, rel=1e-12)
+    assert gate_duration_sequential(p) == pytest.approx(6.5e-6, rel=1e-12, abs=0.0)
 
 
 def test_duration_grover():
     p = _params(5, angular_from_mhz(1.0))
-    assert gate_duration_grover(p) == pytest.approx(5.0e-6, rel=1e-12)
+    assert gate_duration_grover(p) == pytest.approx(5.0e-6, rel=1e-12, abs=0.0)
 
 
 @given(k=st.integers(min_value=1, max_value=64))
@@ -159,9 +159,9 @@ def test_durations_scale_linearly_in_k(k):
     omega = 2.0e6
     p = _params(k, omega)
     assert gate_duration_sequential(p) == pytest.approx(
-        (2 * k + 3) * math.pi / omega, rel=1e-12
+        (2 * k + 3) * math.pi / omega, rel=1e-12, abs=0.0
     )
-    assert gate_duration_grover(p) == pytest.approx(2 * k * math.pi / omega, rel=1e-12)
+    assert gate_duration_grover(p) == pytest.approx(2 * k * math.pi / omega, rel=1e-12, abs=0.0)
 
 
 def test_worst_case_detuned_inv_sq_uses_nearer_resonance():

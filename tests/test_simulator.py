@@ -111,7 +111,7 @@ def test_blocked_drive_leak_matches_two_level_solution(x):
     state = evolve(state, PulseStep("g0-r", OMEGA, atoms=(1,)), v)
     leak = abs(state.amplitudes[3 * 2 + 2]) ** 2
     expected = math.sin(0.5 * math.pi * math.sqrt(1.0 + x * x)) ** 2 / (1.0 + x * x)
-    assert leak == pytest.approx(expected, rel=1e-9)
+    assert leak == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_rotation_error_scales_as_inverse_b_squared():
@@ -120,8 +120,8 @@ def test_rotation_error_scales_as_inverse_b_squared():
         seq = canonical_sequence("sequential", 2, omega=OMEGA)
         res = gate_error_sim(seq, 2, uniform_interactions(2, ratio * OMEGA))
         errs.append(res.avg_error)
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
+    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2, abs=0.0)
+    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2, abs=0.0)
 
 
 # ----------------------------------------------------------------- decay
@@ -139,8 +139,8 @@ def test_decay_only_error_matches_budget_exposure(k):
         GateParams(k=k, omega10=W10, omega=OMEGA), math.inf, tau
     )
     decay_budget = bud.terms["se_c_1"] + bud.terms["se_t_1"]
-    assert float(np.mean(res.errors_by_input)) == pytest.approx(decay_budget, rel=1e-3)
-    assert res.avg_error == pytest.approx(decay_budget, rel=1e-3)
+    assert float(np.mean(res.errors_by_input)) == pytest.approx(decay_budget, rel=1e-3, abs=0.0)
+    assert res.avg_error == pytest.approx(decay_budget, rel=1e-3, abs=0.0)
 
 
 def test_norm_deficit_accumulates_only_with_decay():
@@ -157,14 +157,14 @@ def test_norm_deficit_accumulates_only_with_decay():
 def test_sequence_durations():
     seq = canonical_sequence("sequential", 5, omega=OMEGA)
     assert len(seq) == 13
-    assert sequence_duration(seq) == pytest.approx(13.0 * math.pi / OMEGA, rel=1e-12)
+    assert sequence_duration(seq) == pytest.approx(13.0 * math.pi / OMEGA, rel=1e-12, abs=0.0)
     grover = canonical_sequence("grover", 5, omega=OMEGA)
     assert len(grover) == 10
     simultaneous = canonical_sequence(
         "simultaneous", 5, omega_c=10.0 * OMEGA, omega_t=OMEGA
     )
     assert sequence_duration(simultaneous) == pytest.approx(
-        3.0 * math.pi / OMEGA + 2.0 * math.pi / (10.0 * OMEGA), rel=1e-12
+        3.0 * math.pi / OMEGA + 2.0 * math.pi / (10.0 * OMEGA), rel=1e-12, abs=0.0
     )
 
 

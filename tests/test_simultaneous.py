@@ -77,10 +77,10 @@ def test_uniform_rotation_term_matches_weight():
     budget = budget_simultaneous_uniform(p)
     ratio2 = (p.d_cc / p.omega_c) ** 2
     assert budget.terms["r_c_1"] == pytest.approx(
-        float(cc_rotation_weight(35)) * ratio2, rel=1e-12
+        float(cc_rotation_weight(35)) * ratio2, rel=1e-12, abs=0.0
     )
     assert budget.diagnostics["r_c_1_cubic_variant"] == pytest.approx(
-        (35**3 - 35) / 16.0 * ratio2, rel=1e-12
+        (35**3 - 35) / 16.0 * ratio2, rel=1e-12, abs=0.0
     )
 
 
@@ -93,7 +93,7 @@ def test_uniform_term_names_and_total():
 def test_target_blockade_sums_small_k_by_hand():
     # k=2, b=1, w10=0: j=1 weight 2/4 at 1/1, j=2 weight 1/4 at 1/4
     s_block, s_split = target_blockade_sums(2, 1.0, 0.0)
-    assert s_block == pytest.approx(0.5 + 0.25 / 4.0, rel=1e-14)
+    assert s_block == pytest.approx(0.5 + 0.25 / 4.0, rel=1e-14, abs=0.0)
     assert s_split == s_block
 
 
@@ -161,7 +161,7 @@ def _lattice_budget(k: int):
 
 def test_lattice_totals_frozen():
     for k, expected in FROZEN_LATTICE_TOTALS.items():
-        assert _lattice_budget(k).total == pytest.approx(expected, rel=1e-10), k
+        assert _lattice_budget(k).total == pytest.approx(expected, rel=1e-10, abs=0.0), k
 
 
 def test_lattice_totals_grow_monotonically():
@@ -189,14 +189,14 @@ def test_lattice_collapses_to_uniform_for_constant_models():
     )
     uniform = budget_simultaneous_uniform(p)
     for name in uniform.terms:
-        assert lattice.terms[name] == pytest.approx(uniform.terms[name], rel=1e-9), name
+        assert lattice.terms[name] == pytest.approx(uniform.terms[name], rel=1e-9, abs=0.0), name
 
 
 def test_duration_k35_frequencies():
     p = _uniform_params(35)
     expected = 3.0 * math.pi / p.omega_t + 2.0 * math.pi / p.omega_c
-    assert gate_duration_simultaneous(p) == pytest.approx(expected, rel=1e-15)
-    assert gate_duration_simultaneous(p) == pytest.approx(0.94006410e-6, rel=1e-6)
+    assert gate_duration_simultaneous(p) == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert gate_duration_simultaneous(p) == pytest.approx(0.94006410e-6, rel=1e-6, abs=0.0)
 
 
 def test_blockade_regime_warning():
