@@ -3,7 +3,6 @@
 from .budget import ErrorBudget, LaurentBudget
 from .lattice import LatticeGeometry, PairSets, build_layout, pair_sets
 from .model import (
-    GateParams,
     InteractionModel,
     InvalidModelError,
     OutOfRangeError,
@@ -23,8 +22,6 @@ from .sequential import (
     budget_grover_uniform,
     budget_sequential_lattice,
     budget_sequential_uniform,
-    gate_duration_grover,
-    gate_duration_sequential,
     worst_case_detuned_inv_sq,
 )
 from .simulator import (
@@ -43,11 +40,9 @@ from .simulator import (
 )
 from .simultaneous import (
     BlockadeRegimeWarning,
-    SimultaneousParams,
     budget_simultaneous_lattice,
     budget_simultaneous_uniform,
     cc_rotation_weight,
-    gate_duration_simultaneous,
     subset_inverse_square_expectations,
     target_blockade_sums,
 )
@@ -57,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockadeRegimeWarning",
     "ErrorBudget",
-    "GateParams",
     "InteractionModel",
     "InvalidModelError",
     "LatticeGeometry",
@@ -70,7 +64,6 @@ __all__ = [
     "RydbergLevel",
     "SimResult",
     "SimState",
-    "SimultaneousParams",
     "budget_grover_uniform",
     "budget_sequential_lattice",
     "budget_sequential_uniform",
@@ -84,9 +77,6 @@ __all__ = [
     "e_opt_analytic",
     "evolve",
     "fit_single_anchor",
-    "gate_duration_grover",
-    "gate_duration_sequential",
-    "gate_duration_simultaneous",
     "gate_error_sim",
     "ideal_output_index",
     "ideal_output_phase",

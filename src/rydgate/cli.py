@@ -30,7 +30,7 @@ from typing import Any
 
 from .budget import ErrorBudget
 from .lattice import build_layout
-from .model import GateParams, InteractionModel, fit_single_anchor
+from .model import InteractionModel, fit_single_anchor
 from .optimize import (
     DEFAULT_BRACKET,
     OptimizationResult,
@@ -48,18 +48,15 @@ from .schemas import (
 from .sequential import (
     GROVER_TERMS,
     SEQUENTIAL_TERMS,
-    gate_duration_grover,
-    gate_duration_sequential,
-    laurent_grover_uniform,
-    laurent_sequential_lattice,
-    laurent_sequential_uniform,
+    budget_grover_uniform,
+    budget_sequential_lattice,
+    budget_sequential_uniform,
 )
 from .simultaneous import (
     SIMULTANEOUS_TERMS,
-    SimultaneousParams,
-    gate_duration_simultaneous,
-    laurent_simultaneous_lattice,
-    laurent_simultaneous_uniform,
+    BlockadeRegimeWarning,
+    budget_simultaneous_lattice,
+    budget_simultaneous_uniform,
 )
 from .simulator import (
     _MAX_K_TABLE,
@@ -391,7 +388,9 @@ class _Case:
     configured shift for uniform runs; for lattice runs the geometric mean
     of every pair shift (sequential) or the control-target and
     control-control means (simultaneous).  ``analytic`` holds the
-    analytic-optimum cells of the single-frequency schemes.
+    analytic-optimum cells of the single-frequency schemes.  ``d_cc_max``
+    is the largest control-control shift (rad/s) of the collective gate,
+    and 0 for the one-at-a-time gates.
     """
 
     def __init__(self, cfg: dict[str, Any], entry: dict[str, Any] | None, k: int):
@@ -405,6 +404,7 @@ class _Case:
             "k": k,
         }
         self.analytic: dict[str, float] = {}
+        self.d_cc_max = 0.0
         lifetimes = cfg["lattice"] if entry is None else entry
         if entry is None:
             geom = build_layout(meters_from_um(cfg["lattice"]["d_um"]), k)
@@ -412,51 +412,52 @@ class _Case:
         if scheme == "simultaneous":
             tau_c = seconds_from_us(lifetimes["tau_c_us"])
             tau_t = seconds_from_us(lifetimes["tau_t_us"])
-            b_ct = d_cc = None
             if entry is not None:
                 b_ct = angular_from_mhz(entry["b_ct_mhz"])
-                d_cc = angular_from_mhz(entry["d_cc_mhz"])
+                self.d_cc_max = angular_from_mhz(entry["d_cc_mhz"])
                 self.head.update(b_ct_mhz=entry["b_ct_mhz"], d_cc_mhz=entry["d_cc_mhz"])
-                self.laurent = laurent_simultaneous_uniform(k, b_ct, d_cc, tau_c, tau_t, omega10)
+                self.laurent = budget_simultaneous_uniform(
+                    k, b_ct, self.d_cc_max, tau_c, tau_t, omega10
+                )
             else:
                 model_ct = build_interaction(cfg["interaction_ct"], "interaction_ct")
                 model_cc = build_interaction(cfg["interaction_cc"], "interaction_cc")
-                self.laurent = laurent_simultaneous_lattice(
+                self.laurent = budget_simultaneous_lattice(
                     model_ct, model_cc, geom, tau_c, tau_t, omega10
                 )
                 ct, cc = self.laurent.pair_shifts
+                self.d_cc_max = max(cc, default=0.0)
                 self.head["b_ct_mhz"] = mhz_from_angular(math.fsum(ct) / k)
                 self.head["d_cc_mhz"] = mhz_from_angular(math.fsum(cc) / len(cc)) if cc else 0.0
-            self._params = lambda oc, ot: SimultaneousParams(
-                k=k, omega_c=oc, omega_t=ot, tau_c=tau_c, tau_t=tau_t,
-                omega10=omega10, b_ct=b_ct, d_cc=d_cc,
-            )
-            self._duration = gate_duration_simultaneous
             return
 
         tau = seconds_from_us(lifetimes["tau_us"])
         if entry is not None:
             b = angular_from_mhz(entry["b_mhz"])
-            uniform = laurent_grover_uniform if scheme == "grover" else laurent_sequential_uniform
+            uniform = budget_grover_uniform if scheme == "grover" else budget_sequential_uniform
             self.laurent = uniform(k, b, tau, omega10)
         else:
             model = build_interaction(cfg["interaction"], "interaction")
-            self.laurent = laurent_sequential_lattice(model, geom, tau, omega10)
+            self.laurent = budget_sequential_lattice(model, geom, tau, omega10)
             shifts = [v for group in self.laurent.pair_shifts for v in group]
             b = math.exp(math.fsum(math.log(v) for v in shifts) / len(shifts))
-        self._params = lambda om: GateParams(k=k, omega10=omega10, omega=om)
-        self._duration = gate_duration_grover if scheme == "grover" else gate_duration_sequential
         self.head["b_mhz"] = mhz_from_angular(b)
         self.analytic = {
             "omega_opt_analytic_mhz": mhz_from_angular(omega_opt_analytic(b, tau)),
             "e_opt_analytic": e_opt_analytic(b, tau, k),
         }
 
-    def evaluate(self, *omegas: float) -> tuple[float, ErrorBudget]:
-        """Gate duration and budget at one set of drive frequencies; the
-        drive parameters are built here, so a regime warning fires once per
-        reported row."""
-        return self._duration(self._params(*omegas)), self.laurent.at(*omegas)
+    def evaluate(self, command: str, *omegas: float) -> tuple[float, ErrorBudget]:
+        """Gate duration and budget of a reported row at its drive
+        frequencies, warning on stderr when a control-control shift reaches
+        omega_c, outside the perturbative regime of the collective gate."""
+        if self.d_cc_max >= omegas[0]:
+            name = "d_cc_mhz" if self.head["mode"] == "uniform" else "the largest pair's d_cc_mhz"
+            warnings.warn(f"{command} row k={self.head['k']} label {self.head['label']!r}: "
+                          f"{name} = {mhz_from_angular(self.d_cc_max):g} MHz reaches "
+                          f"omega_c_mhz = {mhz_from_angular(omegas[0]):g} MHz; the perturbative "
+                          "budget is outside its regime", BlockadeRegimeWarning, stacklevel=2)
+        return self.laurent.duration(*omegas), self.laurent.at(*omegas)
 
     def optimize(self, command: str) -> OptimizationResult:
         """Minimize the total error over the drive frequencies, warning on
@@ -496,7 +497,7 @@ def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
             omegas = opt.argmin
         row = dict(case.head)
         row.update((key, mhz_from_angular(om)) for key, om in zip(keys, omegas))
-        duration, budget = case.evaluate(*omegas)
+        duration, budget = case.evaluate(command, *omegas)
         row["duration_us"] = us_from_seconds(duration)
         row.update(budget.as_dict())
         row.update(case.analytic)

@@ -1,9 +1,8 @@
 """Physical inputs for the gate error model.
 
-Holds the Rydberg level data, the pairwise interaction laws used to map
-interatomic distance to a blockade shift, and the drive parameters shared by
-the budget modules.  Interaction strengths are angular frequencies (rad/s),
-distances are meters.
+Holds the Rydberg level data and the pairwise interaction laws used to map
+interatomic distance to a blockade shift.  Interaction strengths are
+angular frequencies (rad/s), distances are meters.
 """
 
 from __future__ import annotations
@@ -178,30 +177,3 @@ def dmin_resonance_rule(model, level: RydbergLevel, factor: float = 1.5) -> floa
             f"shift law is discontinuous at the solution; residual {residual:.3g}"
         )
     return d
-
-
-@dataclass(frozen=True)
-class GateParams:
-    """Drive parameters shared by the budget functions.
-
-    omega is the single Rabi frequency of the one-at-a-time addressing
-    scheme; omega_c/omega_t are the control and target Rabi frequencies
-    of the all-controls-at-once scheme.  Unused fields may stay None.
-    omega10 is the qubit ground-state splitting.  All rad/s.
-    """
-
-    k: int
-    omega10: float
-    omega: float | None = None
-    omega_c: float | None = None
-    omega_t: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("number of control atoms k must be >= 1")
-        if not (self.omega10 > 0.0):
-            raise ValueError("omega10 must be positive")
-        for name in ("omega", "omega_c", "omega_t"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0.0):
-                raise ValueError(f"{name} must be positive when set")

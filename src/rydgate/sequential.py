@@ -24,23 +24,25 @@ produced it, weighted by the probability that this pair is the one acting
 (the first control found in |0> blocks everyone after it, which happens
 with probability 2^-i for control i in excitation order).
 
-Every term is c Omega^p with p in {-1, 1, 2}.  ``laurent_sequential_uniform``
-and ``laurent_sequential_lattice`` build those coefficients once (the
+Every term is c Omega^p with p in {-1, 1, 2}.  ``budget_sequential_uniform``
+and ``budget_sequential_lattice`` build those coefficients once (the
 uniform closed forms are the lattice pair sums with one shift for every
-pair), and the ``budget_*`` functions evaluate them at one frequency.
+pair), together with the pulse time (2k+3) pi / Omega; the returned
+``LaurentBudget`` is evaluated at any frequency with ``at`` or ``table``.
 
 A phase-inversion variant with 2k pulses and no target (the conditional
 phase used inside quantum-search circuits) shares the control bookkeeping;
-its four terms are evaluated by ``budget_grover_uniform``.
+``budget_grover_uniform`` builds its four terms and its 2k pi / Omega pulse
+time.
 """
 
 from __future__ import annotations
 
 import math
 
-from .budget import _MAX_K, ErrorBudget, LaurentBudget
+from .budget import LaurentBudget, check_inputs
 from .lattice import LatticeGeometry, pair_sets
-from .model import GateParams, pair_shift
+from .model import pair_shift
 
 SEQUENTIAL_TERMS = (
     "se_c_1",
@@ -54,21 +56,6 @@ SEQUENTIAL_TERMS = (
 )
 
 GROVER_TERMS = ("se_c_1", "se_c_2", "r_c_1", "r_c_2")
-
-
-def _check_inputs(k: int, b: float | None, tau: float) -> None:
-    if k > _MAX_K:
-        raise ValueError(f"k = {k} exceeds the supported maximum of {_MAX_K}")
-    if b is not None and not (b > 0.0):
-        raise ValueError("blockade shift b must be positive")
-    if not (tau > 0.0):
-        raise ValueError("lifetime tau must be positive")
-
-
-def _drive(p: GateParams) -> float:
-    if p.omega is None:
-        raise ValueError("GateParams.omega is required for this scheme")
-    return p.omega
 
 
 def worst_case_detuned_inv_sq(omega10: float, b: float) -> float:
@@ -110,23 +97,25 @@ def _sequential_laurent(
     cc_slots_inv_sq, cc_inv_sq, cc_det, ct_inv_sq, ct_det = sums
     half_k = math.ldexp(1.0, -k)
     inv_w10 = 1.0 / (omega10 * omega10)
-    terms = {
-        "se_c_1": (2.0 * math.pi * k / tau, 0.0, 0.0),
-        "se_c_2": (0.0, math.pi / (2.0 * tau) * cc_slots_inv_sq, 0.0),
-        "se_t_1": (math.pi / tau * half_k, 0.0, 0.0),
-        "se_t_2": (0.0, 5.0 * math.pi / (8.0 * tau) * ct_inv_sq, 0.0),
-        "r_c_1": (0.0, 0.0, cc_inv_sq),
-        "r_c_2": (0.0, 0.0, inv_w10 * (1.0 - half_k) + cc_det),
-        "r_t_1": (0.0, 0.0, 0.75 * ct_inv_sq),
-        "r_t_2": (0.0, 0.0, half_k * 0.5 * inv_w10 + 1.5 * ct_det),
-    }
-    return LaurentBudget("sequential", mode, _POWERS, terms, pair_shifts=pair_shifts)
+    rows = (
+        (2.0 * math.pi * k / tau, 0.0, 0.0),  # se_c_1
+        (0.0, math.pi / (2.0 * tau) * cc_slots_inv_sq, 0.0),  # se_c_2
+        (math.pi / tau * half_k, 0.0, 0.0),  # se_t_1
+        (0.0, 5.0 * math.pi / (8.0 * tau) * ct_inv_sq, 0.0),  # se_t_2
+        (0.0, 0.0, cc_inv_sq),  # r_c_1
+        (0.0, 0.0, inv_w10 * (1.0 - half_k) + cc_det),  # r_c_2
+        (0.0, 0.0, 0.75 * ct_inv_sq),  # r_t_1
+        (0.0, 0.0, half_k * 0.5 * inv_w10 + 1.5 * ct_det),  # r_t_2
+    )
+    return LaurentBudget("sequential", mode, _POWERS, dict(zip(SEQUENTIAL_TERMS, rows)),
+                         pair_shifts=pair_shifts, pulse_time=((2 * k + 3) * math.pi,))
 
 
-def laurent_sequential_uniform(k: int, b: float, tau: float, omega10: float) -> LaurentBudget:
+def budget_sequential_uniform(k: int, b: float, tau: float, omega10: float) -> LaurentBudget:
     """Closed-form budget with one blockade shift ``b`` (rad/s) for every
-    pair; ``tau`` is the Rydberg lifetime, s."""
-    _check_inputs(k, b, tau)
+    pair; ``tau`` is the Rydberg lifetime, s, and ``omega10`` the qubit
+    splitting, rad/s."""
+    check_inputs(k, (b,), (tau,), omega10)
     half_k = math.ldexp(1.0, -k)  # 2^-k, exact
     inv_b2 = 1.0 / (b * b)
     det = worst_case_detuned_inv_sq(omega10, b)
@@ -136,33 +125,25 @@ def laurent_sequential_uniform(k: int, b: float, tau: float, omega10: float) -> 
     return _sequential_laurent(k, tau, omega10, "uniform", sums)
 
 
-def budget_sequential_uniform(p: GateParams, b: float, tau: float) -> ErrorBudget:
-    """Closed-form budget with one blockade shift ``b`` for every pair.
-
-    Parameters
-    ----------
-    p : GateParams
-        Needs ``omega``, ``omega10``, ``k``.
-    b : float
-        Blockade shift, rad/s.
-    tau : float
-        Rydberg lifetime, s.
-    """
-    return laurent_sequential_uniform(p.k, b, tau, p.omega10).at(_drive(p))
-
-
-def laurent_sequential_lattice(
+def budget_sequential_lattice(
     model, geom: LatticeGeometry, tau: float, omega10: float
 ) -> LaurentBudget:
-    """The lattice-averaged budget of one geometry, from one ``pair_shift``
-    per pair; ``pair_shifts`` holds the control-target shifts in excitation
-    order and the control-control shifts in ``pair_sets`` order."""
-    _check_inputs(geom.k, None, tau)
+    """Lattice-averaged budget: per-pair shifts inside the state sums.
+
+    Every blockade-dependent term is evaluated before collapsing, with the
+    shift of the concrete pair involved: the first-in-|0> control j blocks
+    control m through pair_shift(R_jm) and blocks the target through
+    pair_shift(R_j,target).  Terms without blockade dependence keep their
+    closed forms.  With a distance-independent model this reproduces
+    ``budget_sequential_uniform`` exactly.  The budget is built from one
+    ``pair_shift`` per pair; ``pair_shifts`` holds the control-target
+    shifts in excitation order and the control-control shifts in
+    ``pair_sets`` order.
+    """
     ps = pair_sets(geom)
     b_ct = tuple(pair_shift(model, r) for r in ps.control_target)
     b_cc = tuple(pair_shift(model, sep) for sep in ps.control_control_all)
-    if not all(shift > 0.0 for shift in b_ct + b_cc):
-        raise ValueError("pair shift must be positive for every pair")
+    check_inputs(geom.k, b_ct + b_cc, (tau,), omega10)
     cc_slots = cc_inv = cc_det = ct_inv = ct_det = 0.0
     for (j0, m0, _), b in zip(ps.control_control_ordered, b_cc):
         w = math.ldexp(1.0, -(j0 + 2))  # 2^-(j+1), 1-based blocker j
@@ -177,47 +158,7 @@ def laurent_sequential_lattice(
     return _sequential_laurent(geom.k, tau, omega10, "lattice", sums, (b_ct, b_cc))
 
 
-def budget_sequential_lattice(
-    p: GateParams, model, geom: LatticeGeometry, tau: float
-) -> ErrorBudget:
-    """Lattice-averaged budget: per-pair shifts inside the state sums.
-
-    Every blockade-dependent term is evaluated before collapsing, with the
-    shift of the concrete pair involved: the first-in-|0> control j blocks
-    control m through pair_shift(R_jm) and blocks the target through
-    pair_shift(R_j,target).  Terms without blockade dependence keep their
-    closed forms.  With a distance-independent model this reproduces
-    ``budget_sequential_uniform`` exactly.  Builds the coefficients once and
-    evaluates them; see ``laurent_sequential_lattice``.
-    """
-    if geom.k != p.k:
-        raise ValueError("geometry and GateParams disagree on k")
-    return laurent_sequential_lattice(model, geom, tau, p.omega10).at(_drive(p))
-
-
-def laurent_grover_uniform(k: int, b: float, tau: float, omega10: float) -> LaurentBudget:
-    """Coefficients of ``budget_grover_uniform``."""
-    _check_inputs(k, b, tau)
-    half_k = math.ldexp(1.0, -k)
-    inv_b2 = 1.0 / (b * b)
-    det = worst_case_detuned_inv_sq(omega10, b)
-    pairs = 0.5 * (k - 2.0 + 2.0 * half_k)
-    se_c_1 = math.pi / tau * (2.0 * k - 3.0 + 3.0 * half_k)
-    se_c_2 = math.pi * inv_b2 / (4.0 * tau) * (k * k - 4.0 * k + 6.0 - 6.0 * half_k)
-    r_c_1 = pairs * inv_b2
-    terms = {
-        "se_c_1": (se_c_1, 0.0, 0.0),
-        "se_c_2": (0.0, se_c_2, 0.0),
-        "r_c_1": (0.0, 0.0, r_c_1),
-        "r_c_2": (0.0, 0.0, (1.0 - half_k) / (omega10 * omega10) + pairs * det),
-    }
-    # the variant keeps k det / 2 of r_c_2 only
-    combined = (se_c_1, se_c_2, r_c_1 + 0.5 * det * k)
-    return LaurentBudget("grover", "uniform", _POWERS, terms,
-                         {"collapsed_total_variant": combined})
-
-
-def budget_grover_uniform(p: GateParams, b: float, tau: float) -> ErrorBudget:
+def budget_grover_uniform(k: int, b: float, tau: float, omega10: float) -> LaurentBudget:
     """Budget for the 2k-pulse conditional-phase variant (no target atom).
 
     The first control found in |0> makes a full 2 pi excursion through
@@ -227,18 +168,22 @@ def budget_grover_uniform(p: GateParams, b: float, tau: float) -> ErrorBudget:
     drops the omega10-only rotation piece and the 2^-k remainders of the
     combined detuning weight) is reported under diagnostics.
     """
-    return laurent_grover_uniform(p.k, b, tau, p.omega10).at(_drive(p))
-
-
-def gate_duration_sequential(p: GateParams) -> float:
-    """Total pulse time of the 2k+3 pi-pulse sequence, seconds."""
-    if p.omega is None:
-        raise ValueError("GateParams.omega is required")
-    return (2 * p.k + 3) * math.pi / p.omega
-
-
-def gate_duration_grover(p: GateParams) -> float:
-    """Total pulse time of the 2k-pulse conditional-phase sequence, seconds."""
-    if p.omega is None:
-        raise ValueError("GateParams.omega is required")
-    return 2 * p.k * math.pi / p.omega
+    check_inputs(k, (b,), (tau,), omega10)
+    half_k = math.ldexp(1.0, -k)
+    inv_b2 = 1.0 / (b * b)
+    det = worst_case_detuned_inv_sq(omega10, b)
+    pairs = 0.5 * (k - 2.0 + 2.0 * half_k)
+    se_c_1 = math.pi / tau * (2.0 * k - 3.0 + 3.0 * half_k)
+    se_c_2 = math.pi * inv_b2 / (4.0 * tau) * (k * k - 4.0 * k + 6.0 - 6.0 * half_k)
+    r_c_1 = pairs * inv_b2
+    rows = (
+        (se_c_1, 0.0, 0.0),  # se_c_1
+        (0.0, se_c_2, 0.0),  # se_c_2
+        (0.0, 0.0, r_c_1),  # r_c_1
+        (0.0, 0.0, (1.0 - half_k) / (omega10 * omega10) + pairs * det),  # r_c_2
+    )
+    # the variant keeps k det / 2 of r_c_2 only
+    combined = (se_c_1, se_c_2, r_c_1 + 0.5 * det * k)
+    return LaurentBudget("grover", "uniform", _POWERS, dict(zip(GROVER_TERMS, rows)),
+                         {"collapsed_total_variant": combined},
+                         pulse_time=(2 * k * math.pi,))

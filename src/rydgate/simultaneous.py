@@ -24,21 +24,20 @@ these sums depends on the drive frequencies.
 
 Every term is c omega_c^p (p in {-1, -2, 2}) or c omega_t^p (p in
 {-1, 2}), so the budget separates into an omega_c part and an omega_t
-part.  ``laurent_simultaneous_uniform`` and ``laurent_simultaneous_lattice``
-build those coefficients once; the ``budget_*`` functions evaluate them at
-one frequency pair.
+part.  ``budget_simultaneous_uniform`` and ``budget_simultaneous_lattice``
+build those coefficients once, together with the pulse time
+2 pi / omega_c + 3 pi / omega_t; the returned ``LaurentBudget`` is
+evaluated at any frequency pair with ``at``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .budget import _MAX_K, ErrorBudget, LaurentBudget
+from .budget import LaurentBudget, check_inputs
 from .lattice import LatticeGeometry, pair_sets
 from .model import pair_shift
 
@@ -58,46 +57,6 @@ SIMULTANEOUS_TERMS = ("se_c", "se_t", "r_c_1", "r_c_2", "r_t")
 
 class BlockadeRegimeWarning(UserWarning):
     """Control-control shift is not small against the control Rabi frequency."""
-
-
-@dataclass(frozen=True)
-class SimultaneousParams:
-    """Inputs for the collective-addressing budget.
-
-    Frequencies and shifts in rad/s, lifetimes in seconds.  ``tau_c`` is
-    the storage-level lifetime of the controls, ``tau_t`` the target
-    Rydberg lifetime.  ``b_ct``/``d_cc`` are the uniform per-pair shifts;
-    leave them None for lattice-averaged runs.
-    """
-
-    k: int
-    omega_c: float
-    omega_t: float
-    tau_c: float
-    tau_t: float
-    omega10: float
-    b_ct: float | None = None
-    d_cc: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.k > _MAX_K:
-            raise ValueError(f"k = {self.k} exceeds the supported maximum of {_MAX_K}")
-        for name in ("omega_c", "omega_t", "tau_c", "tau_t", "omega10"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive")
-        for name in ("b_ct", "d_cc"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0.0):
-                raise ValueError(f"{name} must be positive when set")
-        if self.d_cc is not None and abs(self.d_cc) >= self.omega_c:
-            warnings.warn(
-                "control-control shift >= control Rabi frequency; the "
-                "perturbative budget is outside its regime",
-                BlockadeRegimeWarning,
-                stacklevel=3,  # the caller of the generated __init__
-            )
 
 
 def cc_rotation_weight(k: int) -> Fraction:
@@ -149,37 +108,33 @@ def _simultaneous_laurent(
     cc_moment, e_block, e_split = sums
     half_k = math.ldexp(1.0, -k)
     se_c = math.pi * k / (2.0 * tau_c)
-    terms = {
-        "se_c": (se_c, 0.0, 0.0, 3.0 * se_c, 0.0),
-        "se_t": (0.0, 0.0, 0.0, math.pi / tau_t * half_k, 0.0),
-        "r_c_1": (0.0, cc_moment / 4.0, 0.0, 0.0, 0.0),
-        "r_c_2": (0.0, 0.0, k / (2.0 * omega10**2), 0.0, 0.0),
-        "r_t": (0.0, 0.0, 0.0, 0.0, 0.75 * (e_block + e_split)),
-    }
+    rows = (
+        (se_c, 0.0, 0.0, 3.0 * se_c, 0.0),  # se_c
+        (0.0, 0.0, 0.0, math.pi / tau_t * half_k, 0.0),  # se_t
+        (0.0, cc_moment / 4.0, 0.0, 0.0, 0.0),  # r_c_1
+        (0.0, 0.0, k / (2.0 * omega10**2), 0.0, 0.0),  # r_c_2
+        (0.0, 0.0, 0.0, 0.0, 0.75 * (e_block + e_split)),  # r_t
+    )
     diagnostics = dict(
         diagnostics or {},
         r_t_blockade_part=(0.0, 0.0, 0.0, 0.0, 0.75 * e_block),
         r_t_splitting_part=(0.0, 0.0, 0.0, 0.0, 0.75 * e_split),
     )
-    return LaurentBudget("simultaneous", mode, _POWERS, terms, diagnostics, pair_shifts)
+    return LaurentBudget("simultaneous", mode, _POWERS, dict(zip(SIMULTANEOUS_TERMS, rows)),
+                         diagnostics, pair_shifts, pulse_time=(2.0 * math.pi, 3.0 * math.pi))
 
 
-def laurent_simultaneous_uniform(
+def budget_simultaneous_uniform(
     k: int, b_ct: float, d_cc: float, tau_c: float, tau_t: float, omega10: float
 ) -> LaurentBudget:
-    """Closed-form coefficients with uniform per-pair shifts (rad/s)."""
+    """Closed-form budget with uniform per-pair shifts ``b_ct`` and
+    ``d_cc`` (rad/s); ``tau_c`` is the storage-level lifetime of the
+    controls, ``tau_t`` the target Rydberg lifetime (s)."""
+    check_inputs(k, (b_ct, d_cc), (tau_c, tau_t), omega10)
     cc_moment = 4.0 * d_cc**2 * float(cc_rotation_weight(k))
     cubic = {"r_c_1_cubic_variant": (0.0, d_cc**2 * (k**3 - k) / 16.0, 0.0, 0.0, 0.0)}
     sums = (cc_moment, *target_blockade_sums(k, b_ct, omega10))
     return _simultaneous_laurent(k, tau_c, tau_t, omega10, "uniform", sums, cubic)
-
-
-def budget_simultaneous_uniform(p: SimultaneousParams) -> ErrorBudget:
-    """Closed-form budget with uniform per-pair shifts."""
-    if p.b_ct is None or p.d_cc is None:
-        raise ValueError("uniform budget requires b_ct and d_cc")
-    laurent = laurent_simultaneous_uniform(p.k, p.b_ct, p.d_cc, p.tau_c, p.tau_t, p.omega10)
-    return laurent.at(p.omega_c, p.omega_t)
 
 
 def subset_inverse_square_expectations(
@@ -206,19 +161,28 @@ def subset_inverse_square_expectations(
     return float(e_block), float(e_split)
 
 
-def laurent_simultaneous_lattice(
+def budget_simultaneous_lattice(
     model_ct, model_cc, geom: LatticeGeometry, tau_c: float, tau_t: float, omega10: float
 ) -> LaurentBudget:
-    """The lattice-averaged coefficients of one geometry, from one
-    ``pair_shift`` per pair; ``pair_shifts`` holds the control-target
+    """Lattice-averaged budget with per-pair control-target and
+    control-control interaction models.
+
+    The control-control rotation term uses the exact second moment of the
+    summed shift each control sees from the random excited subset of the
+    others: with the row sums s1 of the control-control shift matrix D and
+    s2 of D^2, cc_moment = sum 1/2 s2 + 1/4 (s1^2 - s2).  The
+    blocked-target term averages 1/X^2 over the excited subset exactly
+    (see ``subset_inverse_square_expectations``).  Constant models
+    reproduce ``budget_simultaneous_uniform``.  The budget is built from
+    one ``pair_shift`` per pair; ``pair_shifts`` holds the control-target
     shifts in excitation order and the control-control shifts in
-    ``pair_sets`` order.  With the row sums s1 of the control-control
-    shift matrix D and s2 of D^2, cc_moment = sum 1/2 s2 + 1/4 (s1^2 - s2).
+    ``pair_sets`` order.
     """
     k = geom.k
     ps = pair_sets(geom)
     b_ct = tuple(pair_shift(model_ct, r) for r in ps.control_target)
     d_cc = tuple(pair_shift(model_cc, sep) for sep in ps.control_control_all)
+    check_inputs(k, b_ct + d_cc, (tau_c, tau_t), omega10)
     d = np.zeros((k, k))
     for (i, j, _), shift in zip(ps.control_control_ordered, d_cc):
         d[i, j] = d[j, i] = shift
@@ -228,31 +192,3 @@ def laurent_simultaneous_lattice(
     sums = (cc_moment, *subset_inverse_square_expectations(b_ct, omega10))
     return _simultaneous_laurent(k, tau_c, tau_t, omega10, "lattice", sums,
                                  pair_shifts=(b_ct, d_cc))
-
-
-def budget_simultaneous_lattice(
-    p: SimultaneousParams, model_ct, model_cc, geom: LatticeGeometry
-) -> ErrorBudget:
-    """Lattice-averaged budget with per-pair control-target and
-    control-control interaction models.
-
-    The control-control rotation term uses the exact second moment of the
-    summed shift each control sees from the random excited subset of the
-    others.  The blocked-target term averages 1/X^2 over the excited
-    subset exactly (see ``subset_inverse_square_expectations``).  Constant
-    models reproduce ``budget_simultaneous_uniform``.  Builds the
-    coefficients of ``geom`` and evaluates them once; see
-    ``laurent_simultaneous_lattice``.
-    """
-    if geom.k != p.k:
-        raise ValueError("geometry and SimultaneousParams disagree on k")
-    laurent = laurent_simultaneous_lattice(
-        model_ct, model_cc, geom, p.tau_c, p.tau_t, p.omega10
-    )
-    return laurent.at(p.omega_c, p.omega_t)
-
-
-def gate_duration_simultaneous(p: SimultaneousParams) -> float:
-    """Total pulse time: three target pi pulses plus two collective
-    control pi pulses, seconds."""
-    return 3.0 * math.pi / p.omega_t + 2.0 * math.pi / p.omega_c

@@ -20,9 +20,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from rydgate import ErrorBudget, GateParams, OptimizationResult, pair_sets, pair_shift
+from rydgate import ErrorBudget, OptimizationResult, pair_sets, pair_shift
+from rydgate.budget import check_inputs
 from rydgate.optimize import DEFAULT_BRACKET
-from rydgate.sequential import _check_inputs, worst_case_detuned_inv_sq
+from rydgate.sequential import worst_case_detuned_inv_sq
 from rydgate.simultaneous import subset_inverse_square_expectations
 
 
@@ -59,15 +60,15 @@ def _sum_blocked_pair_weight(k: int) -> Fraction:
     )
 
 
-def sum_oracle_sequential(p: GateParams, b: float, tau: float) -> ErrorBudget:
-    """Budget evaluated from the per-state sums before any collapse.
+def sum_oracle_sequential(k: int, b: float, tau: float, w10: float, om: float) -> ErrorBudget:
+    """Budget at drive frequency ``om`` evaluated from the per-state sums
+    before any collapse.
 
     Combinatorial weights are exact rationals; only the final product with
     the physical prefactor is floating point.  Serves as the independent
     oracle for ``budget_sequential_uniform``.
     """
-    _check_inputs(p.k, b, tau)
-    k, om, w10 = p.k, p.omega, p.omega10
+    check_inputs(k, (b,), (tau,), w10)
     det = worst_case_detuned_inv_sq(w10, b)
 
     se_c_1 = math.pi / (om * tau) * float(_sum_se_c_1_weight(k))
@@ -105,7 +106,7 @@ def sum_oracle_sequential(p: GateParams, b: float, tau: float) -> ErrorBudget:
     return ErrorBudget.from_terms("sequential", "uniform", terms)
 
 
-def sum_oracle_grover(p: GateParams, b: float, tau: float) -> ErrorBudget:
+def sum_oracle_grover(k: int, b: float, tau: float, w10: float, om: float) -> ErrorBudget:
     """Per-state-sum oracle for ``budget_grover_uniform``.
 
     Re-derived from the same bookkeeping as the C_kNOT sums: the first
@@ -113,8 +114,7 @@ def sum_oracle_grover(p: GateParams, b: float, tau: float) -> ErrorBudget:
     pulses; blocked pair weights are identical because dropping the target
     halves both the state count and the pair-state count.
     """
-    _check_inputs(p.k, b, tau)
-    k, om, w10 = p.k, p.omega, p.omega10
+    check_inputs(k, (b,), (tau,), w10)
     det = worst_case_detuned_inv_sq(w10, b)
 
     w = sum(
@@ -143,21 +143,17 @@ def sum_oracle_grover(p: GateParams, b: float, tau: float) -> ErrorBudget:
     return ErrorBudget.from_terms("grover", "uniform", terms)
 
 
-def sequential_lattice_loops(p, model, geom, tau) -> ErrorBudget:
-    """Lattice-averaged sequential budget, summed pair by pair per call."""
-    _check_inputs(p.k, None, tau)
-    if geom.k != p.k:
-        raise ValueError("geometry and GateParams disagree on k")
-    k, om, w10 = p.k, p.omega, p.omega10
+def sequential_lattice_loops(model, geom, tau, w10, om) -> ErrorBudget:
+    """Lattice-averaged sequential budget at drive frequency ``om``, summed
+    pair by pair per call."""
+    k = geom.k
     half_k = math.ldexp(1.0, -k)
     ps = pair_sets(geom)
     b_ct = [pair_shift(model, r) for r in ps.control_target]
     b_cc: dict[tuple[int, int], float] = {
         (i, j): pair_shift(model, sep) for (i, j, sep) in ps.control_control_ordered
     }
-    for shift in list(b_cc.values()) + b_ct:
-        if not (shift > 0.0):
-            raise ValueError("pair shift must be positive for every pair")
+    check_inputs(k, [*b_cc.values(), *b_ct], (tau,), w10)
 
     # weight of (blocker j, blocked m): 2^-(j+1) with 1-based j
     def blocker_weight(j1: int) -> float:
@@ -201,11 +197,12 @@ def sequential_lattice_loops(p, model, geom, tau) -> ErrorBudget:
     return ErrorBudget.from_terms("sequential", "lattice", terms)
 
 
-def simultaneous_lattice_loops(p, model_ct, model_cc, geom) -> ErrorBudget:
-    """Lattice-averaged simultaneous budget, summed pair by pair per call."""
-    if geom.k != p.k:
-        raise ValueError("geometry and SimultaneousParams disagree on k")
-    k = p.k
+def simultaneous_lattice_loops(
+    model_ct, model_cc, geom, tau_c, tau_t, w10, omega_c, omega_t
+) -> ErrorBudget:
+    """Lattice-averaged simultaneous budget at (``omega_c``, ``omega_t``),
+    summed pair by pair per call."""
+    k = geom.k
     half_k = math.ldexp(1.0, -k)
     ps = pair_sets(geom)
     b_ct = tuple(pair_shift(model_ct, r) for r in ps.control_target)
@@ -213,10 +210,10 @@ def simultaneous_lattice_loops(p, model_ct, model_cc, geom) -> ErrorBudget:
     for (i, j, sep) in ps.control_control_ordered:
         d[i, j] = d[j, i] = pair_shift(model_cc, sep)
 
-    se_c = math.pi * k / (2.0 * p.omega_c * p.tau_c) + 3.0 * math.pi * k / (
-        2.0 * p.omega_t * p.tau_c
+    se_c = math.pi * k / (2.0 * omega_c * tau_c) + 3.0 * math.pi * k / (
+        2.0 * omega_t * tau_c
     )
-    se_t = math.pi / (p.omega_t * p.tau_t) * half_k
+    se_t = math.pi / (omega_t * tau_t) * half_k
 
     # E[(sum_m eps_m D_im)^2] with independent eps ~ Bernoulli(1/2):
     # 1/2 sum D^2 + 1/4 sum_{m != m'} D D'
@@ -225,12 +222,12 @@ def simultaneous_lattice_loops(p, model_ct, model_cc, geom) -> ErrorBudget:
         row = np.delete(d[i], i)
         s1 = float(np.sum(row))
         s2 = float(np.sum(row * row))
-        r_c_1 += (0.5 * s2 + 0.25 * (s1 * s1 - s2)) / (4.0 * p.omega_c**2)
+        r_c_1 += (0.5 * s2 + 0.25 * (s1 * s1 - s2)) / (4.0 * omega_c**2)
 
-    r_c_2 = p.omega_c**2 * k / (2.0 * p.omega10**2)
+    r_c_2 = omega_c**2 * k / (2.0 * w10**2)
 
-    e_block, e_split = subset_inverse_square_expectations(b_ct, p.omega10)
-    r_t = 0.75 * p.omega_t**2 * (e_block + e_split)
+    e_block, e_split = subset_inverse_square_expectations(b_ct, w10)
+    r_t = 0.75 * omega_t**2 * (e_block + e_split)
 
     terms = {
         "se_c": se_c,
@@ -240,8 +237,8 @@ def simultaneous_lattice_loops(p, model_ct, model_cc, geom) -> ErrorBudget:
         "r_t": r_t,
     }
     diagnostics = {
-        "r_t_blockade_part": 0.75 * p.omega_t**2 * e_block,
-        "r_t_splitting_part": 0.75 * p.omega_t**2 * e_split,
+        "r_t_blockade_part": 0.75 * omega_t**2 * e_block,
+        "r_t_splitting_part": 0.75 * omega_t**2 * e_split,
     }
     return ErrorBudget.from_terms("simultaneous", "lattice", terms, diagnostics)
 

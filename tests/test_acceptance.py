@@ -15,8 +15,6 @@ import pytest
 from scipy.optimize import brentq
 
 from rydgate import (
-    GateParams,
-    SimultaneousParams,
     budget_grover_uniform,
     budget_sequential_lattice,
     budget_sequential_uniform,
@@ -25,14 +23,12 @@ from rydgate import (
     canonical_sequence,
     cc_rotation_weight,
     e_opt_analytic,
-    gate_duration_simultaneous,
     gate_error_sim,
     minimize_error,
     omega_opt_analytic,
     uniform_interactions,
 )
 from rydgate.cli import build_interaction, cmd_budget, load_config, preset_path
-from rydgate.sequential import laurent_sequential_uniform
 from rydgate.units import (
     angular_from_mhz,
     meters_from_um,
@@ -73,11 +69,9 @@ def test_criterion_2_k50_budget_level():
     b = angular_from_mhz(52.0)
     tau = seconds_from_us(820.0)
 
-    def total(om: float) -> float:
-        return budget_sequential_uniform(GateParams(k=50, omega10=W10, omega=om), b, tau).total
-
-    at_analytic = total(omega_opt_analytic(b, tau))
-    numeric = minimize_error(laurent_sequential_uniform(50, b, tau, W10))
+    budget = budget_sequential_uniform(50, b, tau, W10)
+    at_analytic = budget.at(omega_opt_analytic(b, tau)).total
+    numeric = minimize_error(budget)
     ok = (
         abs(at_analytic - 0.06) <= 0.10 * 0.06
         and abs(numeric.min_error - 0.06) <= 0.10 * 0.06
@@ -101,13 +95,12 @@ def test_criterion_3_closed_forms_match_oracles():
         om = b / 10.0 ** rng.uniform(1.0, 2.5)
         w10 = b * 10.0 ** rng.uniform(1.0, 2.0)
         tau = seconds_from_us(10.0 ** rng.uniform(1.0, 3.5))
-        p = GateParams(k=k, omega10=w10, omega=om)
         for closed_fn, oracle_fn in (
             (budget_sequential_uniform, sum_oracle_sequential),
             (budget_grover_uniform, sum_oracle_grover),
         ):
-            closed = closed_fn(p, b, tau)
-            oracle = oracle_fn(p, b, tau)
+            closed = closed_fn(k, b, tau, w10).at(om)
+            oracle = oracle_fn(k, b, tau, w10, om)
             assert set(closed.terms) == set(oracle.terms)
             for name, value in closed.terms.items():
                 ref = oracle.terms[name]
@@ -119,6 +112,14 @@ def test_criterion_3_closed_forms_match_oracles():
             worst = max(worst, abs(closed.total - oracle.total) / oracle.total)
     ok = worst < 1.0e-10
     assert verdict(3, "closed forms vs rational sums", ok, f"worst rel {worst:.2e}")
+
+
+def _collective_k8():
+    """The k = 8 collective gate of checks 4 and 8, uniform shifts."""
+    return budget_simultaneous_uniform(
+        8, angular_from_mhz(1000.0), angular_from_mhz(2.0),
+        seconds_from_us(148.0), seconds_from_us(97.0), W10,
+    )
 
 
 # 4. collective dephasing weight: brute-force binomial expectation agrees
@@ -133,17 +134,7 @@ def test_criterion_4_dephasing_weight_exact():
         brute = Fraction(k, 4) * e_j2
         exact = exact and brute == cc_rotation_weight(k) == Fraction(k * k * (k - 1), 16)
 
-    sp = SimultaneousParams(
-        k=8,
-        omega_c=angular_from_mhz(390.0),
-        omega_t=angular_from_mhz(1.6),
-        tau_c=seconds_from_us(148.0),
-        tau_t=seconds_from_us(97.0),
-        omega10=W10,
-        b_ct=angular_from_mhz(1000.0),
-        d_cc=angular_from_mhz(2.0),
-    )
-    budget = budget_simultaneous_uniform(sp)
+    budget = _collective_k8().at(angular_from_mhz(390.0), angular_from_mhz(1.6))
     variant = budget.diagnostics["r_c_1_cubic_variant"]
     surfaced = variant != budget.terms["r_c_1"] and variant / budget.terms[
         "r_c_1"
@@ -171,7 +162,7 @@ def test_criterion_5_numeric_vs_analytic_optimum():
         if b > W10 / 50.0:
             continue
         analytic = omega_opt_analytic(b, tau)
-        result = minimize_error(laurent_sequential_uniform(k, b, tau, W10))
+        result = minimize_error(budget_sequential_uniform(k, b, tau, W10))
         worst = max(worst, abs(result.argmin[0] - analytic) / analytic)
         checked += 1
     ok = worst < 0.10
@@ -225,17 +216,8 @@ def test_criterion_7_finite_blockade_scaling():
 
 # 8. collective gate duration 3pi/Omega_t + 2pi/Omega_c lands near 1.1 us
 def test_criterion_8_simultaneous_duration():
-    sp = SimultaneousParams(
-        k=8,
-        omega_c=angular_from_mhz(390.0),
-        omega_t=angular_from_mhz(1.6),
-        tau_c=seconds_from_us(148.0),
-        tau_t=seconds_from_us(97.0),
-        omega10=W10,
-        b_ct=angular_from_mhz(1000.0),
-        d_cc=angular_from_mhz(2.0),
-    )
-    dur_us = us_from_seconds(gate_duration_simultaneous(sp))
+    duration = _collective_k8().duration(angular_from_mhz(390.0), angular_from_mhz(1.6))
+    dur_us = us_from_seconds(duration)
     ok = abs(dur_us - 1.1) <= 0.20 * 1.1
     assert verdict(8, "collective gate duration", ok, f"{dur_us:.4f} us vs 1.1 us")
 
@@ -294,8 +276,8 @@ def test_criterion_9_lattice_minima_vs_analytic_recipe():
     e_at_analytic = []
     for k, w_mhz in zip(ks, w_opt):
         geom = build_layout(d, k)
-        p = GateParams(k=k, omega10=omega10, omega=angular_from_mhz(float(w_mhz)))
-        e_at_analytic.append(budget_sequential_lattice(p, model, geom, tau).total)
+        budget = budget_sequential_lattice(model, geom, tau, omega10)
+        e_at_analytic.append(budget.at(angular_from_mhz(float(w_mhz))).total)
     e_at_analytic = np.array(e_at_analytic)
 
     ok_below = bool(np.all(emin < e_at_analytic))

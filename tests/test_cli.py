@@ -139,9 +139,30 @@ def test_grover_lattice_rejected(tmp_path):
         check_cross_rules(load_config(write_config(tmp_path, cfg)), "budget")
 
 
-@pytest.mark.parametrize("scheme", ["sequential", "grover"])
-def test_budget_k_cap(tmp_path, capsys, scheme):
-    cfg = uniform_cfg(scheme=scheme, k=65)
+SIMULTANEOUS_UNIFORM = {"b_ct_mhz": 50.0, "d_cc_mhz": 2.0, "tau_c_us": 148.0, "tau_t_us": 97.0}
+
+
+def _preset_cfg(name, **overrides):
+    with open(preset_path(name), encoding="utf-8") as handle:
+        cfg = json.load(handle)
+    cfg.pop("output")
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["sequential", "grover", "simultaneous", "sequential-lattice", "simultaneous-lattice"],
+)
+def test_budget_k_cap(tmp_path, capsys, case):
+    if case == "sequential-lattice":
+        cfg = _preset_cfg("sequential_lattice_crossover", k=65)
+    elif case == "simultaneous-lattice":
+        cfg = _preset_cfg("simultaneous_lattice_room_temp", k=65)
+    elif case == "simultaneous":
+        cfg = uniform_cfg(scheme=case, k=65, uniform=SIMULTANEOUS_UNIFORM)
+    else:
+        cfg = uniform_cfg(scheme=case, k=65)
     assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 2
     assert "k = 65 exceeds the supported maximum of 64" in capsys.readouterr().err
 
@@ -193,33 +214,45 @@ def test_non_finite_budget_exits_2_with_lab_units(tmp_path, capsys, scheme, comm
 
 
 @pytest.mark.parametrize(
-    "frequencies, expected",
+    "lattice, frequencies, expected",
     [
-        pytest.param({"mode": "optimize"}, 0, id="optimize-reports-inside-regime"),
+        pytest.param(False, {"mode": "optimize"}, [], id="optimize-reports-inside-regime"),
         pytest.param(
-            {"mode": "fixed", "omega_c_mhz": 1.0, "omega_t_mhz": 4.5}, 1,
+            False, {"mode": "fixed", "omega_c_mhz": 1.0, "omega_t_mhz": 4.5}, [4],
             id="fixed-omega_c-below-d_cc",
+        ),
+        # the largest control-control pair shift of the room-temperature
+        # lattice grows from 0.28 MHz at k = 3 to 2.25 MHz from k = 8 on
+        pytest.param(
+            True, {"mode": "fixed", "omega_c_mhz": 1.0, "omega_t_mhz": 1.6}, [8, 15, 24, 35],
+            id="lattice-fixed-omega_c-below-largest-d_cc",
         ),
     ],
 )
-def test_regime_warning_only_for_reported_frequencies(tmp_path, frequencies, expected):
-    # the optimizer's grid scan visits omega_c < d_cc; only a reported row
-    # outside the regime may warn, and the warning names a real source line
-    cfg = {
-        "scheme": "simultaneous",
-        "k": 4,
-        "omega10_mhz": 9200.0,
-        "uniform": {"b_ct_mhz": 50.0, "d_cc_mhz": 2.0, "tau_c_us": 148.0, "tau_t_us": 97.0},
-        "frequencies": frequencies,
-    }
+def test_regime_warning_only_for_reported_frequencies(tmp_path, lattice, frequencies, expected):
+    # only a reported row outside the regime warns, in lab units, and the
+    # warning names a real source line
+    if lattice:
+        cfg = _preset_cfg("simultaneous_lattice_room_temp", frequencies=frequencies)
+    else:
+        cfg = {
+            "scheme": "simultaneous",
+            "k": 4,
+            "omega10_mhz": 9200.0,
+            "uniform": SIMULTANEOUS_UNIFORM,
+            "frequencies": frequencies,
+        }
     out = tmp_path / "out.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["budget", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     regime = [w for w in caught if issubclass(w.category, BlockadeRegimeWarning)]
-    assert len(regime) == expected
-    for w in regime:
+    assert len(regime) == len(expected)
+    for w, k in zip(regime, expected):
         assert w.filename != "<string>" and os.path.isfile(w.filename), w.filename
+        message = str(w.message)
+        assert message.startswith(f"budget row k={k} label ")
+        assert "d_cc_mhz = " in message and "omega_c_mhz = 1 MHz" in message
     row = json.loads(out.read_text(encoding="utf-8"))["rows"][0]
     if frequencies["mode"] == "optimize":
         assert row["omega_c_mhz"] == pytest.approx(151.7, rel=1e-3, abs=0.0)

@@ -11,15 +11,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rydgate import (
-    GateParams,
     InteractionModel,
     LatticeGeometry,
-    SimultaneousParams,
     budget_sequential_lattice,
     budget_simultaneous_lattice,
 )
-from rydgate.sequential import laurent_sequential_lattice
-from rydgate.simultaneous import laurent_simultaneous_lattice
 from rydgate.units import (
     angular_from_mhz,
     c3_si_from_mhz_um3,
@@ -76,12 +72,13 @@ def assert_same_budget(got, want):
 @given(geom=layouts(), model=laws(), omegas=OMEGAS, tau_us=st.floats(10.0, 1000.0))
 def test_sequential_lattice_matches_pair_loop_oracle(geom, model, omegas, tau_us):
     tau = seconds_from_us(tau_us)
-    laurent = laurent_sequential_lattice(model, geom, tau, W10)
-    for omega in omegas:
-        p = GateParams(k=geom.k, omega10=W10, omega=omega)
-        want = sequential_lattice_loops(p, model, geom, tau)
-        assert_same_budget(laurent.at(omega), want)
-        assert_same_budget(budget_sequential_lattice(p, model, geom, tau), want)
+    budget = budget_sequential_lattice(model, geom, tau, W10)
+    for omega, cells in zip(omegas, budget.table(omegas)):
+        want = sequential_lattice_loops(model, geom, tau, W10, omega)
+        assert_same_budget(budget.at(omega), want)
+        for name, value in want.terms.items():
+            assert cells[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+        assert cells["total"] == pytest.approx(want.total, rel=1e-12, abs=0.0)
 
 
 @given(
@@ -96,11 +93,9 @@ def test_simultaneous_lattice_matches_pair_loop_oracle(
     geom, model_ct, model_cc, omega_cs, omega_ts, tau_us
 ):
     tau_c, tau_t = (seconds_from_us(t) for t in tau_us)
-    laurent = laurent_simultaneous_lattice(model_ct, model_cc, geom, tau_c, tau_t, W10)
+    budget = budget_simultaneous_lattice(model_ct, model_cc, geom, tau_c, tau_t, W10)
     for omega_c, omega_t in zip(omega_cs, omega_ts):
-        p = SimultaneousParams(
-            k=geom.k, omega_c=omega_c, omega_t=omega_t, tau_c=tau_c, tau_t=tau_t, omega10=W10
+        want = simultaneous_lattice_loops(
+            model_ct, model_cc, geom, tau_c, tau_t, W10, omega_c, omega_t
         )
-        want = simultaneous_lattice_loops(p, model_ct, model_cc, geom)
-        assert_same_budget(laurent.at(omega_c, omega_t), want)
-        assert_same_budget(budget_simultaneous_lattice(p, model_ct, model_cc, geom), want)
+        assert_same_budget(budget.at(omega_c, omega_t), want)

@@ -1,4 +1,4 @@
-"""Interaction-law and parameter-container tests."""
+"""Interaction-law tests and the input check shared by every budget builder."""
 
 import math
 
@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rydgate import (
-    GateParams,
     InteractionModel,
     InvalidModelError,
     OutOfRangeError,
     RydbergLevel,
+    budget_grover_uniform,
+    budget_sequential_lattice,
+    budget_sequential_uniform,
+    budget_simultaneous_lattice,
+    budget_simultaneous_uniform,
+    build_layout,
     dmin_resonance_rule,
     fit_single_anchor,
     pair_shift,
@@ -126,15 +131,59 @@ def test_rydberg_level_validation():
         RydbergLevel(n=10, tau=1.0, gap=0.0, label="bad gap")
 
 
-def test_gate_params_validation():
-    with pytest.raises(ValueError):
-        GateParams(k=0, omega10=1.0)
-    with pytest.raises(ValueError):
-        GateParams(k=1, omega10=-1.0)
-    with pytest.raises(ValueError):
-        GateParams(k=1, omega10=1.0, omega=0.0)
-    p = GateParams(k=3, omega10=1.0, omega=2.0)
-    assert (p.k, p.omega) == (3, 2.0)
+class _ConstantLaw:
+    def __init__(self, b: float):
+        self.b = b
+
+    def shift_at(self, r: float) -> float:
+        return self.b
+
+
+def _budget(scheme, k=3, shift=1.0e8, tau=1.0e-4, omega10=5.0e10):
+    """One budget per builder; ``shift`` and ``tau`` stand for every shift
+    and lifetime the builder takes."""
+    if scheme == "sequential":
+        return budget_sequential_uniform(k, shift, tau, omega10)
+    if scheme == "grover":
+        return budget_grover_uniform(k, shift, tau, omega10)
+    if scheme == "simultaneous":
+        return budget_simultaneous_uniform(k, shift, shift, tau, tau, omega10)
+    law, geom = _ConstantLaw(shift), build_layout(UM, k)
+    if scheme == "sequential-lattice":
+        return budget_sequential_lattice(law, geom, tau, omega10)
+    return budget_simultaneous_lattice(law, law, geom, tau, tau, omega10)
+
+
+# input defect and the refusal it meets; a lattice geometry refuses k = 0
+# itself, with the same message
+BUDGET_DEFECTS = {
+    "k0": ({"k": 0}, "k must be >= 1"),
+    "k65": ({"k": 65}, "k = 65 exceeds the supported maximum of 64"),
+    "shift0": ({"shift": 0.0}, "every blockade shift must be positive"),
+    "shift-negative": ({"shift": -1.0e8}, "every blockade shift must be positive"),
+    "tau0": ({"tau": 0.0}, "every lifetime must be positive"),
+    "omega10-negative": ({"omega10": -1.0}, "omega10 must be positive"),
+    "omega0": ({"omega": 0.0}, "drive frequencies must be positive"),
+    "omega-negative": ({"omega": -1.0e6}, "drive frequencies must be positive"),
+}
+
+
+@pytest.mark.parametrize("defect", BUDGET_DEFECTS)
+@pytest.mark.parametrize(
+    "scheme",
+    ["sequential", "grover", "simultaneous", "sequential-lattice", "simultaneous-lattice"],
+)
+def test_budget_input_check(scheme, defect):
+    inputs, match = BUDGET_DEFECTS[defect]
+    inputs = dict(inputs)
+    omega = inputs.pop("omega", 1.0e6)
+    budget = _budget(scheme)
+    assert budget.at(*[1.0e6] * budget.dims).total > 0.0
+    with pytest.raises(ValueError, match=match):
+        _budget(scheme, **inputs).at(*[omega] * budget.dims)
+    if omega <= 0.0 and budget.dims == 1:
+        with pytest.raises(ValueError, match=match):
+            list(budget.table([1.0e6, omega]))
 
 
 def test_unknown_law_rejected():

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rydgate import (
-    GateParams,
     LaurentBudget,
     budget_sequential_uniform,
     e_opt_analytic,
@@ -20,7 +19,6 @@ from rydgate import (
 )
 from rydgate.cli import _cases, load_config, preset_path
 from rydgate.optimize import DEFAULT_BRACKET
-from rydgate.sequential import laurent_sequential_uniform
 from rydgate.units import angular_from_mhz, mhz_from_angular
 
 from oracles import golden_section_minimize
@@ -137,13 +135,10 @@ def test_minimizer_never_worse_than_analytic_point():
     b = angular_from_mhz(52.0)
     tau = 820e-6
 
-    def total(om: float) -> float:
-        return budget_sequential_uniform(
-            GateParams(k=50, omega10=W10, omega=om), b, tau
-        ).total
-
-    result = minimize_error(laurent_sequential_uniform(50, b, tau, W10))
-    assert result.min_error <= total(omega_opt_analytic(b, tau)) * (1.0 + 1e-12)
+    budget = budget_sequential_uniform(50, b, tau, W10)
+    result = minimize_error(budget)
+    at_analytic = budget.at(omega_opt_analytic(b, tau)).total
+    assert result.min_error <= at_analytic * (1.0 + 1e-12)
 
 
 @given(
@@ -162,7 +157,7 @@ def test_numeric_argmin_tracks_analytic_inside_regime(k, log_bt_per_k, log_tau):
         if b * tau / k < 30.0:
             return
     analytic = omega_opt_analytic(b, tau)
-    result = minimize_error(laurent_sequential_uniform(k, b, tau, W10))
+    result = minimize_error(budget_sequential_uniform(k, b, tau, W10))
     assert abs(result.argmin[0] - analytic) / analytic < 0.10
 
 

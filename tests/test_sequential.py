@@ -12,13 +12,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rydgate import (
-    GateParams,
+    LatticeGeometry,
     budget_grover_uniform,
     budget_sequential_lattice,
     budget_sequential_uniform,
     build_layout,
-    gate_duration_grover,
-    gate_duration_sequential,
     worst_case_detuned_inv_sq,
 )
 from rydgate.units import angular_from_mhz
@@ -38,10 +36,6 @@ class ConstantLaw:
         return self.b
 
 
-def _params(k: int, omega: float) -> GateParams:
-    return GateParams(k=k, omega10=W10, omega=omega)
-
-
 # frozen oracle output: k=5, omega/2pi = 1 MHz, b/2pi = 20 MHz, tau = 500 us
 FROZEN_K5 = {
     "se_c_1": 0.01,
@@ -56,8 +50,8 @@ FROZEN_K5 = {
 
 
 def test_frozen_k5_budget():
-    budget = budget_sequential_uniform(
-        _params(5, angular_from_mhz(1.0)), angular_from_mhz(20.0), 500e-6
+    budget = budget_sequential_uniform(5, angular_from_mhz(20.0), 500e-6, W10).at(
+        angular_from_mhz(1.0)
     )
     assert budget.terms.keys() == FROZEN_K5.keys()
     for name, expected in FROZEN_K5.items():
@@ -68,7 +62,7 @@ def test_frozen_k5_budget():
 def test_first_control_decay_term_is_exact():
     # 2 pi k / (omega tau) with no approximation at all
     k, omega, tau = 7, 2.0e6, 3.3e-4
-    budget = budget_sequential_uniform(_params(k, omega), 1.0e9, tau)
+    budget = budget_sequential_uniform(k, 1.0e9, tau, W10).at(omega)
     assert budget.terms["se_c_1"] == 2.0 * math.pi * k / (omega * tau)
 
 
@@ -82,8 +76,8 @@ def test_closed_forms_match_rational_sum_oracle(k, log_omega, log_ratio, log_tau
     omega = 2.0 * math.pi * 10.0**log_omega
     b = omega * 10.0**log_ratio
     tau = 10.0**log_tau
-    closed = budget_sequential_uniform(_params(k, omega), b, tau)
-    oracle = sum_oracle_sequential(_params(k, omega), b, tau)
+    closed = budget_sequential_uniform(k, b, tau, W10).at(omega)
+    oracle = sum_oracle_sequential(k, b, tau, W10, omega)
     for name in closed.terms:
         assert closed.terms[name] == pytest.approx(
             oracle.terms[name], rel=1e-10, abs=1e-300
@@ -100,8 +94,8 @@ def test_grover_closed_forms_match_oracle(k, log_omega, log_ratio, log_tau):
     omega = 2.0 * math.pi * 10.0**log_omega
     b = omega * 10.0**log_ratio
     tau = 10.0**log_tau
-    closed = budget_grover_uniform(_params(k, omega), b, tau)
-    oracle = sum_oracle_grover(_params(k, omega), b, tau)
+    closed = budget_grover_uniform(k, b, tau, W10).at(omega)
+    oracle = sum_oracle_grover(k, b, tau, W10, omega)
     for name in closed.terms:
         assert closed.terms[name] == pytest.approx(
             oracle.terms[name], rel=1e-10, abs=1e-300
@@ -109,8 +103,8 @@ def test_grover_closed_forms_match_oracle(k, log_omega, log_ratio, log_tau):
 
 
 def test_grover_frozen_k5():
-    budget = budget_grover_uniform(
-        _params(5, angular_from_mhz(1.0)), angular_from_mhz(20.0), 500e-6
+    budget = budget_grover_uniform(5, angular_from_mhz(20.0), 500e-6, W10).at(
+        angular_from_mhz(1.0)
     )
     assert tuple(budget.terms) == ("se_c_1", "se_c_2", "r_c_1", "r_c_2")
     assert budget.total == pytest.approx(0.010928662428277192, rel=1e-12, abs=0.0)
@@ -127,8 +121,8 @@ def test_lattice_collapses_to_uniform_for_constant_law(k):
     b = angular_from_mhz(35.0)
     tau = 4.2e-4
     geom = build_layout(1.0e-6, k)
-    lattice = budget_sequential_lattice(_params(k, omega), ConstantLaw(b), geom, tau)
-    uniform = budget_sequential_uniform(_params(k, omega), b, tau)
+    lattice = budget_sequential_lattice(ConstantLaw(b), geom, tau, W10).at(omega)
+    uniform = budget_sequential_uniform(k, b, tau, W10).at(omega)
     for name in uniform.terms:
         assert lattice.terms[name] == pytest.approx(uniform.terms[name], rel=1e-12, abs=0.0), name
     assert lattice.mode == "lattice"
@@ -136,32 +130,38 @@ def test_lattice_collapses_to_uniform_for_constant_law(k):
 
 
 def test_lattice_geometry_k_mismatch_rejected():
+    # the lattice budget takes k from its geometry, and a geometry whose k
+    # disagrees with its control sites cannot be built
     geom = build_layout(1.0e-6, 4)
-    with pytest.raises(ValueError, match="disagree on k"):
-        budget_sequential_lattice(
-            _params(5, angular_from_mhz(1.0)), ConstantLaw(1e6), geom, 5e-4
-        )
+    with pytest.raises(ValueError, match="k must match"):
+        LatticeGeometry(d=geom.d, k=5, target_site=(0, 0), control_sites=geom.control_sites)
+
+
+def _pulse_times(k: int, omega: float) -> tuple[float, float]:
+    """Durations of the sequential and grover gates, s."""
+    return tuple(
+        build(k, 1.0e9, 5e-4, W10).duration(omega)
+        for build in (budget_sequential_uniform, budget_grover_uniform)
+    )
 
 
 def test_duration_sequential():
     # 2k+3 pi pulses at pi/omega each: k=5 at omega/2pi = 1 MHz gives 6.5 us
-    p = _params(5, angular_from_mhz(1.0))
-    assert gate_duration_sequential(p) == pytest.approx(6.5e-6, rel=1e-12, abs=0.0)
+    sequential, _ = _pulse_times(5, angular_from_mhz(1.0))
+    assert sequential == pytest.approx(6.5e-6, rel=1e-12, abs=0.0)
 
 
 def test_duration_grover():
-    p = _params(5, angular_from_mhz(1.0))
-    assert gate_duration_grover(p) == pytest.approx(5.0e-6, rel=1e-12, abs=0.0)
+    _, grover = _pulse_times(5, angular_from_mhz(1.0))
+    assert grover == pytest.approx(5.0e-6, rel=1e-12, abs=0.0)
 
 
 @given(k=st.integers(min_value=1, max_value=64))
 def test_durations_scale_linearly_in_k(k):
     omega = 2.0e6
-    p = _params(k, omega)
-    assert gate_duration_sequential(p) == pytest.approx(
-        (2 * k + 3) * math.pi / omega, rel=1e-12, abs=0.0
-    )
-    assert gate_duration_grover(p) == pytest.approx(2 * k * math.pi / omega, rel=1e-12, abs=0.0)
+    sequential, grover = _pulse_times(k, omega)
+    assert sequential == pytest.approx((2 * k + 3) * math.pi / omega, rel=1e-12, abs=0.0)
+    assert grover == pytest.approx(2 * k * math.pi / omega, rel=1e-12, abs=0.0)
 
 
 def test_worst_case_detuned_inv_sq_uses_nearer_resonance():
@@ -172,12 +172,12 @@ def test_worst_case_detuned_inv_sq_uses_nearer_resonance():
 
 def test_k_above_cap_rejected():
     with pytest.raises(ValueError, match="exceeds"):
-        budget_sequential_uniform(_params(65, 1e6), 1e8, 5e-4)
+        budget_sequential_uniform(65, 1e8, 5e-4, W10)
 
 
 def test_totals_are_positive_and_sum_of_terms():
-    budget = budget_sequential_uniform(
-        _params(12, angular_from_mhz(0.7)), angular_from_mhz(30.0), 6e-4
+    budget = budget_sequential_uniform(12, angular_from_mhz(30.0), 6e-4, W10).at(
+        angular_from_mhz(0.7)
     )
     assert budget.total == pytest.approx(math.fsum(budget.terms.values()))
     assert all(v >= 0.0 for v in budget.terms.values())

@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 from rydgate import (
-    GateParams,
     PulseStep,
     SimState,
     budget_sequential_uniform,
@@ -135,9 +134,7 @@ def test_decay_only_error_matches_budget_exposure(k):
     res = gate_error_sim(
         seq, k, uniform_interactions(k, math.inf), decay_rates=1.0 / tau
     )
-    bud = budget_sequential_uniform(
-        GateParams(k=k, omega10=W10, omega=OMEGA), math.inf, tau
-    )
+    bud = budget_sequential_uniform(k, math.inf, tau, W10).at(OMEGA)
     decay_budget = bud.terms["se_c_1"] + bud.terms["se_t_1"]
     assert float(np.mean(res.errors_by_input)) == pytest.approx(decay_budget, rel=1e-3, abs=0.0)
     assert res.avg_error == pytest.approx(decay_budget, rel=1e-3, abs=0.0)

@@ -6,6 +6,7 @@ the reported diagnostic that carries the alternative cubic scaling.  The
 two disagree by construction; the budget must keep them separate.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -15,15 +16,14 @@ from hypothesis import example, given, strategies as st
 from rydgate import (
     BlockadeRegimeWarning,
     InteractionModel,
-    SimultaneousParams,
     budget_simultaneous_lattice,
     budget_simultaneous_uniform,
     build_layout,
     cc_rotation_weight,
-    gate_duration_simultaneous,
     subset_inverse_square_expectations,
     target_blockade_sums,
 )
+from rydgate.cli import cmd_budget, load_config
 from rydgate.units import (
     angular_from_mhz,
     c3_si_from_mhz_um3,
@@ -59,23 +59,19 @@ def test_cc_weight_deviates_from_cubic_variant(k):
     assert cc_rotation_weight(k) != Fraction(k**3 - k, 16)
 
 
-def _uniform_params(k: int) -> SimultaneousParams:
-    return SimultaneousParams(
-        k=k,
-        omega_c=angular_from_mhz(390.0),
-        omega_t=angular_from_mhz(1.6),
-        tau_c=148e-6,
-        tau_t=97e-6,
-        omega10=W10,
-        b_ct=angular_from_mhz(10.0),
-        d_cc=angular_from_mhz(9200.0 / 4096.0),
-    )
+OMEGA_C = angular_from_mhz(390.0)
+OMEGA_T = angular_from_mhz(1.6)
+B_CT = angular_from_mhz(10.0)
+D_CC = angular_from_mhz(9200.0 / 4096.0)
+
+
+def _uniform_budget(k: int):
+    return budget_simultaneous_uniform(k, B_CT, D_CC, 148e-6, 97e-6, W10)
 
 
 def test_uniform_rotation_term_matches_weight():
-    p = _uniform_params(35)
-    budget = budget_simultaneous_uniform(p)
-    ratio2 = (p.d_cc / p.omega_c) ** 2
+    budget = _uniform_budget(35).at(OMEGA_C, OMEGA_T)
+    ratio2 = (D_CC / OMEGA_C) ** 2
     assert budget.terms["r_c_1"] == pytest.approx(
         float(cc_rotation_weight(35)) * ratio2, rel=1e-12, abs=0.0
     )
@@ -85,7 +81,7 @@ def test_uniform_rotation_term_matches_weight():
 
 
 def test_uniform_term_names_and_total():
-    budget = budget_simultaneous_uniform(_uniform_params(5))
+    budget = _uniform_budget(5).at(OMEGA_C, OMEGA_T)
     assert tuple(budget.terms) == ("se_c", "se_t", "r_c_1", "r_c_2", "r_t")
     assert budget.total == pytest.approx(math.fsum(budget.terms.values()))
 
@@ -145,18 +141,11 @@ FROZEN_LATTICE_TOTALS = {
 
 
 def _lattice_budget(k: int):
-    p = SimultaneousParams(
-        k=k,
-        omega_c=angular_from_mhz(390.0),
-        omega_t=angular_from_mhz(1.6),
-        tau_c=148e-6,
-        tau_t=97e-6,
-        omega10=W10,
-    )
     model_ct = InteractionModel(c3=c3_si_from_mhz_um3(640.0))
     model_cc = InteractionModel(c6=c6_si_from_mhz_um6(9200.0))
     geom = build_layout(meters_from_um(4.0), k)
-    return budget_simultaneous_lattice(p, model_ct, model_cc, geom)
+    budget = budget_simultaneous_lattice(model_ct, model_cc, geom, 148e-6, 97e-6, W10)
+    return budget.at(OMEGA_C, OMEGA_T)
 
 
 def test_lattice_totals_frozen():
@@ -182,45 +171,32 @@ def test_lattice_collapses_to_uniform_for_constant_models():
         def shift_at(self, r):
             return self.b
 
-    p = _uniform_params(6)
     geom = build_layout(meters_from_um(4.0), 6)
     lattice = budget_simultaneous_lattice(
-        p, ConstantLaw(p.b_ct), ConstantLaw(p.d_cc), geom
-    )
-    uniform = budget_simultaneous_uniform(p)
+        ConstantLaw(B_CT), ConstantLaw(D_CC), geom, 148e-6, 97e-6, W10
+    ).at(OMEGA_C, OMEGA_T)
+    uniform = _uniform_budget(6).at(OMEGA_C, OMEGA_T)
     for name in uniform.terms:
         assert lattice.terms[name] == pytest.approx(uniform.terms[name], rel=1e-9, abs=0.0), name
 
 
 def test_duration_k35_frequencies():
-    p = _uniform_params(35)
-    expected = 3.0 * math.pi / p.omega_t + 2.0 * math.pi / p.omega_c
-    assert gate_duration_simultaneous(p) == pytest.approx(expected, rel=1e-15, abs=0.0)
-    assert gate_duration_simultaneous(p) == pytest.approx(0.94006410e-6, rel=1e-6, abs=0.0)
+    duration = _uniform_budget(35).duration(OMEGA_C, OMEGA_T)
+    expected = 3.0 * math.pi / OMEGA_T + 2.0 * math.pi / OMEGA_C
+    assert duration == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert duration == pytest.approx(0.94006410e-6, rel=1e-6, abs=0.0)
 
 
-def test_blockade_regime_warning():
+def test_blockade_regime_warning(tmp_path):
+    # a reported row with omega_c below d_cc is outside the regime
+    cfg = {
+        "scheme": "simultaneous",
+        "k": 4,
+        "omega10_mhz": 9200.0,
+        "uniform": {"b_ct_mhz": 100.0, "d_cc_mhz": 5.0, "tau_c_us": 100.0, "tau_t_us": 100.0},
+        "frequencies": {"mode": "fixed", "omega_c_mhz": 1.0, "omega_t_mhz": 0.1},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     with pytest.warns(BlockadeRegimeWarning):
-        SimultaneousParams(
-            k=4,
-            omega_c=angular_from_mhz(1.0),
-            omega_t=angular_from_mhz(0.1),
-            tau_c=1e-4,
-            tau_t=1e-4,
-            omega10=W10,
-            b_ct=angular_from_mhz(100.0),
-            d_cc=angular_from_mhz(5.0),
-        )
-
-
-def test_uniform_requires_shift_values():
-    p = SimultaneousParams(
-        k=3,
-        omega_c=1e8,
-        omega_t=1e6,
-        tau_c=1e-4,
-        tau_t=1e-4,
-        omega10=W10,
-    )
-    with pytest.raises(ValueError, match="requires b_ct and d_cc"):
-        budget_simultaneous_uniform(p)
+        cmd_budget(load_config(str(path)))
