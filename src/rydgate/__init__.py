@@ -1,6 +1,6 @@
 """Error budgets and pulse simulation for multi-control blockade gates."""
 
-from .budget import ErrorBudget, LaurentBudget
+from .budget import LaurentBudget
 from .lattice import LatticeGeometry, PairSets, build_layout, pair_sets
 from .model import (
     InteractionModel,
@@ -42,7 +42,6 @@ from .simultaneous import (
     BlockadeRegimeWarning,
     budget_simultaneous_lattice,
     budget_simultaneous_uniform,
-    cc_rotation_weight,
     subset_inverse_square_expectations,
     target_blockade_sums,
 )
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockadeRegimeWarning",
-    "ErrorBudget",
     "InteractionModel",
     "InvalidModelError",
     "LatticeGeometry",
@@ -71,7 +69,6 @@ __all__ = [
     "budget_simultaneous_uniform",
     "build_layout",
     "canonical_sequence",
-    "cc_rotation_weight",
     "computational_state",
     "dmin_resonance_rule",
     "e_opt_analytic",

@@ -1,10 +1,15 @@
-"""Shared error-budget containers."""
+"""The one representation of a gate error budget.
+
+Every builder returns a ``LaurentBudget``: frequency-free coefficients of
+each named term, built once per configuration.  ``at`` evaluates it into
+the cells of a report row, ``table`` over a frequency grid.  Every builder
+checks its inputs through ``check_inputs``.
+"""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
@@ -13,14 +18,19 @@ import numpy as np
 _MAX_K = 64
 
 
-def check_inputs(k: int, shifts, lifetimes, omega10: float) -> None:
-    """Refuse a budget outside the model's domain: 1 <= k <= _MAX_K controls,
-    positive blockade shifts (rad/s), lifetimes (s) and qubit splitting
-    omega10 (rad/s)."""
+def check_k(k: int) -> None:
+    """Refuse a control count outside 1 <= k <= _MAX_K."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > _MAX_K:
         raise ValueError(f"k = {k} exceeds the supported maximum of {_MAX_K}")
+
+
+def check_inputs(k: int, shifts, lifetimes, omega10: float) -> None:
+    """Refuse a budget outside the model's domain: 1 <= k <= _MAX_K controls,
+    positive blockade shifts (rad/s), lifetimes (s) and qubit splitting
+    omega10 (rad/s)."""
+    check_k(k)
     if not all(b > 0.0 for b in shifts):
         raise ValueError("every blockade shift must be positive")
     if not all(tau > 0.0 for tau in lifetimes):
@@ -32,47 +42,6 @@ def check_inputs(k: int, shifts, lifetimes, omega10: float) -> None:
 def _check_frequencies(omegas) -> None:
     if not all(omega > 0.0 for omega in omegas):
         raise ValueError("drive frequencies must be positive")
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Named intrinsic-error terms for one gate execution.
-
-    ``terms`` maps term name to its error contribution; ``total`` is always
-    the exact float sum of the terms.  ``diagnostics`` carries auxiliary
-    values (alternative algebraic reductions, intermediate sums) that are
-    reported but never folded into the total.
-    """
-
-    scheme: str  # "sequential" | "simultaneous" | "grover"
-    mode: str  # "uniform" | "lattice"
-    terms: dict[str, float]
-    total: float
-    diagnostics: dict[str, float] = field(default_factory=dict)
-
-    @classmethod
-    def from_terms(
-        cls,
-        scheme: str,
-        mode: str,
-        terms: dict[str, float],
-        diagnostics: dict[str, float] | None = None,
-    ) -> "ErrorBudget":
-        return cls(
-            scheme=scheme,
-            mode=mode,
-            terms=dict(terms),
-            total=math.fsum(terms.values()),
-            diagnostics=dict(diagnostics or {}),
-        )
-
-    def as_dict(self) -> dict:
-        out: dict = {"scheme": self.scheme, "mode": self.mode}
-        out.update(self.terms)
-        out["total"] = self.total
-        for key, value in self.diagnostics.items():
-            out[f"diag_{key}"] = value
-        return out
 
 
 class LaurentBudget:
@@ -92,8 +61,6 @@ class LaurentBudget:
 
     def __init__(
         self,
-        scheme: str,
-        mode: str,
         powers: tuple[tuple[int, int], ...],
         terms: dict[str, tuple[float, ...]],
         diagnostics: dict[str, tuple[float, ...]] | None = None,
@@ -101,7 +68,6 @@ class LaurentBudget:
         pulse_time: tuple[float, ...] = (),
     ):
         diagnostics = diagnostics or {}
-        self.scheme, self.mode = scheme, mode
         self.powers = tuple(powers)
         self.dims = 1 + max(axis for axis, _ in self.powers)
         self.terms = tuple(terms)
@@ -115,16 +81,17 @@ class LaurentBudget:
             map(math.fsum, zip(*self.coefficients[: len(self.terms)]))
         )
 
-    def at(self, *omegas: float) -> ErrorBudget:
-        """The budget at one drive frequency per axis, rad/s."""
+    def at(self, *omegas: float) -> dict[str, float]:
+        """The report cells at one drive frequency per axis (rad/s): each
+        term, ``total`` (the exact float sum of the terms), then each
+        diagnostic as ``diag_<name>``."""
         _check_frequencies(omegas)
         monomials = [omegas[axis] ** p for axis, p in self.powers]
         values = [sum(map(mul, row, monomials)) for row in self.coefficients]
         n = len(self.terms)
-        return ErrorBudget.from_terms(
-            self.scheme, self.mode, dict(zip(self.terms, values[:n])),
-            dict(zip(self.diagnostics, values[n:])),
-        )
+        cells = dict(zip(self.terms, values[:n]), total=math.fsum(values[:n]))
+        cells.update(zip((f"diag_{name}" for name in self.diagnostics), values[n:]))
+        return cells
 
     def table(self, omegas: list[float]) -> Iterator[dict[str, float]]:
         """Terms and total of a single-frequency budget at each of

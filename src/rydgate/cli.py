@@ -28,7 +28,7 @@ import warnings
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
-from .budget import ErrorBudget
+from .budget import check_k
 from .lattice import build_layout
 from .model import InteractionModel, fit_single_anchor
 from .optimize import (
@@ -242,6 +242,10 @@ def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
             )
         return
 
+    # refuse an oversized k before any layout is built: layouts and pair
+    # sets grow as k and k^2
+    for k in cfg["k"]:
+        check_k(k)
     if command == "lattice":
         # layout export only needs the geometry itself
         _require("lattice" in cfg, "the lattice command needs a lattice block")
@@ -447,8 +451,8 @@ class _Case:
             "e_opt_analytic": e_opt_analytic(b, tau, k),
         }
 
-    def evaluate(self, command: str, *omegas: float) -> tuple[float, ErrorBudget]:
-        """Gate duration and budget of a reported row at its drive
+    def evaluate(self, command: str, *omegas: float) -> tuple[float, dict[str, float]]:
+        """Gate duration and budget cells of a reported row at its drive
         frequencies, warning on stderr when a control-control shift reaches
         omega_c, outside the perturbative regime of the collective gate."""
         if self.d_cc_max >= omegas[0]:
@@ -497,9 +501,9 @@ def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
             omegas = opt.argmin
         row = dict(case.head)
         row.update((key, mhz_from_angular(om)) for key, om in zip(keys, omegas))
-        duration, budget = case.evaluate(command, *omegas)
+        duration, cells = case.evaluate(command, *omegas)
         row["duration_us"] = us_from_seconds(duration)
-        row.update(budget.as_dict())
+        row.update(cells)
         row.update(case.analytic)
         if opt is not None:
             row.update(opt_evaluations=opt.evaluations, opt_converged=opt.converged)
@@ -527,9 +531,9 @@ def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
         rows.append(dict(base, row_type="analytic_opt",
                          omega_mhz=case.analytic["omega_opt_analytic_mhz"],
                          total=case.analytic["e_opt_analytic"]))
-        budget = case.laurent.at(omega)
+        cells = case.laurent.at(omega)
         rows.append(dict(base, row_type="numeric_opt", omega_mhz=mhz_from_angular(omega),
-                         **budget.terms, total=budget.total))
+                         **{key: cells[key] for key in (*case.laurent.terms, "total")}))
     return _report("sweep-omega", cfg, SWEEP_COLUMNS[cfg["scheme"]], rows)
 
 

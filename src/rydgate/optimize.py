@@ -44,14 +44,14 @@ class OptimizerEdgeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """``argmin`` holds one frequency per axis (rad/s).  ``evaluations``
-    counts the Newton steps to the roots, summed over the axes: one
-    evaluation of the stationarity polynomial each, the last being the one
-    that finds the root.  ``converged`` is False when a root lay outside
+    """``argmin`` holds one frequency per axis (rad/s); the minimum is
+    ``budget.at(*argmin)["total"]``.  ``evaluations`` counts the Newton
+    steps to the roots, summed over the axes: one evaluation of the
+    stationarity polynomial each, the last being the one that finds the
+    root.  ``converged`` is False when a root lay outside
     ``DEFAULT_BRACKET`` and was clamped to its edge."""
 
     argmin: tuple[float, ...]
-    min_error: float
     evaluations: int
     converged: bool
 
@@ -125,6 +125,4 @@ def minimize_error(budget: LaurentBudget) -> OptimizationResult:
         omega = min(max(root, lo), hi)
         converged = converged and omega == root
         argmin.append(omega)
-    total = math.fsum(c * argmin[axis] ** p
-                      for c, (axis, p) in zip(budget.total_coefficients, budget.powers))
-    return OptimizationResult(tuple(argmin), total, steps, converged)
+    return OptimizationResult(tuple(argmin), steps, converged)

@@ -190,27 +190,23 @@ def _format_path(path: Any) -> str:
     return "/".join(parts) if parts else "(top level)"
 
 
+def _validate(obj: Any, schema: dict[str, Any], what: str) -> None:
+    validator = jsonschema.Draft202012Validator(schema)
+    errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
+    if errors:
+        best = jsonschema.exceptions.best_match(errors)
+        raise ConfigError(f"{what} invalid at {_format_path(best.absolute_path)}: {best.message}")
+
+
 def validate_config(obj: Any) -> None:
     """Validate a parsed config against CONFIG_SCHEMA.
 
     Raises ConfigError carrying the offending field path, so CLI users see
     "config invalid at lattice/d_um: ..." rather than a schema dump.
     """
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        raise ConfigError(
-            f"config invalid at {_format_path(best.absolute_path)}: {best.message}"
-        )
+    _validate(obj, CONFIG_SCHEMA, "config")
 
 
 def validate_report(obj: Any) -> None:
     """Validate an assembled report against REPORT_SCHEMA before emission."""
-    validator = jsonschema.Draft202012Validator(REPORT_SCHEMA)
-    errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        raise ConfigError(
-            f"report invalid at {_format_path(best.absolute_path)}: {best.message}"
-        )
+    _validate(obj, REPORT_SCHEMA, "report")

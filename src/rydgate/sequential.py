@@ -80,7 +80,6 @@ def _sequential_laurent(
     k: int,
     tau: float,
     omega10: float,
-    mode: str,
     sums: tuple[float, float, float, float, float],
     pair_shifts: tuple[tuple[float, ...], ...] = (),
 ) -> LaurentBudget:
@@ -107,8 +106,8 @@ def _sequential_laurent(
         (0.0, 0.0, 0.75 * ct_inv_sq),  # r_t_1
         (0.0, 0.0, half_k * 0.5 * inv_w10 + 1.5 * ct_det),  # r_t_2
     )
-    return LaurentBudget("sequential", mode, _POWERS, dict(zip(SEQUENTIAL_TERMS, rows)),
-                         pair_shifts=pair_shifts, pulse_time=((2 * k + 3) * math.pi,))
+    return LaurentBudget(_POWERS, dict(zip(SEQUENTIAL_TERMS, rows)), pair_shifts=pair_shifts,
+                         pulse_time=((2 * k + 3) * math.pi,))
 
 
 def budget_sequential_uniform(k: int, b: float, tau: float, omega10: float) -> LaurentBudget:
@@ -122,7 +121,7 @@ def budget_sequential_uniform(k: int, b: float, tau: float, omega10: float) -> L
     pairs = 0.5 * (k - 2.0 + 2.0 * half_k)  # sum over control pairs of w
     sums = (0.5 * (k * k - k) * inv_b2, pairs * inv_b2, pairs * det,
             (1.0 - half_k) * inv_b2, (1.0 - half_k) * det)
-    return _sequential_laurent(k, tau, omega10, "uniform", sums)
+    return _sequential_laurent(k, tau, omega10, sums)
 
 
 def budget_sequential_lattice(
@@ -155,7 +154,7 @@ def budget_sequential_lattice(
         ct_inv += w / (b * b)
         ct_det += w * worst_case_detuned_inv_sq(omega10, b)
     sums = (cc_slots, cc_inv, cc_det, ct_inv, ct_det)
-    return _sequential_laurent(geom.k, tau, omega10, "lattice", sums, (b_ct, b_cc))
+    return _sequential_laurent(geom.k, tau, omega10, sums, (b_ct, b_cc))
 
 
 def budget_grover_uniform(k: int, b: float, tau: float, omega10: float) -> LaurentBudget:
@@ -184,6 +183,5 @@ def budget_grover_uniform(k: int, b: float, tau: float, omega10: float) -> Laure
     )
     # the variant keeps k det / 2 of r_c_2 only
     combined = (se_c_1, se_c_2, r_c_1 + 0.5 * det * k)
-    return LaurentBudget("grover", "uniform", _POWERS, dict(zip(GROVER_TERMS, rows)),
-                         {"collapsed_total_variant": combined},
-                         pulse_time=(2 * k * math.pi,))
+    return LaurentBudget(_POWERS, dict(zip(GROVER_TERMS, rows)),
+                         {"collapsed_total_variant": combined}, pulse_time=(2 * k * math.pi,))

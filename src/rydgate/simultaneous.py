@@ -9,10 +9,10 @@ j of excited controls: control-control shifts add up to j*d_cc on each
 excited control, and the target sees a total shift of j*b_ct.  State
 averaging therefore produces binomial sums over j.
 
-The control-control rotation term is evaluated from its binomial sum; the
-collapsed polynomial (k^3 - k)/16 overstates that sum, which reduces to
-k^2 (k-1)/16 exactly, so the polynomial variant is only reported under
-diagnostics.
+The control-control rotation term carries the binomial weight
+(k / 2^(k+1)) sum_j C(k-1, j) j^2, which reduces to k^2 (k-1)/16 exactly;
+the collapsed polynomial (k^3 - k)/16 overstates it, so that variant is
+only reported under diagnostics.
 
 Lattice averaging replaces the j identical shifts by sums over the
 concrete excited subset.  The quadratic control term has an exact
@@ -33,7 +33,6 @@ evaluated at any frequency pair with ``at``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,15 +56,6 @@ SIMULTANEOUS_TERMS = ("se_c", "se_t", "r_c_1", "r_c_2", "r_t")
 
 class BlockadeRegimeWarning(UserWarning):
     """Control-control shift is not small against the control Rabi frequency."""
-
-
-def cc_rotation_weight(k: int) -> Fraction:
-    """Exact binomial expectation behind the control-control rotation term.
-
-    (k / 2^(k+1)) * sum_j C(k-1, j) j^2, which collapses to k^2 (k-1)/16.
-    """
-    total = sum(math.comb(k - 1, j) * j * j for j in range(1, k))
-    return Fraction(k * total, 2 ** (k + 1))
 
 
 def target_blockade_sums(k: int, b_ct: float, omega10: float) -> tuple[float, float]:
@@ -93,7 +83,6 @@ def _simultaneous_laurent(
     tau_c: float,
     tau_t: float,
     omega10: float,
-    mode: str,
     sums: tuple[float, float, float],
     diagnostics: dict[str, tuple[float, ...]] | None = None,
     pair_shifts: tuple[tuple[float, ...], ...] = (),
@@ -120,8 +109,8 @@ def _simultaneous_laurent(
         r_t_blockade_part=(0.0, 0.0, 0.0, 0.0, 0.75 * e_block),
         r_t_splitting_part=(0.0, 0.0, 0.0, 0.0, 0.75 * e_split),
     )
-    return LaurentBudget("simultaneous", mode, _POWERS, dict(zip(SIMULTANEOUS_TERMS, rows)),
-                         diagnostics, pair_shifts, pulse_time=(2.0 * math.pi, 3.0 * math.pi))
+    return LaurentBudget(_POWERS, dict(zip(SIMULTANEOUS_TERMS, rows)), diagnostics,
+                         pair_shifts, pulse_time=(2.0 * math.pi, 3.0 * math.pi))
 
 
 def budget_simultaneous_uniform(
@@ -131,10 +120,10 @@ def budget_simultaneous_uniform(
     ``d_cc`` (rad/s); ``tau_c`` is the storage-level lifetime of the
     controls, ``tau_t`` the target Rydberg lifetime (s)."""
     check_inputs(k, (b_ct, d_cc), (tau_c, tau_t), omega10)
-    cc_moment = 4.0 * d_cc**2 * float(cc_rotation_weight(k))
+    cc_moment = 4.0 * d_cc**2 * (k * k * (k - 1) / 16)
     cubic = {"r_c_1_cubic_variant": (0.0, d_cc**2 * (k**3 - k) / 16.0, 0.0, 0.0, 0.0)}
     sums = (cc_moment, *target_blockade_sums(k, b_ct, omega10))
-    return _simultaneous_laurent(k, tau_c, tau_t, omega10, "uniform", sums, cubic)
+    return _simultaneous_laurent(k, tau_c, tau_t, omega10, sums, cubic)
 
 
 def subset_inverse_square_expectations(
@@ -190,5 +179,4 @@ def budget_simultaneous_lattice(
     s2 = (d * d).sum(axis=1)
     cc_moment = float(np.sum(0.5 * s2 + 0.25 * (s1 * s1 - s2)))
     sums = (cc_moment, *subset_inverse_square_expectations(b_ct, omega10))
-    return _simultaneous_laurent(k, tau_c, tau_t, omega10, "lattice", sums,
-                                 pair_shifts=(b_ct, d_cc))
+    return _simultaneous_laurent(k, tau_c, tau_t, omega10, sums, pair_shifts=(b_ct, d_cc))

@@ -32,10 +32,6 @@ def meters_from_um(r_um: float) -> float:
     return 1.0e-6 * r_um
 
 
-def um_from_meters(r: float) -> float:
-    return 1.0e6 * r
-
-
 def c3_si_from_mhz_um3(c3_mhz_um3: float) -> float:
     """Convert a dipolar coefficient quoted as shift/2pi in MHz at 1 um."""
     return TWO_PI * 1.0e6 * c3_mhz_um3 * 1.0e-18

@@ -5,26 +5,47 @@ budgets from their per-state sums with exact rational weights.
 ``sequential_lattice_loops`` and ``simultaneous_lattice_loops`` evaluate
 the lattice budgets the direct way: every call rebuilds the pair sets and
 calls ``pair_shift`` for each pair inside the per-pair weighted loops, with
-the drive frequency inside every summand.  ``subset_inv_sq_enumerated``
-and ``subset_inv_sq_quad`` are two independent routes to the subset
-expectation E[1/(X + offset)^2]: all 2^k subsets, and adaptive quadrature
-of its Laplace-transform integral.  ``golden_section_minimize`` minimizes
-any objective numerically (a 64-point logarithmic grid refined by
-golden-section search, coordinate descent over two frequencies): the
-oracle of the closed-form argmin.
+the drive frequency inside every summand.  All four return the report
+cells ``LaurentBudget.at`` returns.  ``cc_rotation_weight`` is the exact
+rational binomial weight of the collective gate's control-control rotation
+term.  ``subset_inv_sq_enumerated`` and ``subset_inv_sq_quad`` are two
+independent routes to the subset expectation E[1/(X + offset)^2]: all 2^k
+subsets, and adaptive quadrature of its Laplace-transform integral.
+``golden_section_minimize`` minimizes any objective numerically (a
+64-point logarithmic grid refined by golden-section search, coordinate
+descent over two frequencies): the oracle of the closed-form argmin.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
 
-from rydgate import ErrorBudget, OptimizationResult, pair_sets, pair_shift
+from rydgate import pair_sets, pair_shift
 from rydgate.budget import check_inputs
 from rydgate.optimize import DEFAULT_BRACKET
 from rydgate.sequential import worst_case_detuned_inv_sq
 from rydgate.simultaneous import subset_inverse_square_expectations
+
+
+def _cells(terms: dict[str, float], diagnostics: dict[str, float] | None = None) -> dict[str, float]:
+    """The report cells of a budget, as ``LaurentBudget.at`` returns them:
+    each term, their exact float sum ``total``, each diagnostic as
+    ``diag_<name>``."""
+    out = dict(terms, total=math.fsum(terms.values()))
+    out.update((f"diag_{name}", value) for name, value in (diagnostics or {}).items())
+    return out
+
+
+def cc_rotation_weight(k: int) -> Fraction:
+    """Exact binomial expectation behind the control-control rotation term.
+
+    (k / 2^(k+1)) * sum_j C(k-1, j) j^2, which collapses to k^2 (k-1)/16.
+    """
+    total = sum(math.comb(k - 1, j) * j * j for j in range(1, k))
+    return Fraction(k * total, 2 ** (k + 1))
 
 
 # Exact rational state weights for the un-collapsed sums.  Control i
@@ -60,7 +81,7 @@ def _sum_blocked_pair_weight(k: int) -> Fraction:
     )
 
 
-def sum_oracle_sequential(k: int, b: float, tau: float, w10: float, om: float) -> ErrorBudget:
+def sum_oracle_sequential(k: int, b: float, tau: float, w10: float, om: float) -> dict:
     """Budget at drive frequency ``om`` evaluated from the per-state sums
     before any collapse.
 
@@ -103,10 +124,10 @@ def sum_oracle_sequential(k: int, b: float, tau: float, w10: float, om: float) -
         "r_t_1": r_t_1,
         "r_t_2": r_t_2,
     }
-    return ErrorBudget.from_terms("sequential", "uniform", terms)
+    return _cells(terms)
 
 
-def sum_oracle_grover(k: int, b: float, tau: float, w10: float, om: float) -> ErrorBudget:
+def sum_oracle_grover(k: int, b: float, tau: float, w10: float, om: float) -> dict:
     """Per-state-sum oracle for ``budget_grover_uniform``.
 
     Re-derived from the same bookkeeping as the C_kNOT sums: the first
@@ -140,10 +161,10 @@ def sum_oracle_grover(k: int, b: float, tau: float, w10: float, om: float) -> Er
         "r_c_1": r_c_1,
         "r_c_2": r_c_2,
     }
-    return ErrorBudget.from_terms("grover", "uniform", terms)
+    return _cells(terms)
 
 
-def sequential_lattice_loops(model, geom, tau, w10, om) -> ErrorBudget:
+def sequential_lattice_loops(model, geom, tau, w10, om) -> dict:
     """Lattice-averaged sequential budget at drive frequency ``om``, summed
     pair by pair per call."""
     k = geom.k
@@ -194,12 +215,12 @@ def sequential_lattice_loops(model, geom, tau, w10, om) -> ErrorBudget:
         "r_t_1": r_t_1,
         "r_t_2": half_k * om * om / (2.0 * w10 * w10) + r_t_2_det,
     }
-    return ErrorBudget.from_terms("sequential", "lattice", terms)
+    return _cells(terms)
 
 
 def simultaneous_lattice_loops(
     model_ct, model_cc, geom, tau_c, tau_t, w10, omega_c, omega_t
-) -> ErrorBudget:
+) -> dict:
     """Lattice-averaged simultaneous budget at (``omega_c``, ``omega_t``),
     summed pair by pair per call."""
     k = geom.k
@@ -240,7 +261,7 @@ def simultaneous_lattice_loops(
         "r_t_blockade_part": 0.75 * omega_t**2 * e_block,
         "r_t_splitting_part": 0.75 * omega_t**2 * e_split,
     }
-    return ErrorBudget.from_terms("simultaneous", "lattice", terms, diagnostics)
+    return _cells(terms, diagnostics)
 
 
 def subset_inv_sq_enumerated(shifts: tuple[float, ...], offset: float) -> float:
@@ -285,6 +306,18 @@ _LOG_TOL = 1.0e-4
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ROUNDS_2D = 50
 _ROUND_TOL_2D = 1.0e-3
+
+
+@dataclass(frozen=True)
+class OracleMinimum:
+    """``argmin`` (one frequency per axis), the objective there, the
+    objective evaluations spent, and False for a minimum at a grid edge or
+    an unconverged descent."""
+
+    argmin: tuple[float, ...]
+    min_error: float
+    evaluations: int
+    converged: bool
 
 
 class _CountedObjective:
@@ -334,7 +367,7 @@ def _minimize_1d(f, lo: float, hi: float) -> tuple[float, float, bool]:
     return x_ref, f_ref, interior
 
 
-def golden_section_minimize(fn, dims: int = 1, bracket=DEFAULT_BRACKET) -> OptimizationResult:
+def golden_section_minimize(fn, dims: int = 1, bracket=DEFAULT_BRACKET) -> OracleMinimum:
     """Numeric minimum of ``fn`` over ``dims`` frequencies in ``bracket``.
 
     A minimum found at a grid edge is returned with ``converged=False``.
@@ -343,7 +376,7 @@ def golden_section_minimize(fn, dims: int = 1, bracket=DEFAULT_BRACKET) -> Optim
     counted = _CountedObjective(fn)
     if dims == 1:
         x, fx, interior = _minimize_1d(counted, lo, hi)
-        return OptimizationResult((x,), fx, counted.evaluations, interior)
+        return OracleMinimum((x,), fx, counted.evaluations, interior)
 
     point = [math.sqrt(lo * hi)] * dims
     value = counted(*point)
@@ -364,6 +397,6 @@ def golden_section_minimize(fn, dims: int = 1, bracket=DEFAULT_BRACKET) -> Optim
         if moved < _ROUND_TOL_2D:
             converged = True
             break
-    return OptimizationResult(
+    return OracleMinimum(
         tuple(point), value, counted.evaluations, converged and all(interior_flags)
     )

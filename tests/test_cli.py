@@ -167,6 +167,39 @@ def test_budget_k_cap(tmp_path, capsys, case):
     assert "k = 65 exceeds the supported maximum of 64" in capsys.readouterr().err
 
 
+def _count_calls(monkeypatch, modules, names):
+    """Wrap each of ``names`` found in ``modules`` to count its calls."""
+    calls = Counter()
+
+    def counted(fn_name, fn):
+        def wrapper(*args):
+            calls[fn_name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in modules:
+        for fn_name in names:
+            if hasattr(module, fn_name):
+                monkeypatch.setattr(module, fn_name, counted(fn_name, getattr(module, fn_name)))
+    return calls
+
+
+@pytest.mark.parametrize("command", ["lattice", "budget", "optimize"])
+@pytest.mark.parametrize(
+    "name", ["sequential_lattice_crossover", "simultaneous_lattice_room_temp"]
+)
+def test_lattice_k_cap_refused_before_layout(monkeypatch, tmp_path, capsys, command, name):
+    # layouts and pair sets grow as k and k^2, so an oversized k is refused
+    # from the config before any of them is built
+    calls = _count_calls(monkeypatch, (cli, sequential, simultaneous),
+                         ("build_layout", "pair_sets"))
+    cfg = _preset_cfg(name, k=[3, 65])
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert "k = 65 exceeds the supported maximum of 64" in capsys.readouterr().err
+    assert not calls
+
+
 def test_simulate_k_cap(tmp_path, capsys):
     cfg = {"scheme": "simulate", "k": 9, "simulate": {"omega_mhz": 1.0}}
     assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
@@ -264,19 +297,8 @@ def test_regime_warning_only_for_reported_frequencies(tmp_path, lattice, frequen
 def test_lattice_case_shifts_pairs_once(monkeypatch, name):
     # a case computes its pair shifts when it is built; budget evaluations
     # and the whole optimizer run never go back to the geometry
-    calls = Counter()
-
-    def counted(fn_name, fn):
-        def wrapper(*args):
-            calls[fn_name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    for module in (cli, sequential, simultaneous):
-        for fn_name in ("pair_sets", "pair_shift"):
-            if hasattr(module, fn_name):
-                monkeypatch.setattr(module, fn_name, counted(fn_name, getattr(module, fn_name)))
+    calls = _count_calls(monkeypatch, (cli, sequential, simultaneous),
+                         ("pair_sets", "pair_shift"))
     cfg = load_config(preset_path(name))
     for k in cfg["k"]:
         before = dict(calls)

@@ -20,6 +20,7 @@ from rydgate import (
     fit_single_anchor,
     pair_shift,
 )
+from rydgate.cli import BUDGET_COLUMNS, SWEEP_COLUMNS
 from rydgate.units import angular_from_mhz
 
 UM = 1.0e-6
@@ -139,6 +140,9 @@ class _ConstantLaw:
         return self.b
 
 
+BUILDERS = ["sequential", "grover", "simultaneous", "sequential-lattice", "simultaneous-lattice"]
+
+
 def _budget(scheme, k=3, shift=1.0e8, tau=1.0e-4, omega10=5.0e10):
     """One budget per builder; ``shift`` and ``tau`` stand for every shift
     and lifetime the builder takes."""
@@ -169,21 +173,32 @@ BUDGET_DEFECTS = {
 
 
 @pytest.mark.parametrize("defect", BUDGET_DEFECTS)
-@pytest.mark.parametrize(
-    "scheme",
-    ["sequential", "grover", "simultaneous", "sequential-lattice", "simultaneous-lattice"],
-)
+@pytest.mark.parametrize("scheme", BUILDERS)
 def test_budget_input_check(scheme, defect):
     inputs, match = BUDGET_DEFECTS[defect]
     inputs = dict(inputs)
     omega = inputs.pop("omega", 1.0e6)
     budget = _budget(scheme)
-    assert budget.at(*[1.0e6] * budget.dims).total > 0.0
+    assert budget.at(*[1.0e6] * budget.dims)["total"] > 0.0
     with pytest.raises(ValueError, match=match):
         _budget(scheme, **inputs).at(*[omega] * budget.dims)
     if omega <= 0.0 and budget.dims == 1:
         with pytest.raises(ValueError, match=match):
             list(budget.table([1.0e6, omega]))
+
+
+@pytest.mark.parametrize("scheme", BUILDERS)
+def test_budget_cells_fit_report_columns(scheme):
+    # every cell a builder yields has a report column, and the total is the
+    # exact float sum of the term cells
+    budget = _budget(scheme)
+    cells = budget.at(*[1.0e6] * budget.dims)
+    scheme = scheme.removesuffix("-lattice")
+    assert set(cells) <= set(BUDGET_COLUMNS[scheme])
+    assert cells["total"] == math.fsum(cells[name] for name in budget.terms)
+    if scheme in SWEEP_COLUMNS:
+        for row in budget.table([1.0e5, 1.0e6, 1.0e7]):
+            assert set(row) <= set(SWEEP_COLUMNS[scheme])
 
 
 def test_unknown_law_rejected():

@@ -135,7 +135,7 @@ def test_decay_only_error_matches_budget_exposure(k):
         seq, k, uniform_interactions(k, math.inf), decay_rates=1.0 / tau
     )
     bud = budget_sequential_uniform(k, math.inf, tau, W10).at(OMEGA)
-    decay_budget = bud.terms["se_c_1"] + bud.terms["se_t_1"]
+    decay_budget = bud["se_c_1"] + bud["se_t_1"]
     assert float(np.mean(res.errors_by_input)) == pytest.approx(decay_budget, rel=1e-3, abs=0.0)
     assert res.avg_error == pytest.approx(decay_budget, rel=1e-3, abs=0.0)
 
