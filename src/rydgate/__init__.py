@@ -32,8 +32,7 @@ from .simulator import (
     computational_state,
     evolve,
     gate_error_sim,
-    ideal_output_index,
-    ideal_output_phase,
+    ideal_map,
     sequence_duration,
     simultaneous_interactions,
     uniform_interactions,
@@ -75,8 +74,7 @@ __all__ = [
     "evolve",
     "fit_single_anchor",
     "gate_error_sim",
-    "ideal_output_index",
-    "ideal_output_phase",
+    "ideal_map",
     "minimize_error",
     "omega_opt_analytic",
     "pair_sets",

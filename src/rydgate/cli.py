@@ -46,6 +46,7 @@ from .schemas import (
     validate_report,
 )
 from .sequential import (
+    GROVER_DIAGNOSTICS,
     GROVER_TERMS,
     SEQUENTIAL_TERMS,
     budget_grover_uniform,
@@ -53,6 +54,7 @@ from .sequential import (
     budget_sequential_uniform,
 )
 from .simultaneous import (
+    SIMULTANEOUS_DIAGNOSTICS,
     SIMULTANEOUS_TERMS,
     BlockadeRegimeWarning,
     budget_simultaneous_lattice,
@@ -78,26 +80,16 @@ from .units import (
 
 # Fixed CSV column orders.  These are part of the CLI contract; tests pin
 # them and the README documents them.
+_SINGLE_HEAD = ("scheme", "mode", "label", "k", "b_mhz", "omega_mhz", "duration_us")
+_OPT_CELLS = ("opt_evaluations", "opt_converged")
+_SINGLE_TAIL = ("omega_opt_analytic_mhz", "e_opt_analytic") + _OPT_CELLS
 BUDGET_COLUMNS: dict[str, tuple[str, ...]] = {
-    "sequential": ("scheme", "mode", "label", "k", "b_mhz", "omega_mhz", "duration_us")
-    + SEQUENTIAL_TERMS
-    + (
-        "total",
-        "omega_opt_analytic_mhz",
-        "e_opt_analytic",
-        "opt_evaluations",
-        "opt_converged",
-    ),
-    "grover": ("scheme", "mode", "label", "k", "b_mhz", "omega_mhz", "duration_us")
+    "sequential": _SINGLE_HEAD + SEQUENTIAL_TERMS + ("total",) + _SINGLE_TAIL,
+    "grover": _SINGLE_HEAD
     + GROVER_TERMS
-    + (
-        "total",
-        "diag_collapsed_total_variant",
-        "omega_opt_analytic_mhz",
-        "e_opt_analytic",
-        "opt_evaluations",
-        "opt_converged",
-    ),
+    + ("total",)
+    + tuple(f"diag_{name}" for name in GROVER_DIAGNOSTICS)
+    + _SINGLE_TAIL,
     "simultaneous": (
         "scheme",
         "mode",
@@ -110,14 +102,9 @@ BUDGET_COLUMNS: dict[str, tuple[str, ...]] = {
         "duration_us",
     )
     + SIMULTANEOUS_TERMS
-    + (
-        "total",
-        "diag_r_c_1_cubic_variant",
-        "diag_r_t_blockade_part",
-        "diag_r_t_splitting_part",
-        "opt_evaluations",
-        "opt_converged",
-    ),
+    + ("total",)
+    + tuple(f"diag_{name}" for name in SIMULTANEOUS_DIAGNOSTICS)
+    + _OPT_CELLS,
 }
 
 SWEEP_COLUMNS: dict[str, tuple[str, ...]] = {
@@ -514,11 +501,13 @@ def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
 # ---------------------------------------------------------------- commands
 
 def cmd_budget(cfg: dict[str, Any]) -> dict[str, Any]:
+    """Error budget rows, one per configuration and k."""
     rows = _budget_rows(cfg, "budget")
     return _report("budget", cfg, BUDGET_COLUMNS[cfg["scheme"]], rows)
 
 
 def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
+    """Total error over a drive-frequency grid plus minima."""
     grid = _omega_grid(cfg["sweep"]["omega_mhz"])
     grid_mhz = [mhz_from_angular(omega) for omega in grid]
     rows: list[dict[str, Any]] = []
@@ -538,8 +527,9 @@ def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
 
 
 def cmd_optimize(cfg: dict[str, Any]) -> dict[str, Any]:
-    """Numeric frequency optimization: the budget rows in optimize mode,
-    renamed by ``_OPTIMIZE_RENAME`` and cut to ``OPTIMIZE_COLUMNS``."""
+    """Numeric drive-frequency optimization summary.
+
+    The budget rows in optimize mode, renamed and cut to OPTIMIZE_COLUMNS."""
     forced = dict(cfg, frequencies={"mode": "optimize"})
     rows = []
     for row in _budget_rows(forced, "optimize"):
@@ -548,19 +538,20 @@ def cmd_optimize(cfg: dict[str, Any]) -> dict[str, Any]:
     return _report("optimize", cfg, OPTIMIZE_COLUMNS, rows)
 
 
-def cmd_simulate(cfg: dict[str, Any]) -> tuple[dict[str, Any], bool]:
-    """Run the pulse simulator; returns (report, all_ideal_checks_passed)."""
+def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
+    """State-vector pulse simulation truth tables.
+
+    ``ideal_check_passed``: every input of the row's k is within tolerance."""
     sim = cfg["simulate"]
     sequence_kind = sim["sequence"]
     gate = sim["gate"]
     tolerance = sim["tolerance"]
-    decay = angular_from_mhz(sim["decay_mhz"]) if sim["decay_mhz"] else None
+    decay = angular_from_mhz(sim["decay_mhz"])
 
     def _shift(value: Any) -> float:
         return math.inf if value == "inf" else angular_from_mhz(value)
 
     rows: list[dict[str, Any]] = []
-    all_passed = True
     for k in cfg["k"]:
         if sequence_kind == "simultaneous":
             omega_c = angular_from_mhz(sim["omega_c_mhz"])
@@ -579,7 +570,6 @@ def cmd_simulate(cfg: dict[str, Any]) -> tuple[dict[str, Any], bool]:
             sequence, k, interactions, decay_rates=decay, ideal=gate
         )
         passed = bool(max(result.errors_by_input) <= tolerance)
-        all_passed = all_passed and passed
         duration = us_from_seconds(sequence_duration(sequence))
         for index, error in enumerate(result.errors_by_input):
             ideal = int(result.ideal_outputs[index])
@@ -597,13 +587,12 @@ def cmd_simulate(cfg: dict[str, Any]) -> tuple[dict[str, Any], bool]:
                     "ideal_check_passed": passed,
                 }
             )
-    report = _report("simulate", cfg, SIMULATE_COLUMNS, rows)
-    return report, all_passed
+    return _report("simulate", cfg, SIMULATE_COLUMNS, rows)
 
 
 def cmd_lattice(cfg: dict[str, Any]) -> dict[str, Any]:
-    lattice = cfg.get("lattice")
-    _require(lattice is not None, "the lattice command needs a lattice block")
+    """Square-lattice layout export."""
+    lattice = cfg["lattice"]
     d = meters_from_um(lattice["d_um"])
     rows: list[dict[str, Any]] = []
     for k in cfg["k"]:
@@ -697,48 +686,38 @@ def write_output(text: str, out_path: str | None) -> None:
 
 # -------------------------------------------------------------- entry point
 
+# subcommand -> report builder, whose docstring's first line is its help
+_COMMANDS: dict[str, Callable[[dict[str, Any]], dict[str, Any]]] = {
+    "budget": cmd_budget,
+    "sweep-omega": cmd_sweep_omega,
+    "simulate": cmd_simulate,
+    "lattice": cmd_lattice,
+    "optimize": cmd_optimize,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rydgate",
         description="Intrinsic error budgets for multi-control blockade gates.",
     )
-    subcommands = [
-        ("budget", "error budget rows, one per configuration and k"),
-        ("sweep-omega", "total error over a drive-frequency grid plus minima"),
-        ("simulate", f"state-vector pulse simulation truth tables (k <= {_MAX_K_TABLE})"),
-        ("lattice", "square-lattice layout export"),
-        ("optimize", "numeric drive-frequency optimization summary"),
-    ]
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in subcommands:
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__.splitlines()[0])
         p.add_argument("--config", required=True, metavar="PATH", help="JSON config")
         p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], help="override config output format")
     return parser
 
 
-_COMMANDS: dict[str, Callable[[dict[str, Any]], dict[str, Any]]] = {
-    "budget": cmd_budget,
-    "sweep-omega": cmd_sweep_omega,
-    "lattice": cmd_lattice,
-    "optimize": cmd_optimize,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    """Exit 0, or 2 on a refused config, or 1 on a failed ideal-limit check."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    exit_code = 0
     try:
         cfg = load_config(args.config)
         check_cross_rules(cfg, args.command)
-        if args.command == "simulate":
-            report, passed = cmd_simulate(cfg)
-            if cfg["simulate"]["check_ideal"] and not passed:
-                exit_code = 1
-        else:
-            report = _COMMANDS[args.command](cfg)
+        report = _COMMANDS[args.command](cfg)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -746,13 +725,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     out_path = args.out or cfg.get("output", {}).get("path")
     text = render_json(report) if fmt == "json" else render_csv(report)
     write_output(text, out_path)
-    if exit_code:
+    if cfg.get("simulate", {}).get("check_ideal") and not all(
+        row["ideal_check_passed"] for row in report["rows"]
+    ):
         print(
             "ideal-limit check failed: population off the ideal output exceeds "
             "the configured tolerance",
             file=sys.stderr,
         )
-    return exit_code
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 
-from .budget import LaurentBudget, check_inputs
+from .budget import LaurentBudget, check_inputs, check_k
 from .lattice import LatticeGeometry, pair_sets
 from .model import pair_shift
 
@@ -56,6 +56,8 @@ SEQUENTIAL_TERMS = (
 )
 
 GROVER_TERMS = ("se_c_1", "se_c_2", "r_c_1", "r_c_2")
+
+GROVER_DIAGNOSTICS = ("collapsed_total_variant",)
 
 
 def worst_case_detuned_inv_sq(omega10: float, b: float) -> float:
@@ -139,6 +141,7 @@ def budget_sequential_lattice(
     shifts in excitation order and the control-control shifts in
     ``pair_sets`` order.
     """
+    check_k(geom.k)  # before the O(k^2) pair work
     ps = pair_sets(geom)
     b_ct = tuple(pair_shift(model, r) for r in ps.control_target)
     b_cc = tuple(pair_shift(model, sep) for sep in ps.control_control_all)
@@ -184,4 +187,4 @@ def budget_grover_uniform(k: int, b: float, tau: float, omega10: float) -> Laure
     # the variant keeps k det / 2 of r_c_2 only
     combined = (se_c_1, se_c_2, r_c_1 + 0.5 * det * k)
     return LaurentBudget(_POWERS, dict(zip(GROVER_TERMS, rows)),
-                         {"collapsed_total_variant": combined}, pulse_time=(2 * k * math.pi,))
+                         dict(zip(GROVER_DIAGNOSTICS, (combined,))), pulse_time=(2 * k * math.pi,))

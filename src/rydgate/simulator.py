@@ -13,9 +13,10 @@ The qubit splitting between ``g0`` and ``g1`` is not modelled; a pulse
 couples only the ground level named in its transition.  The simulator
 therefore reproduces blockade-leakage and decay physics, not the detuned
 coupling of the spectator qubit state.  Dimensions grow as ``3**(k+1)``.
-On a 2-core x86 VM a full sequential truth table takes about 0.3 s at
-``k = 6``, 1 s at ``k = 7`` and 6 s at ``k = 8`` (simultaneous: 0.2 s,
-0.6 s, 3 s); single states run up to ``k = 10``.
+On a 2-core x86 VM a full sequential truth table takes about 0.2 s at
+``k = 6``, 0.7 s at ``k = 7`` and 5 s at ``k = 8`` (simultaneous: 0.15 s,
+0.45 s, 2.2 s), and ``k = 8`` peaks near 550 MB; single states run up to
+``k = 10``.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ class SimState:
     amplitudes: np.ndarray
     norm_deficit: float = 0.0
 
-    @property
-    def natoms(self) -> int:
-        return _natoms_from_dim(self.amplitudes.shape[0])
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -101,13 +98,6 @@ class SimResult:
     ideal_outputs: np.ndarray
 
 
-def _natoms_from_dim(dim: int) -> int:
-    n = round(math.log(dim, 3))
-    if 3**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of 3")
-    return n
-
-
 @lru_cache(maxsize=32)
 def _digit_table(natoms: int) -> np.ndarray:
     """Base-3 digits of every basis index; atom 0 is the most significant."""
@@ -116,6 +106,13 @@ def _digit_table(natoms: int) -> np.ndarray:
     for a in range(natoms):
         digits[:, a] = (idx // 3 ** (natoms - 1 - a)) % 3
     return digits
+
+
+def _computational_indices(natoms: int) -> np.ndarray:
+    """Basis index of every computational input: the input's bits, atom 0
+    the most significant, read as base-3 digits."""
+    places = np.arange(natoms - 1, -1, -1)
+    return ((np.arange(2**natoms)[:, None] >> places) & 1) @ 3**places
 
 
 def computational_state(k: int, index: int) -> SimState:
@@ -127,39 +124,26 @@ def computational_state(k: int, index: int) -> SimState:
                          f"{_MAX_ATOMS_STATE - 1})")
     if not 0 <= index < 2**natoms:
         raise ValueError("index out of range")
-    s = 0
-    for a in range(natoms):
-        bit = (index >> (natoms - 1 - a)) & 1
-        s = 3 * s + bit
     amps = np.zeros(3**natoms, dtype=np.complex128)
-    amps[s] = 1.0
+    amps[_computational_indices(natoms)[index]] = 1.0
     return SimState(amplitudes=amps)
 
 
-def ideal_output_index(k: int, index: int, gate: str = "cnot") -> int:
-    """Computational output of the ideal gate for a basis input."""
-    if gate in ("identity", "grover"):
-        return index
-    if gate != "cnot":
-        raise ValueError(f"unknown ideal gate {gate!r}")
-    all_controls_one = (index | 1) == 2 ** (k + 1) - 1
-    return index ^ 1 if all_controls_one else index
-
-
-def ideal_output_phase(k: int, index: int, gate: str = "cnot") -> complex:
-    """Phase of the ideal output amplitude for a basis input.
+def ideal_map(k: int, gate: str = "cnot") -> tuple[np.ndarray, np.ndarray]:
+    """Computational output index and output phase of the ideal gate for
+    every basis input, in input order.
 
     The pi-phase bookkeeping of the pulse sequences leaves -1 on the
     target-flipped branch of the multi-control NOT, and -1 on the single
     control configuration (1, ..., 1, 0) of the no-target phase gate."""
-    if gate == "identity":
-        return 1.0
-    if gate == "cnot":
-        return -1.0 if (index | 1) == 2 ** (k + 1) - 1 else 1.0
-    if gate == "grover":
-        controls = index >> 1
-        return -1.0 if controls == 2**k - 2 else 1.0
-    raise ValueError(f"unknown ideal gate {gate!r}")
+    # the control bits that pick up the -1; the identity marks none
+    marked_controls = {"cnot": 2**k - 1, "grover": 2**k - 2, "identity": -1}
+    if gate not in marked_controls:
+        raise ValueError(f"unknown ideal gate {gate!r}")
+    inputs = np.arange(2 ** (k + 1))
+    marked = (inputs >> 1) == marked_controls[gate]
+    indices = np.where(marked & (gate == "cnot"), inputs ^ 1, inputs)
+    return indices, np.where(marked, -1.0, 1.0)
 
 
 def _normalize_interactions(natoms: int, interactions: np.ndarray) -> np.ndarray:
@@ -224,7 +208,7 @@ def _apply_pulse(
     off it; blocks sharing A are exponentiated in one batch.  States holding
     a doubly excited infinite-shift pair get a zero diagonal and no
     couplings, so perfect blockade leaves them untouched."""
-    natoms = _natoms_from_dim(psi.shape[0])
+    natoms = len(interactions)
     if max(step.atoms) >= natoms:
         raise ValueError(f"pulse drives atom {max(step.atoms)} but only {natoms} exist")
     digits = _digit_table(natoms)
@@ -269,9 +253,12 @@ def evolve(
     interactions: np.ndarray,
     decay_rates=None,
 ) -> SimState:
-    """Apply one pulse to a state, tracking population lost to decay."""
-    natoms = state.natoms
+    """Apply one pulse to a state, tracking population lost to decay.  The
+    atom count is that of the interaction matrix."""
+    natoms = len(interactions)
     v = _normalize_interactions(natoms, interactions)
+    if state.amplitudes.shape != (3**natoms,):
+        raise ValueError(f"the state must hold 3**{natoms} amplitudes")
     g = _normalize_decay(natoms, decay_rates)
     before = float(np.vdot(state.amplitudes, state.amplitudes).real)
     psi = _apply_pulse(state.amplitudes, step, v, g)
@@ -380,33 +367,23 @@ def gate_error_sim(
     natoms = k + 1
     v = _normalize_interactions(natoms, interactions)
     g = _normalize_decay(natoms, decay_rates)
-    dim = 3**natoms
-    n_inputs = 2**natoms
+    ideal_out, phases = ideal_map(k, ideal)
+    comp = _computational_indices(natoms)
+    inputs = np.arange(comp.size)
 
-    columns = np.zeros((dim, n_inputs), dtype=np.complex128)
-    comp_index = np.empty(n_inputs, dtype=np.int64)
-    for m in range(n_inputs):
-        state = computational_state(k, m)
-        columns[:, m] = state.amplitudes
-        comp_index[m] = int(np.argmax(np.abs(state.amplitudes)))
-
+    columns = np.zeros((3**natoms, comp.size), dtype=np.complex128)
+    columns[comp, inputs] = 1.0
     for step in sequence:
         columns = _apply_pulse(columns, step, v, g)
 
-    probs = np.abs(columns) ** 2
-    truth_table = probs[comp_index, :].T
-    ideal_out = np.array(
-        [ideal_output_index(k, m, ideal) for m in range(n_inputs)], dtype=np.int64
-    )
-    errors = 1.0 - truth_table[np.arange(n_inputs), ideal_out]
+    # rows: computational outputs; columns: inputs
+    outputs = columns[comp]
+    truth_table = (np.abs(outputs) ** 2).T
+    errors = 1.0 - truth_table[inputs, ideal_out]
 
     # overlap matrix of simulated outputs with the phase-correct ideal ones
-    phases = np.array(
-        [ideal_output_phase(k, m, ideal) for m in range(n_inputs)], dtype=complex
-    )
-    outputs = columns[comp_index, :]
-    m_overlap = np.conj(phases)[:, None] * outputs[ideal_out, :]
-    d = float(n_inputs)
+    m_overlap = phases[:, None] * outputs[ideal_out]
+    d = float(comp.size)
     f_avg = (
         float(np.sum(np.abs(m_overlap) ** 2)) + abs(np.trace(m_overlap)) ** 2
     ) / (d * (d + 1.0))

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .budget import LaurentBudget, check_inputs
+from .budget import LaurentBudget, check_inputs, check_k
 from .lattice import LatticeGeometry, pair_sets
 from .model import pair_shift
 
@@ -52,6 +52,8 @@ _DE_NODES = np.exp(0.5 * math.pi * np.sinh(_DE_U))
 _DE_WEIGHTS = _DE_STEP * 0.5 * math.pi * np.cosh(_DE_U) * _DE_NODES
 
 SIMULTANEOUS_TERMS = ("se_c", "se_t", "r_c_1", "r_c_2", "r_t")
+
+SIMULTANEOUS_DIAGNOSTICS = ("r_c_1_cubic_variant", "r_t_blockade_part", "r_t_splitting_part")
 
 
 class BlockadeRegimeWarning(UserWarning):
@@ -84,7 +86,7 @@ def _simultaneous_laurent(
     tau_t: float,
     omega10: float,
     sums: tuple[float, float, float],
-    diagnostics: dict[str, tuple[float, ...]] | None = None,
+    cubic_variant: tuple[float, ...] | None = None,
     pair_shifts: tuple[tuple[float, ...], ...] = (),
 ) -> LaurentBudget:
     """The collective-gate budget from its three frequency-free sums.
@@ -92,7 +94,8 @@ def _simultaneous_laurent(
     ``sums`` are (cc_moment, e_block, e_split): the sum over controls i of
     E[(sum_m eps_m D_im)^2] with independent eps ~ Bernoulli(1/2), then
     E[1/X^2] and E[1/(X + omega10)^2] for X the summed control-target
-    shift of the excited subset.
+    shift of the excited subset.  ``cubic_variant`` is the row of the
+    uniform budget's collapsed r_c_1 polynomial, reported as a diagnostic.
     """
     cc_moment, e_block, e_split = sums
     half_k = math.ldexp(1.0, -k)
@@ -104,11 +107,13 @@ def _simultaneous_laurent(
         (0.0, 0.0, k / (2.0 * omega10**2), 0.0, 0.0),  # r_c_2
         (0.0, 0.0, 0.0, 0.0, 0.75 * (e_block + e_split)),  # r_t
     )
-    diagnostics = dict(
-        diagnostics or {},
-        r_t_blockade_part=(0.0, 0.0, 0.0, 0.0, 0.75 * e_block),
-        r_t_splitting_part=(0.0, 0.0, 0.0, 0.0, 0.75 * e_split),
+    variants = (
+        cubic_variant,
+        (0.0, 0.0, 0.0, 0.0, 0.75 * e_block),  # r_t_blockade_part
+        (0.0, 0.0, 0.0, 0.0, 0.75 * e_split),  # r_t_splitting_part
     )
+    diagnostics = {name: row for name, row in zip(SIMULTANEOUS_DIAGNOSTICS, variants)
+                   if row is not None}
     return LaurentBudget(_POWERS, dict(zip(SIMULTANEOUS_TERMS, rows)), diagnostics,
                          pair_shifts, pulse_time=(2.0 * math.pi, 3.0 * math.pi))
 
@@ -121,7 +126,7 @@ def budget_simultaneous_uniform(
     controls, ``tau_t`` the target Rydberg lifetime (s)."""
     check_inputs(k, (b_ct, d_cc), (tau_c, tau_t), omega10)
     cc_moment = 4.0 * d_cc**2 * (k * k * (k - 1) / 16)
-    cubic = {"r_c_1_cubic_variant": (0.0, d_cc**2 * (k**3 - k) / 16.0, 0.0, 0.0, 0.0)}
+    cubic = (0.0, d_cc**2 * (k**3 - k) / 16.0, 0.0, 0.0, 0.0)
     sums = (cc_moment, *target_blockade_sums(k, b_ct, omega10))
     return _simultaneous_laurent(k, tau_c, tau_t, omega10, sums, cubic)
 
@@ -168,6 +173,7 @@ def budget_simultaneous_lattice(
     ``pair_sets`` order.
     """
     k = geom.k
+    check_k(k)  # before the O(k^2) pair work
     ps = pair_sets(geom)
     b_ct = tuple(pair_shift(model_ct, r) for r in ps.control_target)
     d_cc = tuple(pair_shift(model_cc, sep) for sep in ps.control_control_all)

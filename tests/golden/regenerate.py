@@ -146,6 +146,70 @@ EXTRA: dict[str, tuple[dict, tuple[str, ...]]] = {
 }
 
 
+_SIM_K = [1, 2, 3, 4, 5, 6]
+
+# simulate cases: name -> (config, formats); per sequence one ideal-limit
+# config (infinite shifts, no decay, checked) and one lossy config
+SIMULATE: dict[str, tuple[dict, tuple[str, ...]]] = {
+    "simulate_sequential_ideal": (
+        {
+            "scheme": "simulate",
+            "k": _SIM_K,
+            "simulate": {"sequence": "sequential", "omega_mhz": 1.0, "b_mhz": "inf",
+                         "check_ideal": True},
+        },
+        ("json",),
+    ),
+    "simulate_sequential_lossy": (
+        {
+            "scheme": "simulate",
+            "k": _SIM_K,
+            "simulate": {"sequence": "sequential", "omega_mhz": 1.0, "b_mhz": 20.0,
+                         "decay_mhz": 3.0e-3},
+        },
+        ("json", "csv"),
+    ),
+    "simulate_grover_ideal": (
+        {
+            "scheme": "simulate",
+            "k": _SIM_K,
+            "simulate": {"sequence": "grover", "omega_mhz": 1.0, "b_mhz": "inf",
+                         "check_ideal": True},
+        },
+        ("json",),
+    ),
+    "simulate_grover_lossy": (
+        {
+            "scheme": "simulate",
+            "k": _SIM_K,
+            "simulate": {"sequence": "grover", "omega_mhz": 1.5, "b_mhz": 30.0,
+                         "decay_mhz": 3.0e-3},
+        },
+        ("json",),
+    ),
+    "simulate_simultaneous_ideal": (
+        {
+            "scheme": "simulate",
+            "k": _SIM_K,
+            "simulate": {"sequence": "simultaneous", "omega_c_mhz": 10.0,
+                         "omega_t_mhz": 1.0, "b_ct_mhz": "inf", "d_cc_mhz": 0.0,
+                         "check_ideal": True},
+        },
+        ("json",),
+    ),
+    "simulate_simultaneous_lossy": (
+        {
+            "scheme": "simulate",
+            "k": _SIM_K,
+            "simulate": {"sequence": "simultaneous", "omega_c_mhz": 10.0,
+                         "omega_t_mhz": 1.0, "b_ct_mhz": 40.0, "d_cc_mhz": 0.5,
+                         "decay_mhz": 3.0e-3},
+        },
+        ("json",),
+    ),
+}
+
+
 def cases() -> list[dict]:
     """Every golden case: name, command, format, and preset or config."""
     out = []
@@ -163,6 +227,11 @@ def cases() -> list[dict]:
                 out.append(
                     {"name": name, "command": command, "format": fmt, "config": config}
                 )
+    for name, (config, formats) in SIMULATE.items():
+        for fmt in formats:
+            out.append(
+                {"name": name, "command": "simulate", "format": fmt, "config": config}
+            )
     return out
 
 

@@ -200,6 +200,22 @@ def test_lattice_k_cap_refused_before_layout(monkeypatch, tmp_path, capsys, comm
     assert not calls
 
 
+@pytest.mark.parametrize("scheme", ["sequential", "simultaneous"])
+def test_lattice_builder_refuses_k_cap_before_pair_work(monkeypatch, scheme):
+    # a library caller with an oversized geometry is refused before the
+    # O(k^2) pair sets and pair shifts are computed
+    calls = _count_calls(monkeypatch, (sequential, simultaneous), ("pair_sets", "pair_shift"))
+    geom = rydgate.build_layout(1.0e-6, 1000)
+    model = rydgate.InteractionModel(c3=1.0e-50)
+    omega10 = angular_from_mhz(9200.0)
+    with pytest.raises(ValueError, match="exceeds the supported maximum of 64"):
+        if scheme == "sequential":
+            sequential.budget_sequential_lattice(model, geom, 1.0e-4, omega10)
+        else:
+            simultaneous.budget_simultaneous_lattice(model, model, geom, 1.0e-4, 1.0e-4, omega10)
+    assert not calls
+
+
 def test_simulate_k_cap(tmp_path, capsys):
     cfg = {"scheme": "simulate", "k": 9, "simulate": {"omega_mhz": 1.0}}
     assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
@@ -441,9 +457,11 @@ def test_simulate_report_without_check_exits_zero(tmp_path):
         "k": 2,
         "simulate": {"omega_mhz": 1.0, "b_mhz": 10.0},
     }
-    report, passed = cmd_simulate(load_config(write_config(tmp_path, cfg)))
-    assert not passed
+    path = write_config(tmp_path, cfg)
+    report = cmd_simulate(load_config(path))
+    assert not any(row["ideal_check_passed"] for row in report["rows"])
     assert report["rows"][0]["avg_error"] > 0.0
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out.json")]) == 0
 
 
 # --------------------------------------------------------------- no scipy

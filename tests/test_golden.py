@@ -1,9 +1,11 @@
 """Golden CLI reports: every command on the presets and on configs that
-reach the simultaneous-uniform, lattice-sweep, grover-optimize and
-fit-anchored paths must reproduce the committed reports.
+reach the simultaneous-uniform, lattice-sweep, grover-optimize,
+fit-anchored and simulate paths must reproduce the committed reports.
 
 Columns, row order and every non-float cell must match exactly; floats
-match to 1e-12 relative, so other CPUs and numpy builds do not flake.
+match to 1e-12 relative, so other CPUs and numpy builds do not flake.  The
+simulator's probabilities and errors (``ABS_TOL_COLUMNS``) match to 1e-12
+absolute instead: in the ideal limit they are roundoff near 0.
 Rebuild the bundle with ``tests/golden/regenerate.py`` only for an
 intended report change.
 """
@@ -20,6 +22,8 @@ import pytest
 from rydgate.cli import main, preset_path
 
 REL_TOL = 1.0e-12
+ABS_TOL = 1.0e-12
+ABS_TOL_COLUMNS = frozenset({"prob_ideal", "error", "avg_error"})
 BUNDLE = os.path.join(os.path.dirname(__file__), "golden", "reports.json.gz")
 
 with gzip.open(BUNDLE, "rt", encoding="utf-8") as _handle:
@@ -30,9 +34,14 @@ def _case_id(case):
     return f"{case['name']}.{case['command']}.{case['format']}"
 
 
-def _same_value(expected, actual, where):
+def _close(actual, expected, column):
+    abs_tol = ABS_TOL if column in ABS_TOL_COLUMNS else 0.0
+    return math.isclose(actual, expected, rel_tol=REL_TOL, abs_tol=abs_tol)
+
+
+def _same_value(expected, actual, column, where):
     if isinstance(expected, float) and isinstance(actual, float):
-        assert math.isclose(actual, expected, rel_tol=REL_TOL, abs_tol=0.0), where
+        assert _close(actual, expected, column), where
     else:
         assert type(actual) is type(expected) and actual == expected, where
 
@@ -48,12 +57,12 @@ def _float_cell(cell):
     return None
 
 
-def _same_cell(expected, actual, where):
+def _same_cell(expected, actual, column, where):
     want, got = _float_cell(expected), _float_cell(actual)
     if want is None or got is None:
         assert actual == expected, where
     else:
-        assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0), where
+        assert _close(got, want, column), where
 
 
 def _compare_json(expected_text, actual_text):
@@ -65,7 +74,7 @@ def _compare_json(expected_text, actual_text):
     for i, (want, got) in enumerate(zip(expected["rows"], actual["rows"])):
         assert set(got) == set(want), f"row {i} keys"
         for key, value in want.items():
-            _same_value(value, got[key], f"row {i} {key}")
+            _same_value(value, got[key], key, f"row {i} {key}")
 
 
 def _compare_csv(expected_text, actual_text):
@@ -76,7 +85,7 @@ def _compare_csv(expected_text, actual_text):
     for i, (want, got) in enumerate(zip(expected[1:], actual[1:])):
         assert len(got) == len(want), f"row {i} width"
         for column, cell_want, cell_got in zip(expected[0], want, got):
-            _same_cell(cell_want, cell_got, f"row {i} {column}")
+            _same_cell(cell_want, cell_got, column, f"row {i} {column}")
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)

@@ -22,8 +22,7 @@ from rydgate import (
     computational_state,
     evolve,
     gate_error_sim,
-    ideal_output_index,
-    ideal_output_phase,
+    ideal_map,
     sequence_duration,
     simultaneous_interactions,
     uniform_interactions,
@@ -41,28 +40,31 @@ W10 = angular_from_mhz(9200.0)
 def test_cnot_truth_table_in_ideal_limit(k):
     seq = canonical_sequence("sequential", k, omega=OMEGA)
     res = gate_error_sim(seq, k, uniform_interactions(k, math.inf))
-    n = 2 ** (k + 1)
-    for m in range(n):
-        expected = ideal_output_index(k, m)
-        assert res.truth_table[m, expected] == pytest.approx(1.0, abs=1e-12)
+    expected, _ = ideal_map(k)
+    np.testing.assert_allclose(
+        res.truth_table[np.arange(2 ** (k + 1)), expected], 1.0, rtol=0.0, atol=1e-12
+    )
     assert res.avg_error == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ideal_output_index_flips_target_only_when_all_controls_set():
+def test_ideal_map_flips_target_only_when_all_controls_set():
     # k=2: inputs 6 (110) and 7 (111) are the all-controls-one block
-    flips = {m: ideal_output_index(2, m) for m in range(8)}
-    assert flips == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 7, 7: 6}
+    for gate in ("cnot", "grover", "identity"):
+        indices, _ = ideal_map(2, gate)
+        swapped = [0, 1, 2, 3, 4, 5, 7, 6] if gate == "cnot" else list(range(8))
+        np.testing.assert_array_equal(indices, swapped)
 
 
 def test_ideal_phases():
-    assert ideal_output_phase(2, 6, "cnot") == -1
-    assert ideal_output_phase(2, 7, "cnot") == -1
-    assert ideal_output_phase(2, 0, "cnot") == 1
-    # search-oracle phase sits on the all-controls-one pair of inputs
-    assert [ideal_output_phase(2, m, "grover") for m in range(8)] == [
-        1, 1, 1, 1, -1, -1, 1, 1,
-    ]
-    assert all(ideal_output_phase(2, m, "identity") == 1 for m in range(8))
+    np.testing.assert_array_equal(ideal_map(2, "cnot")[1], [1, 1, 1, 1, 1, 1, -1, -1])
+    # the phase gate's -1 sits on the control configuration (1, 0)
+    np.testing.assert_array_equal(ideal_map(2, "grover")[1], [1, 1, 1, 1, -1, -1, 1, 1])
+    np.testing.assert_array_equal(ideal_map(2, "identity")[1], np.ones(8))
+
+
+def test_ideal_map_refuses_unknown_gate():
+    with pytest.raises(ValueError, match="unknown ideal gate"):
+        ideal_map(2, "toffoli")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -90,10 +92,10 @@ def test_simultaneous_sequence_ideal_limit():
     seq = canonical_sequence("simultaneous", k, omega_c=10.0 * OMEGA, omega_t=OMEGA)
     v = simultaneous_interactions(k, math.inf, 0.0)
     res = gate_error_sim(seq, k, v)
-    for m in range(2 ** (k + 1)):
-        assert res.truth_table[m, ideal_output_index(k, m)] == pytest.approx(
-            1.0, abs=1e-12
-        )
+    expected, _ = ideal_map(k)
+    np.testing.assert_allclose(
+        res.truth_table[np.arange(2 ** (k + 1)), expected], 1.0, rtol=0.0, atol=1e-12
+    )
     assert res.avg_error == pytest.approx(0.0, abs=1e-12)
 
 
@@ -192,6 +194,16 @@ def test_table_cap_enforced():
 def test_state_cap_enforced():
     with pytest.raises(ValueError, match="k too large"):
         computational_state(11, 0)
+
+
+@pytest.mark.parametrize("k, atoms", [(2, 2), (2, 4), (1, 3)])
+def test_evolve_refuses_state_of_another_size(k, atoms):
+    # the atom count comes from the interaction matrix, so a state of k + 1
+    # atoms needs a (k + 1) x (k + 1) one
+    state = computational_state(k, 0)
+    pulse = PulseStep("g0-r", OMEGA, atoms=(0,))
+    with pytest.raises(ValueError, match=f"3\\*\\*{atoms} amplitudes"):
+        evolve(state, pulse, uniform_interactions(atoms - 1, 5.0 * OMEGA))
 
 
 @given(k=st.integers(min_value=1, max_value=3), index=st.integers(min_value=0, max_value=15))
@@ -327,8 +339,7 @@ def test_block_propagator_matches_dense_oracle(instance):
     np.testing.assert_allclose(
         res.truth_table, np.abs(outputs.T) ** 2, rtol=0.0, atol=1e-10
     )
-    phases = np.array([ideal_output_phase(k, m) for m in range(inputs)])
-    ideal = [ideal_output_index(k, m) for m in range(inputs)]
+    ideal, phases = ideal_map(k)
     overlap = np.conj(phases)[:, None] * outputs[ideal, :]
     f_avg = (np.sum(np.abs(overlap) ** 2) + abs(np.trace(overlap)) ** 2) / (
         inputs * (inputs + 1)
