@@ -1,13 +1,10 @@
 """Error budgets and pulse simulation for multi-control blockade gates."""
 
 from .budget import LaurentBudget
-from .lattice import LatticeGeometry, PairSets, build_layout, pair_sets
+from .lattice import LatticeGeometry, build_layout, pair_sets
 from .model import (
     InteractionModel,
     InvalidModelError,
-    OutOfRangeError,
-    RydbergLevel,
-    dmin_resonance_rule,
     fit_single_anchor,
     pair_shift,
 )
@@ -55,10 +52,7 @@ __all__ = [
     "LaurentBudget",
     "OptimizationResult",
     "OptimizerEdgeWarning",
-    "OutOfRangeError",
-    "PairSets",
     "PulseStep",
-    "RydbergLevel",
     "SimResult",
     "SimState",
     "budget_grover_uniform",
@@ -69,7 +63,6 @@ __all__ = [
     "build_layout",
     "canonical_sequence",
     "computational_state",
-    "dmin_resonance_rule",
     "e_opt_analytic",
     "evolve",
     "fit_single_anchor",

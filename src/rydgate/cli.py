@@ -40,22 +40,20 @@ from .optimize import (
     omega_opt_analytic,
 )
 from .schemas import (
+    OPTIMIZE_COLUMNS,
     REPORT_SCHEMA_VERSION,
     ConfigError,
+    divergence_error,
+    report_columns,
     validate_config,
     validate_report,
 )
 from .sequential import (
-    GROVER_DIAGNOSTICS,
-    GROVER_TERMS,
-    SEQUENTIAL_TERMS,
     budget_grover_uniform,
     budget_sequential_lattice,
     budget_sequential_uniform,
 )
 from .simultaneous import (
-    SIMULTANEOUS_DIAGNOSTICS,
-    SIMULTANEOUS_TERMS,
     BlockadeRegimeWarning,
     budget_simultaneous_lattice,
     budget_simultaneous_uniform,
@@ -77,71 +75,6 @@ from .units import (
     seconds_from_us,
     us_from_seconds,
 )
-
-# Fixed CSV column orders.  These are part of the CLI contract; tests pin
-# them and the README documents them.
-_SINGLE_HEAD = ("scheme", "mode", "label", "k", "b_mhz", "omega_mhz", "duration_us")
-_OPT_CELLS = ("opt_evaluations", "opt_converged")
-_SINGLE_TAIL = ("omega_opt_analytic_mhz", "e_opt_analytic") + _OPT_CELLS
-BUDGET_COLUMNS: dict[str, tuple[str, ...]] = {
-    "sequential": _SINGLE_HEAD + SEQUENTIAL_TERMS + ("total",) + _SINGLE_TAIL,
-    "grover": _SINGLE_HEAD
-    + GROVER_TERMS
-    + ("total",)
-    + tuple(f"diag_{name}" for name in GROVER_DIAGNOSTICS)
-    + _SINGLE_TAIL,
-    "simultaneous": (
-        "scheme",
-        "mode",
-        "label",
-        "k",
-        "b_ct_mhz",
-        "d_cc_mhz",
-        "omega_c_mhz",
-        "omega_t_mhz",
-        "duration_us",
-    )
-    + SIMULTANEOUS_TERMS
-    + ("total",)
-    + tuple(f"diag_{name}" for name in SIMULTANEOUS_DIAGNOSTICS)
-    + _OPT_CELLS,
-}
-
-SWEEP_COLUMNS: dict[str, tuple[str, ...]] = {
-    "sequential": ("row_type", "label", "k", "omega_mhz", "total") + SEQUENTIAL_TERMS,
-    "grover": ("row_type", "label", "k", "omega_mhz", "total") + GROVER_TERMS,
-}
-
-LATTICE_COLUMNS = ("k", "index", "x_um", "y_um", "role", "r_um")
-
-OPTIMIZE_COLUMNS = (
-    "scheme",
-    "mode",
-    "label",
-    "k",
-    "omega_opt_mhz",
-    "omega_c_opt_mhz",
-    "omega_t_opt_mhz",
-    "min_total",
-    "omega_opt_analytic_mhz",
-    "e_opt_analytic",
-    "evaluations",
-    "converged",
-)
-
-SIMULATE_COLUMNS = (
-    "k",
-    "sequence",
-    "gate",
-    "duration_us",
-    "input_index",
-    "ideal_index",
-    "prob_ideal",
-    "error",
-    "avg_error",
-    "ideal_check_passed",
-)
-
 
 # ----------------------------------------------------------------- config
 
@@ -457,7 +390,7 @@ class _Case:
         total = math.fsum(self.laurent.total_coefficients)
         if not math.isfinite(total):
             cause = f"the optimized total is {total}"
-            raise _divergence(command, self.omega10_mhz, self.head, cause)
+            raise divergence_error(command, self.omega10_mhz, self.head, cause)
         opt = minimize_error(self.laurent)
         for key, omega in zip(_FREQUENCY_KEYS[self.laurent.dims], opt.argmin):
             if not opt.converged and omega in DEFAULT_BRACKET:
@@ -503,7 +436,7 @@ def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
 def cmd_budget(cfg: dict[str, Any]) -> dict[str, Any]:
     """Error budget rows, one per configuration and k."""
     rows = _budget_rows(cfg, "budget")
-    return _report("budget", cfg, BUDGET_COLUMNS[cfg["scheme"]], rows)
+    return _report("budget", cfg, rows)
 
 
 def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
@@ -523,7 +456,7 @@ def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
         cells = case.laurent.at(omega)
         rows.append(dict(base, row_type="numeric_opt", omega_mhz=mhz_from_angular(omega),
                          **{key: cells[key] for key in (*case.laurent.terms, "total")}))
-    return _report("sweep-omega", cfg, SWEEP_COLUMNS[cfg["scheme"]], rows)
+    return _report("sweep-omega", cfg, rows)
 
 
 def cmd_optimize(cfg: dict[str, Any]) -> dict[str, Any]:
@@ -535,13 +468,14 @@ def cmd_optimize(cfg: dict[str, Any]) -> dict[str, Any]:
     for row in _budget_rows(forced, "optimize"):
         renamed = {_OPTIMIZE_RENAME.get(key, key): value for key, value in row.items()}
         rows.append({key: renamed[key] for key in OPTIMIZE_COLUMNS if key in renamed})
-    return _report("optimize", cfg, OPTIMIZE_COLUMNS, rows)
+    return _report("optimize", cfg, rows)
 
 
 def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
     """State-vector pulse simulation truth tables.
 
-    ``ideal_check_passed``: every input of the row's k is within tolerance."""
+    ``ideal_check_passed``: every input of the row's k is within tolerance,
+    and so is the phase-sensitive ``avg_error``."""
     sim = cfg["simulate"]
     sequence_kind = sim["sequence"]
     gate = sim["gate"]
@@ -569,7 +503,8 @@ def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
         result = gate_error_sim(
             sequence, k, interactions, decay_rates=decay, ideal=gate
         )
-        passed = bool(max(result.errors_by_input) <= tolerance)
+        passed = bool(max(result.errors_by_input) <= tolerance
+                      and result.avg_error <= tolerance)
         duration = us_from_seconds(sequence_duration(sequence))
         for index, error in enumerate(result.errors_by_input):
             ideal = int(result.ideal_outputs[index])
@@ -587,7 +522,7 @@ def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
                     "ideal_check_passed": passed,
                 }
             )
-    return _report("simulate", cfg, SIMULATE_COLUMNS, rows)
+    return _report("simulate", cfg, rows)
 
 
 def cmd_lattice(cfg: dict[str, Any]) -> dict[str, Any]:
@@ -613,47 +548,36 @@ def cmd_lattice(cfg: dict[str, Any]) -> dict[str, Any]:
                     "r_um": math.hypot(x, y),
                 }
             )
-    return _report("lattice", cfg, LATTICE_COLUMNS, rows)
+    return _report("lattice", cfg, rows)
 
 
 # ------------------------------------------------------------ serialization
 
-def _divergence(
-    command: str, omega10_mhz: Any, row: dict[str, Any], cause: str
-) -> ConfigError:
-    """The lab-unit refusal of a row whose budget diverges."""
-    return ConfigError(
-        f"{command} row k={row.get('k')} label {row.get('label')!r}: {cause}: "
-        f"a blockade shift meets omega10_mhz = {omega10_mhz} MHz, so the "
-        "leakage term detuned by omega10 - B diverges"
-    )
-
-
-def _report(
-    command: str,
-    cfg: dict[str, Any],
-    columns: Sequence[str],
-    rows: list[dict[str, Any]],
-) -> dict[str, Any]:
-    for row in rows:
-        for column, value in row.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise _divergence(
-                    command, cfg.get("omega10_mhz"), row, f"{column} is {value}"
-                )
-    report = {
-        "schema": REPORT_SCHEMA_VERSION,
-        "command": command,
-        "config": cfg,
-        "columns": list(columns),
-        "rows": rows,
-    }
+def _report(command: str, cfg: dict[str, Any], rows: list[dict[str, Any]]) -> dict[str, Any]:
+    columns = list(report_columns(command, cfg["scheme"]))
+    report = dict(schema=REPORT_SCHEMA_VERSION, command=command, config=cfg, columns=columns,
+                  rows=rows)
     validate_report(report)
     return report
 
 
+# one row cell per line: every literal newline the C encoder writes comes
+# from this separator, since it escapes the newlines inside strings
+_ROWS_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n      ", ": "))
+
+
 def render_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)`` and
+    a newline, byte for byte.  The rows, non-empty objects of scalar cells
+    as ``validate_report`` admits them, go through one C-encoder call."""
+    head = json.dumps(dict(report, rows=[]), indent=2, sort_keys=True, allow_nan=False)
+    rows = _ROWS_ENCODER.encode(report["rows"])
+    if rows != "[]":
+        # '},\n      {' can only join two rows: a cell is never an object
+        rows = rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        rows = f"[\n    {{\n      {rows}\n    }}\n  ]"
+    before, _, after = head.partition('\n  "rows": []')
+    return f'{before}\n  "rows": {rows}{after}\n'
 
 
 def _csv_cell(value: Any) -> str:
@@ -729,8 +653,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         row["ideal_check_passed"] for row in report["rows"]
     ):
         print(
-            "ideal-limit check failed: population off the ideal output exceeds "
-            "the configured tolerance",
+            "ideal-limit check failed: population off the ideal output or the "
+            "phase-sensitive average gate error exceeds the configured tolerance",
             file=sys.stderr,
         )
         return 1

@@ -1,13 +1,12 @@
 """Physical inputs for the gate error model.
 
-Holds the Rydberg level data and the pairwise interaction laws used to map
-interatomic distance to a blockade shift.  Interaction strengths are
+Holds the pairwise interaction laws used to map interatomic distance to a
+blockade shift.  Interaction strengths are
 angular frequencies (rad/s), distances are meters.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -15,46 +14,8 @@ class InvalidModelError(ValueError):
     """Interaction model has no applicable law for the requested distance."""
 
 
-class OutOfRangeError(ValueError):
-    """No distance in the supported domain satisfies the requested condition."""
-
-
-# Domain searched by dmin_resonance_rule, meters.
-_RULE_DOMAIN = (1.0e-10, 10.0)
-
 # Relative mismatch allowed between the two laws at the crossover radius.
 _CROSSOVER_CONTINUITY_TOL = 0.01
-
-
-@dataclass(frozen=True)
-class RydbergLevel:
-    """A Rydberg level: principal quantum number, lifetime, and the energy
-    gap to the neighboring level of the same series.
-
-    Parameters
-    ----------
-    n : int
-        Principal quantum number.
-    tau : float
-        Radiative lifetime, s.
-    gap : float
-        Angular frequency spacing to the adjacent level, rad/s.
-    label : str
-        Free-form tag used in reports.
-    """
-
-    n: int
-    tau: float
-    gap: float
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("principal quantum number n must be >= 1")
-        if not (self.tau > 0.0):
-            raise ValueError("lifetime tau must be positive")
-        if not (self.gap > 0.0):
-            raise ValueError("level gap must be positive")
 
 
 @dataclass(frozen=True)
@@ -141,39 +102,3 @@ def fit_single_anchor(law: str, b_anchor: float, r_anchor: float) -> Interaction
         return InteractionModel(c6=b_anchor * r_anchor**6)
     raise ValueError(f"unknown interaction law {law!r}; expected 'c3' or 'c6'")
 
-
-def dmin_resonance_rule(model, level: RydbergLevel, factor: float = 1.5) -> float:
-    """Smallest usable lattice spacing: the distance where the pair shift
-    equals ``factor`` times the neighboring-level gap.
-
-    Solved by bisection on the monotone shift law to a relative tolerance
-    well below 1e-10.  Raises OutOfRangeError when no distance in the
-    supported domain satisfies the condition.
-    """
-    if not (factor > 0.0):
-        raise ValueError("factor must be positive")
-    target = factor * level.gap
-    lo, hi = _RULE_DOMAIN
-    s_lo = pair_shift(model, lo)
-    s_hi = pair_shift(model, hi)
-    if target > s_lo or target < s_hi:
-        raise OutOfRangeError(
-            f"no distance in [{lo:g}, {hi:g}] m reaches shift {target:.6g} rad/s"
-        )
-    a, b = math.log(lo), math.log(hi)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if pair_shift(model, math.exp(m)) >= target:
-            a = m
-        else:
-            b = m
-        if b - a < 1.0e-14:
-            break
-    d = math.exp(0.5 * (a + b))
-    residual = abs(pair_shift(model, d) - target) / target
-    if residual > 1.0e-9:
-        # Only reachable when the target falls inside a crossover jump.
-        raise OutOfRangeError(
-            f"shift law is discontinuous at the solution; residual {residual:.3g}"
-        )
-    return d

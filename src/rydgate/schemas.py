@@ -1,21 +1,29 @@
-"""JSON schemas for run configurations and emitted reports.
+"""JSON schemas for run configurations and emitted reports, and their checks.
 
 Configs use laboratory units throughout: frequencies as nu = omega/2pi in
 MHz, times in microseconds, distances in micrometers.  Interaction
 coefficients follow the same convention, quoted as the shift/2pi in MHz at a
 separation of 1 um (so c3 in MHz um^3, c6 in MHz um^6).  The CLI converts to
 SI angular units on load; nothing downstream ever sees a bare MHz.
+
+``validate_config`` walks ``CONFIG_SCHEMA`` with the small draft 2020-12
+subset it uses, and ``validate_report`` checks a report row by row against
+its command's fixed column order; neither needs a schema library.
 """
 
+import math
 from typing import Any
 
-import jsonschema
+from .sequential import GROVER_DIAGNOSTICS, GROVER_TERMS, SEQUENTIAL_TERMS
+from .simultaneous import SIMULTANEOUS_DIAGNOSTICS, SIMULTANEOUS_TERMS
 
 REPORT_SCHEMA_VERSION = "rydgate-report/1"
 
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _LABEL = {"type": "string", "maxLength": 120}
+_LEVEL_N = {"type": "integer", "minimum": 1,
+            "description": "Rydberg principal quantum number; an annotation no budget reads."}
 
 _ANCHOR_FIT = {
     "type": "object",
@@ -46,7 +54,7 @@ _UNIFORM_SEQUENTIAL = {
     "properties": {
         "b_mhz": _POS,
         "tau_us": _POS,
-        "n": {"type": "integer", "minimum": 1},
+        "n": _LEVEL_N,
         "label": _LABEL,
     },
     "required": ["b_mhz", "tau_us"],
@@ -60,7 +68,7 @@ _UNIFORM_SIMULTANEOUS = {
         "d_cc_mhz": _POS,
         "tau_c_us": _POS,
         "tau_t_us": _POS,
-        "n": {"type": "integer", "minimum": 1},
+        "n": _LEVEL_N,
         "label": _LABEL,
     },
     "required": ["b_ct_mhz", "d_cc_mhz", "tau_c_us", "tau_t_us"],
@@ -165,13 +173,56 @@ CONFIG_SCHEMA: dict[str, Any] = {
     "additionalProperties": False,
 }
 
+# Fixed report column orders.  These are part of the CLI contract; tests pin
+# them and the README documents them.
+_SINGLE_HEAD = ("scheme", "mode", "label", "k", "b_mhz", "omega_mhz", "duration_us")
+_OPT_CELLS = ("opt_evaluations", "opt_converged")
+_SINGLE_TAIL = ("omega_opt_analytic_mhz", "e_opt_analytic") + _OPT_CELLS
+BUDGET_COLUMNS: dict[str, tuple[str, ...]] = {
+    "sequential": _SINGLE_HEAD + SEQUENTIAL_TERMS + ("total",) + _SINGLE_TAIL,
+    "grover": _SINGLE_HEAD
+    + GROVER_TERMS
+    + ("total",)
+    + tuple(f"diag_{name}" for name in GROVER_DIAGNOSTICS)
+    + _SINGLE_TAIL,
+    "simultaneous": ("scheme", "mode", "label", "k", "b_ct_mhz", "d_cc_mhz", "omega_c_mhz",
+                     "omega_t_mhz", "duration_us")
+    + SIMULTANEOUS_TERMS
+    + ("total",)
+    + tuple(f"diag_{name}" for name in SIMULTANEOUS_DIAGNOSTICS)
+    + _OPT_CELLS,
+}
+
+SWEEP_COLUMNS: dict[str, tuple[str, ...]] = {
+    "sequential": ("row_type", "label", "k", "omega_mhz", "total") + SEQUENTIAL_TERMS,
+    "grover": ("row_type", "label", "k", "omega_mhz", "total") + GROVER_TERMS,
+}
+
+LATTICE_COLUMNS = ("k", "index", "x_um", "y_um", "role", "r_um")
+
+OPTIMIZE_COLUMNS = ("scheme", "mode", "label", "k", "omega_opt_mhz", "omega_c_opt_mhz",
+                    "omega_t_opt_mhz", "min_total", "omega_opt_analytic_mhz", "e_opt_analytic",
+                    "evaluations", "converged")
+
+SIMULATE_COLUMNS = ("k", "sequence", "gate", "duration_us", "input_index", "ideal_index",
+                    "prob_ideal", "error", "avg_error", "ideal_check_passed")
+
+# command -> its column order, or per scheme where the scheme sets it
+_COLUMNS: dict[str, Any] = {
+    "budget": BUDGET_COLUMNS,
+    "sweep-omega": SWEEP_COLUMNS,
+    "simulate": SIMULATE_COLUMNS,
+    "lattice": LATTICE_COLUMNS,
+    "optimize": OPTIMIZE_COLUMNS,
+}
+
 REPORT_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "rydgate report",
     "type": "object",
     "properties": {
         "schema": {"const": REPORT_SCHEMA_VERSION},
-        "command": {"enum": ["budget", "sweep-omega", "simulate", "lattice", "optimize"]},
+        "command": {"enum": list(_COLUMNS)},
         "config": {"type": "object"},
         "columns": {"type": "array", "items": {"type": "string"}, "minItems": 1},
         "rows": {"type": "array", "items": {"type": "object"}},
@@ -185,17 +236,81 @@ class ConfigError(ValueError):
     """Configuration rejected, either by schema or by cross-field rules."""
 
 
-def _format_path(path: Any) -> str:
-    parts = [str(p) for p in path]
-    return "/".join(parts) if parts else "(top level)"
+def _refusal(what: str, path: Any, message: str) -> ConfigError:
+    where = "/".join(map(str, path)) or "(top level)"
+    return ConfigError(f"{what} invalid at {where}: {message}")
 
 
-def _validate(obj: Any, schema: dict[str, Any], what: str) -> None:
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        raise ConfigError(f"{what} invalid at {_format_path(best.absolute_path)}: {best.message}")
+# JSON type -> Python types; a bool is of type boolean only, so 2 is an
+# integer and 2.0 is not
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int, "number": (int, float)}
+
+
+def _first_error(value: Any, schema: dict[str, Any], path: tuple) -> tuple | None:
+    """The first refusal of ``value`` by ``schema`` as (path, message,
+    typed), or None; ``typed``: the refusing schema names a type ``value``
+    has.  Keywords: type, enum, const, oneOf, required, additionalProperties,
+    properties, minItems, items, minimum, exclusiveMinimum, maxLength; any
+    other key is an annotation.
+
+    Path rule: a value is checked before its members, members in schema
+    order, and the first refusal met is reported.  A oneOf that no branch
+    passes reports its branches' deepest first refusal, typed before
+    untyped, or itself on a tie.  The path is thus always one at which
+    jsonschema refuses too, though its ``best_match`` heuristic may rank
+    another first: a shallower one, or another inside a oneOf.
+    """
+    kind = schema.get("type")
+
+    def refuse(message: str, typed: bool = kind is not None) -> tuple:
+        return path, message, typed
+
+    if kind and (not isinstance(value, _TYPES[kind])
+                 or isinstance(value, bool) != (kind == "boolean")):
+        return refuse(f"{value!r} is not of type {kind!r}", False)
+    if "enum" in schema and value not in schema["enum"]:
+        return refuse(f"{value!r} is not one of {schema['enum']!r}")
+    if "const" in schema and value != schema["const"]:
+        return refuse(f"{schema['const']!r} was expected")
+    if "oneOf" in schema:
+        found = [_first_error(value, branch, path) for branch in schema["oneOf"]]
+        ranks = [(len(error[0]), error[2]) for error in found if error]
+        if len(ranks) == len(found):
+            if ranks.count(max(ranks)) == 1:
+                return found[ranks.index(max(ranks))]
+            return refuse(f"{value!r} is not valid under any of the given schemas")
+        if len(found) - len(ranks) > 1:
+            return refuse(f"{value!r} is valid under more than one of the given schemas")
+    members: list = []
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        missing = [name for name in schema.get("required", ()) if name not in value]
+        if missing:
+            return refuse(f"{missing[0]!r} is a required property")
+        extras = sorted(key for key in value if key not in properties)
+        if extras and schema.get("additionalProperties") is False:
+            return refuse(f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+                          f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        members = [(name, sub) for name, sub in properties.items() if name in value]
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            return refuse(f"{value!r} {short}")
+        members = [(i, schema["items"]) for i in range(len(value)) if "items" in schema]
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if value < schema.get("minimum", value):
+            return refuse(f"{value!r} is less than the minimum of {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return refuse(f"{value!r} is less than or equal to the minimum of "
+                          f"{schema['exclusiveMinimum']!r}")
+    elif isinstance(value, str) and len(value) > schema.get("maxLength", len(value)):
+        return refuse(f"{value!r} is too long")
+    for key, sub in members:
+        found = _first_error(value[key], sub, path + (key,))
+        if found:
+            return found
+    return None
 
 
 def validate_config(obj: Any) -> None:
@@ -204,9 +319,52 @@ def validate_config(obj: Any) -> None:
     Raises ConfigError carrying the offending field path, so CLI users see
     "config invalid at lattice/d_um: ..." rather than a schema dump.
     """
-    _validate(obj, CONFIG_SCHEMA, "config")
+    found = _first_error(obj, CONFIG_SCHEMA, ())
+    if found:
+        raise _refusal("config", *found[:2])
 
 
-def validate_report(obj: Any) -> None:
-    """Validate an assembled report against REPORT_SCHEMA before emission."""
-    _validate(obj, REPORT_SCHEMA, "report")
+def report_columns(command: str, scheme: str) -> tuple[str, ...] | None:
+    """The fixed column order of a command's report for a scheme, or None."""
+    table = _COLUMNS.get(command)
+    return table.get(scheme) if isinstance(table, dict) else table
+
+
+def divergence_error(command: str, omega10_mhz: Any, row: dict, cause: str) -> ConfigError:
+    """The lab-unit refusal of a row whose budget diverges."""
+    return ConfigError(
+        f"{command} row k={row.get('k')} label {row.get('label')!r}: {cause}: "
+        f"a blockade shift meets omega10_mhz = {omega10_mhz} MHz, so the "
+        "leakage term detuned by omega10 - B diverges"
+    )
+
+
+def validate_report(report: dict[str, Any]) -> None:
+    """Refuse, in one pass over the cells, all that REPORT_SCHEMA refuses and
+    also: columns other than the command's fixed order for the config's
+    scheme, an empty row, a row key outside the columns, and a cell that is
+    not a finite float, an int, a bool, a str or None.  A non-finite cell is
+    refused in lab units, as a diverging budget."""
+    if sorted(report) != sorted(REPORT_SCHEMA["required"]):
+        raise _refusal("report", (), f"keys {sorted(report)} are not {REPORT_SCHEMA['required']}")
+    if report["schema"] != REPORT_SCHEMA_VERSION:
+        raise _refusal("report", ("schema",), f"{REPORT_SCHEMA_VERSION!r} was expected")
+    command, config, rows = report["command"], report["config"], report["rows"]
+    scheme = config.get("scheme") if isinstance(config, dict) else None
+    columns = report_columns(command, scheme) if isinstance(command, str) else None
+    if columns is None or report["columns"] != list(columns) or not isinstance(rows, list):
+        raise _refusal("report", (), f"no {command!r} report for scheme {scheme!r} has "
+                       f"columns {report['columns']!r} and rows of type {type(rows).__name__}")
+    allowed = set(columns)
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or not row or not allowed.issuperset(row):
+            raise _refusal("report", ("rows", i), f"{row!r} is not a non-empty object "
+                           "keyed by report columns")
+        for key, value in row.items():
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    raise divergence_error(command, config.get("omega10_mhz"), row,
+                                           f"{key} is {value}")
+            elif not isinstance(value, (str, int, type(None))):
+                raise _refusal("report", ("rows", i, key), f"{value!r} is not a finite "
+                               "float, an int, a bool, a str or None")

@@ -19,9 +19,6 @@ import pytest
 import rydgate
 from rydgate import BlockadeRegimeWarning, cli, sequential, simultaneous
 from rydgate.cli import (
-    BUDGET_COLUMNS,
-    LATTICE_COLUMNS,
-    SWEEP_COLUMNS,
     check_cross_rules,
     cmd_budget,
     cmd_lattice,
@@ -33,7 +30,14 @@ from rydgate.cli import (
     render_csv,
     render_json,
 )
-from rydgate.schemas import ConfigError, validate_config, validate_report
+from rydgate.schemas import (
+    BUDGET_COLUMNS,
+    LATTICE_COLUMNS,
+    SWEEP_COLUMNS,
+    ConfigError,
+    validate_config,
+    validate_report,
+)
 from rydgate.units import angular_from_mhz
 
 PRESETS = [
@@ -327,6 +331,28 @@ def test_lattice_case_shifts_pairs_once(monkeypatch, name):
         assert dict(calls) == after_one
 
 
+@pytest.mark.parametrize(
+    "command, overrides, refusal",
+    [
+        pytest.param("budget", {"k": 2.0}, "k: 2.0 is not", id="k"),
+        pytest.param("budget", {"k": [2.0, 3]}, "k/0: 2.0 is not", id="k-list"),
+        pytest.param(
+            "sweep-omega",
+            {"sweep": {"omega_mhz": {"min": 1.0, "max": 2.0, "points": 5.0}}},
+            "sweep/omega_mhz/points: 5.0 is not",
+            id="points",
+        ),
+    ],
+)
+def test_integral_float_on_integer_field_exits_2(tmp_path, capsys, command, overrides, refusal):
+    # a float count passed the schema once and then crashed a builder with
+    # a traceback; it is now refused at its field like any other bad value
+    assert main([command, "--config", write_config(tmp_path, uniform_cfg(**overrides))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config invalid at {refusal}" in captured.err
+
+
 def test_schema_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="scheme"):
         validate_config({"k": 1})
@@ -451,6 +477,26 @@ def test_simulate_finite_blockade_fails_ideal_check(tmp_path, capsys):
     assert report["rows"][0]["avg_error"] > 0.0
 
 
+def test_simulate_wrong_phase_fails_ideal_check(tmp_path, capsys):
+    # the grover sequence maps every input to itself but flips phases, so
+    # each input's population is ideal under the identity gate while the
+    # phase-sensitive average gate error is 2/3 at k = 2
+    cfg = {
+        "scheme": "simulate",
+        "k": 2,
+        "simulate": {"sequence": "grover", "gate": "identity", "omega_mhz": 1.0,
+                     "check_ideal": True},
+    }
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["rows"]
+    assert max(row["error"] for row in rows) < 1e-6
+    assert rows[0]["avg_error"] == pytest.approx(2.0 / 3.0, rel=1e-9)
+    assert not any(row["ideal_check_passed"] for row in rows)
+    assert "ideal-limit check failed" in captured.err
+    assert "phase" in captured.err
+
+
 def test_simulate_report_without_check_exits_zero(tmp_path):
     cfg = {
         "scheme": "simulate",
@@ -464,11 +510,12 @@ def test_simulate_report_without_check_exits_zero(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "out.json")]) == 0
 
 
-# --------------------------------------------------------------- no scipy
+# ------------------------------------------------- no scipy, no jsonschema
 
 _WITHOUT_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
+sys.modules["jsonschema"] = None  # and so does any jsonschema import
 from rydgate.cli import main
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 """

@@ -8,19 +8,16 @@ from hypothesis import given, strategies as st
 from rydgate import (
     InteractionModel,
     InvalidModelError,
-    OutOfRangeError,
-    RydbergLevel,
     budget_grover_uniform,
     budget_sequential_lattice,
     budget_sequential_uniform,
     budget_simultaneous_lattice,
     budget_simultaneous_uniform,
     build_layout,
-    dmin_resonance_rule,
     fit_single_anchor,
     pair_shift,
 )
-from rydgate.cli import BUDGET_COLUMNS, SWEEP_COLUMNS
+from rydgate.schemas import BUDGET_COLUMNS, SWEEP_COLUMNS
 from rydgate.units import angular_from_mhz
 
 UM = 1.0e-6
@@ -84,52 +81,6 @@ def test_nonpositive_radius_rejected():
 def test_pair_shift_strictly_decreasing(law, b, r, factor):
     model = fit_single_anchor(law, b, r)
     assert pair_shift(model, r) > pair_shift(model, factor * r)
-
-
-def test_dmin_power_law_by_hand():
-    # c6/d^6 = 1.5 * gap with c6 = 3, gap = 1 solves to d = 2^(1/6)
-    model = fit_single_anchor("c6", 3.0, 1.0)
-    level = RydbergLevel(n=100, tau=1.0, gap=1.0, label="toy")
-    d = dmin_resonance_rule(model, level, factor=1.5)
-    assert d == pytest.approx(2.0 ** (1.0 / 6.0), rel=1e-9, abs=0.0)
-
-
-def test_dmin_anchor_radius_recovered():
-    b = angular_from_mhz(52.0)
-    model = fit_single_anchor("c6", b, 20.0 * UM)
-    level = RydbergLevel(n=150, tau=820e-6, gap=b / 1.5, label="anchor")
-    assert dmin_resonance_rule(model, level, factor=1.5) == pytest.approx(
-        20.0 * UM, rel=1e-9, abs=0.0
-    )
-
-
-def test_dmin_out_of_range_when_gap_unreachable():
-    model = fit_single_anchor("c6", 1.0, 1.0)
-    level = RydbergLevel(n=50, tau=1.0, gap=1e60, label="huge gap")
-    with pytest.raises(OutOfRangeError):
-        dmin_resonance_rule(model, level, factor=1.5)
-
-
-@given(
-    b=st.floats(min_value=1e4, max_value=1e11),
-    r=st.floats(min_value=1e-7, max_value=1e-4),
-    ratio=st.floats(min_value=1e-3, max_value=1e3),
-)
-def test_dmin_residual_below_1e9(b, r, ratio):
-    model = fit_single_anchor("c6", b, r)
-    gap = b * ratio
-    level = RydbergLevel(n=80, tau=1.0, gap=gap, label="prop")
-    d = dmin_resonance_rule(model, level, factor=1.5)
-    assert abs(pair_shift(model, d) - 1.5 * gap) / (1.5 * gap) < 1e-9
-
-
-def test_rydberg_level_validation():
-    with pytest.raises(ValueError):
-        RydbergLevel(n=0, tau=1.0, gap=1.0, label="bad n")
-    with pytest.raises(ValueError):
-        RydbergLevel(n=10, tau=-1.0, gap=1.0, label="bad tau")
-    with pytest.raises(ValueError):
-        RydbergLevel(n=10, tau=1.0, gap=0.0, label="bad gap")
 
 
 class _ConstantLaw:
