@@ -92,14 +92,20 @@ def load_config(path: str) -> dict[str, Any]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error in {path} at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # a NaN or infinity literal
+        raise ConfigError(f"config parse error in {path}: {exc}") from exc
     validate_config(raw)
     return _normalize(raw)
+
+
+def _refuse_constant(literal: str) -> Any:
+    raise ValueError(f"{literal} is not a JSON number; write a finite number")
 
 
 def _normalize(raw: dict[str, Any]) -> dict[str, Any]:

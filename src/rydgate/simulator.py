@@ -12,10 +12,14 @@ states containing that doubly excited pair are decoupled entirely.
 The qubit splitting between ``g0`` and ``g1`` is not modelled; a pulse
 couples only the ground level named in its transition.  The simulator
 therefore reproduces blockade-leakage and decay physics, not the detuned
-coupling of the spectator qubit state.  Dimensions grow as ``3**(k+1)``.
-On a 2-core x86 VM a full sequential truth table takes about 0.2 s at
-``k = 6``, 0.7 s at ``k = 7`` and 5 s at ``k = 8`` (simultaneous: 0.15 s,
-0.45 s, 2.2 s), and ``k = 8`` peaks near 550 MB; single states run up to
+coupling of the spectator qubit state.  A truth table runs in the reachable
+basis, where each atom keeps the closure of its input level under the
+sequence's pulses: 6 * 3**k rows for the sequential and simultaneous gates
+(39 366 at ``k = 8``, against 10.1 M amplitudes over the full basis).  On a
+2-core x86 VM a sequential truth table takes about 0.03 s at ``k = 6``,
+0.07 s at ``k = 7`` and 0.2 s at ``k = 8`` (simultaneous: 0.06 s, 0.2 s,
+0.75 s), and ``k = 8`` peaks near 50 MB (simultaneous 65 MB) of process
+memory.  ``evolve`` steps one state over the full ``3**(k+1)`` basis, up to
 ``k = 10``.
 """
 
@@ -192,59 +196,93 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _apply_pulse(
-    psi: np.ndarray,
-    step: PulseStep,
-    interactions: np.ndarray,
-    decay_rates: np.ndarray,
-) -> np.ndarray:
-    """Exact propagator of one pulse applied to ``psi``, a state vector or a
-    matrix with one state per column.
-
-    A pulse keeps every undriven digit and the active set A of driven atoms
-    in its ground level or 2 (not the other ground level), so the basis
-    splits into blocks of the 2^|A| excitation patterns of A.  A block
-    carries pair shifts and decay on its diagonal and half-Rabi couplings
-    off it; blocks sharing A are exponentiated in one batch.  States holding
-    a doubly excited infinite-shift pair get a zero diagonal and no
-    couplings, so perfect blockade leaves them untouched."""
-    natoms = len(interactions)
-    if max(step.atoms) >= natoms:
-        raise ValueError(f"pulse drives atom {max(step.atoms)} but only {natoms} exist")
-    digits = _digit_table(natoms)
+def _basis(keys: np.ndarray, natoms: int, interactions: np.ndarray,
+           decay_rates: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows a propagation runs over, given by sorted (input, base-3
+    index) keys, and what no pulse changes: each row's digits, its
+    excited-atom bitmask, its diagonal of pair shifts and decay, and
+    whether it holds a doubly excited infinite-shift pair."""
+    digits = _digit_table(natoms)[keys % 3**natoms]
     excited = (digits == 2).astype(float)
     blocked = np.isinf(interactions)
     forbidden = np.einsum("sa,ab,sb->s", excited, blocked, excited) > 0
     finite = np.where(blocked, 0.0, interactions)
     diag = 0.5 * np.einsum("sa,ab,sb->s", excited, finite, excited)
     diag = np.where(forbidden, 0.0, diag - 0.5j * excited @ decay_rates)
+    return keys, digits, (digits == 2) @ (1 << np.arange(natoms)), diag, forbidden
 
+
+def _reach_keys(sequence: Sequence[PulseStep], natoms: int) -> np.ndarray:
+    """Sorted (input, base-3 index) keys of the states each computational
+    input can reach.  An atom's reachable levels are the closure of its
+    input level under the sequence's pulses, where a pulse driving ground
+    level g on the atom joins g and 2, so every pulse maps the product of
+    these per-atom sets into itself."""
+    drives = np.zeros((natoms, 2), dtype=bool)
+    for step in sequence:  # _apply_pulse refuses atoms past the last
+        drives[[a for a in step.atoms if a < natoms], _TRANSITIONS[step.transition]] = True
+    keys = np.arange(2**natoms) * 3**natoms
+    for a in range(natoms):
+        place = 3 ** (natoms - 1 - a)
+        bits = (keys // 3**natoms >> (natoms - 1 - a)) & 1
+        parts = []
+        for bit in (0, 1):
+            # the input level; 2 once it is driven; the other ground level
+            # once that is driven too
+            reach = (bit, 2, 1 - bit)[: 1 + drives[a, bit] * (1 + drives[a, 1 - bit])]
+            parts += [keys[bits == bit] + level * place for level in reach]
+        keys = np.concatenate(parts)
+    return np.sort(keys)
+
+
+def _apply_pulse(psi: np.ndarray, step: PulseStep, basis: tuple) -> np.ndarray:
+    """Exact propagator of one pulse applied to ``psi``, one amplitude per
+    row of ``basis``, whose rows the pulse must map into themselves.
+
+    A pulse keeps every undriven digit and the active set A of driven atoms
+    in its ground level or 2 (not the other ground level), so the rows
+    split into blocks of the 2^|A| excitation patterns of A, whose rows are
+    found by key.  A block carries pair shifts and decay on its diagonal
+    and half-Rabi couplings off it.  Blocks sharing A are exponentiated in
+    one batch, and those that also excite the same atoms share one
+    exponential.  States holding a doubly excited infinite-shift pair get a
+    zero diagonal and no couplings, so perfect blockade leaves them
+    untouched."""
+    keys, digits, excited, diag, forbidden = basis
+    natoms = digits.shape[1]
+    if max(step.atoms) >= natoms:
+        raise ValueError(f"pulse drives atom {max(step.atoms)} but only {natoms} exist")
     ground = _TRANSITIONS[step.transition]
     driven = digits[:, list(step.atoms)]
     lift = (2 - ground) * 3 ** (natoms - 1 - np.array(step.atoms))
-    bases = np.flatnonzero(np.all(driven != 2, axis=1))  # blocks' unexcited states
-    active = driven[bases] == ground
+    bases = np.flatnonzero(np.all(driven != 2, axis=1))  # blocks' unexcited rows
+    active = (driven[bases] == ground) @ (1 << np.arange(len(step.atoms)))
     half = 0.5 * step.rabi * np.exp(1j * step.phase)
-    columns = psi.reshape(psi.shape[0], -1)
-    out = np.empty_like(columns)
-    for active_set in np.unique(active, axis=0):
-        patterns = np.arange(2 ** active_set.sum())
-        bits = (patterns[:, None] >> np.arange(active_set.sum())) & 1
-        index = bases[np.all(active == active_set, axis=1), None] + bits @ lift[active_set]
+    time = step.effective_duration
+    out = np.empty_like(psi)
+    # with return_inverse, np.unique takes a path that never imports numpy.ma
+    masks, group = np.unique(active, return_inverse=True)
+    for m, mask in enumerate(masks):
+        on = (mask >> np.arange(len(step.atoms))) & 1 == 1
+        members = bases[group == m]
+        if not mask:  # 1 x 1 blocks: each row only picks up its diagonal
+            out[members] = np.exp(-1j * time * diag[members]) * psi[members]
+            continue
+        patterns = np.arange(2 ** on.sum())
+        bits = (patterns[:, None] >> np.arange(on.sum())) & 1
+        index = np.searchsorted(keys, keys[members, None] + bits @ lift[on])
         # raising[i, j]: pattern i is pattern j with one more atom excited
         flips = np.sum(bits[:, None] != bits, axis=2)
         raising = (flips == 1) & (patterns[:, None] > patterns)
-        # blocks with equal diagonals and masks share one exponential
-        key = np.column_stack([diag[index], forbidden[index]])
-        _, first, which = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        _, first, which = np.unique(excited[members], return_index=True, return_inverse=True)
         allowed = ~forbidden[index[first]]
         h = (half * raising + np.conj(half) * raising.T) * (
             allowed[:, :, None] & allowed[:, None, :]
         )
         np.einsum("bii->bi", h)[:] = diag[index[first]]
-        u = _expm(-1j * step.effective_duration * h)
-        out[index] = u[which.reshape(-1)] @ columns[index]
-    return out.reshape(psi.shape)
+        u = _expm(-1j * time * h)
+        out[index] = (u[which] @ psi[index][:, :, None])[:, :, 0]
+    return out
 
 
 def evolve(
@@ -261,7 +299,7 @@ def evolve(
         raise ValueError(f"the state must hold 3**{natoms} amplitudes")
     g = _normalize_decay(natoms, decay_rates)
     before = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    psi = _apply_pulse(state.amplitudes, step, v, g)
+    psi = _apply_pulse(state.amplitudes, step, _basis(np.arange(3**natoms), natoms, v, g))
     after = float(np.vdot(psi, psi).real)
     return SimState(
         amplitudes=psi,
@@ -368,22 +406,29 @@ def gate_error_sim(
     v = _normalize_interactions(natoms, interactions)
     g = _normalize_decay(natoms, decay_rates)
     ideal_out, phases = ideal_map(k, ideal)
-    comp = _computational_indices(natoms)
-    inputs = np.arange(comp.size)
+    inputs = np.arange(2**natoms)
+    sequence = tuple(sequence)  # read twice: for the reach and to propagate
+    basis = _basis(_reach_keys(sequence, natoms), natoms, v, g)
+    # each row's input, and its computational output or -1
+    output_index = np.full(3**natoms, -1)
+    output_index[_computational_indices(natoms)] = inputs
+    input_of, state_of = np.divmod(basis[0], 3**natoms)
+    output_of = output_index[state_of]
 
-    columns = np.zeros((3**natoms, comp.size), dtype=np.complex128)
-    columns[comp, inputs] = 1.0
+    psi = (output_of == input_of).astype(np.complex128)
     for step in sequence:
-        columns = _apply_pulse(columns, step, v, g)
+        psi = _apply_pulse(psi, step, basis)
 
     # rows: computational outputs; columns: inputs
-    outputs = columns[comp]
+    hit = output_of >= 0
+    outputs = np.zeros((inputs.size, inputs.size), dtype=np.complex128)
+    outputs[output_of[hit], input_of[hit]] = psi[hit]
     truth_table = (np.abs(outputs) ** 2).T
     errors = 1.0 - truth_table[inputs, ideal_out]
 
     # overlap matrix of simulated outputs with the phase-correct ideal ones
     m_overlap = phases[:, None] * outputs[ideal_out]
-    d = float(comp.size)
+    d = float(inputs.size)
     f_avg = (
         float(np.sum(np.abs(m_overlap) ** 2)) + abs(np.trace(m_overlap)) ** 2
     ) / (d * (d + 1.0))

@@ -14,6 +14,10 @@ subsets, and adaptive quadrature of its Laplace-transform integral.
 ``golden_section_minimize`` minimizes any objective numerically (a
 64-point logarithmic grid refined by golden-section search, coordinate
 descent over two frequencies): the oracle of the closed-form argmin.
+``dense_hamiltonian`` assembles one pulse's whole 3^n Hamiltonian, the
+oracle of the simulator's block propagator, and ``gate_error_sim_full_basis``
+runs every computational input through a sequence on the full 3^n basis,
+block by block, the oracle of the reachable-basis truth table.
 """
 
 import math
@@ -27,6 +31,16 @@ from rydgate import pair_sets, pair_shift
 from rydgate.budget import check_inputs
 from rydgate.optimize import DEFAULT_BRACKET
 from rydgate.sequential import worst_case_detuned_inv_sq
+from rydgate.simulator import (
+    _TRANSITIONS,
+    SimResult,
+    _computational_indices,
+    _digit_table,
+    _expm,
+    _normalize_decay,
+    _normalize_interactions,
+    ideal_map,
+)
 from rydgate.simultaneous import subset_inverse_square_expectations
 
 
@@ -399,4 +413,96 @@ def golden_section_minimize(fn, dims: int = 1, bracket=DEFAULT_BRACKET) -> Oracl
             break
     return OracleMinimum(
         tuple(point), value, counted.evaluations, converged and all(interior_flags)
+    )
+
+
+def dense_hamiltonian(natoms, step, interactions, decay_rates):
+    """The whole 3^n pulse Hamiltonian: pair shifts and decay on the
+    diagonal, half-Rabi couplings per driven atom, and every state holding
+    a doubly excited infinite-shift pair decoupled."""
+    dim = 3**natoms
+    digits = (np.arange(dim)[:, None] // 3 ** np.arange(natoms - 1, -1, -1)) % 3
+    excited = (digits == 2).astype(float)
+    finite = np.where(np.isinf(interactions), 0.0, interactions)
+    diag = 0.5 * np.einsum("sa,ab,sb->s", excited, finite, excited)
+    diag = diag - 0.5j * excited @ decay_rates
+    forbidden = np.zeros(dim, dtype=bool)
+    for a, b in np.argwhere(np.isinf(np.triu(interactions, k=1))):
+        forbidden |= (digits[:, a] == 2) & (digits[:, b] == 2)
+    h = np.diag(np.where(forbidden, 0.0, diag))
+    ground = {"g0-r": 0, "g1-r": 1, "g0-s": 0}[step.transition]
+    half = 0.5 * step.rabi * np.exp(1j * step.phase)
+    for a in step.atoms:
+        s_g = np.flatnonzero(digits[:, a] == ground)
+        s_e = s_g + (2 - ground) * 3 ** (natoms - 1 - a)
+        keep = ~(forbidden[s_g] | forbidden[s_e])
+        h[s_e[keep], s_g[keep]] = half
+        h[s_g[keep], s_e[keep]] = np.conj(half)
+    return h
+
+
+def _full_basis_pulse(columns, step, interactions, decay_rates):
+    """One pulse on a 3^n x m matrix of states: the basis splits into the
+    blocks of excitation patterns of the driven atoms sitting in the driven
+    ground level, and blocks with equal diagonals and masks share one
+    exponential."""
+    natoms = len(interactions)
+    digits = _digit_table(natoms)
+    excited = (digits == 2).astype(float)
+    blocked = np.isinf(interactions)
+    forbidden = np.einsum("sa,ab,sb->s", excited, blocked, excited) > 0
+    finite = np.where(blocked, 0.0, interactions)
+    diag = 0.5 * np.einsum("sa,ab,sb->s", excited, finite, excited)
+    diag = np.where(forbidden, 0.0, diag - 0.5j * excited @ decay_rates)
+
+    ground = _TRANSITIONS[step.transition]
+    driven = digits[:, list(step.atoms)]
+    lift = (2 - ground) * 3 ** (natoms - 1 - np.array(step.atoms))
+    bases = np.flatnonzero(np.all(driven != 2, axis=1))
+    active = driven[bases] == ground
+    half = 0.5 * step.rabi * np.exp(1j * step.phase)
+    out = np.empty_like(columns)
+    for active_set in np.unique(active, axis=0):
+        patterns = np.arange(2 ** active_set.sum())
+        bits = (patterns[:, None] >> np.arange(active_set.sum())) & 1
+        index = bases[np.all(active == active_set, axis=1), None] + bits @ lift[active_set]
+        flips = np.sum(bits[:, None] != bits, axis=2)
+        raising = (flips == 1) & (patterns[:, None] > patterns)
+        key = np.column_stack([diag[index], forbidden[index]])
+        _, first, which = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        allowed = ~forbidden[index[first]]
+        h = (half * raising + np.conj(half) * raising.T) * (
+            allowed[:, :, None] & allowed[:, None, :]
+        )
+        np.einsum("bii->bi", h)[:] = diag[index[first]]
+        u = _expm(-1j * step.effective_duration * h)
+        out[index] = u[which.reshape(-1)] @ columns[index]
+    return out
+
+
+def gate_error_sim_full_basis(sequence, k, interactions, decay_rates=None, ideal="cnot"):
+    """``gate_error_sim`` on all 3^(k+1) x 2^(k+1) amplitudes: one column
+    per computational input, each pulse applied to every basis state."""
+    natoms = k + 1
+    v = _normalize_interactions(natoms, interactions)
+    g = _normalize_decay(natoms, decay_rates)
+    ideal_out, phases = ideal_map(k, ideal)
+    comp = _computational_indices(natoms)
+    inputs = np.arange(comp.size)
+    columns = np.zeros((3**natoms, comp.size), dtype=np.complex128)
+    columns[comp, inputs] = 1.0
+    for step in sequence:
+        columns = _full_basis_pulse(columns, step, v, g)
+    outputs = columns[comp]
+    truth_table = (np.abs(outputs) ** 2).T
+    m_overlap = phases[:, None] * outputs[ideal_out]
+    d = float(comp.size)
+    f_avg = (
+        float(np.sum(np.abs(m_overlap) ** 2)) + abs(np.trace(m_overlap)) ** 2
+    ) / (d * (d + 1.0))
+    return SimResult(
+        avg_error=1.0 - f_avg,
+        errors_by_input=1.0 - truth_table[inputs, ideal_out],
+        truth_table=truth_table,
+        ideal_outputs=ideal_out,
     )

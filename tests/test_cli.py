@@ -97,6 +97,25 @@ def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     assert "line 2 column" in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literal_refused_at_parse(tmp_path, capsys, literal):
+    # json.loads takes these by default; past the parse, the builders would
+    # blame the blockade shift or omega10 instead of the literal
+    path = tmp_path / "literal.json"
+    path.write_text(
+        '{"scheme": "sequential", "k": 2, "omega10_mhz": 9200.0, '
+        f'"uniform": {{"b_mhz": {literal}, "tau_us": 820.0}}}}',
+        encoding="utf-8",
+    )
+    assert main(["budget", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: config parse error in {path}: {literal} is not a JSON number; "
+        "write a finite number\n"
+    )
+
+
 def test_empty_k_rejected(tmp_path, capsys):
     path = write_config(tmp_path, uniform_cfg(k=[]))
     assert main(["budget", "--config", str(path)]) == 2
@@ -549,6 +568,31 @@ def test_every_command_runs_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert dict(zip(runs, json.loads(proc.stdout))) == {run: 0 for run in runs}
+
+
+_SIMULATE_MODULES = """
+import json, sys
+from rydgate.cli import main
+code = main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_simulate_loads_no_numpy_ma(tmp_path):
+    # numpy.ma costs about 15 ms to import, and some np.unique call forms
+    # load it lazily
+    cfg = {"scheme": "simulate", "k": [1, 2, 3],
+           "simulate": {"omega_mhz": 1.0, "b_mhz": 20.0, "decay_mhz": 0.01}}
+    config = write_config(tmp_path, cfg)
+    path = [os.path.dirname(os.path.dirname(rydgate.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIMULATE_MODULES, config, str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, False]
+    assert len(json.loads((tmp_path / "out.json").read_text())["rows"]) == 4 + 8 + 16
 
 
 _EDGE_WARNINGS = """

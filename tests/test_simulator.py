@@ -4,14 +4,15 @@ The simulator is the independent oracle for the closed-form budgets, so
 its own tests avoid the budget formulas wherever possible: truth tables
 are checked against hand permutations, leakage against the two-level
 detuned-drive solution, and decay against first-order exposure times.
-The block propagator is checked against a dense full-space oracle.
+The block propagator is checked against a dense full-space oracle, and
+the reachable-basis truth table against the full-basis one.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from rydgate import (
@@ -30,13 +31,15 @@ from rydgate import (
 from rydgate.simulator import _expm
 from rydgate.units import angular_from_mhz
 
+from oracles import dense_hamiltonian, gate_error_sim_full_basis
+
 OMEGA = 2.0 * math.pi * 1.0e6
 W10 = angular_from_mhz(9200.0)
 
 
 # ------------------------------------------------------------ ideal tables
 
-@pytest.mark.parametrize("k", [1, 2, 3, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 8])
 def test_cnot_truth_table_in_ideal_limit(k):
     seq = canonical_sequence("sequential", k, omega=OMEGA)
     res = gate_error_sim(seq, k, uniform_interactions(k, math.inf))
@@ -260,37 +263,12 @@ def test_pade_exponential_matches_scipy(stack):
 
 # ------------------------------------------------------------ dense oracle
 
-def _dense_hamiltonian(natoms, step, interactions, decay_rates):
-    """The whole 3^n pulse Hamiltonian: pair shifts and decay on the
-    diagonal, half-Rabi couplings per driven atom, and every state holding
-    a doubly excited infinite-shift pair decoupled."""
-    dim = 3**natoms
-    digits = (np.arange(dim)[:, None] // 3 ** np.arange(natoms - 1, -1, -1)) % 3
-    excited = (digits == 2).astype(float)
-    finite = np.where(np.isinf(interactions), 0.0, interactions)
-    diag = 0.5 * np.einsum("sa,ab,sb->s", excited, finite, excited)
-    diag = diag - 0.5j * excited @ decay_rates
-    forbidden = np.zeros(dim, dtype=bool)
-    for a, b in np.argwhere(np.isinf(np.triu(interactions, k=1))):
-        forbidden |= (digits[:, a] == 2) & (digits[:, b] == 2)
-    h = np.diag(np.where(forbidden, 0.0, diag))
-    ground = {"g0-r": 0, "g1-r": 1, "g0-s": 0}[step.transition]
-    half = 0.5 * step.rabi * np.exp(1j * step.phase)
-    for a in step.atoms:
-        s_g = np.flatnonzero(digits[:, a] == ground)
-        s_e = s_g + (2 - ground) * 3 ** (natoms - 1 - a)
-        keep = ~(forbidden[s_g] | forbidden[s_e])
-        h[s_e[keep], s_g[keep]] = half
-        h[s_g[keep], s_e[keep]] = np.conj(half)
-    return h
-
-
 @st.composite
-def _pulse_instances(draw):
-    """k <= 3 with random symmetric shifts (some infinite), per-atom decay
-    (some zero), 1..n-atom pulses on every transition at random phase and
-    length, and a random start state over the whole basis."""
-    k = draw(st.integers(min_value=1, max_value=3))
+def _gates(draw, max_k):
+    """k <= max_k with random symmetric shifts (some infinite), per-atom
+    decay (some zero), and 1..n-atom pulses on every transition at random
+    phase and length: g1-r on controls and multi-atom g0-s included."""
+    k = draw(st.integers(min_value=1, max_value=max_k))
     n = k + 1
     v = np.zeros((n, n))
     for a in range(n):
@@ -310,8 +288,15 @@ def _pulse_instances(draw):
         duration=st.floats(0.1, 3.0).map(lambda x: x * math.pi / OMEGA),
     )
     steps = draw(st.lists(pulse, min_size=1, max_size=5))
+    return k, v, decay, steps
+
+
+@st.composite
+def _pulse_instances(draw):
+    """A k <= 3 gate and a random start state over the whole basis."""
+    k, v, decay, steps = draw(_gates(3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    start = rng.normal(size=3**n) + 1j * rng.normal(size=3**n)
+    start = rng.normal(size=3 ** (k + 1)) + 1j * rng.normal(size=3 ** (k + 1))
     return k, v, decay, steps, start / np.linalg.norm(start)
 
 
@@ -321,7 +306,7 @@ def test_block_propagator_matches_dense_oracle(instance):
     n = k + 1
     u = np.eye(3**n, dtype=complex)
     for step in steps:
-        h = _dense_hamiltonian(n, step, v, decay)
+        h = dense_hamiltonian(n, step, v, decay)
         u = expm(-1j * step.effective_duration * h) @ u
 
     state = SimState(amplitudes=start)
@@ -345,3 +330,19 @@ def test_block_propagator_matches_dense_oracle(instance):
         inputs * (inputs + 1)
     )
     assert res.avg_error == pytest.approx(1.0 - f_avg, abs=1e-10)
+
+
+@settings(max_examples=150)
+@given(_gates(4), st.sampled_from(["cnot", "grover", "identity"]))
+def test_truth_table_matches_full_basis_oracle(gate, ideal):
+    # the reachable basis holds each input's closure under the sequence, so
+    # it must give the full basis's tables to rounding, whatever drives what
+    k, v, decay, steps = gate
+    res = gate_error_sim(steps, k, v, decay_rates=decay, ideal=ideal)
+    want = gate_error_sim_full_basis(steps, k, v, decay_rates=decay, ideal=ideal)
+    np.testing.assert_allclose(res.truth_table, want.truth_table, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        res.errors_by_input, want.errors_by_input, rtol=0.0, atol=1e-12
+    )
+    assert res.avg_error == pytest.approx(want.avg_error, rel=0.0, abs=1e-12)
+    np.testing.assert_array_equal(res.ideal_outputs, want.ideal_outputs)
