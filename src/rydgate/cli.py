@@ -45,6 +45,7 @@ from .schemas import (
     ConfigError,
     divergence_error,
     report_columns,
+    require_fields,
     validate_config,
     validate_report,
 )
@@ -131,123 +132,83 @@ def _normalize(raw: dict[str, Any]) -> dict[str, Any]:
     return cfg
 
 
+# drive-frequency keys, shared by the fixed-mode config and the report
+# columns, per number of frequencies
+_FREQUENCY_KEYS = {1: ("omega_mhz",), 2: ("omega_c_mhz", "omega_t_mhz")}
+
+# budget scheme -> (its drive-frequency keys, also those of the simulate
+# sequence of that name; the lifetime keys of a uniform entry or the
+# lattice block; the interaction-model keys of a lattice run, or None where
+# the scheme has no lattice runs)
+_SCHEMES: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...] | None]] = {
+    "sequential": (_FREQUENCY_KEYS[1], ("tau_us",), ("interaction",)),
+    "grover": (_FREQUENCY_KEYS[1], ("tau_us",), None),
+    "simultaneous": (_FREQUENCY_KEYS[2], ("tau_c_us", "tau_t_us"),
+                     ("interaction_ct", "interaction_cc")),
+}
+_MODEL_KEYS = tuple(key for *_, models in _SCHEMES.values() for key in models or ())
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(f"config invalid: {message}")
 
 
-def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
-    """Field-level rules the JSON schema cannot express."""
-    scheme = cfg["scheme"]
-    if command == "simulate":
-        _require(scheme == "simulate", "the simulate command requires scheme 'simulate'")
-    else:
-        _require(
-            scheme != "simulate",
-            f"scheme 'simulate' is only valid with the simulate command, not {command}",
-        )
+def _refuse_present(cfg: dict[str, Any], keys: Sequence[str], reason: str) -> None:
+    """Refuse the first of the top-level ``keys`` that ``cfg`` carries."""
+    for key in keys:
+        if key in cfg:
+            raise ConfigError(f"config invalid at {key}: {reason}")
 
-    if scheme == "simulate":
-        _require("simulate" in cfg, "scheme 'simulate' requires a simulate block")
-        _require(
-            "uniform" not in cfg and "lattice" not in cfg,
-            "the simulate block carries all inputs; drop uniform/lattice",
-        )
-        sim = cfg["simulate"]
+
+def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
+    """Field-level rules the JSON schema cannot express: which command takes
+    which scheme, and the fields ``_SCHEMES`` names for the scheme."""
+    scheme = cfg["scheme"]
+    _require((scheme == "simulate") == (command == "simulate"),
+             f"scheme {scheme!r} does not go with the {command} command")
+    if command == "simulate":
+        require_fields(cfg, ("simulate",))
+        _refuse_present(cfg, ("uniform", "lattice"), "the simulate block carries all inputs")
         for k in cfg["k"]:
-            _require(
-                k <= _MAX_K_TABLE,
-                f"simulate supports k <= {_MAX_K_TABLE}, got k={k}",
-            )
-        if sim["sequence"] in ("sequential", "grover"):
-            _require("omega_mhz" in sim, "simulate/omega_mhz is required")
-        else:
-            _require(
-                "omega_c_mhz" in sim and "omega_t_mhz" in sim,
-                "simulate/omega_c_mhz and simulate/omega_t_mhz are required",
-            )
+            _require(k <= _MAX_K_TABLE, f"simulate supports k <= {_MAX_K_TABLE}, got k={k}")
+        require_fields(cfg["simulate"], _SCHEMES[cfg["simulate"]["sequence"]][0], "simulate")
         return
 
+    _refuse_present(cfg, ("simulate",), "a simulate block goes only with scheme 'simulate'")
     # refuse an oversized k before any layout is built: layouts and pair
     # sets grow as k and k^2
     for k in cfg["k"]:
         check_k(k)
     if command == "lattice":
         # layout export only needs the geometry itself
-        _require("lattice" in cfg, "the lattice command needs a lattice block")
+        require_fields(cfg, ("lattice",))
         return
 
-    has_uniform = "uniform" in cfg
-    has_lattice = "lattice" in cfg
-    _require(
-        has_uniform != has_lattice,
-        "provide exactly one of uniform inputs or lattice inputs",
-    )
-    _require("omega10_mhz" in cfg, "omega10_mhz is required for budget schemes")
-
-    freq = cfg["frequencies"]
-    if freq["mode"] == "fixed":
-        if scheme == "simultaneous":
-            _require(
-                "omega_c_mhz" in freq and "omega_t_mhz" in freq,
-                "frequencies/omega_c_mhz and omega_t_mhz are required in fixed mode",
-            )
-        else:
-            _require(
-                "omega_mhz" in freq, "frequencies/omega_mhz is required in fixed mode"
-            )
-
-    if has_uniform:
-        _require(
-            not any(key in cfg for key in ("interaction", "interaction_ct", "interaction_cc")),
-            "interaction models apply to lattice runs only",
-        )
+    frequencies, lifetimes, models = _SCHEMES[scheme]
+    _require(("uniform" in cfg) != ("lattice" in cfg),
+             "provide exactly one of uniform inputs or lattice inputs")
+    require_fields(cfg, ("omega10_mhz",))
+    if cfg["frequencies"]["mode"] == "fixed":
+        require_fields(cfg["frequencies"], frequencies, "frequencies")
+    if "uniform" in cfg:
         for i, entry in enumerate(cfg["uniform"]):
-            if scheme == "simultaneous":
-                _require(
-                    "b_ct_mhz" in entry,
-                    f"uniform/{i} must carry b_ct_mhz/d_cc_mhz/tau_c_us/tau_t_us "
-                    "for the simultaneous scheme",
-                )
-            else:
-                _require(
-                    "b_mhz" in entry,
-                    f"uniform/{i} must carry b_mhz/tau_us for the {scheme} scheme",
-                )
+            require_fields(entry, lifetimes, "uniform", i)
+        mode, read = "uniform", ()
     else:
-        _require(scheme != "grover", "grover budgets support uniform inputs only")
-        lattice = cfg["lattice"]
-        if scheme == "sequential":
-            _require("interaction" in cfg, "lattice runs need an interaction model")
-            _require("tau_us" in lattice, "lattice/tau_us is required")
-            _require(
-                "interaction_ct" not in cfg and "interaction_cc" not in cfg,
-                "sequential lattice runs use the single interaction model",
-            )
-        else:
-            _require(
-                "interaction_ct" in cfg and "interaction_cc" in cfg,
-                "simultaneous lattice runs need interaction_ct and interaction_cc",
-            )
-            _require(
-                "tau_c_us" in lattice and "tau_t_us" in lattice,
-                "lattice/tau_c_us and lattice/tau_t_us are required",
-            )
-            _require(
-                "interaction" not in cfg,
-                "simultaneous lattice runs use interaction_ct/interaction_cc",
-            )
+        _require(models is not None, f"{scheme} budgets support uniform inputs only")
+        require_fields(cfg["lattice"], lifetimes, "lattice")
+        require_fields(cfg, models)
+        mode, read = "lattice", models
+    _refuse_present(cfg, [key for key in _MODEL_KEYS if key not in read],
+                    f"a {scheme} {mode} run reads {' and '.join(read) or 'no interaction model'}")
 
     if command == "sweep-omega":
-        _require(
-            "sweep" in cfg and "omega_mhz" in cfg["sweep"],
-            "sweep-omega needs a sweep/omega_mhz grid",
-        )
-        _require(
-            scheme in ("sequential", "grover"),
-            "sweep-omega supports the single-frequency schemes",
-        )
-        grid = cfg["sweep"]["omega_mhz"]
+        # one grid per drive frequency
+        _require(len(frequencies) == 1, "sweep-omega supports the single-frequency schemes")
+        require_fields(cfg, ("sweep",))
+        require_fields(cfg["sweep"], frequencies, "sweep")
+        grid = cfg["sweep"][frequencies[0]]
         _require(grid["max"] > grid["min"], "sweep/omega_mhz needs max > min")
 
 
@@ -290,10 +251,6 @@ def _omega_grid(grid_cfg: dict[str, Any]) -> list[float]:
     return [lo * ratio**i for i in range(points)]
 
 
-# drive-frequency keys, shared by the fixed-mode config and the report
-# columns, per number of frequencies
-_FREQUENCY_KEYS = {1: ("omega_mhz",), 2: ("omega_c_mhz", "omega_t_mhz")}
-
 _BRACKET_MHZ = "{:g} .. {:g} MHz".format(*map(mhz_from_angular, DEFAULT_BRACKET))
 
 # budget-row keys as the optimize report names them; the projection keeps
@@ -335,40 +292,34 @@ class _Case:
         }
         self.analytic: dict[str, float] = {}
         self.d_cc_max = 0.0
-        lifetimes = cfg["lattice"] if entry is None else entry
+        _, lifetimes, model_keys = _SCHEMES[scheme]
+        source = cfg["lattice"] if entry is None else entry
+        taus = [seconds_from_us(source[key]) for key in lifetimes]
         if entry is None:
-            geom = build_layout(meters_from_um(cfg["lattice"]["d_um"]), k)
+            geom = build_layout(meters_from_um(source["d_um"]), k)
+            models = [build_interaction(cfg[key], key) for key in model_keys]
 
         if scheme == "simultaneous":
-            tau_c = seconds_from_us(lifetimes["tau_c_us"])
-            tau_t = seconds_from_us(lifetimes["tau_t_us"])
             if entry is not None:
                 b_ct = angular_from_mhz(entry["b_ct_mhz"])
                 self.d_cc_max = angular_from_mhz(entry["d_cc_mhz"])
                 self.head.update(b_ct_mhz=entry["b_ct_mhz"], d_cc_mhz=entry["d_cc_mhz"])
-                self.laurent = budget_simultaneous_uniform(
-                    k, b_ct, self.d_cc_max, tau_c, tau_t, omega10
-                )
+                self.laurent = budget_simultaneous_uniform(k, b_ct, self.d_cc_max, *taus, omega10)
             else:
-                model_ct = build_interaction(cfg["interaction_ct"], "interaction_ct")
-                model_cc = build_interaction(cfg["interaction_cc"], "interaction_cc")
-                self.laurent = budget_simultaneous_lattice(
-                    model_ct, model_cc, geom, tau_c, tau_t, omega10
-                )
+                self.laurent = budget_simultaneous_lattice(*models, geom, *taus, omega10)
                 ct, cc = self.laurent.pair_shifts
                 self.d_cc_max = max(cc, default=0.0)
                 self.head["b_ct_mhz"] = mhz_from_angular(math.fsum(ct) / k)
                 self.head["d_cc_mhz"] = mhz_from_angular(math.fsum(cc) / len(cc)) if cc else 0.0
             return
 
-        tau = seconds_from_us(lifetimes["tau_us"])
+        (tau,) = taus
         if entry is not None:
             b = angular_from_mhz(entry["b_mhz"])
             uniform = budget_grover_uniform if scheme == "grover" else budget_sequential_uniform
             self.laurent = uniform(k, b, tau, omega10)
         else:
-            model = build_interaction(cfg["interaction"], "interaction")
-            self.laurent = budget_sequential_lattice(model, geom, tau, omega10)
+            self.laurent = budget_sequential_lattice(*models, geom, tau, omega10)
             shifts = [v for group in self.laurent.pair_shifts for v in group]
             b = math.exp(math.fsum(math.log(v) for v in shifts) / len(shifts))
         self.head["b_mhz"] = mhz_from_angular(b)
@@ -651,11 +602,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, ZeroDivisionError) as exc:  # a magnitude past the float range
+        print(f"error: a config value leaves the float range: {exc.args[-1]}", file=sys.stderr)
+        return 2
     fmt = args.format or cfg.get("output", {}).get("format") or "json"
     out_path = args.out or cfg.get("output", {}).get("path")
     text = render_json(report) if fmt == "json" else render_csv(report)
     write_output(text, out_path)
-    if cfg.get("simulate", {}).get("check_ideal") and not all(
+    if args.command == "simulate" and cfg["simulate"]["check_ideal"] and not all(
         row["ideal_check_passed"] for row in report["rows"]
     ):
         print(

@@ -324,6 +324,14 @@ def validate_config(obj: Any) -> None:
         raise _refusal("config", *found[:2])
 
 
+def require_fields(obj: dict[str, Any], keys: tuple[str, ...], *path: Any) -> None:
+    """Refuse, in ``validate_config``'s words, the first of ``keys`` missing
+    from ``obj``, the config object at ``path``."""
+    found = _first_error(obj, {"required": keys}, path)
+    if found:
+        raise _refusal("config", *found[:2])
+
+
 def report_columns(command: str, scheme: str) -> tuple[str, ...] | None:
     """The fixed column order of a command's report for a scheme, or None."""
     table = _COLUMNS.get(command)

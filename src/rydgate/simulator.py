@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -100,16 +99,6 @@ class SimResult:
     errors_by_input: np.ndarray
     truth_table: np.ndarray
     ideal_outputs: np.ndarray
-
-
-@lru_cache(maxsize=32)
-def _digit_table(natoms: int) -> np.ndarray:
-    """Base-3 digits of every basis index; atom 0 is the most significant."""
-    idx = np.arange(3**natoms)
-    digits = np.empty((3**natoms, natoms), dtype=np.int8)
-    for a in range(natoms):
-        digits[:, a] = (idx // 3 ** (natoms - 1 - a)) % 3
-    return digits
 
 
 def _computational_indices(natoms: int) -> np.ndarray:
@@ -201,8 +190,9 @@ def _basis(keys: np.ndarray, natoms: int, interactions: np.ndarray,
     """The rows a propagation runs over, given by sorted (input, base-3
     index) keys, and what no pulse changes: each row's digits, its
     excited-atom bitmask, its diagonal of pair shifts and decay, and
-    whether it holds a doubly excited infinite-shift pair."""
-    digits = _digit_table(natoms)[keys % 3**natoms]
+    whether it holds a doubly excited infinite-shift pair.  Atom 0 is the
+    most significant base-3 digit of the index."""
+    digits = keys[:, None] // 3 ** np.arange(natoms - 1, -1, -1) % 3
     excited = (digits == 2).astype(float)
     blocked = np.isinf(interactions)
     forbidden = np.einsum("sa,ab,sb->s", excited, blocked, excited) > 0

@@ -35,7 +35,6 @@ from rydgate.simulator import (
     _TRANSITIONS,
     SimResult,
     _computational_indices,
-    _digit_table,
     _expm,
     _normalize_decay,
     _normalize_interactions,
@@ -447,7 +446,7 @@ def _full_basis_pulse(columns, step, interactions, decay_rates):
     ground level, and blocks with equal diagonals and masks share one
     exponential."""
     natoms = len(interactions)
-    digits = _digit_table(natoms)
+    digits = (np.arange(3**natoms)[:, None] // 3 ** np.arange(natoms - 1, -1, -1)) % 3
     excited = (digits == 2).astype(float)
     blocked = np.isinf(interactions)
     forbidden = np.einsum("sa,ab,sb->s", excited, blocked, excited) > 0

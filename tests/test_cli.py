@@ -4,6 +4,7 @@ Configs are built as temp files because the CLI contract is file-based;
 the bundled presets are exercised as-is.
 """
 
+import copy
 import csv
 import io
 import json
@@ -163,6 +164,165 @@ def test_grover_lattice_rejected(tmp_path):
 
 
 SIMULTANEOUS_UNIFORM = {"b_ct_mhz": 50.0, "d_cc_mhz": 2.0, "tau_c_us": 148.0, "tau_t_us": 97.0}
+
+
+# ----------------------------------------------- cross rules, per scheme
+
+def scheme_cfg(scheme, lattice=False):
+    """A valid fixed-mode config of a budget scheme, built from what
+    ``cli._SCHEMES`` says the scheme reads; it carries a sweep grid too."""
+    frequencies, lifetimes, models = cli._SCHEMES[scheme]
+    taus = {key: 500.0 for key in lifetimes}
+    cfg = {
+        "scheme": scheme,
+        "k": [2],
+        "omega10_mhz": 9200.0,
+        "frequencies": {"mode": "fixed", **{key: 50.0 for key in frequencies}},
+        "sweep": {"omega_mhz": {"min": 0.5, "max": 50.0, "points": 5}},
+    }
+    if lattice:
+        cfg["lattice"] = {"d_um": 4.0, **taus}
+        cfg.update((key, {"c6_mhz_um6": 1.0e6}) for key in models)
+    else:
+        shifts = {"b_mhz": 52.0} if len(frequencies) == 1 else {"b_ct_mhz": 50.0, "d_cc_mhz": 2.0}
+        cfg["uniform"] = [dict(shifts, **taus)]
+    return cfg
+
+
+def _simulate_cfg(sequence):
+    frequencies = cli._SCHEMES[sequence][0]
+    return {"scheme": "simulate", "k": 1,
+            "simulate": {"sequence": sequence, **{key: 1.0 for key in frequencies}}}
+
+
+def _drop_cases():
+    """(config, command, path of the dropped key) for every key the scheme
+    table names: lifetimes of a uniform entry and of the lattice block,
+    interaction models, fixed-mode and simulate drive frequencies, and the
+    sweep grid of a single-frequency scheme."""
+    for scheme, (frequencies, lifetimes, models) in cli._SCHEMES.items():
+        cases = [(scheme_cfg(scheme), "budget", ("uniform", 0, key)) for key in lifetimes]
+        if models:
+            lattice = scheme_cfg(scheme, lattice=True)
+            cases += [(lattice, "budget", ("lattice", key)) for key in lifetimes]
+            cases += [(lattice, "optimize", (key,)) for key in models]
+        cases += [(scheme_cfg(scheme), "budget", ("frequencies", key)) for key in frequencies]
+        cases += [(_simulate_cfg(scheme), "simulate", ("simulate", key)) for key in frequencies]
+        if len(frequencies) == 1:
+            cases += [(scheme_cfg(scheme), "sweep-omega", ("sweep", key)) for key in frequencies]
+        for cfg, command, path in cases:
+            yield pytest.param(copy.deepcopy(cfg), command, path,
+                               id=f"{scheme}-{command}-{'/'.join(map(str, path))}")
+
+
+def _run(tmp_path, cfg, command):
+    out = tmp_path / "out.json"
+    code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    return code, out.exists()
+
+
+# (scheme, lattice run) for every input mode a scheme has
+RUNS = [(scheme, lattice) for scheme, (_, _, models) in cli._SCHEMES.items()
+        for lattice in (False, True)[: 1 + (models is not None)]]
+RUN_IDS = [f"{scheme}-{'lattice' if lattice else 'uniform'}" for scheme, lattice in RUNS]
+
+
+@pytest.mark.parametrize("scheme, lattice", RUNS, ids=RUN_IDS)
+def test_scheme_table_configs_run(tmp_path, scheme, lattice):
+    cfg = scheme_cfg(scheme, lattice)
+    commands = ["budget", "optimize"]
+    commands += ["sweep-omega"] if len(cli._SCHEMES[scheme][0]) == 1 else []
+    commands += ["lattice"] if lattice else []
+    for command in commands:
+        assert _run(tmp_path, cfg, command) == (0, True), command
+    for sequence in cli._SCHEMES:
+        assert _run(tmp_path, _simulate_cfg(sequence), "simulate") == (0, True), sequence
+
+
+@pytest.mark.parametrize("cfg, command, path", list(_drop_cases()))
+def test_dropped_table_key_refused_at_its_path(tmp_path, capsys, cfg, command, path):
+    *parents, key = path
+    holder = cfg
+    for part in parents:
+        holder = holder[part]
+    del holder[key]
+    assert _run(tmp_path, cfg, command) == (2, False)
+    err = capsys.readouterr().err
+    where = "/".join(map(str, parents)) or "(top level)"
+    assert err.startswith(f"error: config invalid at {where}: "), err
+    # a uniform entry that lacks a lifetime fits no entry schema, so the
+    # schema walker refuses it before the cross rules can name the key
+    if parents[:1] != ["uniform"]:
+        assert err == f"error: config invalid at {where}: {key!r} is a required property\n"
+
+
+@pytest.mark.parametrize(
+    "scheme, entry_scheme",
+    [(a, b) for a in cli._SCHEMES for b in cli._SCHEMES
+     if cli._SCHEMES[a][1] != cli._SCHEMES[b][1]],
+)
+def test_uniform_entry_of_another_scheme_refused(tmp_path, capsys, scheme, entry_scheme):
+    lifetimes = cli._SCHEMES[scheme][1]
+    cfg = dict(scheme_cfg(scheme), uniform=scheme_cfg(entry_scheme)["uniform"])
+    assert _run(tmp_path, cfg, "budget") == (2, False)
+    assert capsys.readouterr().err == (
+        f"error: config invalid at uniform/0: {lifetimes[0]!r} is a required property\n"
+    )
+
+
+@pytest.mark.parametrize("scheme, lattice", RUNS, ids=RUN_IDS)
+def test_model_the_run_does_not_read_refused(tmp_path, capsys, scheme, lattice):
+    models = cli._SCHEMES[scheme][2]
+    unread = [key for key in cli._MODEL_KEYS if not lattice or key not in models]
+    for key in unread:
+        cfg = dict(scheme_cfg(scheme, lattice), **{key: {"c6_mhz_um6": 1.0e6}})
+        assert _run(tmp_path, cfg, "budget") == (2, False), key
+        assert capsys.readouterr().err.startswith(f"error: config invalid at {key}: a {scheme} ")
+
+
+def test_two_frequency_scheme_has_no_sweep(tmp_path, capsys):
+    for scheme, (frequencies, _, _) in cli._SCHEMES.items():
+        if len(frequencies) > 1:
+            assert _run(tmp_path, scheme_cfg(scheme), "sweep-omega") == (2, False)
+            assert "single-frequency" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["budget", "optimize", "sweep-omega", "lattice"])
+def test_simulate_block_on_budget_scheme_refused(tmp_path, capsys, command):
+    # the budget report used to be written, and the ideal-limit check then
+    # looked for simulate cells in it; the lattice command returned early
+    cfg = {"scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
+           "uniform": {"b_mhz": 9.0, "tau_us": 540.0},
+           "lattice": {"d_um": 2.0, "tau_us": 540.0},
+           "sweep": {"omega_mhz": {"min": 0.5, "max": 50.0, "points": 5}},
+           "simulate": {"omega_mhz": 1.0, "check_ideal": True}}
+    if command != "lattice":
+        del cfg["lattice"]
+    assert _run(tmp_path, cfg, command) == (2, False)
+    assert capsys.readouterr().err == (
+        "error: config invalid at simulate: a simulate block goes only with scheme 'simulate'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(uniform_cfg(frequencies={"mode": "fixed", "omega_mhz": 1.0e160}),
+                     id="fixed-omega-overflows"),
+        pytest.param({"scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
+                      "lattice": {"d_um": 1.0e120, "tau_us": 540.0},
+                      "interaction": {"c6_mhz_um6": 100.0}}, id="lattice-c6-overflows"),
+        pytest.param({"scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
+                      "lattice": {"d_um": 1.0e-150, "tau_us": 540.0},
+                      "interaction": {"c3_mhz_um3": 100.0}}, id="lattice-c3-underflows"),
+    ],
+)
+def test_magnitude_out_of_float_range_exits_2(tmp_path, capsys, cfg):
+    assert _run(tmp_path, cfg, "budget") == (2, False)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a config value leaves the float range: ")
+    assert captured.err.count("\n") == 1
 
 
 def _preset_cfg(name, **overrides):
