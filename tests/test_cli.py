@@ -34,8 +34,10 @@ from rydgate.cli import (
 from rydgate.schemas import (
     BUDGET_COLUMNS,
     LATTICE_COLUMNS,
+    SCHEMES,
     SWEEP_COLUMNS,
     ConfigError,
+    scheme_keys,
     validate_config,
     validate_report,
 )
@@ -170,46 +172,49 @@ SIMULTANEOUS_UNIFORM = {"b_ct_mhz": 50.0, "d_cc_mhz": 2.0, "tau_c_us": 148.0, "t
 
 def scheme_cfg(scheme, lattice=False):
     """A valid fixed-mode config of a budget scheme, built from what
-    ``cli._SCHEMES`` says the scheme reads; it carries a sweep grid too."""
-    frequencies, lifetimes, models = cli._SCHEMES[scheme]
-    taus = {key: 500.0 for key in lifetimes}
+    ``schemas.SCHEMES`` says the scheme reads; it carries a sweep grid too."""
+    row = SCHEMES[scheme]
+    taus = {key: 500.0 for key in row.lifetimes}
     cfg = {
         "scheme": scheme,
         "k": [2],
         "omega10_mhz": 9200.0,
-        "frequencies": {"mode": "fixed", **{key: 50.0 for key in frequencies}},
+        "frequencies": {"mode": "fixed", **{key: 50.0 for key in row.frequencies}},
         "sweep": {"omega_mhz": {"min": 0.5, "max": 50.0, "points": 5}},
     }
     if lattice:
         cfg["lattice"] = {"d_um": 4.0, **taus}
-        cfg.update((key, {"c6_mhz_um6": 1.0e6}) for key in models)
+        cfg.update((key, {"c6_mhz_um6": 1.0e6}) for key in row.models)
     else:
-        shifts = {"b_mhz": 52.0} if len(frequencies) == 1 else {"b_ct_mhz": 50.0, "d_cc_mhz": 2.0}
-        cfg["uniform"] = [dict(shifts, **taus)]
+        # b_mhz, or b_ct_mhz well above d_cc_mhz
+        cfg["uniform"] = [dict(zip(row.shifts, (50.0, 2.0)), **taus)]
     return cfg
 
 
 def _simulate_cfg(sequence):
-    frequencies = cli._SCHEMES[sequence][0]
+    frequencies = SCHEMES[sequence].frequencies
     return {"scheme": "simulate", "k": 1,
             "simulate": {"sequence": sequence, **{key: 1.0 for key in frequencies}}}
 
 
 def _drop_cases():
     """(config, command, path of the dropped key) for every key the scheme
-    table names: lifetimes of a uniform entry and of the lattice block,
-    interaction models, fixed-mode and simulate drive frequencies, and the
-    sweep grid of a single-frequency scheme."""
-    for scheme, (frequencies, lifetimes, models) in cli._SCHEMES.items():
-        cases = [(scheme_cfg(scheme), "budget", ("uniform", 0, key)) for key in lifetimes]
-        if models:
+    table names: shifts and lifetimes of a uniform entry, lifetimes of the
+    lattice block, interaction models, fixed-mode and simulate drive
+    frequencies, and the sweep grid of a single-frequency scheme."""
+    for scheme, row in SCHEMES.items():
+        cases = [(scheme_cfg(scheme), "budget", ("uniform", 0, key))
+                 for key in row.shifts + row.lifetimes]
+        if row.models:
             lattice = scheme_cfg(scheme, lattice=True)
-            cases += [(lattice, "budget", ("lattice", key)) for key in lifetimes]
-            cases += [(lattice, "optimize", (key,)) for key in models]
-        cases += [(scheme_cfg(scheme), "budget", ("frequencies", key)) for key in frequencies]
-        cases += [(_simulate_cfg(scheme), "simulate", ("simulate", key)) for key in frequencies]
-        if len(frequencies) == 1:
-            cases += [(scheme_cfg(scheme), "sweep-omega", ("sweep", key)) for key in frequencies]
+            cases += [(lattice, "budget", ("lattice", key)) for key in row.lifetimes]
+            cases += [(lattice, "optimize", (key,)) for key in row.models]
+        cases += [(scheme_cfg(scheme), "budget", ("frequencies", key)) for key in row.frequencies]
+        cases += [(_simulate_cfg(scheme), "simulate", ("simulate", key))
+                  for key in row.frequencies]
+        if len(row.frequencies) == 1:
+            cases += [(scheme_cfg(scheme), "sweep-omega", ("sweep", key))
+                      for key in row.frequencies]
         for cfg, command, path in cases:
             yield pytest.param(copy.deepcopy(cfg), command, path,
                                id=f"{scheme}-{command}-{'/'.join(map(str, path))}")
@@ -222,8 +227,8 @@ def _run(tmp_path, cfg, command):
 
 
 # (scheme, lattice run) for every input mode a scheme has
-RUNS = [(scheme, lattice) for scheme, (_, _, models) in cli._SCHEMES.items()
-        for lattice in (False, True)[: 1 + (models is not None)]]
+RUNS = [(scheme, lattice) for scheme, row in SCHEMES.items()
+        for lattice in (False, True)[: 1 + (row.models is not None)]]
 RUN_IDS = [f"{scheme}-{'lattice' if lattice else 'uniform'}" for scheme, lattice in RUNS]
 
 
@@ -231,11 +236,11 @@ RUN_IDS = [f"{scheme}-{'lattice' if lattice else 'uniform'}" for scheme, lattice
 def test_scheme_table_configs_run(tmp_path, scheme, lattice):
     cfg = scheme_cfg(scheme, lattice)
     commands = ["budget", "optimize"]
-    commands += ["sweep-omega"] if len(cli._SCHEMES[scheme][0]) == 1 else []
+    commands += ["sweep-omega"] if len(SCHEMES[scheme].frequencies) == 1 else []
     commands += ["lattice"] if lattice else []
     for command in commands:
         assert _run(tmp_path, cfg, command) == (0, True), command
-    for sequence in cli._SCHEMES:
+    for sequence in SCHEMES:
         assert _run(tmp_path, _simulate_cfg(sequence), "simulate") == (0, True), sequence
 
 
@@ -247,42 +252,91 @@ def test_dropped_table_key_refused_at_its_path(tmp_path, capsys, cfg, command, p
         holder = holder[part]
     del holder[key]
     assert _run(tmp_path, cfg, command) == (2, False)
-    err = capsys.readouterr().err
     where = "/".join(map(str, parents)) or "(top level)"
-    assert err.startswith(f"error: config invalid at {where}: "), err
-    # a uniform entry that lacks a lifetime fits no entry schema, so the
-    # schema walker refuses it before the cross rules can name the key
-    if parents[:1] != ["uniform"]:
-        assert err == f"error: config invalid at {where}: {key!r} is a required property\n"
+    assert capsys.readouterr().err == (
+        f"error: config invalid at {where}: {key!r} is a required property\n"
+    )
+
+
+def test_uniform_entry_without_lifetime_refused_at_its_path(tmp_path, capsys):
+    # a single uniform object is the config's first entry; the schema once
+    # refused it whole, as valid under no entry schema
+    cfg = uniform_cfg(uniform={"b_mhz": 9.0})
+    assert _run(tmp_path, cfg, "budget") == (2, False)
+    assert capsys.readouterr().err == (
+        "error: config invalid at uniform/0: 'tau_us' is a required property\n"
+    )
 
 
 @pytest.mark.parametrize(
     "scheme, entry_scheme",
-    [(a, b) for a in cli._SCHEMES for b in cli._SCHEMES
-     if cli._SCHEMES[a][1] != cli._SCHEMES[b][1]],
+    [(a, b) for a in SCHEMES for b in SCHEMES
+     if SCHEMES[a].lifetimes != SCHEMES[b].lifetimes],
 )
 def test_uniform_entry_of_another_scheme_refused(tmp_path, capsys, scheme, entry_scheme):
-    lifetimes = cli._SCHEMES[scheme][1]
     cfg = dict(scheme_cfg(scheme), uniform=scheme_cfg(entry_scheme)["uniform"])
     assert _run(tmp_path, cfg, "budget") == (2, False)
     assert capsys.readouterr().err == (
-        f"error: config invalid at uniform/0: {lifetimes[0]!r} is a required property\n"
+        f"error: config invalid at uniform/0: {SCHEMES[scheme].shifts[0]!r} is a required "
+        "property\n"
+    )
+
+
+def _foreign_cases():
+    """(config, command, path of an added key) for every key that the
+    scheme table names for another scheme only, in each block that reads
+    such keys: a uniform entry, the lattice block, the fixed frequencies
+    and the simulate block."""
+    def foreign(scheme, *columns):
+        own = set(scheme_keys(columns, scheme))
+        return [key for key in scheme_keys(columns) if key not in own]
+
+    for scheme, row in SCHEMES.items():
+        cases = [(scheme_cfg(scheme), "budget", ("uniform", 0, key))
+                 for key in foreign(scheme, "shifts", "lifetimes")]
+        if row.models:
+            cases += [(scheme_cfg(scheme, lattice=True), "budget", ("lattice", key))
+                      for key in foreign(scheme, "lifetimes")]
+        cases += [(scheme_cfg(scheme), "budget", ("frequencies", key))
+                  for key in foreign(scheme, "frequencies")]
+        cases += [(_simulate_cfg(scheme), "simulate", ("simulate", key))
+                  for key in foreign(scheme, "shifts", "frequencies")]
+        for cfg, command, path in cases:
+            yield pytest.param(cfg, command, path,
+                               id=f"{scheme}-{command}-{'/'.join(map(str, path))}")
+
+
+@pytest.mark.parametrize("cfg, command, path", list(_foreign_cases()))
+def test_key_of_another_scheme_refused_at_its_path(tmp_path, capsys, cfg, command, path):
+    # such a key used to be ignored: a simultaneous simulate run with b_mhz
+    # ran without any blockade
+    *parents, key = path
+    holder = cfg
+    for part in parents:
+        holder = holder[part]
+    holder[key] = 5.0
+    assert _run(tmp_path, cfg, command) == (2, False)
+    scheme = cfg["simulate"]["sequence"] if command == "simulate" else cfg["scheme"]
+    assert capsys.readouterr().err.startswith(
+        f"error: config invalid at {'/'.join(map(str, path))}: another scheme's key; "
+        f"a {scheme} run reads "
     )
 
 
 @pytest.mark.parametrize("scheme, lattice", RUNS, ids=RUN_IDS)
 def test_model_the_run_does_not_read_refused(tmp_path, capsys, scheme, lattice):
-    models = cli._SCHEMES[scheme][2]
-    unread = [key for key in cli._MODEL_KEYS if not lattice or key not in models]
-    for key in unread:
+    models = SCHEMES[scheme].models
+    for key in [key for key in scheme_keys(("models",)) if not lattice or key not in models]:
         cfg = dict(scheme_cfg(scheme, lattice), **{key: {"c6_mhz_um6": 1.0e6}})
         assert _run(tmp_path, cfg, "budget") == (2, False), key
-        assert capsys.readouterr().err.startswith(f"error: config invalid at {key}: a {scheme} ")
+        reason = (f"another scheme's key; a {scheme} run reads {', '.join(models)} here"
+                  if lattice else f"a {scheme} uniform run reads no interaction model")
+        assert capsys.readouterr().err == f"error: config invalid at {key}: {reason}\n"
 
 
 def test_two_frequency_scheme_has_no_sweep(tmp_path, capsys):
-    for scheme, (frequencies, _, _) in cli._SCHEMES.items():
-        if len(frequencies) > 1:
+    for scheme, row in SCHEMES.items():
+        if len(row.frequencies) > 1:
             assert _run(tmp_path, scheme_cfg(scheme), "sweep-omega") == (2, False)
             assert "single-frequency" in capsys.readouterr().err
 
@@ -589,6 +643,27 @@ def test_config_output_path_used_when_flag_absent(tmp_path):
     assert out.read_text(encoding="utf-8").startswith("scheme,")
 
 
+@pytest.mark.parametrize(
+    "where, name, reason",
+    [
+        ("flag", "missing/report.json", "No such file or directory"),
+        ("config", "missing/report.json", "No such file or directory"),
+        ("flag", ".", "Is a directory"),
+    ],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, where, name, reason):
+    # this used to end in a traceback and exit 1
+    out = tmp_path / name
+    cfg = uniform_cfg(output={"path": str(out)}) if where == "config" else uniform_cfg()
+    argv = ["budget", "--config", write_config(tmp_path, cfg)]
+    argv += ["--out", str(out)] if where == "flag" else []
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write report to {out}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
+
+
 # ------------------------------------------------------------------ sweep
 
 def sweep_cfg():
@@ -611,6 +686,22 @@ def test_sweep_minimum_close_to_numeric_minimum(tmp_path):
     swept_best = min(row["total"] for row in grid)
     assert numeric[0]["total"] <= swept_best
     assert swept_best <= 1.10 * numeric[0]["total"]
+
+
+def test_sweep_row_cap(monkeypatch, tmp_path, capsys):
+    # grid points x k values x uniform entries may reach 100 000; one more
+    # row is refused before any budget is built
+    entries = [{"b_mhz": 9.0, "tau_us": 540.0}, {"b_mhz": 52.0, "tau_us": 820.0}]
+    grid = {"min": 0.4, "max": 4.0, "points": 25_000}
+    cfg = dict(sweep_cfg(), k=[2, 8], uniform=entries, sweep={"omega_mhz": grid})
+    check_cross_rules(load_config(write_config(tmp_path, cfg)), "sweep-omega")
+    grid["points"] += 1
+    monkeypatch.setattr(cli, "_Case", lambda *args: pytest.fail("a sweep case was built"))
+    assert _run(tmp_path, cfg, "sweep-omega") == (2, False)
+    assert capsys.readouterr().err == (
+        "error: config invalid: sweep-omega would build 100004 grid rows "
+        "(sweep/omega_mhz/points x k values x uniform entries), above the cap of 100000\n"
+    )
 
 
 def test_sweep_single_interior_minimum(tmp_path):
