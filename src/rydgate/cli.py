@@ -10,10 +10,10 @@ drive frequency with analytic and numeric minima), ``simulate``
 frequencies, duration, budget terms and optimum; an optimize row is that
 row renamed and cut; a sweep row is its budget at one grid frequency.
 
-Configs are JSON in laboratory units (MHz, us, um), validated against
-``schemas.CONFIG_SCHEMA`` and then by ``check_cross_rules``, which takes
-what each scheme requires, and what it refuses as another scheme's key,
-from ``schemas.SCHEMES``.  Reports carry schema version "rydgate-report/1"
+Configs are JSON in laboratory units (MHz, us, um), checked as written
+against ``schemas.CONFIG_SCHEMA``, then by ``check_cross_rules``, which
+takes what each scheme requires and refuses from ``schemas.SCHEMES``, and
+only then given defaults.  Reports carry schema version "rydgate-report/1"
 and are deterministic: the same config always produces byte-identical
 output.  CSV output uses a fixed, documented column order per command with
 '.' as the decimal separator.  Exit 2 means a refused config (a sweep-omega
@@ -90,8 +90,9 @@ def preset_path(name: str) -> str:
     return str(resource)
 
 
-def load_config(path: str) -> dict[str, Any]:
-    """Read, parse, schema-validate, and normalize one config file."""
+def load_config(path: str, command: str) -> dict[str, Any]:
+    """Read and parse one config file, check it as written against the
+    schema and then the cross rules of ``command``, and set its defaults."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -107,6 +108,7 @@ def load_config(path: str) -> dict[str, Any]:
     except ValueError as exc:  # a NaN or infinity literal
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     validate_config(raw)
+    check_cross_rules(raw, command)
     return _normalize(raw)
 
 
@@ -114,22 +116,26 @@ def _refuse_constant(literal: str) -> Any:
     raise ValueError(f"{literal} is not a JSON number; write a finite number")
 
 
+def _as_list(value: Any) -> list:
+    return value if isinstance(value, list) else [value]
+
+
+# what a simulate block leaves out; a shift left out means no blockade, and
+# the gate's default follows the sequence
+_SIMULATE_DEFAULTS = {"sequence": "sequential", "b_mhz": "inf", "b_ct_mhz": "inf",
+                      "d_cc_mhz": 0.0, "decay_mhz": 0.0, "check_ideal": False,
+                      "tolerance": 1.0e-6}
+
+
 def _normalize(raw: dict[str, Any]) -> dict[str, Any]:
-    cfg = dict(raw)
-    k = cfg["k"]
-    cfg["k"] = [k] if isinstance(k, int) else list(k)
+    """A checked config with every default set, k and uniform as lists."""
+    cfg = dict(raw, k=_as_list(raw["k"]))
     if "uniform" in cfg:
-        uniform = cfg["uniform"]
-        entries = [uniform] if isinstance(uniform, dict) else list(uniform)
-        cfg["uniform"] = [dict(entry) for entry in entries]
+        cfg["uniform"] = _as_list(cfg["uniform"])
     cfg.setdefault("frequencies", {"mode": "optimize"})
     if "simulate" in cfg:
-        sim = dict(cfg["simulate"])
-        sim.setdefault("sequence", "sequential")
+        sim = {**_SIMULATE_DEFAULTS, **cfg["simulate"]}
         sim.setdefault("gate", "grover" if sim["sequence"] == "grover" else "cnot")
-        sim.setdefault("decay_mhz", 0.0)
-        sim.setdefault("check_ideal", False)
-        sim.setdefault("tolerance", 1.0e-6)
         cfg["simulate"] = sim
     return cfg
 
@@ -165,26 +171,27 @@ def _check_scheme_keys(obj: dict[str, Any], scheme: str, required: tuple[str, ..
 
 
 def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
-    """Field-level rules the JSON schema cannot express: which command takes
-    which scheme, the keys ``SCHEMES`` names for the scheme (required) and
-    for the other schemes (refused), and the size caps."""
-    scheme = cfg["scheme"]
+    """Field-level rules the JSON schema cannot express, on a config as
+    written: which command takes which scheme, the keys ``SCHEMES`` names
+    for the scheme (required) and for the other schemes (refused), the
+    frequencies an optimize-mode run finds itself, and the size caps."""
+    scheme, ks = cfg["scheme"], _as_list(cfg["k"])
     _require((scheme == "simulate") == (command == "simulate"),
              f"scheme {scheme!r} does not go with the {command} command")
     if command == "simulate":
         require_fields(cfg, ("simulate",))
         _refuse_present(cfg, ("uniform", "lattice"), "the simulate block carries all inputs")
-        for k in cfg["k"]:
+        for k in ks:
             _require(k <= _MAX_K_TABLE, f"simulate supports k <= {_MAX_K_TABLE}, got k={k}")
         sim = cfg["simulate"]
-        _check_scheme_keys(sim, sim["sequence"], ("frequencies",), ("shifts", "frequencies"),
-                           "simulate")
+        _check_scheme_keys(sim, sim.get("sequence", _SIMULATE_DEFAULTS["sequence"]),
+                           ("frequencies",), ("shifts", "frequencies"), "simulate")
         return
 
     _refuse_present(cfg, ("simulate",), "a simulate block goes only with scheme 'simulate'")
     # refuse an oversized k before any layout is built: layouts and pair
     # sets grow as k and k^2
-    for k in cfg["k"]:
+    for k in ks:
         check_k(k)
     if command == "lattice":
         # layout export only needs the geometry itself
@@ -195,12 +202,20 @@ def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
     _require(("uniform" in cfg) != ("lattice" in cfg),
              "provide exactly one of uniform inputs or lattice inputs")
     require_fields(cfg, ("omega10_mhz",))
-    required = ("frequencies",) if cfg["frequencies"]["mode"] == "fixed" else ()
-    _check_scheme_keys(cfg["frequencies"], scheme, required, ("frequencies",), "frequencies")
+    freq = cfg.get("frequencies", {})
+    fixed = freq.get("mode") == "fixed"
+    required = ("frequencies",) if fixed else ()
+    _check_scheme_keys(freq, scheme, required, ("frequencies",), "frequencies")
+    if not fixed:
+        _refuse_present(freq, frequencies, "mode 'optimize' finds the drive frequencies; "
+                        "give them with mode 'fixed'", "frequencies")
     if "uniform" in cfg:
-        for i, entry in enumerate(cfg["uniform"]):
+        # a single uniform object is refused at uniform, an entry at uniform/<i>
+        uniform = cfg["uniform"]
+        paths = [(i,) for i in range(len(uniform))] if isinstance(uniform, list) else [()]
+        for path, entry in zip(paths, _as_list(uniform)):
             _check_scheme_keys(entry, scheme, ("shifts", "lifetimes"), ("shifts", "lifetimes"),
-                               "uniform", i)
+                               "uniform", *path)
         _refuse_present(cfg, scheme_keys(("models",)),
                         f"a {scheme} uniform run reads no interaction model")
     else:
@@ -215,7 +230,7 @@ def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
         require_fields(cfg["sweep"], frequencies, "sweep")
         grid = cfg["sweep"][frequencies[0]]
         _require(grid["max"] > grid["min"], "sweep/omega_mhz needs max > min")
-        rows = grid["points"] * len(cfg["k"]) * len(cfg.get("uniform", [None]))
+        rows = grid["points"] * len(ks) * len(_as_list(cfg.get("uniform")))
         _require(rows <= _MAX_SWEEP_ROWS,
                  f"sweep-omega would build {rows} grid rows (sweep/omega_mhz/points x k values "
                  f"x uniform entries), above the cap of {_MAX_SWEEP_ROWS}")
@@ -441,9 +456,7 @@ def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
 
     ``ideal_check_passed``: every input of the row's k is within tolerance,
     and so is the phase-sensitive ``avg_error``."""
-    # a shift left out means no blockade; the report's config echo lists all three
-    sim = {"b_mhz": "inf", "b_ct_mhz": "inf", "d_cc_mhz": 0.0, **cfg["simulate"]}
-    cfg = dict(cfg, simulate=sim)
+    sim = cfg["simulate"]
     scheme = SCHEMES[sim["sequence"]]
     gate = sim["gate"]
     tolerance = sim["tolerance"]
@@ -451,8 +464,8 @@ def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
     # canonical_sequence takes the frequency keys without their unit
     omegas = {key.removesuffix("_mhz"): angular_from_mhz(sim[key]) for key in scheme.frequencies}
     # control-target shift first, control-control shift last: a one-shift
-    # sequence shifts every pair alike
-    shifts = [math.inf if sim[key] == "inf" else angular_from_mhz(sim[key])
+    # sequence shifts every pair alike; a string shift matched "^inf$"
+    shifts = [math.inf if isinstance(sim[key], str) else angular_from_mhz(sim[key])
               for key in scheme.shifts]
 
     rows: list[dict[str, Any]] = []
@@ -592,8 +605,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        check_cross_rules(cfg, args.command)
+        cfg = load_config(args.config, args.command)
         report = _COMMANDS[args.command](cfg)
         fmt = args.format or cfg.get("output", {}).get("format") or "json"
         text = render_json(report) if fmt == "json" else render_csv(report)

@@ -12,6 +12,7 @@ its command's fixed column order; neither needs a schema library.
 """
 
 import math
+import re
 from typing import Any, NamedTuple
 
 from .sequential import GROVER_DIAGNOSTICS, GROVER_TERMS, SEQUENTIAL_TERMS
@@ -20,6 +21,8 @@ from .simultaneous import SIMULTANEOUS_DIAGNOSTICS, SIMULTANEOUS_TERMS
 REPORT_SCHEMA_VERSION = "rydgate-report/1"
 
 _POS = {"type": "number", "exclusiveMinimum": 0}
+# a simulate blockade shift: positive, or "inf" for a perfect blockade
+_SHIFT_OR_INF = {"type": ["number", "string"], "exclusiveMinimum": 0, "pattern": "^inf$"}
 _NONNEG = {"type": "number", "minimum": 0}
 _LABEL = {"type": "string", "maxLength": 120}
 _LEVEL_N = {"type": "integer", "minimum": 1,
@@ -108,22 +111,14 @@ CONFIG_SCHEMA: dict[str, Any] = {
         "description": {"type": "string"},
         "scheme": {"enum": ["sequential", "simultaneous", "grover", "simulate"]},
         "k": {
-            "oneOf": [
-                {"type": "integer", "minimum": 1},
-                {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 1,
-                },
-            ]
+            "type": ["integer", "array"],
+            "minimum": 1,
+            "items": {"type": "integer", "minimum": 1},
+            "minItems": 1,
         },
         "omega10_mhz": _POS,
-        "uniform": {
-            "oneOf": [
-                _UNIFORM_ENTRY,
-                {"type": "array", "items": _UNIFORM_ENTRY, "minItems": 1},
-            ]
-        },
+        "uniform": {**_UNIFORM_ENTRY, "type": ["object", "array"], "items": _UNIFORM_ENTRY,
+                    "minItems": 1},
         "lattice": {
             "type": "object",
             "properties": {"d_um": _POS, **_positive(("lifetimes",))},
@@ -159,8 +154,8 @@ CONFIG_SCHEMA: dict[str, Any] = {
             "properties": {
                 "sequence": {"enum": list(SCHEMES)},
                 "gate": {"enum": ["cnot", "grover", "identity"]},
-                "b_mhz": {"oneOf": [_POS, {"const": "inf"}]},
-                "b_ct_mhz": {"oneOf": [_POS, {"const": "inf"}]},
+                "b_mhz": _SHIFT_OR_INF,
+                "b_ct_mhz": _SHIFT_OR_INF,
                 "d_cc_mhz": _NONNEG,
                 **_positive(("frequencies",)),
                 "decay_mhz": _NONNEG,
@@ -252,64 +247,48 @@ _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
 
 
 def _first_error(value: Any, schema: dict[str, Any], path: tuple) -> tuple | None:
-    """The first refusal of ``value`` by ``schema`` as (path, message,
-    typed), or None; ``typed``: the refusing schema names a type ``value``
-    has.  Keywords: type, enum, const, oneOf, required, additionalProperties,
-    properties, minItems, items, minimum, exclusiveMinimum, maxLength; any
-    other key is an annotation.
+    """The first refusal of ``value`` by ``schema`` as (path, message), or
+    None.  Keywords: type (a name or a list of names), enum, required,
+    additionalProperties, properties, minItems, items, minimum,
+    exclusiveMinimum, maxLength, pattern; any other key is an annotation.
 
-    Path rule: a value is checked before its members, members in schema
-    order, and the first refusal met is reported.  A oneOf that no branch
-    passes reports its branches' deepest first refusal, typed before
-    untyped, or itself on a tie.  The path is thus always one at which
-    jsonschema refuses too, though its ``best_match`` heuristic may rank
-    another first: a shallower one, or another inside a oneOf.
+    Path rule: a value is checked before its members and members in schema
+    order, so the first refusal met is one at which jsonschema refuses too.
     """
-    kind = schema.get("type")
-
-    def refuse(message: str, typed: bool = kind is not None) -> tuple:
-        return path, message, typed
-
-    if kind and (not isinstance(value, _TYPES[kind])
-                 or isinstance(value, bool) != (kind == "boolean")):
-        return refuse(f"{value!r} is not of type {kind!r}", False)
+    kinds = schema.get("type", ())
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and not any(isinstance(value, _TYPES[kind])
+                         and isinstance(value, bool) == (kind == "boolean") for kind in kinds):
+        return path, f"{value!r} is not of type {', '.join(map(repr, kinds))}"
     if "enum" in schema and value not in schema["enum"]:
-        return refuse(f"{value!r} is not one of {schema['enum']!r}")
-    if "const" in schema and value != schema["const"]:
-        return refuse(f"{schema['const']!r} was expected")
-    if "oneOf" in schema:
-        found = [_first_error(value, branch, path) for branch in schema["oneOf"]]
-        ranks = [(len(error[0]), error[2]) for error in found if error]
-        if len(ranks) == len(found):
-            if ranks.count(max(ranks)) == 1:
-                return found[ranks.index(max(ranks))]
-            return refuse(f"{value!r} is not valid under any of the given schemas")
-        if len(found) - len(ranks) > 1:
-            return refuse(f"{value!r} is valid under more than one of the given schemas")
+        return path, f"{value!r} is not one of {schema['enum']!r}"
     members: list = []
     if isinstance(value, dict):
         properties = schema.get("properties", {})
         missing = [name for name in schema.get("required", ()) if name not in value]
         if missing:
-            return refuse(f"{missing[0]!r} is a required property")
+            return path, f"{missing[0]!r} is a required property"
         extras = sorted(key for key in value if key not in properties)
         if extras and schema.get("additionalProperties") is False:
-            return refuse(f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+            return path, (f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
                           f"{'was' if len(extras) == 1 else 'were'} unexpected)")
         members = [(name, sub) for name, sub in properties.items() if name in value]
     elif isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
-            return refuse(f"{value!r} {short}")
+            return path, f"{value!r} {short}"
         members = [(i, schema["items"]) for i in range(len(value)) if "items" in schema]
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         if value < schema.get("minimum", value):
-            return refuse(f"{value!r} is less than the minimum of {schema['minimum']!r}")
+            return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-            return refuse(f"{value!r} is less than or equal to the minimum of "
+            return path, (f"{value!r} is less than or equal to the minimum of "
                           f"{schema['exclusiveMinimum']!r}")
-    elif isinstance(value, str) and len(value) > schema.get("maxLength", len(value)):
-        return refuse(f"{value!r} is too long")
+    elif isinstance(value, str):
+        if len(value) > schema.get("maxLength", len(value)):
+            return path, f"{value!r} is too long"
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            return path, f"{value!r} does not match {schema['pattern']!r}"
     for key, sub in members:
         found = _first_error(value[key], sub, path + (key,))
         if found:
@@ -325,7 +304,7 @@ def validate_config(obj: Any) -> None:
     """
     found = _first_error(obj, CONFIG_SCHEMA, ())
     if found:
-        raise _refusal("config", *found[:2])
+        raise _refusal("config", *found)
 
 
 def require_fields(obj: dict[str, Any], keys: tuple[str, ...], *path: Any) -> None:
@@ -333,7 +312,7 @@ def require_fields(obj: dict[str, Any], keys: tuple[str, ...], *path: Any) -> No
     from ``obj``, the config object at ``path``."""
     found = _first_error(obj, {"required": keys}, path)
     if found:
-        raise _refusal("config", *found[:2])
+        raise _refusal("config", *found)
 
 
 def report_columns(command: str, scheme: str) -> tuple[str, ...] | None:

@@ -17,7 +17,7 @@ The uniform budgets are closed forms; their un-collapsed per-state sums,
 with exact rational state weights, live in the tests as the independent
 check of every collapsed expression.  The +/- ambiguity in (omega10 +/- B)
 denominators is resolved conservatively: each term takes the sign that
-maximizes it.
+maximizes it, which for B, omega10 > 0 is always the minus sign.
 
 Lattice-averaged budgets keep each blockade shift with the atom pair that
 produced it, weighted by the probability that this pair is the one acting
@@ -61,17 +61,15 @@ GROVER_DIAGNOSTICS = ("collapsed_total_variant",)
 
 
 def worst_case_detuned_inv_sq(omega10: float, b: float) -> float:
-    """max of 1/(omega10 - b)^2 and 1/(omega10 + b)^2.
+    """max of 1/(omega10 - b)^2 and 1/(omega10 + b)^2, inf at b = omega10.
 
     The sign of the combined detuning depends on level structure not
     resolved here, so every term takes the larger (pessimistic) value.
+    For b >= 0 and omega10 > 0, which ``check_inputs`` ensures, |omega10 - b|
+    <= omega10 + b, and rounding keeps that order, so it is 1/(omega10 - b)^2.
     """
     minus = omega10 - b
-    plus = omega10 + b
-    worst = 1.0 / (plus * plus)
-    if minus == 0.0:
-        return math.inf
-    return max(worst, 1.0 / (minus * minus))
+    return math.inf if minus == 0.0 else 1.0 / (minus * minus)
 
 
 # the monomial basis of the single-frequency budgets: Omega^-1, Omega, Omega^2

@@ -258,7 +258,7 @@ def factor_for_gain(gain: float) -> float:
 
 
 def test_criterion_9_lattice_minima_vs_analytic_recipe():
-    cfg = load_config(preset_path("sequential_lattice_crossover"))
+    cfg = load_config(preset_path("sequential_lattice_crossover"), "budget")
     report = cmd_budget(cfg)
     rows = report["rows"]
     ks = [row["k"] for row in rows]

@@ -20,7 +20,6 @@ import pytest
 import rydgate
 from rydgate import BlockadeRegimeWarning, cli, sequential, simultaneous
 from rydgate.cli import (
-    check_cross_rules,
     cmd_budget,
     cmd_lattice,
     cmd_simulate,
@@ -73,14 +72,12 @@ def uniform_cfg(**overrides):
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_bundled_presets_validate(name):
-    cfg = load_config(preset_path(name))
-    command = "budget"
-    check_cross_rules(cfg, command)
+    cfg = load_config(preset_path(name), "budget")
     assert cfg["k"], name
 
 
 def test_room_temp_preset_budget_rows():
-    cfg = load_config(preset_path("simultaneous_lattice_room_temp"))
+    cfg = load_config(preset_path("simultaneous_lattice_room_temp"), "budget")
     report = cmd_budget(cfg)
     assert [row["k"] for row in report["rows"]] == [3, 8, 15, 24, 35]
     assert report["columns"] == list(BUDGET_COLUMNS["simultaneous"])
@@ -138,7 +135,7 @@ def test_uniform_and_lattice_together_rejected(tmp_path):
         interaction={"c6_mhz_um6": 100.0},
     )
     with pytest.raises(ConfigError, match="exactly one"):
-        check_cross_rules(load_config(write_config(tmp_path, cfg)), "budget")
+        load_config(write_config(tmp_path, cfg), "budget")
 
 
 def test_scheme_command_mismatches(tmp_path):
@@ -148,9 +145,9 @@ def test_scheme_command_mismatches(tmp_path):
         "simulate": {"omega_mhz": 1.0},
     }
     with pytest.raises(ConfigError, match="simulate"):
-        check_cross_rules(load_config(write_config(tmp_path, sim_cfg)), "budget")
+        load_config(write_config(tmp_path, sim_cfg), "budget")
     with pytest.raises(ConfigError, match="simulate"):
-        check_cross_rules(load_config(write_config(tmp_path, uniform_cfg())), "simulate")
+        load_config(write_config(tmp_path, uniform_cfg()), "simulate")
 
 
 def test_grover_lattice_rejected(tmp_path):
@@ -162,7 +159,7 @@ def test_grover_lattice_rejected(tmp_path):
         "interaction": {"c6_mhz_um6": 100.0},
     }
     with pytest.raises(ConfigError, match="uniform"):
-        check_cross_rules(load_config(write_config(tmp_path, cfg)), "budget")
+        load_config(write_config(tmp_path, cfg), "budget")
 
 
 SIMULTANEOUS_UNIFORM = {"b_ct_mhz": 50.0, "d_cc_mhz": 2.0, "tau_c_us": 148.0, "tau_t_us": 97.0}
@@ -259,12 +256,12 @@ def test_dropped_table_key_refused_at_its_path(tmp_path, capsys, cfg, command, p
 
 
 def test_uniform_entry_without_lifetime_refused_at_its_path(tmp_path, capsys):
-    # a single uniform object is the config's first entry; the schema once
-    # refused it whole, as valid under no entry schema
+    # a single uniform object is refused at uniform, its path in the file:
+    # the cross rules run before it is wrapped in a list
     cfg = uniform_cfg(uniform={"b_mhz": 9.0})
     assert _run(tmp_path, cfg, "budget") == (2, False)
     assert capsys.readouterr().err == (
-        "error: config invalid at uniform/0: 'tau_us' is a required property\n"
+        "error: config invalid at uniform: 'tau_us' is a required property\n"
     )
 
 
@@ -320,6 +317,28 @@ def test_key_of_another_scheme_refused_at_its_path(tmp_path, capsys, cfg, comman
     assert capsys.readouterr().err.startswith(
         f"error: config invalid at {'/'.join(map(str, path))}: another scheme's key; "
         f"a {scheme} run reads "
+    )
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_own_frequency_in_optimize_mode_refused(tmp_path, capsys, scheme):
+    # optimize mode would drop a written drive frequency without a word
+    # and report the optimum in its place
+    own = SCHEMES[scheme].frequencies
+    cfg = scheme_cfg(scheme)
+    cfg["frequencies"]["mode"] = "optimize"
+    for command in ("budget", "optimize"):
+        assert _run(tmp_path, cfg, command) == (2, False), command
+        assert capsys.readouterr().err == (
+            f"error: config invalid at frequencies/{own[0]}: mode 'optimize' finds the drive "
+            "frequencies; give them with mode 'fixed'\n"
+        )
+    # a key of another scheme is named first
+    foreign = next(key for key in scheme_keys(("frequencies",)) if key not in own)
+    cfg["frequencies"][foreign] = 5.0
+    assert _run(tmp_path, cfg, "budget") == (2, False)
+    assert capsys.readouterr().err.startswith(
+        f"error: config invalid at frequencies/{foreign}: another scheme's key; "
     )
 
 
@@ -552,7 +571,7 @@ def test_lattice_case_shifts_pairs_once(monkeypatch, name):
     # and the whole optimizer run never go back to the geometry
     calls = _count_calls(monkeypatch, (cli, sequential, simultaneous),
                          ("pair_sets", "pair_shift"))
-    cfg = load_config(preset_path(name))
+    cfg = load_config(preset_path(name), "budget")
     for k in cfg["k"]:
         before = dict(calls)
         case = cli._Case(cfg, None, k)
@@ -596,9 +615,9 @@ def test_schema_rejects_unknown_fields():
 # ---------------------------------------------------------------- reports
 
 def test_budget_report_validates_and_is_deterministic(tmp_path):
-    cfg = load_config(write_config(tmp_path, uniform_cfg()))
+    cfg = load_config(write_config(tmp_path, uniform_cfg()), "budget")
     first = render_json(cmd_budget(cfg))
-    second = render_json(cmd_budget(load_config(write_config(tmp_path, uniform_cfg()))))
+    second = render_json(cmd_budget(load_config(write_config(tmp_path, uniform_cfg()), "budget")))
     assert first == second
     report = json.loads(first)
     validate_report(report)
@@ -609,7 +628,7 @@ def test_budget_report_validates_and_is_deterministic(tmp_path):
 
 
 def test_csv_has_fixed_header_and_plain_decimals(tmp_path):
-    cfg = load_config(write_config(tmp_path, uniform_cfg()))
+    cfg = load_config(write_config(tmp_path, uniform_cfg()), "budget")
     text = render_csv(cmd_budget(cfg))
     lines = text.splitlines()
     assert lines[0] == ",".join(BUDGET_COLUMNS["sequential"])
@@ -677,7 +696,7 @@ def sweep_cfg():
 
 
 def test_sweep_minimum_close_to_numeric_minimum(tmp_path):
-    report = cmd_sweep_omega(load_config(write_config(tmp_path, sweep_cfg())))
+    report = cmd_sweep_omega(load_config(write_config(tmp_path, sweep_cfg()), "sweep-omega"))
     assert report["columns"] == list(SWEEP_COLUMNS["sequential"])
     grid = [row for row in report["rows"] if row["row_type"] == "grid"]
     numeric = [row for row in report["rows"] if row["row_type"] == "numeric_opt"]
@@ -694,7 +713,7 @@ def test_sweep_row_cap(monkeypatch, tmp_path, capsys):
     entries = [{"b_mhz": 9.0, "tau_us": 540.0}, {"b_mhz": 52.0, "tau_us": 820.0}]
     grid = {"min": 0.4, "max": 4.0, "points": 25_000}
     cfg = dict(sweep_cfg(), k=[2, 8], uniform=entries, sweep={"omega_mhz": grid})
-    check_cross_rules(load_config(write_config(tmp_path, cfg)), "sweep-omega")
+    load_config(write_config(tmp_path, cfg), "sweep-omega")
     grid["points"] += 1
     monkeypatch.setattr(cli, "_Case", lambda *args: pytest.fail("a sweep case was built"))
     assert _run(tmp_path, cfg, "sweep-omega") == (2, False)
@@ -705,7 +724,7 @@ def test_sweep_row_cap(monkeypatch, tmp_path, capsys):
 
 
 def test_sweep_single_interior_minimum(tmp_path):
-    report = cmd_sweep_omega(load_config(write_config(tmp_path, sweep_cfg())))
+    report = cmd_sweep_omega(load_config(write_config(tmp_path, sweep_cfg()), "sweep-omega"))
     totals = [row["total"] for row in report["rows"] if row["row_type"] == "grid"]
     drops = [b < a for a, b in zip(totals, totals[1:])]
     # strictly decreasing then strictly increasing: exactly one run flip
@@ -774,7 +793,7 @@ def test_simulate_report_without_check_exits_zero(tmp_path):
         "simulate": {"omega_mhz": 1.0, "b_mhz": 10.0},
     }
     path = write_config(tmp_path, cfg)
-    report = cmd_simulate(load_config(path))
+    report = cmd_simulate(load_config(path, "simulate"))
     assert not any(row["ideal_check_passed"] for row in report["rows"])
     assert report["rows"][0]["avg_error"] > 0.0
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "out.json")]) == 0
@@ -890,7 +909,7 @@ def test_optimizer_edge_warning_leaves_reports_unchanged(tmp_path):
 
 def test_lattice_export(tmp_path):
     cfg = {"scheme": "sequential", "k": 4, "lattice": {"d_um": 2.0}}
-    report = cmd_lattice(load_config(write_config(tmp_path, cfg)))
+    report = cmd_lattice(load_config(write_config(tmp_path, cfg), "lattice"))
     assert report["columns"] == list(LATTICE_COLUMNS)
     rows = report["rows"]
     assert rows[0] == {"k": 4, "index": 0, "x_um": 0.0, "y_um": 0.0, "role": "target", "r_um": 0.0}

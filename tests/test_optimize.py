@@ -226,7 +226,7 @@ def test_closed_form_2d_argmin_matches_coordinate_descent_oracle(a, b, c, cross,
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_preset_optima_match_golden_section_oracle(name):
-    for case in _cases(load_config(preset_path(name))):
+    for case in _cases(load_config(preset_path(name), "optimize")):
         result = case.optimize("optimize")
         oracle = golden_section_minimize(
             lambda *omegas: case.laurent.at(*omegas)["total"], dims=case.laurent.dims

@@ -70,7 +70,7 @@ def test_render_json_is_byte_identical_on_a_large_sweep(tmp_path):
     }
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    report = cmd_sweep_omega(load_config(str(path)))
+    report = cmd_sweep_omega(load_config(str(path), "sweep-omega"))
     assert len(report["rows"]) >= 4000
     assert render_json(report) == _dumps(report)
 
@@ -333,6 +333,27 @@ def test_config_validator_agrees_with_jsonschema(cfg):
         assert path in set(_error_paths(errors)), (refusal, cfg)
 
 
+# the keywords validate_config's walker checks, and the annotations it skips
+WALKED = {"type", "enum", "required", "additionalProperties", "properties", "minItems", "items",
+          "minimum", "exclusiveMinimum", "maxLength", "pattern"}
+ANNOTATIONS = {"$schema", "title", "description"}
+
+
+def _subschemas(schema, path=()):
+    yield path, schema
+    for name, sub in schema.get("properties", {}).items():
+        yield from _subschemas(sub, path + (name,))
+    if "items" in schema:
+        yield from _subschemas(schema["items"], path + ("items",))
+
+
+def test_config_schema_uses_only_walked_keywords():
+    # the walker skips any other key as an annotation: a oneOf or a const
+    # would pass every config it should refuse
+    for path, schema in _subschemas(CONFIG_SCHEMA):
+        assert set(schema) <= WALKED | ANNOTATIONS, (path, set(schema) - WALKED - ANNOTATIONS)
+
+
 # (field, bad value, refusal); jsonschema's best_match gives the same path
 SINGLE_DEFECTS = [
     ("scheme", "bogus", "scheme: 'bogus' is not one of "
@@ -340,17 +361,18 @@ SINGLE_DEFECTS = [
     ("k", [], "k: [] should be non-empty"),
     ("k", [1, 0], "k/1: 0 is less than the minimum of 1"),
     ("k", -2, "k: -2 is less than the minimum of 1"),
-    ("k", "2", "k: '2' is not valid under any of the given schemas"),
+    ("k", "2", "k: '2' is not of type 'integer', 'array'"),
     ("omega10_mhz", -1.0, "omega10_mhz: -1.0 is less than or equal to the minimum of 0"),
     ("frequencies", {"mode": "slow"}, "frequencies/mode: 'slow' is not one of "
      "['fixed', 'optimize']"),
     ("frequencies", {"omega_mhz": 1.0}, "frequencies: 'mode' is a required property"),
     ("uniform", [{"b_mhz": -9.0, "tau_us": 540.0}],
      "uniform/0/b_mhz: -9.0 is less than or equal to the minimum of 0"),
+    ("uniform", {"b_mhz": -9.0, "tau_us": 540.0},
+     "uniform/b_mhz: -9.0 is less than or equal to the minimum of 0"),
     ("simulate", {"b_mhz": -1.0},
      "simulate/b_mhz: -1.0 is less than or equal to the minimum of 0"),
-    ("simulate", {"b_mhz": "infinite"}, "simulate/b_mhz: 'infinite' is not valid under any "
-     "of the given schemas"),
+    ("simulate", {"b_mhz": "infinite"}, "simulate/b_mhz: 'infinite' does not match '^inf$'"),
     ("description", 3, "description: 3 is not of type 'string'"),
     ("bogus", 1, "(top level): Additional properties are not allowed ('bogus' was unexpected)"),
 ]

@@ -200,4 +200,4 @@ def test_blockade_regime_warning(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     with pytest.warns(BlockadeRegimeWarning):
-        cmd_budget(load_config(str(path)))
+        cmd_budget(load_config(str(path), "budget"))
