@@ -19,7 +19,6 @@ from .sequential import (
     budget_grover_uniform,
     budget_sequential_lattice,
     budget_sequential_uniform,
-    worst_case_detuned_inv_sq,
 )
 from .simulator import (
     PulseStep,
@@ -39,7 +38,6 @@ from .simultaneous import (
     budget_simultaneous_lattice,
     budget_simultaneous_uniform,
     subset_inverse_square_expectations,
-    target_blockade_sums,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +73,5 @@ __all__ = [
     "sequence_duration",
     "simultaneous_interactions",
     "subset_inverse_square_expectations",
-    "target_blockade_sums",
     "uniform_interactions",
-    "worst_case_detuned_inv_sq",
 ]

@@ -174,7 +174,8 @@ def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
     """Field-level rules the JSON schema cannot express, on a config as
     written: which command takes which scheme, the keys ``SCHEMES`` names
     for the scheme (required) and for the other schemes (refused), the
-    frequencies an optimize-mode run finds itself, and the size caps."""
+    frequencies an optimize-mode run finds itself, the interaction laws a
+    lattice run builds, and the size caps."""
     scheme, ks = cfg["scheme"], _as_list(cfg["k"])
     _require((scheme == "simulate") == (command == "simulate"),
              f"scheme {scheme!r} does not go with the {command} command")
@@ -222,6 +223,8 @@ def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
         _require(models is not None, f"{scheme} budgets support uniform inputs only")
         _check_scheme_keys(cfg["lattice"], scheme, ("lifetimes",), ("lifetimes",), "lattice")
         _check_scheme_keys(cfg, scheme, ("models",), ("models",))
+        for key in models:  # refuse a law no case could build, at its block
+            build_interaction(cfg[key], key)
 
     if command == "sweep-omega":
         # one grid per drive frequency
@@ -237,13 +240,14 @@ def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
 
 
 def build_interaction(obj: dict[str, Any], path: str) -> InteractionModel:
-    """Turn one config interaction block into an InteractionModel."""
+    """Turn one config interaction block, the one at ``path``, into an
+    InteractionModel."""
     has_fit = "fit" in obj
     has_coeff = any(key in obj for key in ("c3_mhz_um3", "c6_mhz_um6", "crossover_um"))
-    _require(
-        has_fit != has_coeff,
-        f"{path} needs either a fit block or explicit coefficients, not both",
-    )
+    if has_fit == has_coeff:
+        given = "both a fit block and" if has_fit else "neither a fit block nor"
+        raise ConfigError(f"config invalid at {path}: {given} explicit coefficients; "
+                          "give exactly one")
     if has_fit:
         fit = obj["fit"]
         return fit_single_anchor(

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -351,6 +352,32 @@ def test_model_the_run_does_not_read_refused(tmp_path, capsys, scheme, lattice):
         reason = (f"another scheme's key; a {scheme} run reads {', '.join(models)} here"
                   if lattice else f"a {scheme} uniform run reads no interaction model")
         assert capsys.readouterr().err == f"error: config invalid at {key}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "key, block, reason",
+    [
+        pytest.param("interaction", {},
+                     "neither a fit block nor explicit coefficients; give exactly one",
+                     id="neither"),
+        pytest.param("interaction_ct",
+                     {"c3_mhz_um3": 640.0, "fit": {"law": "c3", "b_mhz": 10.0, "r_um": 4.0}},
+                     "both a fit block and explicit coefficients; give exactly one",
+                     id="both"),
+        pytest.param("interaction_cc",
+                     {"c3_mhz_um3": 2800.0, "c6_mhz_um6": 50000.0, "crossover_um": 2.5},
+                     "laws disagree by more than 1% at the crossover radius: ",
+                     id="crossover-discontinuous"),
+    ],
+)
+def test_interaction_block_refused_at_load(tmp_path, key, block, reason):
+    # a block the run reads is built by the cross rules: its refusal names
+    # its path, before any case is built
+    scheme = "sequential" if key == "interaction" else "simultaneous"
+    cfg = dict(scheme_cfg(scheme, lattice=True), **{key: block})
+    with pytest.raises(ConfigError) as refusal:
+        load_config(write_config(tmp_path, cfg), "budget")
+    assert str(refusal.value).startswith(f"config invalid at {key}: {reason}")
 
 
 def test_two_frequency_scheme_has_no_sweep(tmp_path, capsys):
@@ -801,68 +828,186 @@ def test_simulate_report_without_check_exits_zero(tmp_path):
 
 # ------------------------------------------------- no scipy, no jsonschema
 
-_WITHOUT_SCIPY = """
-import json, sys
+def _python(script, *args):
+    """Run ``script`` with ``args`` in a new interpreter that imports the
+    rydgate under test."""
+    path = [os.path.dirname(os.path.dirname(rydgate.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+# runs each (argv, warning categories raised as errors) of its argument and
+# prints, per run, the exit code (None where an exception escaped main) and
+# the run's stderr, then whether numpy.ma was ever imported
+_CONTRACT = """
+import builtins, contextlib, io, json, sys, traceback, warnings
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
 sys.modules["jsonschema"] = None  # and so does any jsonschema import
 from rydgate.cli import main
-print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+runs = []
+for argv, errors in json.loads(sys.argv[1]):
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        for name in errors:
+            warnings.simplefilter("error", getattr(builtins, name))
+        try:
+            code = main(argv)
+        except Exception:
+            code = None
+            traceback.print_exc()
+    runs.append([code, stderr.getvalue()])
+print(json.dumps({"runs": runs, "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
-def test_every_command_runs_without_scipy(tmp_path):
-    configs = {name: preset_path(name) for name in PRESETS}
-    configs["sweep"] = write_config(tmp_path, sweep_cfg(), "sweep.json")
-    for sequence, extra in [
-        ("sequential", {"omega_mhz": 1.0, "b_mhz": 10.0, "decay_mhz": 0.01}),
-        ("grover", {"gate": "grover", "omega_mhz": 1.0, "b_mhz": 10.0}),
-        ("simultaneous", {"omega_c_mhz": 50.0, "omega_t_mhz": 2.0,
-                          "b_ct_mhz": 300.0, "d_cc_mhz": 1.0, "decay_mhz": 0.01}),
-    ]:
-        cfg = {"scheme": "simulate", "k": 2, "simulate": {"sequence": sequence, **extra}}
-        configs[sequence] = write_config(tmp_path, cfg, f"simulate_{sequence}.json")
-    runs = [(command, name) for name in PRESETS for command in ("budget", "optimize")]
-    runs += [("lattice", "sequential_lattice_crossover"),
-             ("lattice", "simultaneous_lattice_room_temp"),
-             ("sweep-omega", "sweep")]
-    runs += [("simulate", sequence) for sequence in ("sequential", "grover", "simultaneous")]
-    argvs = [
-        [command, "--config", configs[name], "--out", str(tmp_path / f"{command}.{name}.out")]
-        for command, name in runs
-    ]
-    path = [os.path.dirname(os.path.dirname(rydgate.__file__)), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+class _Run(NamedTuple):
+    """One CLI run of the contract table: ``command --config <config> --out
+    <out>``, where ``config`` is a preset name or a config object."""
+
+    name: str  # the config's file name; the report's too, unless ``out`` is set
+    command: str
+    config: str | dict
+    code: int = 0
+    stderr: tuple[str, ...] = ()  # fragments the run's stderr holds
+    report: bool = True  # whether the report file is written
+    errors: tuple[str, ...] = ("UserWarning",)  # warning categories raised as errors
+    out: str = ""
+
+
+def _refused(name, command, config, *stderr, out=""):
+    """A run refused with exit 2: one ``error:`` line and no report."""
+    return _Run(name, command, config, 2, stderr, report=False, out=out)
+
+
+_SEQUENTIAL_K2 = {"scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
+                  "uniform": {"b_mhz": 9.0, "tau_us": 540.0}}
+_CROSSOVER_LATTICE = {"lattice": {"d_um": 1.0, "tau_us": 170.0},
+                      "interaction": {"c3_mhz_um3": 2800.0, "c6_mhz_um6": 43750.0,
+                                      "crossover_um": 2.5}}
+_BRACKET_SWEEP = {"omega_mhz": {"min": 0.01, "max": 10000.0, "points": 500}}
+
+CONTRACT_RUNS = [
+    *(_Run(f"{command}.{name}", command, name)
+      for name in PRESETS for command in ("budget", "optimize")),
+    _Run("lattice.sequential", "lattice", "sequential_lattice_crossover"),
+    _Run("lattice.simultaneous", "lattice", "simultaneous_lattice_room_temp"),
+    _Run("sweep", "sweep-omega", sweep_cfg()),
+    *(_Run(f"simulate.{sequence}", "simulate",
+           {"scheme": "simulate", "k": 2, "simulate": {"sequence": sequence, **extra}})
+      for sequence, extra in [
+          ("sequential", {"omega_mhz": 1.0, "b_mhz": 10.0, "decay_mhz": 0.01}),
+          ("grover", {"gate": "grover", "omega_mhz": 1.0, "b_mhz": 10.0}),
+          ("simultaneous", {"omega_c_mhz": 50.0, "omega_t_mhz": 2.0,
+                            "b_ct_mhz": 300.0, "d_cc_mhz": 1.0, "decay_mhz": 0.01}),
+      ]),
+    _Run("simulate.k123", "simulate", {"scheme": "simulate", "k": [1, 2, 3], "simulate": {
+        "omega_mhz": 1.0, "b_mhz": 20.0, "decay_mhz": 0.01}}),
+    # each sweep grid is one array evaluation of the budget over the whole
+    # optimizer bracket up to k = 64: an overflow or divide warning from
+    # numpy fails, and so does an optimum clamped to the bracket edge
+    _Run("sweep.uniform", "sweep-omega",
+         dict(_SEQUENTIAL_K2, k=[1, 2, 8, 33, 64], sweep=_BRACKET_SWEEP,
+              uniform=[{"b_mhz": 9.0, "tau_us": 540.0}, {"b_mhz": 52.0, "tau_us": 820.0}]),
+         errors=("UserWarning", "RuntimeWarning")),
+    _Run("sweep.lattice", "sweep-omega",
+         dict(_CROSSOVER_LATTICE, scheme="sequential", k=[1, 8, 35, 64], omega10_mhz=9200.0,
+              sweep=_BRACKET_SWEEP),
+         errors=("UserWarning", "RuntimeWarning")),
+    # omega_c below d_cc lies outside the perturbative regime: the run
+    # still writes its report, and warns in lab units
+    _Run("regime", "budget", {"scheme": "simultaneous", "k": [2, 4], "omega10_mhz": 9200.0,
+                              "uniform": SIMULTANEOUS_UNIFORM, "frequencies": {
+                                  "mode": "fixed", "omega_c_mhz": 1.0, "omega_t_mhz": 4.5}},
+         stderr=("BlockadeRegimeWarning", "MHz"), errors=()),
+    # a failed ideal-limit check writes its report, then exits 1
+    _Run("ideal.finite", "simulate", {"scheme": "simulate", "k": [1, 2], "simulate": {
+        "omega_mhz": 1.0, "b_mhz": 10.0, "check_ideal": True}},
+         code=1, stderr=("ideal-limit check failed",)),
+    _Run("ideal.infinite", "simulate", {"scheme": "simulate", "k": [1, 2], "simulate": {
+        "omega_mhz": 1.0, "b_mhz": "inf", "check_ideal": True}}),
+    # the grover sequence keeps each input's population but flips phases
+    _Run("ideal.phase", "simulate", {"scheme": "simulate", "k": 2, "simulate": {
+        "sequence": "grover", "gate": "identity", "omega_mhz": 1.0, "check_ideal": True}},
+         code=1, stderr=("phase",)),
+    # about 5e9 pair shifts, refused from the config before any layout
+    _refused("k_cap", "budget", dict(_CROSSOVER_LATTICE, scheme="sequential", k=100000,
+                                     omega10_mhz=9200.0),
+             "exceeds the supported maximum of 64"),
+    _refused("stray_simulate", "budget",
+             dict(_SEQUENTIAL_K2, simulate={"omega_mhz": 1.0, "check_ideal": True})),
+    _refused("omega_overflow", "budget",
+             dict(_SEQUENTIAL_K2, frequencies={"mode": "fixed", "omega_mhz": 1e160})),
+    _refused("lattice_overflow", "budget", {
+        "scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
+        "lattice": {"d_um": 1e120, "tau_us": 540.0}, "interaction": {"c6_mhz_um6": 100.0}}),
+    _refused("foreign_simulate", "simulate", {"scheme": "simulate", "k": 2, "simulate": {
+        "sequence": "simultaneous", "omega_c_mhz": 10.0, "omega_t_mhz": 1.0, "b_mhz": 20.0}}),
+    _refused("foreign_frequency", "budget", dict(_SEQUENTIAL_K2, frequencies={
+        "mode": "fixed", "omega_mhz": 1.0, "omega_c_mhz": 1.0})),
+    _refused("sweep_cap", "sweep-omega", dict(_SEQUENTIAL_K2, sweep={
+        "omega_mhz": {"min": 0.01, "max": 1000.0, "points": 200000}})),
+    _refused("missing_dir", "budget", _SEQUENTIAL_K2, out="no/such/dir/report.json"),
+    _refused("uniform_no_tau", "budget", dict(_SEQUENTIAL_K2, uniform={"b_mhz": 9.0}),
+             "config invalid at uniform: 'tau_us'"),
+    _refused("optimize_omega", "budget",
+             dict(_SEQUENTIAL_K2, frequencies={"mode": "optimize", "omega_mhz": 3.0}),
+             "config invalid at frequencies/omega_mhz: mode 'optimize'"),
+    _refused("k_string", "budget", dict(_SEQUENTIAL_K2, k="2"), "is not of type"),
+]
+
+
+@pytest.fixture(scope="module")
+def contract(tmp_path_factory):
+    """Each row of the table with its exit code and stderr, the report
+    directory, and whether numpy.ma was imported: a runtime-only install has
+    numpy alone, so every run goes through one interpreter in which importing
+    scipy or jsonschema fails."""
+    tmp_path = tmp_path_factory.mktemp("contract")
+    out = tmp_path / "out"
+    out.mkdir()
+    argvs = []
+    for run in CONTRACT_RUNS:
+        config = (preset_path(run.config) if isinstance(run.config, str)
+                  else write_config(tmp_path, run.config, f"{run.name}.json"))
+        report = out / (run.out or f"{run.name}.json")
+        argvs.append([[run.command, "--config", config, "--out", str(report)], run.errors])
+    proc = _python(_CONTRACT, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
-    assert dict(zip(runs, json.loads(proc.stdout))) == {run: 0 for run in runs}
+    result = json.loads(proc.stdout)
+    return list(zip(CONTRACT_RUNS, result["runs"], strict=True)), out, result["numpy.ma"]
 
 
-_SIMULATE_MODULES = """
-import json, sys
-from rydgate.cli import main
-code = main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([code, "numpy.ma" in sys.modules]))
-"""
+def test_every_command_runs_without_scipy(contract):
+    runs, out, _ = contract
+    passing = [(run, code, err) for run, (code, err) in runs if run.code == 0]
+    assert {run.command for run, _, _ in passing} == set(cli._COMMANDS)
+    for run, code, err in passing:
+        assert code == 0, (run.name, err)
+        assert "Traceback" not in err, (run.name, err)
+        assert (out / f"{run.name}.json").is_file(), run.name
 
 
-def test_simulate_loads_no_numpy_ma(tmp_path):
+def test_cli_contract_without_scipy_or_jsonschema(contract):
+    runs, out, _ = contract
+    for run, (code, err) in runs:
+        assert code == run.code, (run.name, err)
+        assert "Traceback" not in err, (run.name, err)
+        assert all(fragment in err for fragment in run.stderr), (run.name, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (run.name, err)
+    # only the reports of the runs that write one; a refused report path's
+    # missing directory is not made either
+    assert sorted(os.listdir(out)) == sorted(f"{run.name}.json" for run in CONTRACT_RUNS
+                                             if run.report)
+
+
+def test_simulate_loads_no_numpy_ma(contract):
     # numpy.ma costs about 15 ms to import, and some np.unique call forms
-    # load it lazily
-    cfg = {"scheme": "simulate", "k": [1, 2, 3],
-           "simulate": {"omega_mhz": 1.0, "b_mhz": 20.0, "decay_mhz": 0.01}}
-    config = write_config(tmp_path, cfg)
-    path = [os.path.dirname(os.path.dirname(rydgate.__file__)), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SIMULATE_MODULES, config, str(tmp_path / "out.json")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, False]
-    assert len(json.loads((tmp_path / "out.json").read_text())["rows"]) == 4 + 8 + 16
+    # load it lazily: it stays unloaded across every run of the table
+    _, out, numpy_ma = contract
+    assert numpy_ma is False
+    assert len(json.loads((out / "simulate.k123.json").read_text())["rows"]) == 4 + 8 + 16
 
 
 _EDGE_WARNINGS = """
@@ -883,15 +1028,8 @@ def test_optimizer_edge_warning_leaves_reports_unchanged(tmp_path):
     # optimizer bracket's 0.01 MHz: every optimized row is clamped
     cfg = dict(sweep_cfg(), k=[2], uniform={"b_mhz": 1.0e-4, "tau_us": 1.0e4, "label": "slow"})
     config = write_config(tmp_path, cfg)
-    path = [os.path.dirname(os.path.dirname(rydgate.__file__)), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    runs = {
-        action: subprocess.run(
-            [sys.executable, "-c", _EDGE_WARNINGS, action, config, str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        for action in ("default", "ignore")
-    }
+    runs = {action: _python(_EDGE_WARNINGS, action, config, str(tmp_path))
+            for action in ("default", "ignore")}
     assert [run.returncode for run in runs.values()] == [0, 0], runs["default"].stderr
     assert runs["ignore"].stderr == ""
     assert runs["default"].stdout == runs["ignore"].stdout

@@ -17,8 +17,8 @@ from rydgate import (
     budget_sequential_lattice,
     budget_sequential_uniform,
     build_layout,
-    worst_case_detuned_inv_sq,
 )
+from rydgate.sequential import worst_case_detuned_inv_sq
 from rydgate.units import angular_from_mhz
 
 from oracles import sum_oracle_grover, sum_oracle_sequential

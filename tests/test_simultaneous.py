@@ -20,9 +20,9 @@ from rydgate import (
     budget_simultaneous_uniform,
     build_layout,
     subset_inverse_square_expectations,
-    target_blockade_sums,
 )
 from rydgate.cli import cmd_budget, load_config
+from rydgate.simultaneous import target_blockade_sums
 from rydgate.units import (
     angular_from_mhz,
     c3_si_from_mhz_um3,
