@@ -15,10 +15,12 @@ therefore reproduces blockade-leakage and decay physics, not the detuned
 coupling of the spectator qubit state.  A truth table runs in the reachable
 basis, where each atom keeps the closure of its input level under the
 sequence's pulses: 6 * 3**k rows for the sequential and simultaneous gates
-(39 366 at ``k = 8``, against 10.1 M amplitudes over the full basis).  On a
-2-core x86 VM a sequential truth table takes about 0.03 s at ``k = 6``,
-0.07 s at ``k = 7`` and 0.2 s at ``k = 8`` (simultaneous: 0.06 s, 0.2 s,
-0.75 s), and ``k = 8`` peaks near 50 MB (simultaneous 65 MB) of process
+(39 366 at ``k = 8``, against 10.1 M amplitudes over the full basis).  In a
+fresh process on a 2-core x86 VM a lossy sequential truth table takes
+0.03 s wall (0.03 s CPU) at ``k = 6``, 0.06 s (0.06 s) at ``k = 7`` and
+0.19 s (0.18 s) at ``k = 8``; a simultaneous one 0.06 s (0.09 s), 0.18 s
+(0.32 s) and 0.73 s (1.4 s), its dense collective-pulse blocks running on
+both cores.  ``k = 8`` peaks near 54 MB (simultaneous 69 MB) of process
 memory.  ``evolve`` steps one state over the full ``3**(k+1)`` basis, up to
 ``k = 10``.
 """
@@ -198,7 +200,9 @@ def _basis(keys: np.ndarray, natoms: int, interactions: np.ndarray,
     forbidden = np.einsum("sa,ab,sb->s", excited, blocked, excited) > 0
     finite = np.where(blocked, 0.0, interactions)
     diag = 0.5 * np.einsum("sa,ab,sb->s", excited, finite, excited)
-    diag = np.where(forbidden, 0.0, diag - 0.5j * excited @ decay_rates)
+    # a real product: OpenBLAS hands the complex one to its thread pool
+    # from 1 458 rows (k = 5), and the woken worker then spins idle
+    diag = np.where(forbidden, 0.0, diag - 0.5j * (excited @ decay_rates))
     return keys, digits, (digits == 2) @ (1 << np.arange(natoms)), diag, forbidden
 
 

@@ -14,10 +14,12 @@ subsets, and adaptive quadrature of its Laplace-transform integral.
 ``golden_section_minimize`` minimizes any objective numerically (a
 64-point logarithmic grid refined by golden-section search, coordinate
 descent over two frequencies): the oracle of the closed-form argmin.
-``dense_hamiltonian`` assembles one pulse's whole 3^n Hamiltonian, the
-oracle of the simulator's block propagator, and ``gate_error_sim_full_basis``
-runs every computational input through a sequence on the full 3^n basis,
-block by block, the oracle of the reachable-basis truth table.
+``basis_diagonal`` forms the simulator's diagonal one basis row at a time
+in plain Python.  ``dense_hamiltonian`` assembles one pulse's whole 3^n
+Hamiltonian, the oracle of the simulator's block propagator, and
+``gate_error_sim_full_basis`` runs every computational input through a
+sequence on the full 3^n basis, block by block, the oracle of the
+reachable-basis truth table.
 """
 
 import math
@@ -413,6 +415,22 @@ def golden_section_minimize(fn, dims: int = 1, bracket=DEFAULT_BRACKET) -> Oracl
     return OracleMinimum(
         tuple(point), value, counted.evaluations, converged and all(interior_flags)
     )
+
+
+def basis_diagonal(keys, natoms, interactions, decay_rates):
+    """Per (input, base-3 index) key, atom 0 the most significant base-3
+    digit: the sum of the pair shifts of its doubly excited pairs minus i/2
+    the decay rates of its excited atoms, and whether one of those pairs
+    has an infinite shift, which sets the diagonal to 0."""
+    diag, forbidden = [], []
+    for key in keys:
+        up = [a for a in range(natoms) if int(key) // 3 ** (natoms - 1 - a) % 3 == 2]
+        shifts = [float(interactions[a][b]) for i, a in enumerate(up) for b in up[i + 1:]]
+        blocked = any(math.isinf(shift) for shift in shifts)
+        decay = math.fsum(float(decay_rates[a]) for a in up)
+        diag.append(0j if blocked else complex(math.fsum(shifts), -0.5 * decay))
+        forbidden.append(blocked)
+    return diag, forbidden
 
 
 def dense_hamiltonian(natoms, step, interactions, decay_rates):

@@ -689,6 +689,32 @@ def test_config_output_path_used_when_flag_absent(tmp_path):
     assert out.read_text(encoding="utf-8").startswith("scheme,")
 
 
+def test_repeated_main_calls_stay_independent(tmp_path, capsys):
+    # main reuses one argument parser per process: a good run after an
+    # argparse refusal and a refused config writes what a run of its own
+    # in a new interpreter writes, although the first good run asked for
+    # another format
+    config = write_config(tmp_path, uniform_cfg())
+    argv = ["budget", "--config", config, "--out", str(tmp_path / "later.json")]
+    proc = _python("import sys\nfrom rydgate.cli import main\nsys.exit(main(sys.argv[1:]))",
+                   *argv[:-1], str(tmp_path / "alone.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert main(["budget", "--config", config, "--format", "csv",
+                 "--out", str(tmp_path / "first.csv")]) == 0
+    with pytest.raises(SystemExit) as refusal:
+        main(["budget", "--config", config, "--format", "xml"])
+    assert refusal.value.code == 2
+    refused = write_config(tmp_path, uniform_cfg(k="2"), "refused.json")
+    assert main(["budget", "--config", refused, "--out", str(tmp_path / "refused.out")]) == 2
+    assert not (tmp_path / "refused.out").exists()
+    assert main(argv) == 0
+    alone = (tmp_path / "alone.json").read_bytes()
+    assert (tmp_path / "later.json").read_bytes() == alone
+    assert alone.startswith(b"{")
+    err = capsys.readouterr().err
+    assert "invalid choice: 'xml'" in err and "error: config invalid" in err
+
+
 @pytest.mark.parametrize(
     "where, name, reason",
     [
@@ -789,7 +815,12 @@ def test_simulate_finite_blockade_fails_ideal_check(tmp_path, capsys):
     assert code == 1
     captured = capsys.readouterr()
     report = json.loads(captured.out)
-    assert "tolerance" in captured.err
+    # input 0 of k = 2 loses the most population to the finite blockade
+    worst = max(report["rows"], key=lambda row: row["error"])
+    assert worst["input_index"] == 0
+    assert captured.err == (
+        f"ideal-limit check failed at k=2, tolerance 1e-06: worst input 0 population error "
+        f"{worst['error']:.3g} (over), phase-sensitive avg_error {worst['avg_error']:.3g} (over)\n")
     assert report["rows"][0]["avg_error"] > 0.0
 
 
@@ -809,8 +840,8 @@ def test_simulate_wrong_phase_fails_ideal_check(tmp_path, capsys):
     assert max(row["error"] for row in rows) < 1e-6
     assert rows[0]["avg_error"] == pytest.approx(2.0 / 3.0, rel=1e-9)
     assert not any(row["ideal_check_passed"] for row in rows)
-    assert "ideal-limit check failed" in captured.err
-    assert "phase" in captured.err
+    assert "ideal-limit check failed at k=2" in captured.err
+    assert "(within), phase-sensitive avg_error 0.667 (over)" in captured.err
 
 
 def test_simulate_report_without_check_exits_zero(tmp_path):

@@ -28,10 +28,10 @@ from rydgate import (
     simultaneous_interactions,
     uniform_interactions,
 )
-from rydgate.simulator import _expm
+from rydgate.simulator import _basis, _expm, _reach_keys
 from rydgate.units import angular_from_mhz
 
-from oracles import dense_hamiltonian, gate_error_sim_full_basis
+from oracles import basis_diagonal, dense_hamiltonian, gate_error_sim_full_basis
 
 OMEGA = 2.0 * math.pi * 1.0e6
 W10 = angular_from_mhz(9200.0)
@@ -259,6 +259,34 @@ def _block_stacks(draw):
 def test_pade_exponential_matches_scipy(stack):
     want = np.stack([expm(a) for a in stack])
     np.testing.assert_allclose(_expm(stack), want, rtol=0.0, atol=1e-12)
+
+
+# ------------------------------------------------------------ basis diagonal
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("blockade", ["finite", "infinite"])
+def test_basis_diagonal_matches_per_row_oracle(k, blockade):
+    # random signed shifts, some pairs infinite in the infinite case, and
+    # per-atom decay with one atom lossless, over the rows of the
+    # sequential and the simultaneous gate
+    n = k + 1
+    rng = np.random.default_rng(10 * k + (blockade == "infinite"))
+    v = np.triu(rng.uniform(-5.0, 5.0, (n, n)) * OMEGA, 1)
+    if blockade == "infinite":
+        v[np.triu(rng.random((n, n)) < 0.4, 1)] = math.inf
+        v[0, n - 1] = math.inf
+    v = v + v.T
+    decay = rng.uniform(0.0, 0.3, n) * OMEGA
+    decay[rng.integers(n)] = 0.0
+    sequences = [canonical_sequence("sequential", k, omega=OMEGA),
+                 canonical_sequence("simultaneous", k, omega_c=5 * OMEGA, omega_t=OMEGA)]
+    keys = np.unique(np.concatenate([_reach_keys(seq, n) for seq in sequences]))
+    diag, forbidden = _basis(keys, n, v, decay)[3:]
+    want_diag, want_forbidden = basis_diagonal(keys, n, v, decay)
+    assert forbidden.tolist() == want_forbidden
+    assert any(want_forbidden) == (blockade == "infinite")
+    assert not np.any(diag[forbidden])
+    np.testing.assert_allclose(diag, want_diag, rtol=1e-12, atol=1e-9 * OMEGA)
 
 
 # ------------------------------------------------------------ dense oracle
