@@ -97,11 +97,13 @@ class LaurentBudget:
         """Terms and total of a single-frequency budget at each of
         ``omegas`` (rad/s), from one array evaluation, one point at a time."""
         _check_frequencies(omegas)
-        monomials = np.array([np.asarray(omegas, dtype=float) ** p for _, p in self.powers])
-        # broadcast and sum rather than matmul: a BLAS call grows peak memory
-        coefficients = np.array(self.coefficients[: len(self.terms)])
-        values = (coefficients[:, :, None] * monomials).sum(axis=1)
-        for column, total in zip(values.T, values.sum(axis=0).tolist()):
+        with np.errstate(over="raise", invalid="raise"):  # as ``at`` raises OverflowError
+            monomials = np.array([np.asarray(omegas, dtype=float) ** p for _, p in self.powers])
+            # broadcast and sum rather than matmul: a BLAS call grows peak memory
+            coefficients = np.array(self.coefficients[: len(self.terms)])
+            values = (coefficients[:, :, None] * monomials).sum(axis=1)
+            totals = values.sum(axis=0).tolist()
+        for column, total in zip(values.T, totals):
             yield dict(zip(self.terms, column.tolist()), total=total)
 
     def duration(self, *omegas: float) -> float:

@@ -22,6 +22,7 @@ failed ideal-limit check.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import importlib.resources
@@ -249,22 +250,34 @@ def build_interaction(obj: dict[str, Any], path: str) -> InteractionModel:
         given = "both a fit block and" if has_fit else "neither a fit block nor"
         raise ConfigError(f"config invalid at {path}: {given} explicit coefficients; "
                           "give exactly one")
-    if has_fit:
-        fit = obj["fit"]
-        return fit_single_anchor(
-            fit["law"],
-            angular_from_mhz(fit["b_mhz"]),
-            meters_from_um(fit["r_um"]),
+    with _float_range(f"config invalid at {path}"):
+        if has_fit:
+            fit = obj["fit"]
+            return fit_single_anchor(
+                fit["law"],
+                angular_from_mhz(fit["b_mhz"]),
+                meters_from_um(fit["r_um"]),
+            )
+        c3 = c3_si_from_mhz_um3(obj.get("c3_mhz_um3", 0.0))
+        c6 = c6_si_from_mhz_um6(obj.get("c6_mhz_um6", 0.0))
+        crossover = (
+            meters_from_um(obj["crossover_um"]) if "crossover_um" in obj else None
         )
-    c3 = c3_si_from_mhz_um3(obj.get("c3_mhz_um3", 0.0))
-    c6 = c6_si_from_mhz_um6(obj.get("c6_mhz_um6", 0.0))
-    crossover = (
-        meters_from_um(obj["crossover_um"]) if "crossover_um" in obj else None
-    )
+        try:
+            return InteractionModel(c3=c3, c6=c6, crossover_radius=crossover)
+        except ValueError as exc:
+            raise ConfigError(f"config invalid at {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _float_range(where: str) -> Iterator[None]:
+    """Refuse at ``where``, as a config error, arithmetic past the float range:
+    Python's OverflowError and ZeroDivisionError, numpy's FloatingPointError."""
     try:
-        return InteractionModel(c3=c3, c6=c6, crossover_radius=crossover)
-    except ValueError as exc:
-        raise ConfigError(f"config invalid at {path}: {exc}") from exc
+        yield
+    except ArithmeticError as exc:
+        raise ConfigError(f"{where}: a config value leaves the float range: "
+                          f"{exc.args[-1]}") from exc
 
 
 # ----------------------------------------------------------------- helpers
@@ -306,8 +319,8 @@ class _Case:
     Interaction models, blockade means and the frequency-free Laurent
     coefficients of the budget (``laurent``) are built once here; evaluating
     them at the drive frequencies (rad/s) then costs O(1) in k.  ``head``
-    holds the cells that name the case and its blockade scale, one per shift
-    the scheme reads: the configured shift for uniform runs; for lattice
+    holds the cells that name the case and its blockade scale, one float per
+    shift the scheme reads: the configured shift for uniform runs; for lattice
     runs the geometric mean of every pair shift (one-shift schemes) or the
     control-target and control-control means.  ``analytic`` holds the
     analytic-optimum cells of the single-frequency schemes.  ``d_cc_max``
@@ -343,14 +356,12 @@ class _Case:
         else:
             shifts = [angular_from_mhz(entry[key]) for key in scheme.shifts]
             self.laurent = _UNIFORM_BUILDERS[cfg["scheme"]](k, *shifts, *taus, omega10)
-            self.head.update((key, entry[key]) for key in scheme.shifts)
+            self.head.update((key, float(entry[key])) for key in scheme.shifts)
             d_cc_max = shifts[-1]
         self.d_cc_max = d_cc_max if "d_cc_mhz" in scheme.shifts else 0.0
         if len(scheme.frequencies) == 1:
-            # the closed-form optimum at the one shift and lifetime; the
-            # head reports that shift converted back from rad/s
+            # the closed-form optimum at the one shift and lifetime
             (b,), (tau,) = shifts, taus
-            self.head[scheme.shifts[0]] = mhz_from_angular(b)
             self.analytic = {
                 "omega_opt_analytic_mhz": mhz_from_angular(omega_opt_analytic(b, tau)),
                 "e_opt_analytic": e_opt_analytic(b, tau, k),
@@ -386,17 +397,24 @@ class _Case:
         return opt
 
 
-def _cases(cfg: dict[str, Any]) -> Iterator[_Case]:
+def _case_rows(cfg: dict[str, Any], command: str,
+               rows_of: Callable[[_Case], list[dict[str, Any]]]) -> list[dict[str, Any]]:
+    """The rows ``rows_of`` makes of each (uniform entry or lattice block, k)
+    case, in order; arithmetic past the float range is refused at its row."""
+    rows: list[dict[str, Any]] = []
     for entry in cfg.get("uniform", [None]):
+        label = "" if entry is None else entry.get("label", "")
         for k in cfg["k"]:
-            yield _Case(cfg, entry, k)
+            with _float_range(f"{command} row k={k} label {label!r}"):
+                rows.extend(rows_of(_Case(cfg, entry, k)))
+    return rows
 
 
 def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
     """One row per case at the fixed or the optimized frequencies."""
     freq = cfg["frequencies"]
-    rows: list[dict[str, Any]] = []
-    for case in _cases(cfg):
+
+    def rows_of(case: _Case) -> list[dict[str, Any]]:
         keys = case.frequencies
         opt = None
         if freq["mode"] == "fixed":
@@ -412,8 +430,9 @@ def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
         row.update(case.analytic)
         if opt is not None:
             row.update(opt_evaluations=opt.evaluations, opt_converged=opt.converged)
-        rows.append(row)
-    return rows
+        return [row]
+
+    return _case_rows(cfg, command, rows_of)
 
 
 # ---------------------------------------------------------------- commands
@@ -428,20 +447,22 @@ def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
     """Total error over a drive-frequency grid plus minima."""
     grid = _omega_grid(cfg["sweep"]["omega_mhz"])
     grid_mhz = [mhz_from_angular(omega) for omega in grid]
-    rows: list[dict[str, Any]] = []
-    for case in _cases(cfg):
+
+    def rows_of(case: _Case) -> list[dict[str, Any]]:
         base = {"label": case.head["label"], "k": case.head["k"]}
         # optimizing first refuses a diverging budget before the grid meets it
         omega = case.optimize("sweep-omega").argmin[0]
-        rows.extend(dict(base, row_type="grid", omega_mhz=omega_mhz, **cells)
-                    for omega_mhz, cells in zip(grid_mhz, case.laurent.table(grid)))
+        rows = [dict(base, row_type="grid", omega_mhz=omega_mhz, **cells)
+                for omega_mhz, cells in zip(grid_mhz, case.laurent.table(grid))]
         rows.append(dict(base, row_type="analytic_opt",
                          omega_mhz=case.analytic["omega_opt_analytic_mhz"],
                          total=case.analytic["e_opt_analytic"]))
         cells = case.laurent.at(omega)
         rows.append(dict(base, row_type="numeric_opt", omega_mhz=mhz_from_angular(omega),
                          **{key: cells[key] for key in (*case.laurent.terms, "total")}))
-    return _report("sweep-omega", cfg, rows)
+        return rows
+
+    return _report("sweep-omega", cfg, _case_rows(cfg, "sweep-omega", rows_of))
 
 
 def cmd_optimize(cfg: dict[str, Any]) -> dict[str, Any]:
@@ -477,7 +498,8 @@ def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
     for k in cfg["k"]:
         sequence = canonical_sequence(sim["sequence"], k, **omegas)
         interactions = simultaneous_interactions(k, shifts[0], shifts[-1])
-        result = gate_error_sim(sequence, k, interactions, decay_rates=decay, ideal=gate)
+        with _float_range(f"simulate row k={k}"):
+            result = gate_error_sim(sequence, k, interactions, decay_rates=decay, ideal=gate)
         passed = bool(max(result.errors_by_input) <= tolerance
                       and result.avg_error <= tolerance)
         base = dict(k=k, sequence=sim["sequence"], gate=gate,
@@ -493,27 +515,15 @@ def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
 
 def cmd_lattice(cfg: dict[str, Any]) -> dict[str, Any]:
     """Square-lattice layout export."""
-    lattice = cfg["lattice"]
-    d = meters_from_um(lattice["d_um"])
+    d_um = cfg["lattice"]["d_um"]
     rows: list[dict[str, Any]] = []
     for k in cfg["k"]:
-        geom = build_layout(d, k)
-        sites = [(geom.target_site, "target")] + [
-            (site, "control") for site in geom.control_sites
-        ]
-        for index, (site, role) in enumerate(sites):
-            x = site[0] * lattice["d_um"]
-            y = site[1] * lattice["d_um"]
-            rows.append(
-                {
-                    "k": k,
-                    "index": index,
-                    "x_um": x,
-                    "y_um": y,
-                    "role": role,
-                    "r_um": math.hypot(x, y),
-                }
-            )
+        # the target at the origin, then the controls in excitation order
+        sites = [(0, 0), *build_layout(meters_from_um(d_um), k).control_sites]
+        for index, (x, y) in enumerate(sites):
+            x, y = x * d_um, y * d_um
+            rows.append({"k": k, "index": index, "x_um": x, "y_um": y,
+                         "role": "control" if index else "target", "r_um": math.hypot(x, y)})
     return _report("lattice", cfg, rows)
 
 
@@ -618,9 +628,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         write_output(text, args.out or cfg.get("output", {}).get("path"))
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OverflowError, ZeroDivisionError) as exc:  # a magnitude past the float range
-        print(f"error: a config value leaves the float range: {exc.args[-1]}", file=sys.stderr)
         return 2
     if args.command == "simulate" and cfg["simulate"]["check_ideal"]:
         # one line per failed k, for its worst input

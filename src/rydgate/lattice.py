@@ -16,22 +16,23 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class LatticeGeometry:
-    """Target at ``target_site`` (lattice units), controls in excitation order."""
+    """Target at the origin, controls (lattice units) in excitation order."""
 
     d: float  # lattice spacing, m
-    k: int
-    target_site: tuple[int, int]
     control_sites: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if not (self.d > 0.0):
             raise ValueError("lattice spacing d must be positive")
-        if self.k != len(self.control_sites):
-            raise ValueError("k must match the number of control sites")
-        if self.k < 1:
+        if not self.control_sites:
             raise ValueError("layout needs at least one control site")
-        if self.target_site in self.control_sites:
+        if (0, 0) in self.control_sites:
             raise ValueError("target site collides with a control site")
+
+    @property
+    def k(self) -> int:
+        """The number of controls."""
+        return len(self.control_sites)
 
 
 def _angle(x: int, y: int) -> float:
@@ -48,25 +49,16 @@ def build_layout(d: float, k: int) -> LatticeGeometry:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    half = 2
-    while (2 * half + 1) ** 2 - 1 < 2 * k + 8:
-        half += 1
     # A site inside the inscribed circle of the window beats every site
-    # outside the window, so growing until we hold k sites with r <= half
-    # guarantees correctness of the first k entries.
-    while True:
-        sites = [
-            (x, y)
-            for x in range(-half, half + 1)
-            for y in range(-half, half + 1)
-            if (x, y) != (0, 0)
-        ]
-        inside = sum(1 for (x, y) in sites if x * x + y * y <= half * half)
-        if inside >= k:
-            break
+    # outside the window, so a window whose circle holds k sites (the
+    # origin aside) holds the k nearest.
+    half = 1
+    while sum(2 * math.isqrt(half * half - x * x) + 1 for x in range(-half, half + 1)) - 1 < k:
         half += 1
+    sites = [(x, y) for x in range(-half, half + 1) for y in range(-half, half + 1)
+             if (x, y) != (0, 0)]
     sites.sort(key=lambda s: (s[0] ** 2 + s[1] ** 2, _angle(*s)))
-    return LatticeGeometry(d=d, k=k, target_site=(0, 0), control_sites=tuple(sites[:k]))
+    return LatticeGeometry(d=d, control_sites=tuple(sites[:k]))
 
 
 @dataclass(frozen=True)
@@ -75,28 +67,19 @@ class PairSets:
 
     control_target[i] is the distance of control i (excitation order) from
     the target.  control_control_ordered holds (i, j, separation) for every
-    pair with i earlier than j in excitation order; control_control_all is
-    the same k(k-1)/2 separations without indices.
+    pair with i earlier than j in excitation order.
     """
 
     control_target: tuple[float, ...]
     control_control_ordered: tuple[tuple[int, int, float], ...]
-    control_control_all: tuple[float, ...]
 
 
 def pair_sets(geom: LatticeGeometry) -> PairSets:
-    tx, ty = geom.target_site
-    ct = tuple(
-        geom.d * math.hypot(x - tx, y - ty) for (x, y) in geom.control_sites
-    )
+    ct = tuple(geom.d * math.hypot(x, y) for (x, y) in geom.control_sites)
     ordered = []
     for i in range(geom.k):
         xi, yi = geom.control_sites[i]
         for j in range(i + 1, geom.k):
             xj, yj = geom.control_sites[j]
             ordered.append((i, j, geom.d * math.hypot(xi - xj, yi - yj)))
-    return PairSets(
-        control_target=ct,
-        control_control_ordered=tuple(ordered),
-        control_control_all=tuple(sep for (_, _, sep) in ordered),
-    )
+    return PairSets(control_target=ct, control_control_ordered=tuple(ordered))

@@ -142,7 +142,7 @@ def budget_sequential_lattice(
     check_k(geom.k)  # before the O(k^2) pair work
     ps = pair_sets(geom)
     b_ct = tuple(pair_shift(model, r) for r in ps.control_target)
-    b_cc = tuple(pair_shift(model, sep) for sep in ps.control_control_all)
+    b_cc = tuple(pair_shift(model, sep) for _, _, sep in ps.control_control_ordered)
     check_inputs(geom.k, b_ct + b_cc, (tau,), omega10)
     cc_slots = cc_inv = cc_det = ct_inv = ct_det = 0.0
     for (j0, m0, _), b in zip(ps.control_control_ordered, b_cc):

@@ -15,13 +15,9 @@ therefore reproduces blockade-leakage and decay physics, not the detuned
 coupling of the spectator qubit state.  A truth table runs in the reachable
 basis, where each atom keeps the closure of its input level under the
 sequence's pulses: 6 * 3**k rows for the sequential and simultaneous gates
-(39 366 at ``k = 8``, against 10.1 M amplitudes over the full basis).  In a
-fresh process on a 2-core x86 VM a lossy sequential truth table takes
-0.03 s wall (0.03 s CPU) at ``k = 6``, 0.06 s (0.06 s) at ``k = 7`` and
-0.19 s (0.18 s) at ``k = 8``; a simultaneous one 0.06 s (0.09 s), 0.18 s
-(0.32 s) and 0.73 s (1.4 s), its dense collective-pulse blocks running on
-both cores.  ``k = 8`` peaks near 54 MB (simultaneous 69 MB) of process
-memory.  ``evolve`` steps one state over the full ``3**(k+1)`` basis, up to
+(39 366 at ``k = 8``, against 10.1 M amplitudes over the full basis).  The
+README gives the measured time and memory of a truth table at k = 6..8.
+``evolve`` steps one state over the full ``3**(k+1)`` basis, up to
 ``k = 10``.
 """
 

@@ -176,7 +176,7 @@ def budget_simultaneous_lattice(
     check_k(k)  # before the O(k^2) pair work
     ps = pair_sets(geom)
     b_ct = tuple(pair_shift(model_ct, r) for r in ps.control_target)
-    d_cc = tuple(pair_shift(model_cc, sep) for sep in ps.control_control_all)
+    d_cc = tuple(pair_shift(model_cc, sep) for _, _, sep in ps.control_control_ordered)
     check_inputs(k, b_ct + d_cc, (tau_c, tau_t), omega10)
     d = np.zeros((k, k))
     for (i, j, _), shift in zip(ps.control_control_ordered, d_cc):

@@ -41,6 +41,7 @@ from rydgate.schemas import (
     validate_config,
     validate_report,
 )
+from rydgate.simulator import _MAX_K_TABLE
 from rydgate.units import angular_from_mhz
 
 PRESETS = [
@@ -421,7 +422,9 @@ def test_magnitude_out_of_float_range_exits_2(tmp_path, capsys, cfg):
     assert _run(tmp_path, cfg, "budget") == (2, False)
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: a config value leaves the float range: ")
+    # the first row refuses, and names itself
+    assert captured.err.startswith("error: budget row k=2 label ")
+    assert ": a config value leaves the float range: " in captured.err
     assert captured.err.count("\n") == 1
 
 
@@ -857,37 +860,66 @@ def test_simulate_report_without_check_exits_zero(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "out.json")]) == 0
 
 
-# ------------------------------------------------- no scipy, no jsonschema
+# ------------------------------------------------- a runtime-only install
 
-def _python(script, *args):
-    """Run ``script`` with ``args`` in a new interpreter that imports the
-    rydgate under test."""
+def _python(script, *args, flags=()):
+    """Run ``script`` with ``args`` in a new interpreter, started with the
+    command-line ``flags``, that imports the rydgate under test."""
     path = [os.path.dirname(os.path.dirname(rydgate.__file__)), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    return subprocess.run([sys.executable, "-c", script, *args],
+    return subprocess.run([sys.executable, *flags, "-c", script, *args],
                           capture_output=True, text=True, env=env, timeout=300)
 
 
 # runs each (argv, warning categories raised as errors) of its argument and
-# prints, per run, the exit code (None where an exception escaped main) and
-# the run's stderr, then whether numpy.ma was ever imported
+# prints, per run, the exit code (None where an exception escaped), the
+# run's stderr and its wall time in seconds, then whether numpy.ma was ever
+# imported.  Any import outside the standard library, numpy and rydgate
+# fails.  The first run goes through ``python -m rydgate.cli``'s
+# ``__main__`` guard; the others call ``main``, which is imported under the
+# interpreter's own -W error::UserWarning, so a UserWarning raised while
+# rydgate.cli is imported fails the table.  Each run sets its own filters:
+# UserWarning back to "default", then its ``errors``.
 _CONTRACT = """
-import builtins, contextlib, io, json, sys, traceback, warnings
-sys.modules["scipy"] = None  # any scipy import now raises ImportError
-sys.modules["jsonschema"] = None  # and so does any jsonschema import
-from rydgate.cli import main
-runs = []
-for argv, errors in json.loads(sys.argv[1]):
+import builtins, contextlib, io, json, runpy, sys, time, traceback, warnings
+
+class RuntimeOnly:
+    allowed = sys.stdlib_module_names | {"numpy", "rydgate"}
+
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name.partition(".")[0] not in cls.allowed:
+            raise ModuleNotFoundError(f"{name} is not in a runtime-only install", name=name)
+        return None
+
+sys.meta_path.insert(0, RuntimeOnly)
+
+def module_main(argv):
+    sys.argv[1:] = argv
+    try:
+        runpy.run_module("rydgate.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        return exc.code
+
+def run(entry, argv, errors):
     stderr = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("default", UserWarning)
         for name in errors:
             warnings.simplefilter("error", getattr(builtins, name))
+        start = time.perf_counter()
         try:
-            code = main(argv)
+            code = entry(argv)
         except Exception:
             code = None
             traceback.print_exc()
-    runs.append([code, stderr.getvalue()])
+        seconds = time.perf_counter() - start
+    return [code, stderr.getvalue(), seconds]
+
+first, *rest = json.loads(sys.argv[1])
+runs = [run(module_main, *first)]
+from rydgate.cli import main
+runs += [run(main, *argv_errors) for argv_errors in rest]
 print(json.dumps({"runs": runs, "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
@@ -904,6 +936,7 @@ class _Run(NamedTuple):
     report: bool = True  # whether the report file is written
     errors: tuple[str, ...] = ("UserWarning",)  # warning categories raised as errors
     out: str = ""
+    limit_s: float | None = None  # a bound on the run's wall time
 
 
 def _refused(name, command, config, *stderr, out=""):
@@ -917,7 +950,10 @@ _CROSSOVER_LATTICE = {"lattice": {"d_um": 1.0, "tau_us": 170.0},
                       "interaction": {"c3_mhz_um3": 2800.0, "c6_mhz_um6": 43750.0,
                                       "crossover_um": 2.5}}
 _BRACKET_SWEEP = {"omega_mhz": {"min": 0.01, "max": 10000.0, "points": 500}}
+_FLOAT_RANGE = ": a config value leaves the float range: "
 
+# every shipped preset under budget and optimize comes first, and the very
+# first run goes through python -m rydgate.cli
 CONTRACT_RUNS = [
     *(_Run(f"{command}.{name}", command, name)
       for name in PRESETS for command in ("budget", "optimize")),
@@ -934,6 +970,16 @@ CONTRACT_RUNS = [
       ]),
     _Run("simulate.k123", "simulate", {"scheme": "simulate", "k": [1, 2, 3], "simulate": {
         "omega_mhz": 1.0, "b_mhz": 20.0, "decay_mhz": 0.01}}),
+    # lossy truth tables at the largest k simulate accepts, each well inside
+    # the time limit; the simultaneous one, with its dense collective pulse
+    # and a control-control shift, is the slower
+    _Run("simulate.cap.sequential", "simulate", {
+        "scheme": "simulate", "k": _MAX_K_TABLE,
+        "simulate": {"omega_mhz": 1.0, "b_mhz": 50.0, "decay_mhz": 3.0e-4}}, limit_s=30.0),
+    _Run("simulate.cap.simultaneous", "simulate", {
+        "scheme": "simulate", "k": _MAX_K_TABLE,
+        "simulate": {"sequence": "simultaneous", "omega_c_mhz": 5.0, "omega_t_mhz": 1.0,
+                     "b_ct_mhz": 50.0, "d_cc_mhz": 0.1, "decay_mhz": 3.0e-4}}, limit_s=30.0),
     # each sweep grid is one array evaluation of the budget over the whole
     # optimizer bracket up to k = 64: an overflow or divide warning from
     # numpy fails, and so does an optimum clamped to the bracket edge
@@ -967,11 +1013,24 @@ CONTRACT_RUNS = [
              "exceeds the supported maximum of 64"),
     _refused("stray_simulate", "budget",
              dict(_SEQUENTIAL_K2, simulate={"omega_mhz": 1.0, "check_ideal": True})),
+    # a value past the float range is refused at the row or the block that
+    # meets it; its one line is that refusal, not a blockade shift meeting
+    # omega10
     _refused("omega_overflow", "budget",
-             dict(_SEQUENTIAL_K2, frequencies={"mode": "fixed", "omega_mhz": 1e160})),
+             dict(_SEQUENTIAL_K2, frequencies={"mode": "fixed", "omega_mhz": 1e160}),
+             "error: budget row k=2 label ''" + _FLOAT_RANGE),
     _refused("lattice_overflow", "budget", {
         "scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
-        "lattice": {"d_um": 1e120, "tau_us": 540.0}, "interaction": {"c6_mhz_um6": 100.0}}),
+        "lattice": {"d_um": 1e120, "tau_us": 540.0}, "interaction": {"c6_mhz_um6": 100.0}},
+             "error: budget row k=2 label ''" + _FLOAT_RANGE),
+    _refused("sweep_overflow", "sweep-omega", dict(_SEQUENTIAL_K2, sweep={
+        "omega_mhz": {"min": 0.01, "max": 1e160, "points": 50}}),
+             "error: sweep-omega row k=2 label ''" + _FLOAT_RANGE),
+    _refused("fit_overflow", "budget", {
+        "scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
+        "lattice": {"d_um": 1.0, "tau_us": 540.0},
+        "interaction": {"fit": {"law": "c6", "b_mhz": 1e300, "r_um": 1e100}}},
+             "error: config invalid at interaction" + _FLOAT_RANGE),
     _refused("foreign_simulate", "simulate", {"scheme": "simulate", "k": 2, "simulate": {
         "sequence": "simultaneous", "omega_c_mhz": 10.0, "omega_t_mhz": 1.0, "b_mhz": 20.0}}),
     _refused("foreign_frequency", "budget", dict(_SEQUENTIAL_K2, frequencies={
@@ -990,10 +1049,10 @@ CONTRACT_RUNS = [
 
 @pytest.fixture(scope="module")
 def contract(tmp_path_factory):
-    """Each row of the table with its exit code and stderr, the report
-    directory, and whether numpy.ma was imported: a runtime-only install has
-    numpy alone, so every run goes through one interpreter in which importing
-    scipy or jsonschema fails."""
+    """Each row of the table with its exit code, stderr and wall time, the
+    report directory, and whether numpy.ma was imported: a runtime-only
+    install has numpy alone, so every run goes through one interpreter, run
+    with -W error::UserWarning, in which importing anything else fails."""
     tmp_path = tmp_path_factory.mktemp("contract")
     out = tmp_path / "out"
     out.mkdir()
@@ -1003,7 +1062,7 @@ def contract(tmp_path_factory):
                   else write_config(tmp_path, run.config, f"{run.name}.json"))
         report = out / (run.out or f"{run.name}.json")
         argvs.append([[run.command, "--config", config, "--out", str(report)], run.errors])
-    proc = _python(_CONTRACT, json.dumps(argvs))
+    proc = _python(_CONTRACT, json.dumps(argvs), flags=("-W", "error::UserWarning"))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     return list(zip(CONTRACT_RUNS, result["runs"], strict=True)), out, result["numpy.ma"]
@@ -1011,7 +1070,7 @@ def contract(tmp_path_factory):
 
 def test_every_command_runs_without_scipy(contract):
     runs, out, _ = contract
-    passing = [(run, code, err) for run, (code, err) in runs if run.code == 0]
+    passing = [(run, code, err) for run, (code, err, _) in runs if run.code == 0]
     assert {run.command for run, _, _ in passing} == set(cli._COMMANDS)
     for run, code, err in passing:
         assert code == 0, (run.name, err)
@@ -1021,12 +1080,14 @@ def test_every_command_runs_without_scipy(contract):
 
 def test_cli_contract_without_scipy_or_jsonschema(contract):
     runs, out, _ = contract
-    for run, (code, err) in runs:
+    for run, (code, err, seconds) in runs:
         assert code == run.code, (run.name, err)
         assert "Traceback" not in err, (run.name, err)
         assert all(fragment in err for fragment in run.stderr), (run.name, err)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (run.name, err)
+        if run.limit_s is not None:
+            assert seconds <= run.limit_s, (run.name, seconds)
     # only the reports of the runs that write one; a refused report path's
     # missing directory is not made either
     assert sorted(os.listdir(out)) == sorted(f"{run.name}.json" for run in CONTRACT_RUNS

@@ -18,7 +18,7 @@ UM = 1.0e-6
 def test_k4_is_the_four_nearest_neighbors_in_angle_order():
     geom = build_layout(UM, 4)
     assert geom.control_sites == ((1, 0), (0, 1), (-1, 0), (0, -1))
-    assert geom.target_site == (0, 0)
+    assert geom.k == 4
 
 
 def test_k8_adds_the_diagonals():
@@ -32,7 +32,6 @@ def test_k1_single_site_at_distance_d():
     ps = pair_sets(geom)
     assert ps.control_target == (2.0 * UM,)
     assert ps.control_control_ordered == ()
-    assert ps.control_control_all == ()
 
 
 def test_k35_shell_census():
@@ -50,21 +49,19 @@ def test_k35_shell_census():
 def test_k4_pair_separations_by_hand():
     ps = pair_sets(build_layout(UM, 4))
     assert [r / UM for r in ps.control_target] == pytest.approx([1.0] * 4)
-    multiset = Counter(round(r / UM, 9) for r in ps.control_control_all)
+    multiset = Counter(round(r / UM, 9) for _, _, r in ps.control_control_ordered)
     assert multiset == {round(math.sqrt(2.0), 9): 4, 2.0: 2}
 
 
 def test_k2_has_exactly_one_control_pair():
     ps = pair_sets(build_layout(UM, 2))
     assert len(ps.control_control_ordered) == 1
-    assert len(ps.control_control_all) == 1
 
 
 @given(k=st.integers(min_value=1, max_value=40))
 def test_pair_counts(k):
     ps = pair_sets(build_layout(UM, k))
     assert len(ps.control_target) == k
-    assert len(ps.control_control_all) == k * (k - 1) // 2
     assert len(ps.control_control_ordered) == k * (k - 1) // 2
 
 
@@ -77,7 +74,7 @@ def test_layout_deterministic(k):
 def test_every_separation_is_sqrt_integer_multiple_of_d(k, d_um):
     d = d_um * UM
     ps = pair_sets(build_layout(d, k))
-    for r in list(ps.control_target) + list(ps.control_control_all):
+    for r in [*ps.control_target, *(sep for _, _, sep in ps.control_control_ordered)]:
         m = (r / d) ** 2
         assert m >= 1.0 - 1e-9
         assert abs(m - round(m)) < 1e-6
@@ -85,7 +82,7 @@ def test_every_separation_is_sqrt_integer_multiple_of_d(k, d_um):
 
 def test_minimum_separation_is_d():
     ps = pair_sets(build_layout(3.0 * UM, 20))
-    smallest = min(list(ps.control_target) + list(ps.control_control_all))
+    smallest = min(*ps.control_target, *(sep for _, _, sep in ps.control_control_ordered))
     assert smallest == pytest.approx(3.0 * UM)
 
 

@@ -37,7 +37,7 @@ def layouts(draw):
     k = draw(st.integers(min_value=1, max_value=12))
     sites = draw(st.lists(SITE, min_size=k, max_size=k, unique=True))
     d = meters_from_um(draw(st.floats(min_value=0.5, max_value=10.0)))
-    return LatticeGeometry(d=d, k=k, target_site=(0, 0), control_sites=tuple(sites))
+    return LatticeGeometry(d=d, control_sites=tuple(sites))
 
 
 @st.composite

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rydgate import (
-    LatticeGeometry,
     budget_grover_uniform,
     budget_sequential_lattice,
     budget_sequential_uniform,
@@ -122,14 +121,6 @@ def test_lattice_collapses_to_uniform_for_constant_law(k):
             uniform.at(omega)[name], rel=1e-12, abs=0.0), name
     # only a lattice budget keeps the pair shifts it was built from
     assert lattice.pair_shifts and not uniform.pair_shifts
-
-
-def test_lattice_geometry_k_mismatch_rejected():
-    # the lattice budget takes k from its geometry, and a geometry whose k
-    # disagrees with its control sites cannot be built
-    geom = build_layout(1.0e-6, 4)
-    with pytest.raises(ValueError, match="k must match"):
-        LatticeGeometry(d=geom.d, k=5, target_site=(0, 0), control_sites=geom.control_sites)
 
 
 def _pulse_times(k: int, omega: float) -> tuple[float, float]:
