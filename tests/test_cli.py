@@ -981,8 +981,9 @@ CONTRACT_RUNS = [
         "simulate": {"sequence": "simultaneous", "omega_c_mhz": 5.0, "omega_t_mhz": 1.0,
                      "b_ct_mhz": 50.0, "d_cc_mhz": 0.1, "decay_mhz": 3.0e-4}}, limit_s=30.0),
     # each sweep grid is one array evaluation of the budget over the whole
-    # optimizer bracket up to k = 64: an overflow or divide warning from
-    # numpy fails, and so does an optimum clamped to the bracket edge
+    # optimizer bracket up to k = 64: an overflow, which the grid raises, or
+    # a divide warning from numpy fails, and so does an optimum clamped to
+    # the bracket edge
     _Run("sweep.uniform", "sweep-omega",
          dict(_SEQUENTIAL_K2, k=[1, 2, 8, 33, 64], sweep=_BRACKET_SWEEP,
               uniform=[{"b_mhz": 9.0, "tau_us": 540.0}, {"b_mhz": 52.0, "tau_us": 820.0}]),
