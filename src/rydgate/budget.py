@@ -84,10 +84,14 @@ class LaurentBudget:
     def at(self, *omegas: float) -> dict[str, float]:
         """The report cells at one drive frequency per axis (rad/s): each
         term, ``total`` (the exact float sum of the terms), then each
-        diagnostic as ``diag_<name>``."""
+        diagnostic as ``diag_<name>``.  A non-finite cell of finite
+        coefficients raises OverflowError, as ``table`` does."""
         _check_frequencies(omegas)
         monomials = [omegas[axis] ** p for axis, p in self.powers]
         values = [sum(map(mul, row, monomials)) for row in self.coefficients]
+        if any(not math.isfinite(value) and all(map(math.isfinite, row))
+               for value, row in zip(values, self.coefficients)):
+            raise OverflowError("finite coefficients overflow at these frequencies")
         n = len(self.terms)
         cells = dict(zip(self.terms, values[:n]), total=math.fsum(values[:n]))
         cells.update(zip((f"diag_{name}" for name in self.diagnostics), values[n:]))

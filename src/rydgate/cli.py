@@ -101,13 +101,13 @@ def load_config(path: str, command: str) -> dict[str, Any]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     try:
-        raw = json.loads(text, parse_constant=_refuse_constant)
+        raw = json.loads(text, parse_float=_finite_float, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error in {path} at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    except ValueError as exc:  # a NaN or infinity literal
+    except ValueError as exc:  # a NaN or infinity literal, or a number past the float range
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     validate_config(raw)
     check_cross_rules(raw, command)
@@ -116,6 +116,12 @@ def load_config(path: str, command: str) -> dict[str, Any]:
 
 def _refuse_constant(literal: str) -> Any:
     raise ValueError(f"{literal} is not a JSON number; write a finite number")
+
+
+def _finite_float(literal: str) -> float:
+    if math.isinf(value := float(literal)):
+        raise ValueError(f"{literal} leaves the float range; write a finite number")
+    return value
 
 
 def _as_list(value: Any) -> list:

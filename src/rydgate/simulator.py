@@ -15,8 +15,9 @@ therefore reproduces blockade-leakage and decay physics, not the detuned
 coupling of the spectator qubit state.  A truth table runs in the reachable
 basis, where each atom keeps the closure of its input level under the
 sequence's pulses: 6 * 3**k rows for the sequential and simultaneous gates
-(39 366 at ``k = 8``, against 10.1 M amplitudes over the full basis).  The
-README gives the measured time and memory of a truth table at k = 6..8.
+(39 366 at ``k = 8``, against 10.1 M amplitudes over the full basis), and
+exponentiates each distinct pulse once, whatever its phase.  The README
+gives the measured time and memory of a truth table at k = 6..8.
 ``evolve`` steps one state over the full ``3**(k+1)`` basis, up to
 ``k = 10``.
 """
@@ -225,9 +226,11 @@ def _reach_keys(sequence: Sequence[PulseStep], natoms: int) -> np.ndarray:
     return np.sort(keys)
 
 
-def _apply_pulse(psi: np.ndarray, step: PulseStep, basis: tuple) -> np.ndarray:
-    """Exact propagator of one pulse applied to ``psi``, one amplitude per
-    row of ``basis``, whose rows the pulse must map into themselves.
+def _pulse_blocks(step: PulseStep, basis: tuple) -> list[tuple]:
+    """One pulse's blocks at phase 0 over ``basis``, whose rows the pulse
+    must map into themselves: per group of blocks, their rows, ``which``
+    exponential each takes, the exponentials, and each row's count of
+    excited driven atoms (None for 1 x 1 blocks).
 
     A pulse keeps every undriven digit and the active set A of driven atoms
     in its ground level or 2 (not the other ground level), so the rows
@@ -247,31 +250,42 @@ def _apply_pulse(psi: np.ndarray, step: PulseStep, basis: tuple) -> np.ndarray:
     lift = (2 - ground) * 3 ** (natoms - 1 - np.array(step.atoms))
     bases = np.flatnonzero(np.all(driven != 2, axis=1))  # blocks' unexcited rows
     active = (driven[bases] == ground) @ (1 << np.arange(len(step.atoms)))
-    half = 0.5 * step.rabi * np.exp(1j * step.phase)
     time = step.effective_duration
-    out = np.empty_like(psi)
+    blocks = []
     # with return_inverse, np.unique takes a path that never imports numpy.ma
     masks, group = np.unique(active, return_inverse=True)
     for m, mask in enumerate(masks):
         on = (mask >> np.arange(len(step.atoms))) & 1 == 1
         members = bases[group == m]
         if not mask:  # 1 x 1 blocks: each row only picks up its diagonal
-            out[members] = np.exp(-1j * time * diag[members]) * psi[members]
+            blocks.append((members, None, np.exp(-1j * time * diag[members]), None))
             continue
-        patterns = np.arange(2 ** on.sum())
-        bits = (patterns[:, None] >> np.arange(on.sum())) & 1
+        bits = (np.arange(2 ** on.sum())[:, None] >> np.arange(on.sum())) & 1
         index = np.searchsorted(keys, keys[members, None] + bits @ lift[on])
-        # raising[i, j]: pattern i is pattern j with one more atom excited
-        flips = np.sum(bits[:, None] != bits, axis=2)
-        raising = (flips == 1) & (patterns[:, None] > patterns)
         _, first, which = np.unique(excited[members], return_index=True, return_inverse=True)
         allowed = ~forbidden[index[first]]
-        h = (half * raising + np.conj(half) * raising.T) * (
-            allowed[:, :, None] & allowed[:, None, :]
-        )
+        # patterns one excitation apart are coupled
+        coupled = np.sum(bits[:, None] != bits, axis=2) == 1
+        h = (0.5 * step.rabi + 0j) * (coupled & allowed[:, :, None] & allowed[:, None, :])
         np.einsum("bii->bi", h)[:] = diag[index[first]]
-        u = _expm(-1j * time * h)
-        out[index] = (u[which] @ psi[index][:, :, None])[:, :, 0]
+        blocks.append((index, which, _expm(-1j * time * h), bits.sum(axis=1)))
+    return blocks
+
+
+def _apply_pulse(psi: np.ndarray, phase: float, blocks: list[tuple]) -> np.ndarray:
+    """Exact propagator of one pulse of ``phase``, given its phase-0
+    ``blocks``, applied to ``psi``, one amplitude per basis row.  Every
+    coupling raises one driven atom, so the pulse is P u(0) P^dag with P =
+    diag(exp(i phase n)), n a row's count of excited driven atoms: a truth
+    table exponentiates each distinct pulse once and applies each phase as
+    this frame change."""
+    out = np.empty_like(psi)
+    for rows, which, u, excitations in blocks:
+        if which is None:
+            out[rows] = u * psi[rows]
+            continue
+        frame = np.exp(1j * phase * excitations)
+        out[rows] = frame * (u[which] @ (psi[rows] / frame)[:, :, None])[:, :, 0]
     return out
 
 
@@ -289,7 +303,8 @@ def evolve(
         raise ValueError(f"the state must hold 3**{natoms} amplitudes")
     g = _normalize_decay(natoms, decay_rates)
     before = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    psi = _apply_pulse(state.amplitudes, step, _basis(np.arange(3**natoms), natoms, v, g))
+    basis = _basis(np.arange(3**natoms), natoms, v, g)
+    psi = _apply_pulse(state.amplitudes, step.phase, _pulse_blocks(step, basis))
     after = float(np.vdot(psi, psi).real)
     return SimState(
         amplitudes=psi,
@@ -398,30 +413,36 @@ def gate_error_sim(
     ideal_out, phases = ideal_map(k, ideal)
     inputs = np.arange(2**natoms)
     sequence = tuple(sequence)  # read twice: for the reach and to propagate
-    basis = _basis(_reach_keys(sequence, natoms), natoms, v, g)
-    # each row's input, and its computational output or -1
-    output_index = np.full(3**natoms, -1)
-    output_index[_computational_indices(natoms)] = inputs
-    input_of, state_of = np.divmod(basis[0], 3**natoms)
-    output_of = output_index[state_of]
+    # a value past the float range raises, as LaurentBudget.table does
+    with np.errstate(over="raise", invalid="raise"):
+        basis = _basis(_reach_keys(sequence, natoms), natoms, v, g)
+        # each row's input, and its computational output or -1
+        output_index = np.full(3**natoms, -1)
+        output_index[_computational_indices(natoms)] = inputs
+        input_of, state_of = np.divmod(basis[0], 3**natoms)
+        output_of = output_index[state_of]
 
-    psi = (output_of == input_of).astype(np.complex128)
-    for step in sequence:
-        psi = _apply_pulse(psi, step, basis)
+        psi = (output_of == input_of).astype(np.complex128)
+        blocks: dict[tuple, list[tuple]] = {}  # each distinct pulse's, at phase 0
+        for step in sequence:
+            key = (_TRANSITIONS[step.transition], step.atoms, step.rabi, step.effective_duration)
+            if key not in blocks:
+                blocks[key] = _pulse_blocks(step, basis)
+            psi = _apply_pulse(psi, step.phase, blocks[key])
 
-    # rows: computational outputs; columns: inputs
-    hit = output_of >= 0
-    outputs = np.zeros((inputs.size, inputs.size), dtype=np.complex128)
-    outputs[output_of[hit], input_of[hit]] = psi[hit]
-    truth_table = (np.abs(outputs) ** 2).T
-    errors = 1.0 - truth_table[inputs, ideal_out]
+        # rows: computational outputs; columns: inputs
+        hit = output_of >= 0
+        outputs = np.zeros((inputs.size, inputs.size), dtype=np.complex128)
+        outputs[output_of[hit], input_of[hit]] = psi[hit]
+        truth_table = (np.abs(outputs) ** 2).T
+        errors = 1.0 - truth_table[inputs, ideal_out]
 
-    # overlap matrix of simulated outputs with the phase-correct ideal ones
-    m_overlap = phases[:, None] * outputs[ideal_out]
-    d = float(inputs.size)
-    f_avg = (
-        float(np.sum(np.abs(m_overlap) ** 2)) + abs(np.trace(m_overlap)) ** 2
-    ) / (d * (d + 1.0))
+        # overlap matrix of simulated outputs with the phase-correct ideal ones
+        m_overlap = phases[:, None] * outputs[ideal_out]
+        d = float(inputs.size)
+        f_avg = (
+            float(np.sum(np.abs(m_overlap) ** 2)) + abs(np.trace(m_overlap)) ** 2
+        ) / (d * (d + 1.0))
     return SimResult(
         avg_error=1.0 - f_avg,
         errors_by_input=errors,

@@ -53,8 +53,10 @@ PRESETS = [
 
 
 def write_config(tmp_path, payload, name="config.json"):
+    """Write a config object, or a config's JSON text as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -926,22 +928,24 @@ print(json.dumps({"runs": runs, "numpy.ma": "numpy.ma" in sys.modules}))
 
 class _Run(NamedTuple):
     """One CLI run of the contract table: ``command --config <config> --out
-    <out>``, where ``config`` is a preset name or a config object."""
+    <out>``, where ``config`` is a preset name, a config object, or the
+    JSON text of a config."""
 
     name: str  # the config's file name; the report's too, unless ``out`` is set
     command: str
     config: str | dict
     code: int = 0
     stderr: tuple[str, ...] = ()  # fragments the run's stderr holds
+    absent: tuple[str, ...] = ()  # fragments it must not hold
     report: bool = True  # whether the report file is written
     errors: tuple[str, ...] = ("UserWarning",)  # warning categories raised as errors
     out: str = ""
     limit_s: float | None = None  # a bound on the run's wall time
 
 
-def _refused(name, command, config, *stderr, out=""):
+def _refused(name, command, config, *stderr, absent=(), out=""):
     """A run refused with exit 2: one ``error:`` line and no report."""
-    return _Run(name, command, config, 2, stderr, report=False, out=out)
+    return _Run(name, command, config, 2, stderr, absent, report=False, out=out)
 
 
 _SEQUENTIAL_K2 = {"scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
@@ -951,6 +955,8 @@ _CROSSOVER_LATTICE = {"lattice": {"d_um": 1.0, "tau_us": 170.0},
                                       "crossover_um": 2.5}}
 _BRACKET_SWEEP = {"omega_mhz": {"min": 0.01, "max": 10000.0, "points": 500}}
 _FLOAT_RANGE = ": a config value leaves the float range: "
+# text of a refusal that blames another cause than the float range
+_MISBLAMED = ("label None", "omega10", "RuntimeWarning")
 
 # every shipped preset under budget and optimize comes first, and the very
 # first run goes through python -m rydgate.cli
@@ -1032,6 +1038,19 @@ CONTRACT_RUNS = [
         "lattice": {"d_um": 1.0, "tau_us": 540.0},
         "interaction": {"fit": {"law": "c6", "b_mhz": 1e300, "r_um": 1e100}}},
              "error: config invalid at interaction" + _FLOAT_RANGE),
+    # a truth table, a budget cell of finite coefficients, and a number as
+    # written in the file, each past the float range
+    _refused("simulate_overflow", "simulate", {"scheme": "simulate", "k": 2, "simulate": {
+        "omega_mhz": 1.0, "b_mhz": 10.0, "decay_mhz": 1e307}},
+             "error: simulate row k=2" + _FLOAT_RANGE, absent=_MISBLAMED),
+    _refused("cell_overflow", "budget",
+             dict(_SEQUENTIAL_K2, uniform={"b_mhz": 1e-150, "tau_us": 540.0},
+                  frequencies={"mode": "fixed", "omega_mhz": 1e10}),
+             "error: budget row k=2 label ''" + _FLOAT_RANGE, absent=_MISBLAMED),
+    _refused("parse_overflow", "budget",
+             json.dumps(dict(_SEQUENTIAL_K2, uniform={"b_mhz": 1e300, "tau_us": 540.0}))
+             .replace("1e+300", "1e400"),
+             "config parse error in", "1e400", "write a finite number", absent=_MISBLAMED),
     _refused("foreign_simulate", "simulate", {"scheme": "simulate", "k": 2, "simulate": {
         "sequence": "simultaneous", "omega_c_mhz": 10.0, "omega_t_mhz": 1.0, "b_mhz": 20.0}}),
     _refused("foreign_frequency", "budget", dict(_SEQUENTIAL_K2, frequencies={
@@ -1060,6 +1079,7 @@ def contract(tmp_path_factory):
     argvs = []
     for run in CONTRACT_RUNS:
         config = (preset_path(run.config) if isinstance(run.config, str)
+                  and not run.config.startswith("{")
                   else write_config(tmp_path, run.config, f"{run.name}.json"))
         report = out / (run.out or f"{run.name}.json")
         argvs.append([[run.command, "--config", config, "--out", str(report)], run.errors])
@@ -1085,6 +1105,7 @@ def test_cli_contract_without_scipy_or_jsonschema(contract):
         assert code == run.code, (run.name, err)
         assert "Traceback" not in err, (run.name, err)
         assert all(fragment in err for fragment in run.stderr), (run.name, err)
+        assert not any(fragment in err for fragment in run.absent), (run.name, err)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (run.name, err)
         if run.limit_s is not None:

@@ -5,9 +5,12 @@ its own tests avoid the budget formulas wherever possible: truth tables
 are checked against hand permutations, leakage against the two-level
 detuned-drive solution, and decay against first-order exposure times.
 The block propagator is checked against a dense full-space oracle, and
-the reachable-basis truth table against the full-basis one.
+the reachable-basis truth table against the full-basis one, on sequences
+that repeat pulses at new phases; a pulse's phase is checked as a frame
+change on its phase-0 blocks.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +31,8 @@ from rydgate import (
     simultaneous_interactions,
     uniform_interactions,
 )
-from rydgate.simulator import _basis, _expm, _reach_keys
+from rydgate import simulator
+from rydgate.simulator import _basis, _expm, _pulse_blocks, _reach_keys
 from rydgate.units import angular_from_mhz
 
 from oracles import basis_diagonal, dense_hamiltonian, gate_error_sim_full_basis
@@ -316,7 +320,10 @@ def _gates(draw, max_k):
         duration=st.floats(0.1, 3.0).map(lambda x: x * math.pi / OMEGA),
     )
     steps = draw(st.lists(pulse, min_size=1, max_size=5))
-    return k, v, decay, steps
+    phase = st.one_of(st.just(math.pi), st.floats(0.0, 2.0 * math.pi))
+    repeats = draw(st.lists(st.tuples(st.sampled_from(steps), phase), max_size=3))
+    steps += [dataclasses.replace(step, phase=phi) for step, phi in repeats]
+    return k, v, decay, draw(st.permutations(steps))
 
 
 @st.composite
@@ -358,6 +365,52 @@ def test_block_propagator_matches_dense_oracle(instance):
         inputs * (inputs + 1)
     )
     assert res.avg_error == pytest.approx(1.0 - f_avg, abs=1e-10)
+
+
+@pytest.mark.parametrize("phase", [math.pi, 0.3])
+def test_phase_is_a_diagonal_frame_change(phase):
+    # every block of a pulse at phase phi is P u(0) P^dag, P = diag(exp(i
+    # phi n)) over the driven atoms n each row excites, against the
+    # block's own Hamiltonian at phi, with decay and finite shifts
+    n = 3
+    v = np.array([[0.0, 2.0, -1.5], [2.0, 0.0, 0.7], [-1.5, 0.7, 0.0]]) * OMEGA
+    decay = np.array([0.1, 0.2, 0.05]) * OMEGA
+    step = PulseStep("g0-r", 1.3 * OMEGA, atoms=(2, 0, 1), phase=phase, duration=2.0 / OMEGA)
+    h = dense_hamiltonian(n, step, v, decay)
+    blocks = _pulse_blocks(step, _basis(np.arange(3**n), n, v, decay))
+    sizes = []
+    for rows, which, u, excitations in blocks:
+        if which is None:
+            continue
+        frame = np.exp(1j * phase * excitations)
+        for block, b in zip(rows, which):
+            want = _expm(-1j * step.effective_duration * h[np.ix_(block, block)][None])[0]
+            got = frame[:, None] * u[b] * np.conj(frame)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            sizes.append(len(block))
+    assert max(sizes) == 8  # all three atoms driven from the ground level
+
+
+@pytest.mark.parametrize("sequence, batches", [("sequential", 5), ("grover", 3),
+                                               ("simultaneous", 9)])
+def test_each_distinct_pulse_is_exponentiated_once(monkeypatch, sequence, batches):
+    # at k = 3 the sequential gate's 9 pulses are 5 distinct ones, each a
+    # single-atom pulse with one batch; grover's 6 are 3; the simultaneous
+    # gate's collective pulse has 7 batches, one per nonzero active set,
+    # and comes back at phase pi
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return _expm(a)
+
+    monkeypatch.setattr(simulator, "_expm", counted)
+    seq = canonical_sequence(sequence, 3, omega=OMEGA, omega_c=5.0 * OMEGA, omega_t=OMEGA)
+    gate = "grover" if sequence == "grover" else "cnot"
+    d_cc = 0.0 if sequence == "simultaneous" else math.inf
+    res = gate_error_sim(seq, 3, simultaneous_interactions(3, math.inf, d_cc), ideal=gate)
+    assert len(calls) == batches
+    assert res.avg_error == pytest.approx(0.0, abs=1e-12)
 
 
 @settings(max_examples=150)
