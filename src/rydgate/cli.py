@@ -101,7 +101,8 @@ def load_config(path: str, command: str) -> dict[str, Any]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     try:
-        raw = json.loads(text, parse_float=_finite_float, parse_constant=_refuse_constant)
+        raw = json.loads(text, parse_float=_finite_float, parse_int=_finite_int,
+                         parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error in {path} at line {exc.lineno} column {exc.colno}: "
@@ -124,14 +125,19 @@ def _finite_float(literal: str) -> float:
     return value
 
 
+def _finite_int(literal: str) -> int:
+    _finite_float(literal)
+    return int(literal)
+
+
 def _as_list(value: Any) -> list:
     return value if isinstance(value, list) else [value]
 
 
-# what a simulate block leaves out; a shift left out means no blockade, and
-# the gate's default follows the sequence
-_SIMULATE_DEFAULTS = {"sequence": "sequential", "b_mhz": "inf", "b_ct_mhz": "inf",
-                      "d_cc_mhz": 0.0, "decay_mhz": 0.0, "check_ideal": False,
+# what a simulate block leaves out.  Of the shifts its sequence reads
+# (SCHEMES), an absent b_mhz or b_ct_mhz is a perfect blockade ("inf") and an
+# absent d_cc_mhz no control-control shift; the gate follows the sequence.
+_SIMULATE_DEFAULTS = {"sequence": "sequential", "decay_mhz": 0.0, "check_ideal": False,
                       "tolerance": 1.0e-6}
 
 
@@ -140,11 +146,13 @@ def _normalize(raw: dict[str, Any]) -> dict[str, Any]:
     cfg = dict(raw, k=_as_list(raw["k"]))
     if "uniform" in cfg:
         cfg["uniform"] = _as_list(cfg["uniform"])
-    cfg.setdefault("frequencies", {"mode": "optimize"})
     if "simulate" in cfg:
         sim = {**_SIMULATE_DEFAULTS, **cfg["simulate"]}
+        sim = {**dict(zip(SCHEMES[sim["sequence"]].shifts, ("inf", 0.0))), **sim}
         sim.setdefault("gate", "grover" if sim["sequence"] == "grover" else "cnot")
         cfg["simulate"] = sim
+    else:  # the budget commands' default; lattice echoes it too
+        cfg.setdefault("frequencies", {"mode": "optimize"})
     return cfg
 
 
@@ -189,7 +197,8 @@ def check_cross_rules(cfg: dict[str, Any], command: str) -> None:
              f"scheme {scheme!r} does not go with the {command} command")
     if command == "simulate":
         require_fields(cfg, ("simulate",))
-        _refuse_present(cfg, ("uniform", "lattice"), "the simulate block carries all inputs")
+        _refuse_present(cfg, ("omega10_mhz", "uniform", "lattice", *scheme_keys(("models",)),
+                              "frequencies", "sweep"), "the simulate block carries all inputs")
         for k in ks:
             _require(k <= _MAX_K_TABLE, f"simulate supports k <= {_MAX_K_TABLE}, got k={k}")
         sim = cfg["simulate"]

@@ -25,7 +25,7 @@ gives the measured time and memory of a truth table at k = 6..8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -321,53 +321,34 @@ def canonical_sequence(
 ) -> tuple[PulseStep, ...]:
     """Standard pulse list for one gate.
 
-    ``sequential``: controls 1..k driven in turn, three target pulses,
-    controls returned in reverse with phase pi so their round-trip phases
-    cancel.  ``grover``: the same control ladder without target pulses;
-    the last control makes an immediate round trip and imprints the
-    conditional phase.  ``simultaneous``: all controls in one pulse, three
-    target pulses, all controls back.
+    ``sequential``: controls 1..k driven in turn, the target's three-pulse
+    swap of its ground states through r, controls returned in reverse with
+    phase pi so their round-trip phases cancel.  ``grover``: the same
+    control ladder without target pulses; the last control makes an
+    immediate round trip and imprints the conditional phase.
+    ``simultaneous``: all controls in one pulse, the same target swap at
+    ``omega_t``, all controls back.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    target = k
-    if scheme in ("sequential", "grover"):
-        if omega is None:
-            raise ValueError(f"{scheme} sequence requires omega")
-        steps = [
-            PulseStep("g0-r", omega, atoms=(i,)) for i in range(k)
-        ]
-        if scheme == "sequential":
-            steps += [
-                PulseStep("g0-r", omega, atoms=(target,)),
-                PulseStep("g1-r", omega, atoms=(target,)),
-                PulseStep("g0-r", omega, atoms=(target,)),
-            ]
-            steps += [
-                PulseStep("g0-r", omega, atoms=(i,), phase=math.pi)
-                for i in reversed(range(k))
-            ]
-        else:
-            # control k just went up; bring it straight down with the same
-            # phase so the unblocked branch of the round trip picks up -1
-            steps += [PulseStep("g0-r", omega, atoms=(k - 1,))]
-            steps += [
-                PulseStep("g0-r", omega, atoms=(i,), phase=math.pi)
-                for i in reversed(range(k - 1))
-            ]
-        return tuple(steps)
     if scheme == "simultaneous":
         if omega_c is None or omega_t is None:
             raise ValueError("simultaneous sequence requires omega_c and omega_t")
-        controls = tuple(range(k))
-        return (
-            PulseStep("g0-s", omega_c, atoms=controls),
-            PulseStep("g0-r", omega_t, atoms=(target,)),
-            PulseStep("g1-r", omega_t, atoms=(target,)),
-            PulseStep("g0-r", omega_t, atoms=(target,)),
-            PulseStep("g0-s", omega_c, atoms=controls, phase=math.pi),
-        )
-    raise ValueError(f"unknown scheme {scheme!r}")
+        up, omega = [PulseStep("g0-s", omega_c, atoms=tuple(range(k)))], omega_t
+    elif scheme in ("sequential", "grover"):
+        if omega is None:
+            raise ValueError(f"{scheme} sequence requires omega")
+        up = [PulseStep("g0-r", omega, atoms=(i,)) for i in range(k)]
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    down = [replace(step, phase=math.pi) for step in reversed(up)]
+    if scheme == "grover":
+        # control k just went up; bring it straight down with the same
+        # phase so the unblocked branch of the round trip picks up -1
+        return (*up, up[-1], *down[1:])
+    # the target (atom k) swaps its ground states through r
+    swap = [PulseStep(transition, omega, atoms=(k,)) for transition in ("g0-r", "g1-r", "g0-r")]
+    return (*up, *swap, *down)
 
 
 def sequence_duration(sequence: Sequence[PulseStep]) -> float:
@@ -376,10 +357,7 @@ def sequence_duration(sequence: Sequence[PulseStep]) -> float:
 
 def uniform_interactions(k: int, b: float) -> np.ndarray:
     """Every pair shifted by the same amount, controls and target alike."""
-    natoms = k + 1
-    v = np.full((natoms, natoms), float(b))
-    np.fill_diagonal(v, 0.0)
-    return v
+    return simultaneous_interactions(k, b, b)
 
 
 def simultaneous_interactions(k: int, b_ct: float, d_cc: float) -> np.ndarray:

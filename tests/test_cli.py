@@ -407,6 +407,31 @@ def test_simulate_block_on_budget_scheme_refused(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize("key, block", [
+    ("omega10_mhz", 9200.0),
+    ("frequencies", {"mode": "optimize"}),
+    ("sweep", {"omega_mhz": {"min": 0.5, "max": 50.0, "points": 5}}),
+    *((key, {"c6_mhz_um6": 100.0}) for key in scheme_keys(("models",))),
+])
+def test_budget_key_in_simulate_config_refused(tmp_path, capsys, key, block):
+    # no simulate run reads these
+    cfg = dict(_simulate_cfg("sequential"), **{key: block})
+    assert _run(tmp_path, cfg, "simulate") == (2, False)
+    assert capsys.readouterr().err == (
+        f"error: config invalid at {key}: the simulate block carries all inputs\n"
+    )
+
+
+@pytest.mark.parametrize("sequence", list(SCHEMES))
+def test_simulate_defaults_are_the_sequence_shifts(tmp_path, sequence):
+    # the echo holds the shifts its sequence reads and no budget default
+    cfg = load_config(write_config(tmp_path, _simulate_cfg(sequence)), "simulate")
+    assert "frequencies" not in cfg
+    sim, shifts = cfg["simulate"], SCHEMES[sequence].shifts
+    assert [key for key in scheme_keys(("shifts",)) if key in sim] == list(shifts)
+    assert [sim[key] for key in shifts] == ["inf", 0.0][: len(shifts)]
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -1051,6 +1076,18 @@ CONTRACT_RUNS = [
              json.dumps(dict(_SEQUENTIAL_K2, uniform={"b_mhz": 1e300, "tau_us": 540.0}))
              .replace("1e+300", "1e400"),
              "config parse error in", "1e400", "write a finite number", absent=_MISBLAMED),
+    # an integer literal past the float range, refused as 1e400 is
+    _refused("parse_int_overflow", "budget",
+             json.dumps(dict(_SEQUENTIAL_K2, uniform={"b_mhz": 1, "tau_us": 540.0}))
+             .replace('"b_mhz": 1,', f'"b_mhz": 1{"0" * 400},'),
+             "config parse error in", "write a finite number", absent=_MISBLAMED),
+    # a simulate run reads its simulate block alone
+    _refused("simulate_omega10", "simulate", {"scheme": "simulate", "k": 2, "omega10_mhz": 9200.0,
+                                              "simulate": {"omega_mhz": 1.0}},
+             "error: config invalid at omega10_mhz: "),
+    _refused("simulate_frequencies", "simulate", {
+        "scheme": "simulate", "k": 2, "frequencies": {"mode": "fixed", "omega_mhz": 3.0},
+        "simulate": {"omega_mhz": 1.0}}, "error: config invalid at frequencies: "),
     _refused("foreign_simulate", "simulate", {"scheme": "simulate", "k": 2, "simulate": {
         "sequence": "simultaneous", "omega_c_mhz": 10.0, "omega_t_mhz": 1.0, "b_mhz": 20.0}}),
     _refused("foreign_frequency", "budget", dict(_SEQUENTIAL_K2, frequencies={

@@ -7,7 +7,8 @@ match to 1e-12 relative, so other CPUs and numpy builds do not flake.  The
 simulator's probabilities and errors (``ABS_TOL_COLUMNS``) match to 1e-12
 absolute instead: in the ideal limit they are roundoff near 0.
 Rebuild the bundle with ``tests/golden/regenerate.py`` only for an
-intended report change.
+intended report change.  A JSON report's own ``config`` echo, fed back to
+its command, must reproduce it byte for byte.
 """
 
 import csv
@@ -88,19 +89,41 @@ def _compare_csv(expected_text, actual_text):
             _same_cell(cell_want, cell_got, column, f"row {i} {column}")
 
 
-@pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_report_matches_golden(case, tmp_path):
-    if "preset" in case:
-        config_path = preset_path(case["preset"])
-    else:
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(case["config"]), encoding="utf-8")
-    out = tmp_path / "report"
+def _write_config(tmp_path, config, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def _run_case(case, config_path, out):
+    """The exit code of the case's command on ``config_path`` and the
+    report text it wrote to ``out``, or None."""
     argv = [case["command"], "--config", str(config_path), "--format",
             case["format"], "--out", str(out)]
-    assert main(argv) == 0
-    actual = out.read_text(encoding="utf-8")
+    code = main(argv)
+    return code, out.read_text(encoding="utf-8") if out.exists() else None
+
+
+def _source_config(case, tmp_path):
+    if "preset" in case:
+        return preset_path(case["preset"])
+    return _write_config(tmp_path, case["config"])
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_report_matches_golden(case, tmp_path):
+    code, actual = _run_case(case, _source_config(case, tmp_path), tmp_path / "report")
+    assert code == 0
     if case["format"] == "json":
         _compare_json(case["report"], actual)
     else:
         _compare_csv(case["report"], actual)
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case["format"] == "json"],
+                         ids=_case_id)
+def test_config_echo_reproduces_report(case, tmp_path):
+    # a report's config is one its command accepts, and reproduces it
+    code, report = _run_case(case, _source_config(case, tmp_path), tmp_path / "report")
+    echo = _write_config(tmp_path, json.loads(report)["config"], "echo.json")
+    assert _run_case(case, echo, tmp_path / "again") == (code, report)

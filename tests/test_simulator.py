@@ -21,7 +21,9 @@ from scipy.linalg import expm
 from rydgate import (
     PulseStep,
     SimState,
+    budget_grover_uniform,
     budget_sequential_uniform,
+    budget_simultaneous_uniform,
     canonical_sequence,
     computational_state,
     evolve,
@@ -32,6 +34,7 @@ from rydgate import (
     uniform_interactions,
 )
 from rydgate import simulator
+from rydgate.schemas import SCHEMES
 from rydgate.simulator import _basis, _expm, _pulse_blocks, _reach_keys
 from rydgate.units import angular_from_mhz
 
@@ -172,6 +175,19 @@ def test_sequence_durations():
     assert sequence_duration(simultaneous) == pytest.approx(
         3.0 * math.pi / OMEGA + 2.0 * math.pi / (10.0 * OMEGA), rel=1e-12, abs=0.0
     )
+    # the pulse counts 2k + 3, 2k and 2 + 3 live in the pulse lists and in
+    # the budgets' pulse_time: the two gate durations agree
+    builders = {"sequential": budget_sequential_uniform, "grover": budget_grover_uniform,
+                "simultaneous": budget_simultaneous_uniform}
+    for scheme, builder in builders.items():
+        row = SCHEMES[scheme]
+        omegas = (3.7 * OMEGA, 1.3 * OMEGA)[: len(row.frequencies)]
+        drives = {key.removesuffix("_mhz"): om for key, om in zip(row.frequencies, omegas)}
+        for k in range(1, 9):
+            budget = builder(k, *[50.0 * OMEGA] * len(row.shifts),
+                             *[1.0e-3] * len(row.lifetimes), W10)
+            assert sequence_duration(canonical_sequence(scheme, k, **drives)) == pytest.approx(
+                budget.duration(*omegas), rel=1e-14, abs=0.0), (scheme, k)
 
 
 # ------------------------------------------------------------ validation
