@@ -121,7 +121,8 @@ def _refuse_constant(literal: str) -> Any:
 
 def _finite_float(literal: str) -> float:
     if math.isinf(value := float(literal)):
-        raise ValueError(f"{literal} leaves the float range; write a finite number")
+        shown = literal if len(literal) <= 20 else f"{literal[:20]}... ({len(literal)} characters)"
+        raise ValueError(f"{shown} leaves the float range; write a finite number")
     return value
 
 

@@ -16,8 +16,10 @@ coupling of the spectator qubit state.  A truth table runs in the reachable
 basis, where each atom keeps the closure of its input level under the
 sequence's pulses: 6 * 3**k rows for the sequential and simultaneous gates
 (39 366 at ``k = 8``, against 10.1 M amplitudes over the full basis), and
-exponentiates each distinct pulse once, whatever its phase.  The README
-gives the measured time and memory of a truth table at k = 6..8.
+builds each distinct pulse once, whatever its phase: in closed form for a
+pulse on one atom, a set of two-level problems, and by Pade for the blocks
+of a multi-atom pulse.  The README gives the measured time and memory of a
+truth table at k = 6..8.
 ``evolve`` steps one state over the full ``3**(k+1)`` basis, up to
 ``k = 10``.
 """
@@ -192,15 +194,16 @@ def _basis(keys: np.ndarray, natoms: int, interactions: np.ndarray,
     whether it holds a doubly excited infinite-shift pair.  Atom 0 is the
     most significant base-3 digit of the index."""
     digits = keys[:, None] // 3 ** np.arange(natoms - 1, -1, -1) % 3
-    excited = (digits == 2).astype(float)
+    excited = (digits == 2) @ (1 << np.arange(natoms))
+    # the diagonal depends only on which atoms a row excites: each of the
+    # 2^n excitation patterns is evaluated once
+    patterns = (np.arange(2**natoms)[:, None] >> np.arange(natoms) & 1).astype(float)
     blocked = np.isinf(interactions)
-    forbidden = np.einsum("sa,ab,sb->s", excited, blocked, excited) > 0
+    forbidden = np.einsum("sa,ab,sb->s", patterns, blocked, patterns) > 0
     finite = np.where(blocked, 0.0, interactions)
-    diag = 0.5 * np.einsum("sa,ab,sb->s", excited, finite, excited)
-    # a real product: OpenBLAS hands the complex one to its thread pool
-    # from 1 458 rows (k = 5), and the woken worker then spins idle
-    diag = np.where(forbidden, 0.0, diag - 0.5j * (excited @ decay_rates))
-    return keys, digits, (digits == 2) @ (1 << np.arange(natoms)), diag, forbidden
+    diag = 0.5 * np.einsum("sa,ab,sb->s", patterns, finite, patterns)
+    diag = np.where(forbidden, 0.0, diag - 0.5j * (patterns @ decay_rates))
+    return keys, digits, excited, diag[excited], forbidden[excited]
 
 
 def _reach_keys(sequence: Sequence[PulseStep], natoms: int) -> np.ndarray:
@@ -236,11 +239,19 @@ def _pulse_blocks(step: PulseStep, basis: tuple) -> list[tuple]:
     in its ground level or 2 (not the other ground level), so the rows
     split into blocks of the 2^|A| excitation patterns of A, whose rows are
     found by key.  A block carries pair shifts and decay on its diagonal
-    and half-Rabi couplings off it.  Blocks sharing A are exponentiated in
-    one batch, and those that also excite the same atoms share one
-    exponential.  States holding a doubly excited infinite-shift pair get a
-    zero diagonal and no couplings, so perfect blockade leaves them
-    untouched."""
+    and half-Rabi couplings off it.  States holding a doubly excited
+    infinite-shift pair get a zero diagonal and no couplings, so perfect
+    blockade leaves them untouched.
+
+    A single-atom pulse's 2 x 2 blocks are two-level problems, H = [[a, c],
+    [c, b]], solved in closed form per row pair: with m = (a + b) / 2, d =
+    (a - b) / 2 and s^2 = d^2 + c^2, exp(-i t H) = exp(-i t m) (cos(s t) -
+    i t sinc(s t) (d sigma_z + c sigma_x)).  It is evaluated as exp(-i t (m
+    + s)) times (1 + e^z) / 2 and t (e^z - 1) / z, z = 2 i s t, on the root
+    s with Im s >= 0, where, as decay only damps, no factor exceeds 1.  Their
+    group is (lower rows, upper rows, (u00, u01, u11), None).  Multi-atom
+    blocks sharing A are exponentiated in one Pade batch, and those that
+    also excite the same atoms share one exponential."""
     keys, digits, excited, diag, forbidden = basis
     natoms = digits.shape[1]
     if max(step.atoms) >= natoms:
@@ -248,9 +259,23 @@ def _pulse_blocks(step: PulseStep, basis: tuple) -> list[tuple]:
     ground = _TRANSITIONS[step.transition]
     driven = digits[:, list(step.atoms)]
     lift = (2 - ground) * 3 ** (natoms - 1 - np.array(step.atoms))
+    time = step.effective_duration
+    if len(step.atoms) == 1:
+        idle, lower = (np.flatnonzero(driven[:, 0] == level) for level in (1 - ground, ground))
+        upper = np.searchsorted(keys, keys[lower] + lift[0])
+        # the upper row is forbidden whenever the lower one is
+        c = np.where(forbidden[upper], 0.0, 0.5 * step.rabi)
+        m, d = 0.5 * (diag[lower] + diag[upper]), 0.5 * (diag[lower] - diag[upper])
+        r = np.sqrt(-(d * d + c * c))  # -i s: Re r = Im s >= 0
+        z = -2.0 * time * r
+        em1 = np.expm1(z)
+        scale = np.exp(time * (r - 1j * m))
+        sine = -1j * time * scale * np.divide(em1, z, out=np.ones_like(z), where=z != 0)
+        cosine = scale * (1.0 + 0.5 * em1)
+        return [(idle, None, np.exp(-1j * time * diag[idle]), None),
+                (lower, upper, (cosine + sine * d, sine * c, cosine - sine * d), None)]
     bases = np.flatnonzero(np.all(driven != 2, axis=1))  # blocks' unexcited rows
     active = (driven[bases] == ground) @ (1 << np.arange(len(step.atoms)))
-    time = step.effective_duration
     blocks = []
     # with return_inverse, np.unique takes a path that never imports numpy.ma
     masks, group = np.unique(active, return_inverse=True)
@@ -277,12 +302,19 @@ def _apply_pulse(psi: np.ndarray, phase: float, blocks: list[tuple]) -> np.ndarr
     ``blocks``, applied to ``psi``, one amplitude per basis row.  Every
     coupling raises one driven atom, so the pulse is P u(0) P^dag with P =
     diag(exp(i phase n)), n a row's count of excited driven atoms: a truth
-    table exponentiates each distinct pulse once and applies each phase as
-    this frame change."""
+    table builds each distinct pulse once and applies each phase as this
+    frame change, in place on a single-atom pulse's row pairs and through
+    one stacked product per group of multi-atom blocks."""
     out = np.empty_like(psi)
     for rows, which, u, excitations in blocks:
         if which is None:
             out[rows] = u * psi[rows]
+            continue
+        if excitations is None:  # rows and which: the lower and upper rows of pairs
+            (d0, off, d1), p0, p1 = u, psi[rows], psi[which]
+            turn = np.exp(1j * phase)
+            out[rows] = d0 * p0 + off * p1 / turn
+            out[which] = off * turn * p0 + d1 * p1
             continue
         frame = np.exp(1j * phase * excitations)
         out[rows] = frame * (u[which] @ (psi[rows] / frame)[:, :, None])[:, :, 0]

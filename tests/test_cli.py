@@ -1076,11 +1076,13 @@ CONTRACT_RUNS = [
              json.dumps(dict(_SEQUENTIAL_K2, uniform={"b_mhz": 1e300, "tau_us": 540.0}))
              .replace("1e+300", "1e400"),
              "config parse error in", "1e400", "write a finite number", absent=_MISBLAMED),
-    # an integer literal past the float range, refused as 1e400 is
+    # an integer literal past the float range, refused as 1e400 is, with
+    # its first 20 characters and its length
     _refused("parse_int_overflow", "budget",
              json.dumps(dict(_SEQUENTIAL_K2, uniform={"b_mhz": 1, "tau_us": 540.0}))
              .replace('"b_mhz": 1,', f'"b_mhz": 1{"0" * 400},'),
-             "config parse error in", "write a finite number", absent=_MISBLAMED),
+             "config parse error in", f"1{'0' * 19}... (401 characters) leaves the float range",
+             "write a finite number", absent=(*_MISBLAMED, "0" * 21)),
     # a simulate run reads its simulate block alone
     _refused("simulate_omega10", "simulate", {"scheme": "simulate", "k": 2, "omega10_mhz": 9200.0,
                                               "simulate": {"omega_mhz": 1.0}},
@@ -1159,6 +1161,15 @@ def test_simulate_loads_no_numpy_ma(contract):
     _, out, numpy_ma = contract
     assert numpy_ma is False
     assert len(json.loads((out / "simulate.k123.json").read_text())["rows"]) == 4 + 8 + 16
+
+
+def test_parse_refusal_line_stays_short(contract):
+    # a literal past the float range is echoed up to 20 characters, so a
+    # 401-digit integer gives a short line for a config at a short path
+    runs, out, _ = contract
+    err = next(err for run, (_, err, _) in runs if run.name == "parse_int_overflow")
+    line = err.replace(str(out.parent / "parse_int_overflow.json"), "/tmp/config.json")
+    assert len(line.encode()) < 200, line
 
 
 _EDGE_WARNINGS = """

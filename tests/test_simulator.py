@@ -35,7 +35,7 @@ from rydgate import (
 )
 from rydgate import simulator
 from rydgate.schemas import SCHEMES
-from rydgate.simulator import _basis, _expm, _pulse_blocks, _reach_keys
+from rydgate.simulator import _apply_pulse, _basis, _expm, _pulse_blocks, _reach_keys
 from rydgate.units import angular_from_mhz
 
 from oracles import basis_diagonal, dense_hamiltonian, gate_error_sim_full_basis
@@ -137,19 +137,23 @@ def test_rotation_error_scales_as_inverse_b_squared():
 
 # ----------------------------------------------------------------- decay
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 9))
 def test_decay_only_error_matches_budget_exposure(k):
     # with perfect blockade and gamma = 1/tau, the first-order error is
-    # the decay part of the closed-form budget; both metrics agree
+    # the decay part of the closed-form budget; both metrics agree, up to
+    # the table cap, for the ladder with a target and for grover's
     tau = 5.0e-3
-    seq = canonical_sequence("sequential", k, omega=OMEGA)
-    res = gate_error_sim(
-        seq, k, uniform_interactions(k, math.inf), decay_rates=1.0 / tau
-    )
-    bud = budget_sequential_uniform(k, math.inf, tau, W10).at(OMEGA)
-    decay_budget = bud["se_c_1"] + bud["se_t_1"]
-    assert float(np.mean(res.errors_by_input)) == pytest.approx(decay_budget, rel=1e-3, abs=0.0)
-    assert res.avg_error == pytest.approx(decay_budget, rel=1e-3, abs=0.0)
+    v = uniform_interactions(k, math.inf)
+    for scheme, builder, terms in (("sequential", budget_sequential_uniform, ("se_c_1", "se_t_1")),
+                                   ("grover", budget_grover_uniform, ("se_c_1", "se_c_2"))):
+        seq = canonical_sequence(scheme, k, omega=OMEGA)
+        res = gate_error_sim(seq, k, v, decay_rates=1.0 / tau,
+                             ideal="grover" if scheme == "grover" else "cnot")
+        bud = builder(k, math.inf, tau, W10).at(OMEGA)
+        decay_budget = sum(bud[term] for term in terms)
+        assert float(np.mean(res.errors_by_input)) == pytest.approx(
+            decay_budget, rel=1e-3, abs=0.0), scheme
+        assert res.avg_error == pytest.approx(decay_budget, rel=1e-3, abs=0.0), scheme
 
 
 def test_norm_deficit_accumulates_only_with_decay():
@@ -281,6 +285,63 @@ def test_pade_exponential_matches_scipy(stack):
     np.testing.assert_allclose(_expm(stack), want, rtol=0.0, atol=1e-12)
 
 
+def _two_level_blocks(a, b, rabi, time, blocked):
+    """The closed-form propagators ``_pulse_blocks`` gives a g0-r pulse on
+    one atom over row pairs (g0, r) of diagonals ``a`` and ``b``, a pair
+    ``blocked`` as by an infinite shift, and _expm of the same 2 x 2
+    stack, each block alone."""
+    pairs = len(a)
+    keys = 3 * np.repeat(np.arange(pairs), 2) + np.tile([0, 2], pairs)
+    diag = np.column_stack([a, b]).ravel()
+    forbidden = np.column_stack([np.zeros(pairs, dtype=bool), blocked]).ravel()
+    step = PulseStep("g0-r", rabi, atoms=(0,), duration=time)
+    (idle, *_), (lower, upper, (u00, u01, u11), _) = _pulse_blocks(
+        step, (keys, (keys % 3)[:, None], None, diag, forbidden))
+    assert idle.size == 0
+    np.testing.assert_array_equal(np.column_stack([lower, upper]).ravel(), np.arange(2 * pairs))
+    c = np.where(blocked, 0.0, 0.5 * rabi)
+    h = np.stack([[a, c], [c, b]]).transpose(2, 0, 1)
+    want = np.concatenate([_expm(-1j * time * block[None]) for block in h])
+    return np.stack([[u00, u01], [u01, u11]]).transpose(2, 0, 1), want
+
+
+@st.composite
+def _two_level_stacks(draw):
+    """Row pairs of one pulse: diagonals with shifts up to 1e3 Omega either
+    way and decay, so non-Hermitian, some pairs blocked."""
+    pairs = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0)) * OMEGA
+    decay = draw(st.floats(0.0, 1.0)) * scale
+    a, b = (scale * rng.normal(size=pairs) - 1j * decay * np.abs(rng.normal(size=pairs))
+            for _ in range(2))
+    rabi = draw(st.floats(0.5, 3.0)) * OMEGA
+    time = draw(st.floats(0.1, 3.0)) * math.pi / rabi
+    return a, b, rabi, time, rng.random(pairs) < 0.3
+
+
+@given(_two_level_stacks())
+def test_two_level_blocks_match_pade(stack):
+    got, want = _two_level_blocks(*stack)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["blocked", "equal", "exceptional+", "exceptional-",
+                                  "far-detuned", "damped"])
+def test_two_level_blocks_match_pade_at_the_edges(case):
+    # a pair held by an infinite shift (c = 0); equal diagonals (d = 0);
+    # the exceptional point d = +-ic, where s = 0 and H is not
+    # diagonalizable; B / Omega = 1e3 with decay; and a decay of 2e3 Omega,
+    # where cos(s t) alone would overflow
+    gamma = np.array([0.0, 0.2, 2.0]) * OMEGA
+    a = np.array([0.3, -1.7, 5.0]) * OMEGA - 0.5j * gamma
+    b = {"blocked": a - 0.4 * OMEGA, "equal": a, "exceptional+": a - 1j * OMEGA,
+         "exceptional-": a + 1j * OMEGA, "far-detuned": a + 1.0e3 * OMEGA - 0.1j * OMEGA,
+         "damped": a - 1.0e3j * OMEGA}[case]
+    got, want = _two_level_blocks(a, b, OMEGA, math.pi / OMEGA, np.full(3, case == "blocked"))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 # ------------------------------------------------------------ basis diagonal
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -385,47 +446,62 @@ def test_block_propagator_matches_dense_oracle(instance):
 
 @pytest.mark.parametrize("phase", [math.pi, 0.3])
 def test_phase_is_a_diagonal_frame_change(phase):
-    # every block of a pulse at phase phi is P u(0) P^dag, P = diag(exp(i
-    # phi n)) over the driven atoms n each row excites, against the
-    # block's own Hamiltonian at phi, with decay and finite shifts
+    # a pulse at phase phi, applied from its phase-0 blocks, is the
+    # propagator of its own Hamiltonian at phi, with decay and finite
+    # shifts: a multi-atom pulse's blocks through P u(0) P^dag, P =
+    # diag(exp(i phi n)) over the driven atoms n each row excites, and a
+    # single-atom pulse's row pairs through the phase their in-place
+    # update carries
     n = 3
     v = np.array([[0.0, 2.0, -1.5], [2.0, 0.0, 0.7], [-1.5, 0.7, 0.0]]) * OMEGA
     decay = np.array([0.1, 0.2, 0.05]) * OMEGA
-    step = PulseStep("g0-r", 1.3 * OMEGA, atoms=(2, 0, 1), phase=phase, duration=2.0 / OMEGA)
-    h = dense_hamiltonian(n, step, v, decay)
-    blocks = _pulse_blocks(step, _basis(np.arange(3**n), n, v, decay))
-    sizes = []
-    for rows, which, u, excitations in blocks:
-        if which is None:
-            continue
-        frame = np.exp(1j * phase * excitations)
-        for block, b in zip(rows, which):
-            want = _expm(-1j * step.effective_duration * h[np.ix_(block, block)][None])[0]
-            got = frame[:, None] * u[b] * np.conj(frame)
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-            sizes.append(len(block))
-    assert max(sizes) == 8  # all three atoms driven from the ground level
+    basis = _basis(np.arange(3**n), n, v, decay)
+    for atoms in ((2, 0, 1), (1,)):
+        step = PulseStep("g0-r", 1.3 * OMEGA, atoms=atoms, phase=phase, duration=2.0 / OMEGA)
+        blocks = _pulse_blocks(step, basis)
+        got = np.column_stack([_apply_pulse(column, phase, blocks)
+                               for column in np.eye(3**n, dtype=complex)])
+        want = expm(-1j * step.effective_duration * dense_hamiltonian(n, step, v, decay))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=str(atoms))
+        # all driven atoms lifted from the ground level make the largest
+        # block; a single-atom pulse has its row pairs alone
+        sizes = [u.shape[-1] for *_, u, excitations in blocks if excitations is not None]
+        assert max(sizes, default=2) == 2 ** len(atoms)
 
 
-@pytest.mark.parametrize("sequence, batches", [("sequential", 5), ("grover", 3),
-                                               ("simultaneous", 9)])
-def test_each_distinct_pulse_is_exponentiated_once(monkeypatch, sequence, batches):
-    # at k = 3 the sequential gate's 9 pulses are 5 distinct ones, each a
-    # single-atom pulse with one batch; grover's 6 are 3; the simultaneous
-    # gate's collective pulse has 7 batches, one per nonzero active set,
-    # and comes back at phase pi
-    calls = []
+@pytest.mark.parametrize("sequence, builds", [("sequential", 5), ("grover", 3),
+                                              ("simultaneous", 3)])
+def test_each_distinct_pulse_is_exponentiated_once(monkeypatch, sequence, builds):
+    # at k = 3 the sequential gate's 9 pulses are 5 distinct ones, grover's
+    # 6 are 3 and the simultaneous gate's 5 are 3, its collective pulse
+    # coming back at phase pi.  Single-atom pulses are solved in closed
+    # form, with no Pade batch and no np.unique; only the collective pulse
+    # reaches _expm, in 7 batches, one per nonzero active set
+    pulses, batches, uniques = [], [], []
+
+    def built(step, basis):
+        pulses.append(step)
+        return _pulse_blocks(step, basis)
 
     def counted(a):
-        calls.append(len(a))
+        batches.append(len(a))
         return _expm(a)
 
+    def unique(*args, **kwargs):
+        uniques.append(pulses[-1])
+        return numpy_unique(*args, **kwargs)
+
+    numpy_unique = np.unique
+    monkeypatch.setattr(simulator, "_pulse_blocks", built)
     monkeypatch.setattr(simulator, "_expm", counted)
+    monkeypatch.setattr(np, "unique", unique)
     seq = canonical_sequence(sequence, 3, omega=OMEGA, omega_c=5.0 * OMEGA, omega_t=OMEGA)
     gate = "grover" if sequence == "grover" else "cnot"
     d_cc = 0.0 if sequence == "simultaneous" else math.inf
     res = gate_error_sim(seq, 3, simultaneous_interactions(3, math.inf, d_cc), ideal=gate)
-    assert len(calls) == batches
+    assert len(pulses) == builds
+    assert len(batches) == (7 if sequence == "simultaneous" else 0)
+    assert all(len(step.atoms) == 3 for step in uniques)
     assert res.avg_error == pytest.approx(0.0, abs=1e-12)
 
 
