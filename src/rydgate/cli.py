@@ -47,8 +47,10 @@ from .optimize import (
 )
 from .schemas import (
     OPTIMIZE_COLUMNS,
+    OPTIMIZE_RENAME,
     REPORT_SCHEMA_VERSION,
     SCHEMES,
+    SIMULATE_SHIFTS,
     ConfigError,
     divergence_error,
     report_columns,
@@ -135,9 +137,7 @@ def _as_list(value: Any) -> list:
     return value if isinstance(value, list) else [value]
 
 
-# what a simulate block leaves out.  Of the shifts its sequence reads
-# (SCHEMES), an absent b_mhz or b_ct_mhz is a perfect blockade ("inf") and an
-# absent d_cc_mhz no control-control shift; the gate follows the sequence.
+# what a simulate block leaves out, beside its shifts (SIMULATE_SHIFTS) and gate
 _SIMULATE_DEFAULTS = {"sequence": "sequential", "decay_mhz": 0.0, "check_ideal": False,
                       "tolerance": 1.0e-6}
 
@@ -149,9 +149,9 @@ def _normalize(raw: dict[str, Any]) -> dict[str, Any]:
         cfg["uniform"] = _as_list(cfg["uniform"])
     if "simulate" in cfg:
         sim = {**_SIMULATE_DEFAULTS, **cfg["simulate"]}
-        sim = {**dict(zip(SCHEMES[sim["sequence"]].shifts, ("inf", 0.0))), **sim}
-        sim.setdefault("gate", "grover" if sim["sequence"] == "grover" else "cnot")
-        cfg["simulate"] = sim
+        scheme = SCHEMES[sim["sequence"]]
+        defaults = {key: default for key, (_, default) in zip(scheme.shifts, SIMULATE_SHIFTS)}
+        cfg["simulate"] = {**defaults, "gate": scheme.gate, **sim}
     else:  # the budget commands' default; lattice echoes it too
         cfg.setdefault("frequencies", {"mode": "optimize"})
     return cfg
@@ -311,15 +311,6 @@ def _omega_grid(grid_cfg: dict[str, Any]) -> list[float]:
 
 _BRACKET_MHZ = "{:g} .. {:g} MHz".format(*map(mhz_from_angular, DEFAULT_BRACKET))
 
-# budget-row keys as the optimize report names them; the projection keeps
-# only what then falls in OPTIMIZE_COLUMNS
-_OPTIMIZE_RENAME = {
-    **{key: key.replace("_mhz", "_opt_mhz") for key in scheme_keys(("frequencies",))},
-    "total": "min_total",
-    "opt_evaluations": "evaluations",
-    "opt_converged": "converged",
-}
-
 
 # budget builders per scheme and input mode, held as direct values so that
 # a wrapper installed on the module binding can replace them here too
@@ -340,15 +331,15 @@ class _Case:
     runs the geometric mean of every pair shift (one-shift schemes) or the
     control-target and control-control means.  ``analytic`` holds the
     analytic-optimum cells of the single-frequency schemes.  ``d_cc_max``
-    is the largest control-control shift (rad/s) of a scheme that reads
-    ``d_cc_mhz``, and 0 for the others.
+    is the largest control-control shift (rad/s) of a scheme that reads one,
+    second in its shifts, and 0 for the others.
     """
 
     def __init__(self, cfg: dict[str, Any], entry: dict[str, Any] | None, k: int):
         scheme = SCHEMES[cfg["scheme"]]
         omega10 = angular_from_mhz(cfg["omega10_mhz"])
         self.omega10_mhz = cfg["omega10_mhz"]
-        self.frequencies = scheme.frequencies
+        self.scheme = scheme
         self.head: dict[str, Any] = {
             "scheme": cfg["scheme"],
             "mode": "lattice" if entry is None else "uniform",
@@ -368,13 +359,13 @@ class _Case:
             else:  # the control-target and the control-control mean
                 shifts = [math.fsum(ct) / k, math.fsum(cc) / len(cc) if cc else 0.0]
             self.head.update(zip(scheme.shifts, map(mhz_from_angular, shifts)))
-            d_cc_max = max(cc, default=0.0)
+            d_cc = cc if len(scheme.shifts) > 1 else []
         else:
             shifts = [angular_from_mhz(entry[key]) for key in scheme.shifts]
             self.laurent = _UNIFORM_BUILDERS[cfg["scheme"]](k, *shifts, *taus, omega10)
             self.head.update((key, float(entry[key])) for key in scheme.shifts)
-            d_cc_max = shifts[-1]
-        self.d_cc_max = d_cc_max if "d_cc_mhz" in scheme.shifts else 0.0
+            d_cc = shifts[1:]
+        self.d_cc_max = max(d_cc, default=0.0)
         if len(scheme.frequencies) == 1:
             # the closed-form optimum at the one shift and lifetime
             (b,), (tau,) = shifts, taus
@@ -388,10 +379,11 @@ class _Case:
         frequencies, warning on stderr when a control-control shift reaches
         omega_c, outside the perturbative regime of the collective gate."""
         if self.d_cc_max >= omegas[0]:
-            name = "d_cc_mhz" if self.head["mode"] == "uniform" else "the largest pair's d_cc_mhz"
+            largest = "" if self.head["mode"] == "uniform" else "the largest pair's "
+            d_cc, omega_c = self.scheme.shifts[1], self.scheme.frequencies[0]
             warnings.warn(f"{command} row k={self.head['k']} label {self.head['label']!r}: "
-                          f"{name} = {mhz_from_angular(self.d_cc_max):g} MHz reaches "
-                          f"omega_c_mhz = {mhz_from_angular(omegas[0]):g} MHz; the perturbative "
+                          f"{largest}{d_cc} = {mhz_from_angular(self.d_cc_max):g} MHz reaches "
+                          f"{omega_c} = {mhz_from_angular(omegas[0]):g} MHz; the perturbative "
                           "budget is outside its regime", BlockadeRegimeWarning, stacklevel=2)
         return self.laurent.duration(*omegas), self.laurent.at(*omegas)
 
@@ -404,7 +396,7 @@ class _Case:
             cause = f"the optimized total is {total}"
             raise divergence_error(command, self.omega10_mhz, self.head, cause)
         opt = minimize_error(self.laurent)
-        for key, omega in zip(self.frequencies, opt.argmin):
+        for key, omega in zip(self.scheme.frequencies, opt.argmin):
             if not opt.converged and omega in DEFAULT_BRACKET:
                 warnings.warn(f"{command} row k={self.head['k']} label {self.head['label']!r}: "
                               f"{key} = {mhz_from_angular(omega):g} MHz is clamped to the edge "
@@ -431,7 +423,7 @@ def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
     freq = cfg["frequencies"]
 
     def rows_of(case: _Case) -> list[dict[str, Any]]:
-        keys = case.frequencies
+        keys = case.scheme.frequencies
         opt = None
         if freq["mode"] == "fixed":
             omegas = tuple(angular_from_mhz(freq[key]) for key in keys)
@@ -488,7 +480,7 @@ def cmd_optimize(cfg: dict[str, Any]) -> dict[str, Any]:
     forced = dict(cfg, frequencies={"mode": "optimize"})
     rows = []
     for row in _budget_rows(forced, "optimize"):
-        renamed = {_OPTIMIZE_RENAME.get(key, key): value for key, value in row.items()}
+        renamed = {OPTIMIZE_RENAME.get(key, key): value for key, value in row.items()}
         rows.append({key: renamed[key] for key in OPTIMIZE_COLUMNS if key in renamed})
     return _report("optimize", cfg, rows)
 
@@ -501,7 +493,6 @@ def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
     sim = cfg["simulate"]
     scheme = SCHEMES[sim["sequence"]]
     gate = sim["gate"]
-    tolerance = sim["tolerance"]
     decay = angular_from_mhz(sim["decay_mhz"])
     # canonical_sequence takes the frequency keys without their unit
     omegas = {key.removesuffix("_mhz"): angular_from_mhz(sim[key]) for key in scheme.frequencies}
@@ -516,8 +507,7 @@ def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
         interactions = simultaneous_interactions(k, shifts[0], shifts[-1])
         with _float_range(f"simulate row k={k}"):
             result = gate_error_sim(sequence, k, interactions, decay_rates=decay, ideal=gate)
-        passed = bool(max(result.errors_by_input) <= tolerance
-                      and result.avg_error <= tolerance)
+        passed = bool(max(result.avg_error, *result.errors_by_input) <= sim["tolerance"])
         base = dict(k=k, sequence=sim["sequence"], gate=gate,
                     duration_us=us_from_seconds(sequence_duration(sequence)))
         for index, error in enumerate(result.errors_by_input):

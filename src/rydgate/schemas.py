@@ -21,7 +21,6 @@ from .simultaneous import SIMULTANEOUS_DIAGNOSTICS, SIMULTANEOUS_TERMS
 REPORT_SCHEMA_VERSION = "rydgate-report/1"
 
 _POS = {"type": "number", "exclusiveMinimum": 0}
-# a simulate blockade shift: positive, or "inf" for a perfect blockade
 _SHIFT_OR_INF = {"type": ["number", "string"], "exclusiveMinimum": 0, "pattern": "^inf$"}
 _NONNEG = {"type": "number", "minimum": 0}
 _LABEL = {"type": "string", "maxLength": 120}
@@ -61,7 +60,8 @@ class Scheme(NamedTuple):
     report row's head and that sequence.  ``lifetimes``: of a uniform entry
     or the lattice block.  ``models``: the interaction models of a lattice
     run, or None where the scheme has uniform runs only.  ``terms`` and
-    ``diagnostics``: the budget cells of a report row."""
+    ``diagnostics``: the budget cells of a report row.  ``gate``: the ideal
+    gate of that ``simulate`` sequence."""
 
     frequencies: tuple[str, ...]
     shifts: tuple[str, ...]
@@ -69,17 +69,22 @@ class Scheme(NamedTuple):
     models: tuple[str, ...] | None
     terms: tuple[str, ...]
     diagnostics: tuple[str, ...]
+    gate: str
 
 
 SCHEMES: dict[str, Scheme] = {
     "sequential": Scheme(("omega_mhz",), ("b_mhz",), ("tau_us",), ("interaction",),
-                         SEQUENTIAL_TERMS, ()),
+                         SEQUENTIAL_TERMS, (), "cnot"),
     "grover": Scheme(("omega_mhz",), ("b_mhz",), ("tau_us",), None,
-                     GROVER_TERMS, GROVER_DIAGNOSTICS),
+                     GROVER_TERMS, GROVER_DIAGNOSTICS, "grover"),
     "simultaneous": Scheme(("omega_c_mhz", "omega_t_mhz"), ("b_ct_mhz", "d_cc_mhz"),
                            ("tau_c_us", "tau_t_us"), ("interaction_ct", "interaction_cc"),
-                           SIMULTANEOUS_TERMS, SIMULTANEOUS_DIAGNOSTICS),
+                           SIMULTANEOUS_TERMS, SIMULTANEOUS_DIAGNOSTICS, "cnot"),
 }
+
+# a simulate shift's (type, default) by its place in Scheme.shifts: the
+# blockade shift, positive or "inf" (perfect), then a control-control shift
+SIMULATE_SHIFTS = ((_SHIFT_OR_INF, "inf"), (_NONNEG, 0.0))
 
 
 def scheme_keys(columns: tuple[str, ...], *schemes: str) -> tuple[str, ...]:
@@ -154,9 +159,8 @@ CONFIG_SCHEMA: dict[str, Any] = {
             "properties": {
                 "sequence": {"enum": list(SCHEMES)},
                 "gate": {"enum": ["cnot", "grover", "identity"]},
-                "b_mhz": _SHIFT_OR_INF,
-                "b_ct_mhz": _SHIFT_OR_INF,
-                "d_cc_mhz": _NONNEG,
+                **{key: kind for row in SCHEMES.values()
+                   for key, (kind, _) in zip(row.shifts, SIMULATE_SHIFTS)},
                 **_positive(("frequencies",)),
                 "decay_mhz": _NONNEG,
                 "check_ideal": {"type": "boolean"},
@@ -199,9 +203,14 @@ SWEEP_COLUMNS: dict[str, tuple[str, ...]] = {
 
 LATTICE_COLUMNS = ("k", "index", "x_um", "y_um", "role", "r_um")
 
-OPTIMIZE_COLUMNS = ("scheme", "mode", "label", "k", "omega_opt_mhz", "omega_c_opt_mhz",
-                    "omega_t_opt_mhz", "min_total", "omega_opt_analytic_mhz", "e_opt_analytic",
-                    "evaluations", "converged")
+# an optimize row: a budget row renamed, cut to the budget columns it keeps
+OPTIMIZE_RENAME = {
+    **{key: key.replace("_mhz", "_opt_mhz") for key in scheme_keys(("frequencies",))},
+    "total": "min_total", "opt_evaluations": "evaluations", "opt_converged": "converged",
+}
+OPTIMIZE_COLUMNS = tuple(OPTIMIZE_RENAME.get(key, key) for key in (
+    "scheme", "mode", "label", "k", *scheme_keys(("frequencies",)), "total",
+    "omega_opt_analytic_mhz", "e_opt_analytic", "opt_evaluations", "opt_converged"))
 
 SIMULATE_COLUMNS = ("k", "sequence", "gate", "duration_us", "input_index", "ideal_index",
                     "prob_ideal", "error", "avg_error", "ideal_check_passed")

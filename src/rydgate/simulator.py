@@ -213,7 +213,7 @@ def _reach_keys(sequence: Sequence[PulseStep], natoms: int) -> np.ndarray:
     level g on the atom joins g and 2, so every pulse maps the product of
     these per-atom sets into itself."""
     drives = np.zeros((natoms, 2), dtype=bool)
-    for step in sequence:  # _apply_pulse refuses atoms past the last
+    for step in sequence:  # _pulse_blocks refuses atoms past the last
         drives[[a for a in step.atoms if a < natoms], _TRANSITIONS[step.transition]] = True
     keys = np.arange(2**natoms) * 3**natoms
     for a in range(natoms):
@@ -415,8 +415,9 @@ def gate_error_sim(
     missing from the ideal output state, together with the full truth
     table of output probabilities.
     """
-    if k > _MAX_K_TABLE:
-        raise ValueError(f"full truth table capped at k = {_MAX_K_TABLE}")
+    if not 1 <= k <= _MAX_K_TABLE:
+        raise ValueError("k must be >= 1" if k < 1 else
+                         f"full truth table capped at k = {_MAX_K_TABLE}")
     natoms = k + 1
     v = _normalize_interactions(natoms, interactions)
     g = _normalize_decay(natoms, decay_rates)

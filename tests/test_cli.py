@@ -6,10 +6,12 @@ the bundled presets are exercised as-is.
 
 import copy
 import csv
+import errno
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -118,6 +120,21 @@ def test_non_finite_literal_refused_at_parse(tmp_path, capsys, literal):
         f"error: config parse error in {path}: {literal} is not a JSON number; "
         "write a finite number\n"
     )
+
+
+@pytest.mark.parametrize("name, code", [("missing.json", errno.ENOENT),
+                                        ("a-directory", errno.EISDIR)])
+def test_unreadable_config_exits_2(tmp_path, capsys, name, code):
+    path = tmp_path / name
+    if code == errno.EISDIR:
+        path.mkdir()
+    refusal = f"cannot read config {path}: {os.strerror(code)}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):
+        load_config(str(path), "budget")
+    out = tmp_path / "out.json"
+    assert main(["budget", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
 
 
 def test_empty_k_rejected(tmp_path, capsys):
@@ -430,6 +447,9 @@ def test_simulate_defaults_are_the_sequence_shifts(tmp_path, sequence):
     sim, shifts = cfg["simulate"], SCHEMES[sequence].shifts
     assert [key for key in scheme_keys(("shifts",)) if key in sim] == list(shifts)
     assert [sim[key] for key in shifts] == ["inf", 0.0][: len(shifts)]
+    # the default gate is the one the sequence performs at a perfect blockade
+    assert sim["gate"] == ("grover" if sequence == "grover" else "cnot")
+    assert max(row["avg_error"] for row in cmd_simulate(cfg)["rows"]) < 1.0e-12
 
 
 @pytest.mark.parametrize(

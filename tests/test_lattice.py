@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from rydgate import build_layout, pair_sets
+from rydgate import LatticeGeometry, build_layout, pair_sets
 
 UM = 1.0e-6
 
@@ -98,3 +98,12 @@ def test_invalid_inputs_rejected():
         build_layout(0.0, 4)
     with pytest.raises(ValueError):
         build_layout(UM, 0)
+
+
+@pytest.mark.parametrize("sites, refusal", [
+    ((), "layout needs at least one control site"),
+    (((1, 0), (0, 0)), "target site collides with a control site"),
+])
+def test_geometry_without_a_free_target_refused(sites, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        LatticeGeometry(UM, sites)

@@ -155,3 +155,23 @@ def test_budget_cells_fit_report_columns(scheme):
 def test_unknown_law_rejected():
     with pytest.raises(ValueError):
         fit_single_anchor("c9", 1.0, 1.0)
+
+
+@pytest.mark.parametrize("build, kwargs, refusal", [
+    pytest.param(InteractionModel, {"c3": -1.0, "c6": 64.0}, "coefficients must be >= 0",
+                 id="negative-coefficient"),
+    pytest.param(InteractionModel, {"c3": 8.0, "c6": 64.0, "crossover_radius": 0.0},
+                 "crossover_radius must be positive", id="crossover-radius-zero"),
+    pytest.param(InteractionModel, {"c6": 64.0, "crossover_radius": 2.0},
+                 "a crossover law needs both c3 and c6", id="crossover-with-one-law"),
+    pytest.param(InteractionModel, {"c3": 8.0, "c6": 64.0},
+                 "both coefficients set: a crossover_radius is required",
+                 id="two-laws-without-crossover"),
+    pytest.param(fit_single_anchor, {"law": "c6", "b_anchor": 0.0, "r_anchor": UM},
+                 "anchor shift and radius must be positive", id="anchor-shift-zero"),
+    pytest.param(fit_single_anchor, {"law": "c3", "b_anchor": 1.0, "r_anchor": -UM},
+                 "anchor shift and radius must be positive", id="anchor-radius-negative"),
+])
+def test_interaction_law_refused(build, kwargs, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        build(**kwargs)

@@ -373,6 +373,8 @@ SINGLE_DEFECTS = [
     ("simulate", {"b_mhz": -1.0},
      "simulate/b_mhz: -1.0 is less than or equal to the minimum of 0"),
     ("simulate", {"b_mhz": "infinite"}, "simulate/b_mhz: 'infinite' does not match '^inf$'"),
+    ("uniform", {"b_mhz": 9.0, "tau_us": 540.0, "label": "x" * 121},
+     f"uniform/label: {'x' * 121!r} is too long"),
     ("description", 3, "description: 3 is not of type 'string'"),
     ("bogus", 1, "(top level): Additional properties are not allowed ('bogus' was unexpected)"),
 ]

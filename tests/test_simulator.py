@@ -205,6 +205,11 @@ def test_pulse_step_validation():
         PulseStep("g0-r", OMEGA, atoms=(0, 0))
     with pytest.raises(ValueError, match="at least one atom"):
         PulseStep("g0-r", OMEGA, atoms=())
+    with pytest.raises(ValueError, match="atom indices must be >= 0"):
+        PulseStep("g0-r", OMEGA, atoms=(-1,))
+    for duration in (0.0, -1.0e-7):
+        with pytest.raises(ValueError, match="duration must be positive"):
+            PulseStep("g0-r", OMEGA, atoms=(0,), duration=duration)
     step = PulseStep("g0-r", OMEGA, atoms=(0,), duration=1.0e-7)
     assert step.effective_duration == 1.0e-7
     assert PulseStep("g0-r", OMEGA, atoms=(0,)).effective_duration == pytest.approx(
@@ -216,6 +221,46 @@ def test_table_cap_enforced():
     seq = canonical_sequence("sequential", 9, omega=OMEGA)
     with pytest.raises(ValueError, match="capped at k = 8"):
         gate_error_sim(seq, 9, uniform_interactions(9, math.inf))
+    # below one control there is no gate: at k = 0 a lone atom would be
+    # checked against a bare NOT
+    pulse = PulseStep("g0-r", OMEGA, atoms=(0,))
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            gate_error_sim([pulse], k, np.zeros((k + 1, k + 1)))
+
+
+# (call, its arguments, refusal) for each input check of the simulator's
+# public entry points
+BLOCKED_PAIR = uniform_interactions(1, math.inf)
+SIM_REFUSALS = {
+    "state-index-past-last": (computational_state, (1, 4), "index out of range"),
+    "state-index-negative": (computational_state, (1, -1), "index out of range"),
+    "interactions-shape": (gate_error_sim, ((), 1, np.zeros((3, 3))),
+                           r"interactions must be \(2, 2\)"),
+    "interactions-asymmetric": (gate_error_sim, ((), 1, np.array([[0.0, 1.0], [2.0, 0.0]])),
+                                "must be symmetric"),
+    "interactions-diagonal": (gate_error_sim, ((), 1, np.array([[1.0, 0.0], [0.0, 0.0]])),
+                              "diagonal must be zero"),
+    "decay-length": (gate_error_sim, ((), 1, BLOCKED_PAIR, [0.0, 0.0, 0.0]),
+                     "decay_rates must be scalar or length 2"),
+    "decay-negative": (gate_error_sim, ((), 1, BLOCKED_PAIR, [0.0, -1.0]),
+                       "decay rates must be >= 0"),
+    "pulse-atom-past-last": (gate_error_sim, ([PulseStep("g0-r", OMEGA, atoms=(2,))], 1,
+                                              BLOCKED_PAIR), "drives atom 2 but only 2 exist"),
+    "sequence-k-below-1": (canonical_sequence, ("sequential", 0, OMEGA), "^k must be >= 1$"),
+    "sequence-omega-missing": (canonical_sequence, ("grover", 2), "grover sequence requires"),
+    "sequence-omega-t-missing": (canonical_sequence, ("simultaneous", 2, None, OMEGA),
+                                 "requires omega_c and omega_t"),
+    "sequence-unknown-scheme": (canonical_sequence, ("parallel", 2, OMEGA),
+                                "unknown scheme 'parallel'"),
+}
+
+
+@pytest.mark.parametrize("case", SIM_REFUSALS)
+def test_simulator_input_refused(case):
+    call, args, refusal = SIM_REFUSALS[case]
+    with pytest.raises(ValueError, match=refusal):
+        call(*args)
 
 
 def test_state_cap_enforced():
