@@ -25,6 +25,7 @@ from .simulator import (
     SimResult,
     SimState,
     canonical_sequence,
+    class_amplitudes,
     computational_state,
     evolve,
     gate_error_sim,
@@ -60,6 +61,7 @@ __all__ = [
     "budget_simultaneous_uniform",
     "build_layout",
     "canonical_sequence",
+    "class_amplitudes",
     "computational_state",
     "e_opt_analytic",
     "evolve",

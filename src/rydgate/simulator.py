@@ -12,13 +12,19 @@ states containing that doubly excited pair are decoupled entirely.
 The qubit splitting between ``g0`` and ``g1`` is not modelled; a pulse
 couples only the ground level named in its transition.  The simulator
 therefore reproduces blockade-leakage and decay physics, not the detuned
-coupling of the spectator qubit state.  A truth table runs in the reachable
-basis, where each atom keeps the closure of its input level under the
-sequence's pulses: 6 * 3**k rows for the sequential and simultaneous gates
-(39 366 at ``k = 8``, against 10.1 M amplitudes over the full basis), and
-builds each distinct pulse once, whatever its phase: in closed form for a
-pulse on one atom, a set of two-level problems, and by Pade for the blocks
-of a multi-atom pulse.  The README gives the measured time and memory of a
+coupling of the spectator qubit state.  A truth table builds each distinct
+pulse once, whatever its phase, and runs in one of two bases.  A gate
+symmetric under permutations of its controls, such as the simultaneous
+gate's, runs in the class basis: the controls in the driven ground level
+stay in their symmetric (Dicke) subspace, so one chain per control count
+replaces the 2^|A|-square pattern blocks, with 6 (k + 1)**2 rows (486 at
+``k = 8``); ``class_amplitudes`` gives its amplitudes up to ``k = 64``.
+Any other gate runs in the reachable basis, where each atom keeps the
+closure of its input level under the sequence's pulses: 6 * 3**k rows for
+the sequential gate (39 366 at ``k = 8``, against 10.1 M amplitudes over
+the full basis).  A pulse on one atom is a set of two-level problems,
+solved in closed form, and the blocks of a multi-atom pulse are
+exponentiated by Pade.  The README gives the measured time and memory of a
 truth table at k = 6..8.
 ``evolve`` steps one state over the full ``3**(k+1)`` basis, up to
 ``k = 10``.
@@ -31,6 +37,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+
+from .budget import check_k
 
 _TRANSITIONS = {"g0-r": 0, "g1-r": 1, "g0-s": 0}
 _MAX_ATOMS_STATE = 11
@@ -229,6 +237,35 @@ def _reach_keys(sequence: Sequence[PulseStep], natoms: int) -> np.ndarray:
     return np.sort(keys)
 
 
+def _two_level_blocks(step: PulseStep, idle: np.ndarray, lower: np.ndarray,
+                      upper: np.ndarray, diag: np.ndarray, forbidden: np.ndarray) -> list[tuple]:
+    """A pulse on one atom at phase 0, in either basis: the ``idle`` rows,
+    which hold the atom in the other ground level, only pick up their
+    diagonal, and each ``lower`` row, the atom in the driven ground level,
+    is a two-level problem with its ``upper`` row, the atom lifted.
+
+    Each pair H = [[a, c], [c, b]] is solved in closed form: with m = (a +
+    b) / 2, d = (a - b) / 2 and s^2 = d^2 + c^2, exp(-i t H) = exp(-i t m)
+    (cos(s t) - i t sinc(s t) (d sigma_z + c sigma_x)).  It is evaluated as
+    exp(-i t (m + s)) times (1 + e^z) / 2 and t (e^z - 1) / z, z = 2 i s t,
+    on the root s with Im s >= 0, where, as decay only damps, no factor
+    exceeds 1.  An upper row holding a doubly excited infinite-shift pair,
+    which it does whenever its lower row does, leaves the pair uncoupled.
+    The groups are (idle rows, None, their phases, None) and (lower rows,
+    upper rows, (u00, u01, u11), None)."""
+    time = step.effective_duration
+    c = np.where(forbidden[upper], 0.0, 0.5 * step.rabi)
+    m, d = 0.5 * (diag[lower] + diag[upper]), 0.5 * (diag[lower] - diag[upper])
+    r = np.sqrt(-(d * d + c * c))  # -i s: Re r = Im s >= 0
+    z = -2.0 * time * r
+    em1 = np.expm1(z)
+    scale = np.exp(time * (r - 1j * m))
+    sine = -1j * time * scale * np.divide(em1, z, out=np.ones_like(z), where=z != 0)
+    cosine = scale * (1.0 + 0.5 * em1)
+    return [(idle, None, np.exp(-1j * time * diag[idle]), None),
+            (lower, upper, (cosine + sine * d, sine * c, cosine - sine * d), None)]
+
+
 def _pulse_blocks(step: PulseStep, basis: tuple) -> list[tuple]:
     """One pulse's blocks at phase 0 over ``basis``, whose rows the pulse
     must map into themselves: per group of blocks, their rows, ``which``
@@ -243,15 +280,10 @@ def _pulse_blocks(step: PulseStep, basis: tuple) -> list[tuple]:
     infinite-shift pair get a zero diagonal and no couplings, so perfect
     blockade leaves them untouched.
 
-    A single-atom pulse's 2 x 2 blocks are two-level problems, H = [[a, c],
-    [c, b]], solved in closed form per row pair: with m = (a + b) / 2, d =
-    (a - b) / 2 and s^2 = d^2 + c^2, exp(-i t H) = exp(-i t m) (cos(s t) -
-    i t sinc(s t) (d sigma_z + c sigma_x)).  It is evaluated as exp(-i t (m
-    + s)) times (1 + e^z) / 2 and t (e^z - 1) / z, z = 2 i s t, on the root
-    s with Im s >= 0, where, as decay only damps, no factor exceeds 1.  Their
-    group is (lower rows, upper rows, (u00, u01, u11), None).  Multi-atom
-    blocks sharing A are exponentiated in one Pade batch, and those that
-    also excite the same atoms share one exponential."""
+    A single-atom pulse's 2 x 2 blocks are row pairs, found by key and
+    solved by ``_two_level_blocks``.  Multi-atom blocks sharing A are
+    exponentiated in one Pade batch, and those that also excite the same
+    atoms share one exponential."""
     keys, digits, excited, diag, forbidden = basis
     natoms = digits.shape[1]
     if max(step.atoms) >= natoms:
@@ -263,17 +295,7 @@ def _pulse_blocks(step: PulseStep, basis: tuple) -> list[tuple]:
     if len(step.atoms) == 1:
         idle, lower = (np.flatnonzero(driven[:, 0] == level) for level in (1 - ground, ground))
         upper = np.searchsorted(keys, keys[lower] + lift[0])
-        # the upper row is forbidden whenever the lower one is
-        c = np.where(forbidden[upper], 0.0, 0.5 * step.rabi)
-        m, d = 0.5 * (diag[lower] + diag[upper]), 0.5 * (diag[lower] - diag[upper])
-        r = np.sqrt(-(d * d + c * c))  # -i s: Re r = Im s >= 0
-        z = -2.0 * time * r
-        em1 = np.expm1(z)
-        scale = np.exp(time * (r - 1j * m))
-        sine = -1j * time * scale * np.divide(em1, z, out=np.ones_like(z), where=z != 0)
-        cosine = scale * (1.0 + 0.5 * em1)
-        return [(idle, None, np.exp(-1j * time * diag[idle]), None),
-                (lower, upper, (cosine + sine * d, sine * c, cosine - sine * d), None)]
+        return _two_level_blocks(step, idle, lower, upper, diag, forbidden)
     bases = np.flatnonzero(np.all(driven != 2, axis=1))  # blocks' unexcited rows
     active = (driven[bases] == ground) @ (1 << np.arange(len(step.atoms)))
     blocks = []
@@ -319,6 +341,141 @@ def _apply_pulse(psi: np.ndarray, phase: float, blocks: list[tuple]) -> np.ndarr
         frame = np.exp(1j * phase * excitations)
         out[rows] = frame * (u[which] @ (psi[rows] / frame)[:, :, None])[:, :, 0]
     return out
+
+
+def _propagate(psi: np.ndarray, sequence: Sequence[PulseStep], build) -> np.ndarray:
+    """``psi`` after ``sequence``, with ``build(step)`` giving each distinct
+    pulse's phase-0 blocks once, whatever its phase."""
+    blocks: dict[tuple, list[tuple]] = {}
+    for step in sequence:
+        key = (_TRANSITIONS[step.transition], step.atoms, step.rabi, step.effective_duration)
+        if key not in blocks:
+            blocks[key] = build(step)
+        psi = _apply_pulse(psi, step.phase, blocks[key])
+    return psi
+
+
+def _control_ground(sequence: Sequence[PulseStep], k: int) -> int | None:
+    """The ground level the controls are driven from (0 if no pulse drives
+    them) when every pulse drives either the target, atom k, alone or all k
+    controls at once, and every control pulse the same ground level; None
+    otherwise."""
+    controls = [step for step in sequence if step.atoms != (k,)]
+    grounds = {_TRANSITIONS[step.transition] for step in controls}
+    if len(grounds) > 1 or any(sorted(step.atoms) != list(range(k)) for step in controls):
+        return None
+    return min(grounds, default=0)
+
+
+def _class_basis(k: int, b_ct: float, d_cc: float, decay_c: float,
+                 decay_t: float) -> tuple[np.ndarray, ...]:
+    """The class basis of a gate symmetric under permutations of its k
+    controls, rows in C order over (w, input target bit, target level, n):
+    w controls in the driven ground level hold n excitations in their
+    symmetric (Dicke) state; rows n > w pad each chain to k + 1 rows and
+    stay empty.  Returns each row's w, target level and n, its diagonal of
+    pair shifts and decay, and whether it holds a doubly excited
+    infinite-shift pair, as ``_basis`` does."""
+    w, _, level, n = np.indices((k + 1, 2, 3, k + 1)).reshape(4, -1)
+    lifted = level == 2
+    forbidden = (math.isinf(d_cc) & (n >= 2)) | (math.isinf(b_ct) & lifted & (n >= 1))
+    shifts = ((0.0 if math.isinf(d_cc) else d_cc) * (n * (n - 1) // 2)
+              + (0.0 if math.isinf(b_ct) else b_ct) * (n * lifted))
+    diag = np.where(forbidden, 0.0, shifts - 0.5j * (decay_c * n + decay_t * lifted))
+    return w, level, n, diag, forbidden
+
+
+def _class_blocks(step: PulseStep, k: int, basis: tuple) -> list[tuple]:
+    """One pulse's phase-0 blocks over the class basis, as ``_pulse_blocks``
+    gives them.  A target pulse pairs the rows (n, g) and (n, r) for
+    ``_two_level_blocks``.  The collective pulse is one chain per (w, input
+    target bit, target level), coupling n and n + 1 excitations by (Omega /
+    2) sqrt((w - n)(n + 1)); the chains of one w with the target in r, or
+    not, share an exponential, all in one Pade batch."""
+    w, level, n, diag, forbidden = basis
+    ground = _TRANSITIONS[step.transition]
+    if step.atoms == (k,):
+        lower = np.flatnonzero(level == ground)
+        return _two_level_blocks(step, np.flatnonzero(level == 1 - ground), lower,
+                                 lower + (2 - ground) * (k + 1), diag, forbidden)
+    rows = np.arange(w.size).reshape(-1, k + 1)
+    which = 2 * w[rows[:, 0]] + (level[rows[:, 0]] == 2)
+    # the chains of input target bit 0 with the target in g0 and in r
+    first = rows[6 * np.arange(k + 1)[:, None] + [0, 2]].reshape(-1, k + 1)
+    up = np.arange(k)
+    allowed = ~(forbidden[first[:, :-1]] | forbidden[first[:, 1:]])
+    h = np.zeros((2 * k + 2, k + 1, k + 1), dtype=np.complex128)
+    h[:, up + 1, up] = h[:, up, up + 1] = allowed * (
+        0.5 * step.rabi * np.sqrt(np.maximum(w[first[:, :1]] - up, 0) * (up + 1)))
+    np.einsum("bii->bi", h)[:] = diag[first]
+    return [(rows, which, _expm(-1j * step.effective_duration * h), n[: k + 1])]
+
+
+def class_amplitudes(
+    sequence: Sequence[PulseStep],
+    k: int,
+    b_ct: float,
+    d_cc: float,
+    decay_c: float = 0.0,
+    decay_t: float = 0.0,
+) -> np.ndarray:
+    """Computational amplitudes a[j, t_out, t_in] of a gate symmetric under
+    permutations of its k controls, for k up to the budgets' 64.
+
+    Every pulse drives the target, atom k, alone or all controls at once,
+    each control pulse from one ground level.  Every control-target pair is
+    shifted by ``b_ct``, every control pair by ``d_cc``, each control decays
+    at ``decay_c`` and the target at ``decay_t``.  An input whose control
+    bits hold j ones and whose target bit is t_in reaches no computational
+    state but itself with the target bit set to t_out, at amplitude a[j,
+    t_out, t_in].
+
+    The controls in the driven ground level stay in their symmetric
+    subspace, so the table runs over ``_class_basis``: 6 (k + 1)^2 rows
+    with each distinct pulse built once, by ``_class_blocks``."""
+    check_k(k)
+    sequence = tuple(sequence)  # read to find the ground level, then to propagate
+    ground = _control_ground(sequence, k)
+    if ground is None:
+        raise ValueError("a symmetric gate drives the target alone or all controls at once, "
+                         "the controls from one ground level")
+    basis = _class_basis(k, b_ct, d_cc, decay_c, decay_t)
+    psi = np.zeros((k + 1, 2, 3, k + 1), dtype=np.complex128)
+    psi[:, (0, 1), (0, 1), 0] = 1.0  # no excitation, the target at its input bit
+    psi = _propagate(psi.ravel(), sequence, lambda step: _class_blocks(step, k, basis))
+    # computational outputs: no excitation and the target in a ground level
+    amps = psi.reshape(k + 1, 2, 3, k + 1)[:, :, :2, 0].transpose(0, 2, 1)
+    return amps if ground == 1 else amps[::-1]  # from w, in the driven level, to j ones
+
+
+def _symmetric_form(sequence: Sequence[PulseStep], k: int, v: np.ndarray,
+                    g: np.ndarray) -> tuple[float, ...] | None:
+    """``class_amplitudes``' shifts and decay rates (b_ct, d_cc, decay_c,
+    decay_t) when the gate is symmetric under permutations of its controls;
+    None otherwise."""
+    cc, ct, gc = v[:k, :k][~np.eye(k, dtype=bool)], v[:k, k], g[:k]
+    if _control_ground(sequence, k) is None or any(np.any(x != x[:1]) for x in (cc, ct, gc)):
+        return None
+    return ct[0], cc[0] if k > 1 else 0.0, gc[0], g[k]
+
+
+def _reach_outputs(sequence: Sequence[PulseStep], natoms: int, v: np.ndarray,
+                   g: np.ndarray) -> np.ndarray:
+    """Computational amplitudes of every output (rows) from every input
+    (columns), propagated over the reachable basis."""
+    inputs = np.arange(2**natoms)
+    basis = _basis(_reach_keys(sequence, natoms), natoms, v, g)
+    # each row's input, and its computational output or -1
+    output_index = np.full(3**natoms, -1)
+    output_index[_computational_indices(natoms)] = inputs
+    input_of, state_of = np.divmod(basis[0], 3**natoms)
+    output_of = output_index[state_of]
+    psi = _propagate((output_of == input_of).astype(np.complex128), sequence,
+                     lambda step: _pulse_blocks(step, basis))
+    hit = output_of >= 0
+    outputs = np.zeros((inputs.size, inputs.size), dtype=np.complex128)
+    outputs[output_of[hit], input_of[hit]] = psi[hit]
+    return outputs
 
 
 def evolve(
@@ -411,9 +568,13 @@ def gate_error_sim(
 ) -> SimResult:
     """Run every computational input through the sequence.
 
-    Returns the uniform average over the 2^(k+1) inputs of the population
-    missing from the ideal output state, together with the full truth
-    table of output probabilities.
+    Returns the full truth table of output probabilities, each input's
+    population missing from its ideal output, and ``avg_error``, 1 - F_avg
+    against the ideal gate with its phases (see ``SimResult``).  A gate
+    symmetric under permutations of its controls (every pulse on the target
+    alone or on all controls from one ground level; one control-target
+    shift, one control-control shift, one control decay rate) runs through
+    ``class_amplitudes``, any other over the reachable basis.
     """
     if not 1 <= k <= _MAX_K_TABLE:
         raise ValueError("k must be >= 1" if k < 1 else
@@ -423,28 +584,20 @@ def gate_error_sim(
     g = _normalize_decay(natoms, decay_rates)
     ideal_out, phases = ideal_map(k, ideal)
     inputs = np.arange(2**natoms)
-    sequence = tuple(sequence)  # read twice: for the reach and to propagate
+    sequence = tuple(sequence)  # read to pick the basis, then to propagate
     # a value past the float range raises, as LaurentBudget.table does
     with np.errstate(over="raise", invalid="raise"):
-        basis = _basis(_reach_keys(sequence, natoms), natoms, v, g)
-        # each row's input, and its computational output or -1
-        output_index = np.full(3**natoms, -1)
-        output_index[_computational_indices(natoms)] = inputs
-        input_of, state_of = np.divmod(basis[0], 3**natoms)
-        output_of = output_index[state_of]
-
-        psi = (output_of == input_of).astype(np.complex128)
-        blocks: dict[tuple, list[tuple]] = {}  # each distinct pulse's, at phase 0
-        for step in sequence:
-            key = (_TRANSITIONS[step.transition], step.atoms, step.rabi, step.effective_duration)
-            if key not in blocks:
-                blocks[key] = _pulse_blocks(step, basis)
-            psi = _apply_pulse(psi, step.phase, blocks[key])
-
         # rows: computational outputs; columns: inputs
-        hit = output_of >= 0
-        outputs = np.zeros((inputs.size, inputs.size), dtype=np.complex128)
-        outputs[output_of[hit], input_of[hit]] = psi[hit]
+        symmetric = _symmetric_form(sequence, k, v, g)
+        if symmetric is None:
+            outputs = _reach_outputs(sequence, natoms, v, g)
+        else:
+            amps = class_amplitudes(sequence, k, *symmetric)
+            controls = inputs >> 1
+            ones = (controls[:, None] >> np.arange(k) & 1).sum(axis=1)
+            outputs = np.zeros((inputs.size, inputs.size), dtype=np.complex128)
+            for bit in (0, 1):
+                outputs[2 * controls + bit, inputs] = amps[ones, bit, inputs & 1]
         truth_table = (np.abs(outputs) ** 2).T
         errors = 1.0 - truth_table[inputs, ideal_out]
 

@@ -1022,8 +1022,8 @@ CONTRACT_RUNS = [
     _Run("simulate.k123", "simulate", {"scheme": "simulate", "k": [1, 2, 3], "simulate": {
         "omega_mhz": 1.0, "b_mhz": 20.0, "decay_mhz": 0.01}}),
     # lossy truth tables at the largest k simulate accepts, each well inside
-    # the time limit; the simultaneous one, with its dense collective pulse
-    # and a control-control shift, is the slower
+    # the time limit: the sequential one over the reachable basis, the
+    # simultaneous one, with a control-control shift, in the class basis
     _Run("simulate.cap.sequential", "simulate", {
         "scheme": "simulate", "k": _MAX_K_TABLE,
         "simulate": {"omega_mhz": 1.0, "b_mhz": 50.0, "decay_mhz": 3.0e-4}}, limit_s=30.0),
@@ -1087,6 +1087,11 @@ CONTRACT_RUNS = [
     # written in the file, each past the float range
     _refused("simulate_overflow", "simulate", {"scheme": "simulate", "k": 2, "simulate": {
         "omega_mhz": 1.0, "b_mhz": 10.0, "decay_mhz": 1e307}},
+             "error: simulate row k=2" + _FLOAT_RANGE, absent=_MISBLAMED),
+    _refused("simulate_overflow_simultaneous", "simulate", {
+        "scheme": "simulate", "k": 2, "simulate": {
+            "sequence": "simultaneous", "omega_c_mhz": 5.0, "omega_t_mhz": 1.0,
+            "decay_mhz": 1e307}},
              "error: simulate row k=2" + _FLOAT_RANGE, absent=_MISBLAMED),
     _refused("cell_overflow", "budget",
              dict(_SEQUENTIAL_K2, uniform={"b_mhz": 1e-150, "tau_us": 540.0},

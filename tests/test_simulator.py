@@ -35,7 +35,15 @@ from rydgate import (
 )
 from rydgate import simulator
 from rydgate.schemas import SCHEMES
-from rydgate.simulator import _apply_pulse, _basis, _expm, _pulse_blocks, _reach_keys
+from rydgate.simulator import (
+    _apply_pulse,
+    _basis,
+    _class_blocks,
+    _expm,
+    _pulse_blocks,
+    _reach_keys,
+    class_amplitudes,
+)
 from rydgate.units import angular_from_mhz
 
 from oracles import basis_diagonal, dense_hamiltonian, gate_error_sim_full_basis
@@ -253,6 +261,12 @@ SIM_REFUSALS = {
                                  "requires omega_c and omega_t"),
     "sequence-unknown-scheme": (canonical_sequence, ("parallel", 2, OMEGA),
                                 "unknown scheme 'parallel'"),
+    "class-k-past-64": (class_amplitudes, ((), 65, math.inf, 0.0),
+                        "exceeds the supported maximum of 64"),
+    "class-k-below-1": (class_amplitudes, ((), 0, math.inf, 0.0), "^k must be >= 1$"),
+    "class-sequence-asymmetric": (class_amplitudes,
+                                  ([PulseStep("g0-r", OMEGA, atoms=(0,))], 2, math.inf, 0.0),
+                                  "or all controls at once"),
 }
 
 
@@ -417,30 +431,51 @@ def test_basis_diagonal_matches_per_row_oracle(k, blockade):
 
 # ------------------------------------------------------------ dense oracle
 
-@st.composite
-def _gates(draw, max_k):
-    """k <= max_k with random symmetric shifts (some infinite), per-atom
-    decay (some zero), and 1..n-atom pulses on every transition at random
-    phase and length: g1-r on controls and multi-atom g0-s included."""
-    k = draw(st.integers(min_value=1, max_value=max_k))
-    n = k + 1
-    v = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            shift = draw(st.one_of(st.just(math.inf), st.floats(-5.0, 5.0)))
-            v[a, b] = v[b, a] = shift * OMEGA
-    rate = st.one_of(st.just(0.0), st.floats(0.0, 0.3))
-    decay = np.array([draw(rate) * OMEGA for _ in range(n)])
-    pulse = st.builds(
+def _pulses(transitions, atoms):
+    """Pulses of the given transitions and atoms at random Rabi frequency,
+    phase and length."""
+    return st.builds(
         PulseStep,
-        transition=st.sampled_from(["g0-r", "g1-r", "g0-s"]),
+        transition=transitions,
         rabi=st.floats(0.5, 3.0).map(lambda x: x * OMEGA),
-        atoms=st.lists(st.integers(0, k), min_size=1, max_size=n, unique=True).map(
-            tuple
-        ),
+        atoms=atoms,
         phase=st.floats(0.0, 2.0 * math.pi),
         duration=st.floats(0.1, 3.0).map(lambda x: x * math.pi / OMEGA),
     )
+
+
+@st.composite
+def _gates(draw, max_k, symmetric=False):
+    """k <= max_k with random symmetric shifts (some infinite), per-atom
+    decay (some zero), and 1..n-atom pulses on every transition at random
+    phase and length: g1-r on controls and multi-atom g0-s included.
+
+    ``symmetric`` draws a gate symmetric under permutations of its controls
+    instead: one control-target and one control-control shift (some zero or
+    infinite), one decay rate for the controls and one for the target, and
+    each pulse on the target alone or on all controls, listed in any order,
+    from one ground level."""
+    k = draw(st.integers(min_value=1, max_value=max_k))
+    n = k + 1
+    transitions = st.sampled_from(["g0-r", "g1-r", "g0-s"])
+    rate = st.one_of(st.just(0.0), st.floats(0.0, 0.3))
+    if symmetric:
+        shift = st.one_of(st.just(math.inf), st.just(0.0), st.floats(-5.0, 5.0))
+        v = simultaneous_interactions(k, draw(shift) * OMEGA, draw(shift) * OMEGA)
+        decay = np.array([draw(rate)] * k + [draw(rate)]) * OMEGA
+        controls = draw(st.sampled_from([["g0-r", "g0-s"], ["g1-r"]]))
+        pulse = st.one_of(_pulses(transitions, st.just((k,))),
+                          _pulses(st.sampled_from(controls),
+                                  st.permutations(range(k)).map(tuple)))
+    else:
+        v = np.zeros((n, n))
+        for a in range(n):
+            for b in range(a + 1, n):
+                shift = draw(st.one_of(st.just(math.inf), st.floats(-5.0, 5.0)))
+                v[a, b] = v[b, a] = shift * OMEGA
+        decay = np.array([draw(rate) * OMEGA for _ in range(n)])
+        pulse = _pulses(transitions, st.lists(st.integers(0, k), min_size=1, max_size=n,
+                                              unique=True).map(tuple))
     steps = draw(st.lists(pulse, min_size=1, max_size=5))
     phase = st.one_of(st.just(math.pi), st.floats(0.0, 2.0 * math.pi))
     repeats = draw(st.lists(st.tuples(st.sampled_from(steps), phase), max_size=3))
@@ -515,52 +550,145 @@ def test_phase_is_a_diagonal_frame_change(phase):
 
 
 @pytest.mark.parametrize("sequence, builds", [("sequential", 5), ("grover", 3),
-                                              ("simultaneous", 3)])
+                                              ("simultaneous", 3), ("simultaneous-unequal", 3)])
 def test_each_distinct_pulse_is_exponentiated_once(monkeypatch, sequence, builds):
     # at k = 3 the sequential gate's 9 pulses are 5 distinct ones, grover's
     # 6 are 3 and the simultaneous gate's 5 are 3, its collective pulse
     # coming back at phase pi.  Single-atom pulses are solved in closed
-    # form, with no Pade batch and no np.unique; only the collective pulse
-    # reaches _expm, in 7 batches, one per nonzero active set
+    # form, with no Pade batch and no np.unique.  The simultaneous gate is
+    # symmetric under control permutations, so its collective pulse is one
+    # Pade batch of 2 (k + 1) chains in the class basis; with one unequal
+    # control-control shift it takes the reachable basis, where it makes 7
+    # batches, one per nonzero active set, and is the only np.unique caller
     pulses, batches, uniques = [], [], []
 
-    def built(step, basis):
-        pulses.append(step)
-        return _pulse_blocks(step, basis)
+    def built(build):
+        def record(step, *args):
+            pulses.append((build.__name__, step))
+            return build(step, *args)
+        return record
 
     def counted(a):
         batches.append(len(a))
         return _expm(a)
 
     def unique(*args, **kwargs):
-        uniques.append(pulses[-1])
+        uniques.append(pulses[-1][1])
         return numpy_unique(*args, **kwargs)
 
     numpy_unique = np.unique
-    monkeypatch.setattr(simulator, "_pulse_blocks", built)
+    monkeypatch.setattr(simulator, "_pulse_blocks", built(_pulse_blocks))
+    monkeypatch.setattr(simulator, "_class_blocks", built(_class_blocks))
     monkeypatch.setattr(simulator, "_expm", counted)
     monkeypatch.setattr(np, "unique", unique)
-    seq = canonical_sequence(sequence, 3, omega=OMEGA, omega_c=5.0 * OMEGA, omega_t=OMEGA)
-    gate = "grover" if sequence == "grover" else "cnot"
-    d_cc = 0.0 if sequence == "simultaneous" else math.inf
-    res = gate_error_sim(seq, 3, simultaneous_interactions(3, math.inf, d_cc), ideal=gate)
+    scheme = sequence.removesuffix("-unequal")
+    seq = canonical_sequence(scheme, 3, omega=OMEGA, omega_c=5.0 * OMEGA, omega_t=OMEGA)
+    gate = "grover" if scheme == "grover" else "cnot"
+    v = simultaneous_interactions(3, math.inf, 0.0 if scheme == "simultaneous" else math.inf)
+    if sequence == "simultaneous-unequal":
+        v[0, 1] = v[1, 0] = 0.5 * OMEGA
+    res = gate_error_sim(seq, 3, v, ideal=gate)
     assert len(pulses) == builds
-    assert len(batches) == (7 if sequence == "simultaneous" else 0)
+    basis = "_class_blocks" if sequence == "simultaneous" else "_pulse_blocks"
+    assert {name for name, _ in pulses} == {basis}
+    assert len(batches) == {"simultaneous": 1, "simultaneous-unequal": 7}.get(sequence, 0)
+    if sequence == "simultaneous":
+        assert batches == [8]
     assert all(len(step.atoms) == 3 for step in uniques)
-    assert res.avg_error == pytest.approx(0.0, abs=1e-12)
+    assert bool(uniques) == (sequence == "simultaneous-unequal")
+    if sequence != "simultaneous-unequal":
+        assert res.avg_error == pytest.approx(0.0, abs=1e-12)
 
 
-@settings(max_examples=150)
-@given(_gates(4), st.sampled_from(["cnot", "grover", "identity"]))
-def test_truth_table_matches_full_basis_oracle(gate, ideal):
-    # the reachable basis holds each input's closure under the sequence, so
-    # it must give the full basis's tables to rounding, whatever drives what
-    k, v, decay, steps = gate
-    res = gate_error_sim(steps, k, v, decay_rates=decay, ideal=ideal)
-    want = gate_error_sim_full_basis(steps, k, v, decay_rates=decay, ideal=ideal)
+def _assert_same_table(res, want):
     np.testing.assert_allclose(res.truth_table, want.truth_table, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(
         res.errors_by_input, want.errors_by_input, rtol=0.0, atol=1e-12
     )
     assert res.avg_error == pytest.approx(want.avg_error, rel=0.0, abs=1e-12)
     np.testing.assert_array_equal(res.ideal_outputs, want.ideal_outputs)
+
+
+@settings(max_examples=150)
+@given(st.one_of(_gates(4), _gates(4, symmetric=True)),
+       st.sampled_from(["cnot", "grover", "identity"]))
+def test_truth_table_matches_full_basis_oracle(gate, ideal):
+    # the reachable basis holds each input's closure under the sequence, and
+    # the class basis each symmetric input's Dicke chains, so both must give
+    # the full basis's tables to rounding, whatever drives what
+    k, v, decay, steps = gate
+    res = gate_error_sim(steps, k, v, decay_rates=decay, ideal=ideal)
+    want = gate_error_sim_full_basis(steps, k, v, decay_rates=decay, ideal=ideal)
+    _assert_same_table(res, want)
+
+
+# (control-target shift, control-control shift, decay rate) in units of
+# Omega; a decay list gives the controls' rate, then the target's
+CLASS_CASES = {
+    "finite": (20.0, 0.3, 0.0),
+    "finite-lossy": (20.0, 0.3, 0.01),
+    "blocked": (math.inf, 0.0, 0.0),
+    "blocked-lossy": (math.inf, 0.0, 0.01),
+    "cc-blocked-lossy": (8.0, math.inf, [0.01, 0.03]),
+    "ct-zero-lossy": (0.0, 2.0, 0.01),
+}
+
+
+@pytest.mark.parametrize("case", CLASS_CASES)
+@pytest.mark.parametrize("k", range(1, 9))
+def test_class_basis_matches_reachable_basis(monkeypatch, k, case):
+    # the simultaneous gate is symmetric under control permutations, so its
+    # table runs in the class basis; forced over the reachable basis, it
+    # must come out the same
+    b_ct, d_cc, rate = CLASS_CASES[case]
+    decay = np.repeat(rate, [k, 1]) if isinstance(rate, list) else rate
+    seq = canonical_sequence("simultaneous", k, omega_c=5.0 * OMEGA, omega_t=OMEGA)
+    v = simultaneous_interactions(k, b_ct * OMEGA, d_cc * OMEGA)
+    res = gate_error_sim(seq, k, v, decay_rates=np.multiply(decay, OMEGA))
+    monkeypatch.setattr(simulator, "_symmetric_form", lambda *args: None)
+    _assert_same_table(res, gate_error_sim(seq, k, v, decay_rates=np.multiply(decay, OMEGA)))
+
+
+@pytest.mark.parametrize("case", ["symmetric", "unequal-cc-shift", "own-control-decay",
+                                  "control-subset", "both-ground-levels"])
+def test_one_step_from_symmetry_takes_the_reachable_basis(monkeypatch, case):
+    # a lossy simultaneous gate at k = 3 runs in the class basis; one
+    # unequal control-control shift, one control with its own decay rate, a
+    # pulse on a strict subset of the controls, or controls driven from both
+    # ground levels sends it over the reachable basis, which still matches
+    # the full basis
+    k = 3
+    seq = list(canonical_sequence("simultaneous", k, omega_c=5.0 * OMEGA, omega_t=OMEGA))
+    v = simultaneous_interactions(k, 20.0 * OMEGA, 0.3 * OMEGA)
+    decay = np.full(k + 1, 0.01 * OMEGA)
+    if case == "unequal-cc-shift":
+        v[0, 2] = v[2, 0] = 0.5 * OMEGA
+    elif case == "own-control-decay":
+        decay[1] = 0.05 * OMEGA
+    elif case == "control-subset":
+        seq[0] = dataclasses.replace(seq[0], atoms=(0, 1))
+    elif case == "both-ground-levels":
+        seq[-1] = dataclasses.replace(seq[-1], transition="g1-r")
+    paths = []
+    for name in ("class_amplitudes", "_reach_outputs"):
+        run = getattr(simulator, name)
+        monkeypatch.setattr(simulator, name,
+                            lambda *args, name=name, run=run: paths.append(name) or run(*args))
+    res = gate_error_sim(seq, k, v, decay_rates=decay)
+    assert paths == ["class_amplitudes" if case == "symmetric" else "_reach_outputs"]
+    _assert_same_table(res, gate_error_sim_full_basis(seq, k, v, decay_rates=decay))
+
+
+def test_class_amplitudes_reach_k64_in_the_ideal_limit():
+    # the class basis holds 6 (k + 1)^2 rows, so it runs at the budgets'
+    # largest k, where no truth table can: with perfect control-target
+    # blockade, no control-control shift and no decay, every control
+    # configuration but all ones keeps the target, and all ones flips it
+    # with the -1 of the pulse sequence
+    k = 64
+    seq = canonical_sequence("simultaneous", k, omega_c=5.0 * OMEGA, omega_t=OMEGA)
+    want = np.zeros((k + 1, 2, 2))
+    want[:k] = np.eye(2)
+    want[k] = -np.eye(2)[::-1]
+    np.testing.assert_allclose(class_amplitudes(seq, k, math.inf, 0.0), want,
+                               rtol=0.0, atol=1e-12)
