@@ -56,7 +56,7 @@ class LaurentBudget:
     ``pair_shifts`` keeps the (control-target, control-control) shifts a
     lattice budget was built from; it is empty for uniform budgets.
     ``pulse_time`` holds the gate duration as one coefficient of Omega^-1
-    per axis.
+    per axis.  A coefficient that is not finite raises OverflowError.
     """
 
     def __init__(
@@ -76,6 +76,9 @@ class LaurentBudget:
         self.pulse_time = pulse_time
         # one row per term, then per diagnostic; one column per monomial
         self.coefficients = tuple(map(tuple, [*terms.values(), *diagnostics.values()]))
+        for name, row in zip((*self.terms, *self.diagnostics), self.coefficients):
+            if not all(map(math.isfinite, row)):
+                raise OverflowError(f"the coefficients of {name} are {row}")
         # the coefficients of the total, one per column
         self.total_coefficients = tuple(
             map(math.fsum, zip(*self.coefficients[: len(self.terms)]))
@@ -84,13 +87,12 @@ class LaurentBudget:
     def at(self, *omegas: float) -> dict[str, float]:
         """The report cells at one drive frequency per axis (rad/s): each
         term, ``total`` (the exact float sum of the terms), then each
-        diagnostic as ``diag_<name>``.  A non-finite cell of finite
-        coefficients raises OverflowError, as ``table`` does."""
+        diagnostic as ``diag_<name>``.  A non-finite cell raises
+        OverflowError, as ``table`` does."""
         _check_frequencies(omegas)
         monomials = [omegas[axis] ** p for axis, p in self.powers]
         values = [sum(map(mul, row, monomials)) for row in self.coefficients]
-        if any(not math.isfinite(value) and all(map(math.isfinite, row))
-               for value, row in zip(values, self.coefficients)):
+        if not all(map(math.isfinite, values)):
             raise OverflowError("finite coefficients overflow at these frequencies")
         n = len(self.terms)
         cells = dict(zip(self.terms, values[:n]), total=math.fsum(values[:n]))

@@ -52,7 +52,6 @@ from .schemas import (
     SCHEMES,
     SIMULATE_SHIFTS,
     ConfigError,
-    divergence_error,
     report_columns,
     require_fields,
     scheme_keys,
@@ -60,6 +59,7 @@ from .schemas import (
     validate_report,
 )
 from .sequential import (
+    DivergentBudgetError,
     budget_grover_uniform,
     budget_sequential_lattice,
     budget_sequential_uniform,
@@ -338,7 +338,6 @@ class _Case:
     def __init__(self, cfg: dict[str, Any], entry: dict[str, Any] | None, k: int):
         scheme = SCHEMES[cfg["scheme"]]
         omega10 = angular_from_mhz(cfg["omega10_mhz"])
-        self.omega10_mhz = cfg["omega10_mhz"]
         self.scheme = scheme
         self.head: dict[str, Any] = {
             "scheme": cfg["scheme"],
@@ -390,11 +389,6 @@ class _Case:
     def optimize(self, command: str) -> OptimizationResult:
         """Minimize the total error over the drive frequencies, warning on
         stderr when the optimum is clamped to a bracket edge."""
-        # the total at unit frequencies, finite exactly when every coefficient is
-        total = math.fsum(self.laurent.total_coefficients)
-        if not math.isfinite(total):
-            cause = f"the optimized total is {total}"
-            raise divergence_error(command, self.omega10_mhz, self.head, cause)
         opt = minimize_error(self.laurent)
         for key, omega in zip(self.scheme.frequencies, opt.argmin):
             if not opt.converged and omega in DEFAULT_BRACKET:
@@ -408,13 +402,20 @@ class _Case:
 def _case_rows(cfg: dict[str, Any], command: str,
                rows_of: Callable[[_Case], list[dict[str, Any]]]) -> list[dict[str, Any]]:
     """The rows ``rows_of`` makes of each (uniform entry or lattice block, k)
-    case, in order; arithmetic past the float range is refused at its row."""
+    case, in order; arithmetic past the float range and a blockade shift at
+    omega10 are refused at their row."""
     rows: list[dict[str, Any]] = []
     for entry in cfg.get("uniform", [None]):
         label = "" if entry is None else entry.get("label", "")
         for k in cfg["k"]:
-            with _float_range(f"{command} row k={k} label {label!r}"):
-                rows.extend(rows_of(_Case(cfg, entry, k)))
+            where = f"{command} row k={k} label {label!r}"
+            try:
+                with _float_range(where):
+                    rows.extend(rows_of(_Case(cfg, entry, k)))
+            except DivergentBudgetError as exc:
+                raise ConfigError(f"{where}: a blockade shift meets omega10_mhz = "
+                                  f"{cfg['omega10_mhz']} MHz, so the leakage term detuned by "
+                                  "omega10 - B diverges") from exc
     return rows
 
 
@@ -458,7 +459,6 @@ def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
 
     def rows_of(case: _Case) -> list[dict[str, Any]]:
         base = {"label": case.head["label"], "k": case.head["k"]}
-        # optimizing first refuses a diverging budget before the grid meets it
         omega = case.optimize("sweep-omega").argmin[0]
         rows = [dict(base, row_type="grid", omega_mhz=omega_mhz, **cells)
                 for omega_mhz, cells in zip(grid_mhz, case.laurent.table(grid))]
@@ -525,7 +525,8 @@ def cmd_lattice(cfg: dict[str, Any]) -> dict[str, Any]:
     rows: list[dict[str, Any]] = []
     for k in cfg["k"]:
         # the target at the origin, then the controls in excitation order
-        sites = [(0, 0), *build_layout(meters_from_um(d_um), k).control_sites]
+        with _float_range(f"lattice row k={k}"):
+            sites = [(0, 0), *build_layout(meters_from_um(d_um), k).control_sites]
         for index, (x, y) in enumerate(sites):
             x, y = x * d_um, y * d_um
             rows.append({"k": k, "index": index, "x_um": x, "y_um": y,

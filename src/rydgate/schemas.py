@@ -17,6 +17,7 @@ from typing import Any, NamedTuple
 
 from .sequential import GROVER_DIAGNOSTICS, GROVER_TERMS, SEQUENTIAL_TERMS
 from .simultaneous import SIMULTANEOUS_DIAGNOSTICS, SIMULTANEOUS_TERMS
+from .simulator import IDEAL_GATES
 
 REPORT_SCHEMA_VERSION = "rydgate-report/1"
 
@@ -114,7 +115,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
     "type": "object",
     "properties": {
         "description": {"type": "string"},
-        "scheme": {"enum": ["sequential", "simultaneous", "grover", "simulate"]},
+        "scheme": {"enum": [*SCHEMES, "simulate"]},
         "k": {
             "type": ["integer", "array"],
             "minimum": 1,
@@ -158,7 +159,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
             "type": "object",
             "properties": {
                 "sequence": {"enum": list(SCHEMES)},
-                "gate": {"enum": ["cnot", "grover", "identity"]},
+                "gate": {"enum": list(IDEAL_GATES)},
                 **{key: kind for row in SCHEMES.values()
                    for key, (kind, _) in zip(row.shifts, SIMULATE_SHIFTS)},
                 **_positive(("frequencies",)),
@@ -330,21 +331,12 @@ def report_columns(command: str, scheme: str) -> tuple[str, ...] | None:
     return table.get(scheme) if isinstance(table, dict) else table
 
 
-def divergence_error(command: str, omega10_mhz: Any, row: dict, cause: str) -> ConfigError:
-    """The lab-unit refusal of a row whose budget diverges."""
-    return ConfigError(
-        f"{command} row k={row.get('k')} label {row.get('label')!r}: {cause}: "
-        f"a blockade shift meets omega10_mhz = {omega10_mhz} MHz, so the "
-        "leakage term detuned by omega10 - B diverges"
-    )
-
-
 def validate_report(report: dict[str, Any]) -> None:
     """Refuse, in one pass over the cells, all that REPORT_SCHEMA refuses and
     also: columns other than the command's fixed order for the config's
     scheme, an empty row, a row key outside the columns, and a cell that is
     not a finite float, an int, a bool, a str or None.  A non-finite cell is
-    refused in lab units, as a diverging budget."""
+    refused as a value past the float range, at its row and cell."""
     if sorted(report) != sorted(REPORT_SCHEMA["required"]):
         raise _refusal("report", (), f"keys {sorted(report)} are not {REPORT_SCHEMA['required']}")
     if report["schema"] != REPORT_SCHEMA_VERSION:
@@ -363,8 +355,9 @@ def validate_report(report: dict[str, Any]) -> None:
         for key, value in row.items():
             if isinstance(value, float):
                 if not math.isfinite(value):
-                    raise divergence_error(command, config.get("omega10_mhz"), row,
-                                           f"{key} is {value}")
+                    label = f" label {row['label']!r}" if "label" in row else ""
+                    raise ConfigError(f"{command} row k={row.get('k')}{label}: a config value "
+                                      f"leaves the float range: {key} is {value}")
             elif not isinstance(value, (str, int, type(None))):
                 raise _refusal("report", ("rows", i, key), f"{value!r} is not a finite "
                                "float, an int, a bool, a str or None")

@@ -17,7 +17,8 @@ The uniform budgets are closed forms; their un-collapsed per-state sums,
 with exact rational state weights, live in the tests as the independent
 check of every collapsed expression.  The +/- ambiguity in (omega10 +/- B)
 denominators is resolved conservatively: each term takes the sign that
-maximizes it, which for B, omega10 > 0 is always the minus sign.
+maximizes it, which for B, omega10 > 0 is always the minus sign; at
+B = omega10 the builders raise ``DivergentBudgetError`` instead.
 
 Lattice-averaged budgets keep each blockade shift with the atom pair that
 produced it, weighted by the probability that this pair is the one acting
@@ -60,8 +61,12 @@ GROVER_TERMS = ("se_c_1", "se_c_2", "r_c_1", "r_c_2")
 GROVER_DIAGNOSTICS = ("collapsed_total_variant",)
 
 
+class DivergentBudgetError(ValueError):
+    """A blockade shift equals omega10: the terms detuned by omega10 - B diverge."""
+
+
 def worst_case_detuned_inv_sq(omega10: float, b: float) -> float:
-    """max of 1/(omega10 - b)^2 and 1/(omega10 + b)^2, inf at b = omega10.
+    """max of 1/(omega10 - b)^2 and 1/(omega10 + b)^2; DivergentBudgetError at b = omega10.
 
     The sign of the combined detuning depends on level structure not
     resolved here, so every term takes the larger (pessimistic) value.
@@ -69,7 +74,9 @@ def worst_case_detuned_inv_sq(omega10: float, b: float) -> float:
     <= omega10 + b, and rounding keeps that order, so it is 1/(omega10 - b)^2.
     """
     minus = omega10 - b
-    return math.inf if minus == 0.0 else 1.0 / (minus * minus)
+    if minus == 0.0:
+        raise DivergentBudgetError("the terms detuned by omega10 - B diverge at B = omega10")
+    return 1.0 / (minus * minus)
 
 
 # the monomial basis of the single-frequency budgets: Omega^-1, Omega, Omega^2

@@ -131,6 +131,10 @@ def computational_state(k: int, index: int) -> SimState:
     return SimState(amplitudes=amps)
 
 
+# each ideal gate's control bits at k controls that ideal_map marks -1; the identity marks none
+IDEAL_GATES = {"cnot": lambda k: 2**k - 1, "grover": lambda k: 2**k - 2, "identity": lambda k: -1}
+
+
 def ideal_map(k: int, gate: str = "cnot") -> tuple[np.ndarray, np.ndarray]:
     """Computational output index and output phase of the ideal gate for
     every basis input, in input order.
@@ -138,12 +142,10 @@ def ideal_map(k: int, gate: str = "cnot") -> tuple[np.ndarray, np.ndarray]:
     The pi-phase bookkeeping of the pulse sequences leaves -1 on the
     target-flipped branch of the multi-control NOT, and -1 on the single
     control configuration (1, ..., 1, 0) of the no-target phase gate."""
-    # the control bits that pick up the -1; the identity marks none
-    marked_controls = {"cnot": 2**k - 1, "grover": 2**k - 2, "identity": -1}
-    if gate not in marked_controls:
+    if gate not in IDEAL_GATES:
         raise ValueError(f"unknown ideal gate {gate!r}")
     inputs = np.arange(2 ** (k + 1))
-    marked = (inputs >> 1) == marked_controls[gate]
+    marked = (inputs >> 1) == IDEAL_GATES[gate](k)
     indices = np.where(marked & (gate == "cnot"), inputs ^ 1, inputs)
     return indices, np.where(marked, -1.0, 1.0)
 

@@ -3,11 +3,20 @@
 All library internals work in SI angular frequencies (rad/s), seconds, and
 meters.  Configuration files and reports use laboratory units: frequencies as
 nu = omega/2pi in MHz, times in microseconds, distances in micrometers.
+A conversion into SI units refuses a nonzero value it would turn into 0.
 """
 
 import math
 
 TWO_PI = 2.0 * math.pi
+
+
+def _in_range(value: float, si: float, units: str) -> float:
+    """``si``, the SI form of ``value`` in lab ``units``; FloatingPointError
+    if it is 0 and ``value`` is not, since ``value`` leaves the float range."""
+    if value and not si:
+        raise FloatingPointError(f"{value!r} {units} is {si!r} in SI units")
+    return si
 
 
 def angular_from_mhz(nu_mhz: float) -> float:
@@ -21,7 +30,7 @@ def mhz_from_angular(omega: float) -> float:
 
 
 def seconds_from_us(t_us: float) -> float:
-    return 1.0e-6 * t_us
+    return _in_range(t_us, 1.0e-6 * t_us, "us")
 
 
 def us_from_seconds(t: float) -> float:
@@ -29,13 +38,13 @@ def us_from_seconds(t: float) -> float:
 
 
 def meters_from_um(r_um: float) -> float:
-    return 1.0e-6 * r_um
+    return _in_range(r_um, 1.0e-6 * r_um, "um")
 
 
 def c3_si_from_mhz_um3(c3_mhz_um3: float) -> float:
     """Convert a dipolar coefficient quoted as shift/2pi in MHz at 1 um."""
-    return TWO_PI * 1.0e6 * c3_mhz_um3 * 1.0e-18
+    return _in_range(c3_mhz_um3, TWO_PI * 1.0e6 * c3_mhz_um3 * 1.0e-18, "MHz um^3")
 
 def c6_si_from_mhz_um6(c6_mhz_um6: float) -> float:
     """Convert a van der Waals coefficient quoted as shift/2pi in MHz at 1 um."""
-    return TWO_PI * 1.0e6 * c6_mhz_um6 * 1.0e-36
+    return _in_range(c6_mhz_um6, TWO_PI * 1.0e6 * c6_mhz_um6 * 1.0e-36, "MHz um^6")

@@ -569,8 +569,8 @@ def test_simulate_k_cap(tmp_path, capsys):
 )
 def test_non_finite_budget_exits_2_with_lab_units(tmp_path, capsys, scheme, command, mode):
     # B equal to the qubit splitting puts the leakage detuned by
-    # omega10 - B on resonance; no report with inf in it may be written,
-    # and the optimizer's refusal names the row in lab units too
+    # omega10 - B on resonance; the builder refuses it, so every command and
+    # mode gives the same refusal at the row, in lab units
     frequencies = {"mode": mode}
     if mode == "fixed":
         frequencies["omega_mhz"] = 10.0
@@ -584,11 +584,9 @@ def test_non_finite_budget_exits_2_with_lab_units(tmp_path, capsys, scheme, comm
     assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    # only fixed-frequency budget rows get as far as the report's cell check
-    fixed_budget = (command, mode) == ("budget", "fixed")
-    cause = "r_c_2 is inf" if fixed_budget else "the optimized total is inf"
-    assert f"{command} row k=2 label 'b equals omega10': {cause}" in captured.err
-    assert "omega10_mhz = 9200.0 MHz" in captured.err
+    assert captured.err == (
+        f"error: {command} row k=2 label 'b equals omega10': a blockade shift meets "
+        "omega10_mhz = 9200.0 MHz, so the leakage term detuned by omega10 - B diverges\n")
     assert "np.float64" not in captured.err
     assert "62831" not in captured.err  # the bracket's 2 pi x 10 kHz in rad/s
     with pytest.raises(ValueError):
@@ -1112,6 +1110,31 @@ CONTRACT_RUNS = [
     _refused("simulate_omega10", "simulate", {"scheme": "simulate", "k": 2, "omega10_mhz": 9200.0,
                                               "simulate": {"omega_mhz": 1.0}},
              "error: config invalid at omega10_mhz: "),
+    # a budget whose coefficients overflow, and a report cell past the float
+    # range, are refused as such, not as a blockade shift meeting omega10
+    _refused("coefficient_overflow", "optimize",
+             dict(_SEQUENTIAL_K2, k=64, uniform={"b_mhz": 1e-160, "tau_us": 540.0}),
+             "error: optimize row k=64 label ''" + _FLOAT_RANGE, absent=_MISBLAMED),
+    _refused("lattice_cell_overflow", "lattice",
+             {"scheme": "sequential", "k": 9, "lattice": {"d_um": 1e308}},
+             "error: lattice row k=9" + _FLOAT_RANGE, absent=_MISBLAMED),
+    # a positive value that becomes 0 in SI units is refused at its row or
+    # block, in lab units
+    _refused("tau_underflow", "budget",
+             dict(_SEQUENTIAL_K2, uniform={"b_mhz": 9.0, "tau_us": 1e-320}),
+             "error: budget row k=2 label ''" + _FLOAT_RANGE, "1e-320 us", absent=_MISBLAMED),
+    _refused("d_underflow", "budget", dict(_CROSSOVER_LATTICE, scheme="sequential", k=2,
+                                           omega10_mhz=9200.0, lattice={"d_um": 1e-320,
+                                                                        "tau_us": 540.0}),
+             "error: budget row k=2 label ''" + _FLOAT_RANGE, "1e-320 um", absent=_MISBLAMED),
+    _refused("lattice_d_underflow", "lattice",
+             {"scheme": "sequential", "k": 2, "lattice": {"d_um": 1e-320}},
+             "error: lattice row k=2" + _FLOAT_RANGE, "1e-320 um", absent=_MISBLAMED),
+    _refused("c6_underflow", "budget", {
+        "scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
+        "lattice": {"d_um": 1.0, "tau_us": 540.0}, "interaction": {"c6_mhz_um6": 1e-300}},
+             "error: config invalid at interaction" + _FLOAT_RANGE, "1e-300 MHz um^6",
+             absent=_MISBLAMED),
     _refused("simulate_frequencies", "simulate", {
         "scheme": "simulate", "k": 2, "frequencies": {"mode": "fixed", "omega_mhz": 3.0},
         "simulate": {"omega_mhz": 1.0}}, "error: config invalid at frequencies: "),

@@ -111,9 +111,11 @@ def test_minimizer_flags_edge_minimum():
 
 
 def test_minimizer_rejects_non_finite_objective():
-    with pytest.raises(ValueError):
+    # a non-finite objective never reaches the minimizer: its budget is
+    # refused as past the float range when it is built
+    with pytest.raises(OverflowError, match="coefficients of beta"):
         minimize_error(cubic_budget(1.0, math.nan, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(OverflowError, match="coefficients of gamma"):
         minimize_error(cubic_budget(1.0, 0.0, math.inf))
 
 

@@ -207,11 +207,10 @@ def test_non_finite_cell_is_refused_in_lab_units():
     row["r_c_2"] = math.inf
     with pytest.raises(ConfigError) as refused:
         validate_report(report)
-    omega10 = report["config"]["omega10_mhz"]
-    assert str(refused.value).startswith(
-        f"budget row k={row['k']} label {row['label']!r}: r_c_2 is inf: a blockade shift "
-        f"meets omega10_mhz = {omega10} MHz"
-    )
+    # the refusal reads nothing from the config, so it blames no input
+    assert str(refused.value) == (
+        f"budget row k={row['k']} label {row['label']!r}: a config value leaves the float "
+        "range: r_c_2 is inf")
 
 
 # --------------------------------------------------------- config validator
@@ -357,7 +356,7 @@ def test_config_schema_uses_only_walked_keywords():
 # (field, bad value, refusal); jsonschema's best_match gives the same path
 SINGLE_DEFECTS = [
     ("scheme", "bogus", "scheme: 'bogus' is not one of "
-     "['sequential', 'simultaneous', 'grover', 'simulate']"),
+     "['sequential', 'grover', 'simultaneous', 'simulate']"),
     ("k", [], "k: [] should be non-empty"),
     ("k", [1, 0], "k/1: 0 is less than the minimum of 1"),
     ("k", -2, "k: -2 is less than the minimum of 1"),

@@ -17,7 +17,7 @@ from rydgate import (
     budget_sequential_uniform,
     build_layout,
 )
-from rydgate.sequential import worst_case_detuned_inv_sq
+from rydgate.sequential import DivergentBudgetError, worst_case_detuned_inv_sq
 from rydgate.units import angular_from_mhz
 
 from oracles import sum_oracle_grover, sum_oracle_sequential
@@ -154,6 +154,25 @@ def test_worst_case_detuned_inv_sq_uses_nearer_resonance():
     w10, b = 10.0, 3.0
     assert worst_case_detuned_inv_sq(w10, b) == pytest.approx(1.0 / (w10 - b) ** 2)
     assert worst_case_detuned_inv_sq(w10, 0.0) == pytest.approx(1.0 / w10**2)
+
+
+@pytest.mark.parametrize("builder", ["sequential", "grover", "sequential-lattice"])
+def test_b_equal_to_omega10_raises_divergence(builder):
+    # the terms detuned by omega10 - B diverge there, so no budget is built
+    with pytest.raises(DivergentBudgetError, match="omega10 - B diverge"):
+        if builder == "sequential-lattice":
+            budget_sequential_lattice(ConstantLaw(W10), build_layout(1.0e-6, 3), 5e-4, W10)
+        elif builder == "grover":
+            budget_grover_uniform(3, W10, 5e-4, W10)
+        else:
+            budget_sequential_uniform(3, W10, 5e-4, W10)
+    assert issubclass(DivergentBudgetError, ValueError)
+
+
+def test_overflowing_coefficients_are_refused_as_float_range():
+    # at k = 64 the control-pair sum of 1/B^2 overflows for B/2pi = 1e-160 MHz
+    with pytest.raises(OverflowError, match=r"coefficients of se_c_2 are \(0.0, inf, 0.0\)"):
+        budget_sequential_uniform(64, angular_from_mhz(1.0e-160), 5e-4, W10)
 
 
 def test_k_above_cap_rejected():

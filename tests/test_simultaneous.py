@@ -86,6 +86,13 @@ def test_uniform_term_names_and_total():
     assert budget["total"] == pytest.approx(math.fsum(budget[name] for name in laurent.terms))
 
 
+def test_uniform_budget_at_b_ct_equal_to_omega10_is_finite():
+    # the collective gate's target terms are detuned by j b_ct + omega10,
+    # which never vanishes: b_ct = omega10 builds a finite budget
+    laurent = budget_simultaneous_uniform(5, W10, angular_from_mhz(1.0), 5e-4, 5e-4, W10)
+    assert all(map(math.isfinite, laurent.at(OMEGA_C, OMEGA_T).values()))
+
+
 def test_target_blockade_sums_small_k_by_hand():
     # k=2, b=1, w10=0: j=1 weight 2/4 at 1/1, j=2 weight 1/4 at 1/4
     s_block, s_split = target_blockade_sums(2, 1.0, 0.0)
