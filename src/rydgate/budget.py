@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -76,9 +77,10 @@ class LaurentBudget:
         self.pulse_time = pulse_time
         # one row per term, then per diagnostic; one column per monomial
         self.coefficients = tuple(map(tuple, [*terms.values(), *diagnostics.values()]))
-        for name, row in zip((*self.terms, *self.diagnostics), self.coefficients):
-            if not all(map(math.isfinite, row)):
-                raise OverflowError(f"the coefficients of {name} are {row}")
+        if not all(map(math.isfinite, chain.from_iterable(self.coefficients))):
+            for name, row in zip((*self.terms, *self.diagnostics), self.coefficients):
+                if not all(map(math.isfinite, row)):
+                    raise OverflowError(f"the coefficients of {name} are {row}")
         # the coefficients of the total, one per column
         self.total_coefficients = tuple(
             map(math.fsum, zip(*self.coefficients[: len(self.terms)]))
@@ -99,9 +101,10 @@ class LaurentBudget:
         cells.update(zip((f"diag_{name}" for name in self.diagnostics), values[n:]))
         return cells
 
-    def table(self, omegas: list[float]) -> Iterator[dict[str, float]]:
-        """Terms and total of a single-frequency budget at each of
-        ``omegas`` (rad/s), from one array evaluation, one point at a time."""
+    def table(self, omegas: list[float]) -> Iterator[tuple[float, ...]]:
+        """Terms, then total, of a single-frequency budget at each of
+        ``omegas`` (rad/s): one tuple per point in ``terms`` order, from one
+        array evaluation."""
         _check_frequencies(omegas)
         with np.errstate(over="raise", invalid="raise"):  # as ``at`` raises OverflowError
             monomials = np.array([np.asarray(omegas, dtype=float) ** p for _, p in self.powers])
@@ -109,8 +112,7 @@ class LaurentBudget:
             coefficients = np.array(self.coefficients[: len(self.terms)])
             values = (coefficients[:, :, None] * monomials).sum(axis=1)
             totals = values.sum(axis=0).tolist()
-        for column, total in zip(values.T, totals):
-            yield dict(zip(self.terms, column.tolist()), total=total)
+        return zip(*values.tolist(), totals)
 
     def duration(self, *omegas: float) -> float:
         """Total pulse time at one drive frequency per axis (rad/s), s."""

@@ -47,7 +47,7 @@ from .optimize import (
 )
 from .schemas import (
     OPTIMIZE_COLUMNS,
-    OPTIMIZE_RENAME,
+    OPTIMIZE_KEYS,
     REPORT_SCHEMA_VERSION,
     SCHEMES,
     SIMULATE_SHIFTS,
@@ -266,14 +266,15 @@ def build_interaction(obj: dict[str, Any], path: str) -> InteractionModel:
         given = "both a fit block and" if has_fit else "neither a fit block nor"
         raise ConfigError(f"config invalid at {path}: {given} explicit coefficients; "
                           "give exactly one")
-    with _float_range(f"config invalid at {path}"):
-        if has_fit:
-            fit = obj["fit"]
+    if has_fit:
+        fit = obj["fit"]
+        with _float_range(f"config invalid at {path}/fit"):
             return fit_single_anchor(
                 fit["law"],
                 angular_from_mhz(fit["b_mhz"]),
                 meters_from_um(fit["r_um"]),
             )
+    with _float_range(f"config invalid at {path}"):
         c3 = c3_si_from_mhz_um3(obj.get("c3_mhz_um3", 0.0))
         c6 = c6_si_from_mhz_um6(obj.get("c6_mhz_um6", 0.0))
         crossover = (
@@ -285,15 +286,19 @@ def build_interaction(obj: dict[str, Any], path: str) -> InteractionModel:
             raise ConfigError(f"config invalid at {path}: {exc}") from exc
 
 
+def _out_of_range(where: str, exc: ArithmeticError) -> ConfigError:
+    """The refusal at ``where`` of arithmetic past the float range: Python's
+    OverflowError and ZeroDivisionError, numpy's FloatingPointError."""
+    return ConfigError(f"{where}: a config value leaves the float range: {exc.args[-1]}")
+
+
 @contextlib.contextmanager
 def _float_range(where: str) -> Iterator[None]:
-    """Refuse at ``where``, as a config error, arithmetic past the float range:
-    Python's OverflowError and ZeroDivisionError, numpy's FloatingPointError."""
+    """Refuse at ``where``, as a config error, arithmetic past the float range."""
     try:
         yield
     except ArithmeticError as exc:
-        raise ConfigError(f"{where}: a config value leaves the float range: "
-                          f"{exc.args[-1]}") from exc
+        raise _out_of_range(where, exc) from exc
 
 
 # ----------------------------------------------------------------- helpers
@@ -373,6 +378,10 @@ class _Case:
                 "e_opt_analytic": e_opt_analytic(b, tau, k),
             }
 
+    def row(self, command: str) -> str:
+        """The case's row as ``command``'s warnings and refusals name it."""
+        return f"{command} row k={self.head['k']} label {self.head['label']!r}"
+
     def evaluate(self, command: str, *omegas: float) -> tuple[float, dict[str, float]]:
         """Gate duration and budget cells of a reported row at its drive
         frequencies, warning on stderr when a control-control shift reaches
@@ -380,22 +389,26 @@ class _Case:
         if self.d_cc_max >= omegas[0]:
             largest = "" if self.head["mode"] == "uniform" else "the largest pair's "
             d_cc, omega_c = self.scheme.shifts[1], self.scheme.frequencies[0]
-            warnings.warn(f"{command} row k={self.head['k']} label {self.head['label']!r}: "
-                          f"{largest}{d_cc} = {mhz_from_angular(self.d_cc_max):g} MHz reaches "
-                          f"{omega_c} = {mhz_from_angular(omegas[0]):g} MHz; the perturbative "
-                          "budget is outside its regime", BlockadeRegimeWarning, stacklevel=2)
+            warnings.warn(f"{self.row(command)}: {largest}{d_cc} = "
+                          f"{mhz_from_angular(self.d_cc_max):g} MHz reaches {omega_c} = "
+                          f"{mhz_from_angular(omegas[0]):g} MHz; the perturbative budget is "
+                          "outside its regime", BlockadeRegimeWarning, stacklevel=2)
         return self.laurent.duration(*omegas), self.laurent.at(*omegas)
 
     def optimize(self, command: str) -> OptimizationResult:
         """Minimize the total error over the drive frequencies, warning on
-        stderr when the optimum is clamped to a bracket edge."""
-        opt = minimize_error(self.laurent)
+        stderr when the optimum is clamped to a bracket edge, and refusing
+        at the row a budget without an interior minimum."""
+        try:
+            opt = minimize_error(self.laurent)
+        except ValueError as exc:  # the one refusal of minimize_error
+            raise ConfigError(f"{self.row(command)}: the total error has {exc}") from exc
         for key, omega in zip(self.scheme.frequencies, opt.argmin):
             if not opt.converged and omega in DEFAULT_BRACKET:
-                warnings.warn(f"{command} row k={self.head['k']} label {self.head['label']!r}: "
-                              f"{key} = {mhz_from_angular(omega):g} MHz is clamped to the edge "
-                              f"of the optimizer bracket ({_BRACKET_MHZ}); the budget's own "
-                              "minimum lies outside it", OptimizerEdgeWarning, stacklevel=2)
+                warnings.warn(f"{self.row(command)}: {key} = {mhz_from_angular(omega):g} MHz "
+                              f"is clamped to the edge of the optimizer bracket ({_BRACKET_MHZ}); "
+                              "the budget's own minimum lies outside it", OptimizerEdgeWarning,
+                              stacklevel=2)
         return opt
 
 
@@ -408,14 +421,16 @@ def _case_rows(cfg: dict[str, Any], command: str,
     for entry in cfg.get("uniform", [None]):
         label = "" if entry is None else entry.get("label", "")
         for k in cfg["k"]:
-            where = f"{command} row k={k} label {label!r}"
+            # name the row only when it is refused: a _float_range block and
+            # the name per case took about a tenth of the rows' time
             try:
-                with _float_range(where):
-                    rows.extend(rows_of(_Case(cfg, entry, k)))
+                rows.extend(rows_of(_Case(cfg, entry, k)))
+            except ArithmeticError as exc:
+                raise _out_of_range(f"{command} row k={k} label {label!r}", exc) from exc
             except DivergentBudgetError as exc:
-                raise ConfigError(f"{where}: a blockade shift meets omega10_mhz = "
-                                  f"{cfg['omega10_mhz']} MHz, so the leakage term detuned by "
-                                  "omega10 - B diverges") from exc
+                raise ConfigError(f"{command} row k={k} label {label!r}: a blockade shift meets "
+                                  f"omega10_mhz = {cfg['omega10_mhz']} MHz, so the leakage term "
+                                  "detuned by omega10 - B diverges") from exc
     return rows
 
 
@@ -425,21 +440,15 @@ def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
 
     def rows_of(case: _Case) -> list[dict[str, Any]]:
         keys = case.scheme.frequencies
-        opt = None
         if freq["mode"] == "fixed":
-            omegas = tuple(angular_from_mhz(freq[key]) for key in keys)
+            omegas, fit = tuple(angular_from_mhz(freq[key]) for key in keys), {}
         else:
             opt = case.optimize(command)
             omegas = opt.argmin
-        row = dict(case.head)
-        row.update((key, mhz_from_angular(om)) for key, om in zip(keys, omegas))
+            fit = {"opt_evaluations": opt.evaluations, "opt_converged": opt.converged}
         duration, cells = case.evaluate(command, *omegas)
-        row["duration_us"] = us_from_seconds(duration)
-        row.update(cells)
-        row.update(case.analytic)
-        if opt is not None:
-            row.update(opt_evaluations=opt.evaluations, opt_converged=opt.converged)
-        return [row]
+        return [{**case.head, **dict(zip(keys, map(mhz_from_angular, omegas))),
+                 "duration_us": us_from_seconds(duration), **cells, **case.analytic, **fit}]
 
     return _case_rows(cfg, command, rows_of)
 
@@ -454,14 +463,17 @@ def cmd_budget(cfg: dict[str, Any]) -> dict[str, Any]:
 
 def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
     """Total error over a drive-frequency grid plus minima."""
-    grid = _omega_grid(cfg["sweep"]["omega_mhz"])
+    with _float_range("config invalid at sweep/omega_mhz"):
+        grid = _omega_grid(cfg["sweep"]["omega_mhz"])
     grid_mhz = [mhz_from_angular(omega) for omega in grid]
 
     def rows_of(case: _Case) -> list[dict[str, Any]]:
         base = {"label": case.head["label"], "k": case.head["k"]}
         omega = case.optimize("sweep-omega").argmin[0]
-        rows = [dict(base, row_type="grid", omega_mhz=omega_mhz, **cells)
-                for omega_mhz, cells in zip(grid_mhz, case.laurent.table(grid))]
+        head = ("grid", *base.values())
+        keys = ("row_type", *base, "omega_mhz", *case.laurent.terms, "total")
+        rows = [dict(zip(keys, (*head, omega_mhz, *point)))
+                for omega_mhz, point in zip(grid_mhz, case.laurent.table(grid))]
         rows.append(dict(base, row_type="analytic_opt",
                          omega_mhz=case.analytic["omega_opt_analytic_mhz"],
                          total=case.analytic["e_opt_analytic"]))
@@ -476,12 +488,12 @@ def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
 def cmd_optimize(cfg: dict[str, Any]) -> dict[str, Any]:
     """Numeric drive-frequency optimization summary.
 
-    The budget rows in optimize mode, renamed and cut to OPTIMIZE_COLUMNS."""
+    The budget rows in optimize mode, cut to OPTIMIZE_KEYS and renamed to
+    OPTIMIZE_COLUMNS."""
     forced = dict(cfg, frequencies={"mode": "optimize"})
-    rows = []
-    for row in _budget_rows(forced, "optimize"):
-        renamed = {OPTIMIZE_RENAME.get(key, key): value for key, value in row.items()}
-        rows.append({key: renamed[key] for key in OPTIMIZE_COLUMNS if key in renamed})
+    renames = list(zip(OPTIMIZE_KEYS, OPTIMIZE_COLUMNS))
+    rows = [{column: row[key] for key, column in renames if key in row}
+            for row in _budget_rows(forced, "optimize")]
     return _report("optimize", cfg, rows)
 
 
@@ -493,13 +505,15 @@ def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
     sim = cfg["simulate"]
     scheme = SCHEMES[sim["sequence"]]
     gate = sim["gate"]
-    decay = angular_from_mhz(sim["decay_mhz"])
-    # canonical_sequence takes the frequency keys without their unit
-    omegas = {key.removesuffix("_mhz"): angular_from_mhz(sim[key]) for key in scheme.frequencies}
-    # control-target shift first, control-control shift last: a one-shift
-    # sequence shifts every pair alike; a string shift matched "^inf$"
-    shifts = [math.inf if isinstance(sim[key], str) else angular_from_mhz(sim[key])
-              for key in scheme.shifts]
+    with _float_range("config invalid at simulate"):
+        decay = angular_from_mhz(sim["decay_mhz"])
+        # canonical_sequence takes the frequency keys without their unit
+        omegas = {key.removesuffix("_mhz"): angular_from_mhz(sim[key])
+                  for key in scheme.frequencies}
+        # control-target shift first, control-control shift last: a one-shift
+        # sequence shifts every pair alike; a string shift matched "^inf$"
+        shifts = [math.inf if isinstance(sim[key], str) else angular_from_mhz(sim[key])
+                  for key in scheme.shifts]
 
     rows: list[dict[str, Any]] = []
     for k in cfg["k"]:
@@ -563,23 +577,16 @@ def render_json(report: dict[str, Any]) -> str:
     return f'{before}\n  "rows": {rows}{after}\n'
 
 
-def _csv_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_csv(report: dict[str, Any]) -> str:
+    """The report's columns, then one line per row.  The C writer formats
+    each cell: a float with ``repr``, an int or a string with ``str``, None
+    as an empty field; only booleans are written here, as true/false."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     columns = report["columns"]
     writer.writerow(columns)
-    for row in report["rows"]:
-        writer.writerow([_csv_cell(row.get(column)) for column in columns])
+    writer.writerows([("true" if cell else "false") if cell.__class__ is bool else cell
+                      for cell in map(row.get, columns)] for row in report["rows"])
     return buffer.getvalue()
 
 

@@ -7,7 +7,10 @@ angular frequencies (rad/s), distances are meters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .units import mhz_from_angular, um_from_meters
 
 
 class InvalidModelError(ValueError):
@@ -61,16 +64,18 @@ class InteractionModel:
             )
 
     def shift_at(self, r: float) -> float:
-        """Blockade shift at separation r (meters), rad/s."""
+        """Blockade shift at separation r (meters), rad/s; FloatingPointError
+        where it leaves the float range, 0 or infinite."""
         if not (r > 0.0):
             raise ValueError("separation must be positive")
         if self.crossover_radius is not None:
-            if r <= self.crossover_radius:
-                return self.c3 / r**3
-            return self.c6 / r**6
-        if self.c3 > 0.0:
-            return self.c3 / r**3
-        return self.c6 / r**6
+            shift = self.c3 / r**3 if r <= self.crossover_radius else self.c6 / r**6
+        else:
+            shift = self.c3 / r**3 if self.c3 > 0.0 else self.c6 / r**6
+        if not 0.0 < shift < math.inf:
+            raise FloatingPointError(f"the blockade shift at {um_from_meters(r):g} um is "
+                                     f"{mhz_from_angular(shift)!r} MHz")
+        return shift
 
 
 def pair_shift(model, r: float) -> float:
@@ -96,9 +101,11 @@ def fit_single_anchor(law: str, b_anchor: float, r_anchor: float) -> Interaction
     """
     if not (b_anchor > 0.0) or not (r_anchor > 0.0):
         raise ValueError("anchor shift and radius must be positive")
-    if law == "c3":
-        return InteractionModel(c3=b_anchor * r_anchor**3)
-    if law == "c6":
-        return InteractionModel(c6=b_anchor * r_anchor**6)
-    raise ValueError(f"unknown interaction law {law!r}; expected 'c3' or 'c6'")
+    if law not in ("c3", "c6"):
+        raise ValueError(f"unknown interaction law {law!r}; expected 'c3' or 'c6'")
+    power = int(law[1])
+    coefficient = b_anchor * r_anchor**power
+    if not 0.0 < coefficient < math.inf:  # FloatingPointError, as the units conversions raise
+        raise FloatingPointError(f"the fitted {law} = b r^{power} is {coefficient!r}")
+    return InteractionModel(**{law: coefficient})
 

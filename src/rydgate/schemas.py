@@ -204,14 +204,15 @@ SWEEP_COLUMNS: dict[str, tuple[str, ...]] = {
 
 LATTICE_COLUMNS = ("k", "index", "x_um", "y_um", "role", "r_um")
 
-# an optimize row: a budget row renamed, cut to the budget columns it keeps
+# an optimize row: a budget row cut to OPTIMIZE_KEYS, each renamed to the
+# OPTIMIZE_COLUMNS entry in its place
 OPTIMIZE_RENAME = {
     **{key: key.replace("_mhz", "_opt_mhz") for key in scheme_keys(("frequencies",))},
     "total": "min_total", "opt_evaluations": "evaluations", "opt_converged": "converged",
 }
-OPTIMIZE_COLUMNS = tuple(OPTIMIZE_RENAME.get(key, key) for key in (
-    "scheme", "mode", "label", "k", *scheme_keys(("frequencies",)), "total",
-    "omega_opt_analytic_mhz", "e_opt_analytic", "opt_evaluations", "opt_converged"))
+OPTIMIZE_KEYS = ("scheme", "mode", "label", "k", *scheme_keys(("frequencies",)), "total",
+                 "omega_opt_analytic_mhz", "e_opt_analytic", "opt_evaluations", "opt_converged")
+OPTIMIZE_COLUMNS = tuple(OPTIMIZE_RENAME.get(key, key) for key in OPTIMIZE_KEYS)
 
 SIMULATE_COLUMNS = ("k", "sequence", "gate", "duration_us", "input_index", "ideal_index",
                     "prob_ideal", "error", "avg_error", "ideal_check_passed")

@@ -3,7 +3,8 @@
 All library internals work in SI angular frequencies (rad/s), seconds, and
 meters.  Configuration files and reports use laboratory units: frequencies as
 nu = omega/2pi in MHz, times in microseconds, distances in micrometers.
-A conversion into SI units refuses a nonzero value it would turn into 0.
+A conversion into SI units refuses a nonzero value it would turn into 0
+and a finite value it would turn into an infinity.
 """
 
 import math
@@ -13,15 +14,16 @@ TWO_PI = 2.0 * math.pi
 
 def _in_range(value: float, si: float, units: str) -> float:
     """``si``, the SI form of ``value`` in lab ``units``; FloatingPointError
-    if it is 0 and ``value`` is not, since ``value`` leaves the float range."""
-    if value and not si:
+    if it is 0 and ``value`` is not, or infinite and ``value`` is finite,
+    since ``value`` leaves the float range."""
+    if (value and not si) or (math.isinf(si) and math.isfinite(value)):
         raise FloatingPointError(f"{value!r} {units} is {si!r} in SI units")
     return si
 
 
 def angular_from_mhz(nu_mhz: float) -> float:
     """Convert a frequency given as nu in MHz to angular frequency in rad/s."""
-    return TWO_PI * 1.0e6 * nu_mhz
+    return _in_range(nu_mhz, TWO_PI * 1.0e6 * nu_mhz, "MHz")
 
 
 def mhz_from_angular(omega: float) -> float:
@@ -39,6 +41,10 @@ def us_from_seconds(t: float) -> float:
 
 def meters_from_um(r_um: float) -> float:
     return _in_range(r_um, 1.0e-6 * r_um, "um")
+
+
+def um_from_meters(r: float) -> float:
+    return 1.0e6 * r
 
 
 def c3_si_from_mhz_um3(c3_mhz_um3: float) -> float:

@@ -717,6 +717,17 @@ def test_csv_has_fixed_header_and_plain_decimals(tmp_path):
                 float(cell)  # '.' decimal, no locale formatting
 
 
+def test_csv_cells_are_pinned():
+    # README "Reports": floats use repr, booleans are true/false, missing
+    # cells are empty; the int 1 stays 1, and a label holding a comma and a
+    # quote is quoted
+    report = {"columns": ["label", "small", "tiny", "k", "yes", "no", "none", "missing"],
+              "rows": [{"label": 'Cs, "100s"', "small": 0.1, "tiny": 1e-300, "k": 1,
+                        "yes": True, "no": False, "none": None}]}
+    assert render_csv(report) == ('label,small,tiny,k,yes,no,none,missing\n'
+                                  '"Cs, ""100s""",0.1,1e-300,1,true,false,,\n')
+
+
 def test_main_writes_output_file(tmp_path):
     cfg = uniform_cfg(output={"format": "json"})
     out = tmp_path / "report.json"
@@ -1080,17 +1091,44 @@ CONTRACT_RUNS = [
         "scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
         "lattice": {"d_um": 1.0, "tau_us": 540.0},
         "interaction": {"fit": {"law": "c6", "b_mhz": 1e300, "r_um": 1e100}}},
-             "error: config invalid at interaction" + _FLOAT_RANGE),
+             "error: config invalid at interaction/fit" + _FLOAT_RANGE),
+    # a frequency that becomes infinite in SI units, a fitted coefficient
+    # and a lattice pair shift that become 0, each refused where it is formed
+    _refused("omega10_overflow", "budget", dict(_SEQUENTIAL_K2, omega10_mhz=1e303),
+             "error: budget row k=2 label ''" + _FLOAT_RANGE, "1e+303 MHz is inf",
+             absent=_MISBLAMED),
+    _refused("fit_underflow", "budget", {
+        "scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
+        "lattice": {"d_um": 1.0, "tau_us": 540.0},
+        "interaction": {"fit": {"law": "c6", "b_mhz": 1e-320, "r_um": 1.0}}},
+             "error: config invalid at interaction/fit" + _FLOAT_RANGE, "c6 = b r^6 is 0.0",
+             absent=_MISBLAMED),
+    _refused("pair_shift_underflow", "budget", {
+        "scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
+        "lattice": {"d_um": 1e20, "tau_us": 540.0}, "interaction": {"c6_mhz_um6": 1e-250}},
+             "error: budget row k=2 label ''" + _FLOAT_RANGE,
+             "the blockade shift at 1e+20 um is 0.0 MHz", absent=_MISBLAMED),
+    # omega10^2 past the float range leaves a k = 1 Grover budget no term
+    # that grows with omega: the optimizer's refusal names its row
+    _refused("no_interior_minimum", "optimize", {
+        "scheme": "grover", "k": 1, "omega10_mhz": 9.2e153,
+        "uniform": {"b_mhz": 9.0, "tau_us": 540.0}},
+             "error: optimize row k=1 label '': the total error has no interior minimum"),
     # a truth table, a budget cell of finite coefficients, and a number as
     # written in the file, each past the float range
     _refused("simulate_overflow", "simulate", {"scheme": "simulate", "k": 2, "simulate": {
-        "omega_mhz": 1.0, "b_mhz": 10.0, "decay_mhz": 1e307}},
+        "omega_mhz": 1.0, "b_mhz": 10.0, "decay_mhz": 1e300}},
              "error: simulate row k=2" + _FLOAT_RANGE, absent=_MISBLAMED),
     _refused("simulate_overflow_simultaneous", "simulate", {
         "scheme": "simulate", "k": 2, "simulate": {
             "sequence": "simultaneous", "omega_c_mhz": 5.0, "omega_t_mhz": 1.0,
-            "decay_mhz": 1e307}},
+            "decay_mhz": 1e300}},
              "error: simulate row k=2" + _FLOAT_RANGE, absent=_MISBLAMED),
+    # a rate that is infinite in SI units is refused before any table
+    _refused("simulate_unit_overflow", "simulate", {"scheme": "simulate", "k": 2, "simulate": {
+        "omega_mhz": 1.0, "b_mhz": 10.0, "decay_mhz": 1e307}},
+             "error: config invalid at simulate" + _FLOAT_RANGE, "1e+307 MHz is inf",
+             absent=_MISBLAMED),
     _refused("cell_overflow", "budget",
              dict(_SEQUENTIAL_K2, uniform={"b_mhz": 1e-150, "tau_us": 540.0},
                   frequencies={"mode": "fixed", "omega_mhz": 1e10}),

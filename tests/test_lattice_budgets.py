@@ -70,12 +70,13 @@ def assert_same_budget(got, want):
 def test_sequential_lattice_matches_pair_loop_oracle(geom, model, omegas, tau_us):
     tau = seconds_from_us(tau_us)
     budget = budget_sequential_lattice(model, geom, tau, W10)
-    for omega, cells in zip(omegas, budget.table(omegas)):
+    for omega, point in zip(omegas, budget.table(omegas)):
         want = sequential_lattice_loops(model, geom, tau, W10, omega)
         assert_same_budget(budget.at(omega), want)
-        for name in budget.terms:
-            assert cells[name] == pytest.approx(want[name], rel=1e-12, abs=0.0), name
-        assert cells["total"] == pytest.approx(want["total"], rel=1e-12, abs=0.0)
+        # the terms in ``terms`` order, then the total
+        assert len(point) == len(budget.terms) + 1
+        for name, value in zip((*budget.terms, "total"), point):
+            assert value == pytest.approx(want[name], rel=1e-12, abs=0.0), name
 
 
 @given(

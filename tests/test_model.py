@@ -148,8 +148,10 @@ def test_budget_cells_fit_report_columns(scheme):
     assert set(cells) <= set(BUDGET_COLUMNS[scheme])
     assert cells["total"] == math.fsum(cells[name] for name in budget.terms)
     if scheme in SWEEP_COLUMNS:
-        for row in budget.table([1.0e5, 1.0e6, 1.0e7]):
-            assert set(row) <= set(SWEEP_COLUMNS[scheme])
+        # a table point holds the terms in ``terms`` order, then the total
+        assert {*budget.terms, "total"} <= set(SWEEP_COLUMNS[scheme])
+        for point in budget.table([1.0e5, 1.0e6, 1.0e7]):
+            assert len(point) == len(budget.terms) + 1
 
 
 def test_unknown_law_rejected():

@@ -1,11 +1,13 @@
 """Mutated configs: every command either writes its report or refuses the
-config with exit 2 and one ``error:`` line, never a traceback.
+config with exit 2 and one ``error:`` line that names a config path, a
+report row or a cross rule, never a traceback.
 
-The mutants start from the bundled presets and the golden configs and
-apply one or two of: drop a top-level key, graft a top-level block from
-another config, switch the scheme, scale one number by 10^150 or 10^-150.
-Every k above 3 is cut from the sources, so a mutant that reaches the
-simulator stays small.
+The mutants start from the bundled presets and the golden configs.  A
+random mutant applies one or two of: drop a top-level key, graft a
+top-level block from another config, switch the scheme, scale one number
+by 10^150 or 10^-150.  A fixed scan changes each number of each source on
+its own: multiplied by 0, 1e-320 or 1e300, or negated.  Every k above 3 is
+cut from the sources, so a mutant that reaches the simulator stays small.
 """
 
 import contextlib
@@ -13,7 +15,9 @@ import copy
 import gzip
 import io
 import json
+import math
 import os
+import re
 import tempfile
 import warnings
 from functools import reduce
@@ -22,12 +26,16 @@ from operator import getitem
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rydgate import cli
 from rydgate.cli import _COMMANDS, main, preset_path
 
 _GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "reports.json.gz")
 _PRESETS = ("sequential_uniform", "sequential_lattice_crossover",
             "simultaneous_lattice_room_temp", "grover_uniform")
 _SCHEMES = ("sequential", "grover", "simultaneous", "simulate")
+# an exit-2 line names a config path (the top level included), a report
+# row, or a cross rule
+_NAMED = re.compile(r"error: (config invalid( at [^:]+)?: |\S+ row k=\d+)")
 
 
 def _sources():
@@ -80,24 +88,67 @@ def mutants(draw):
     return cfg
 
 
+def _run(command, config, out):
+    """Exit code and stderr lines of one CLI run, warnings ignored."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main([command, "--config", config, "--out", out])
+    return code, err.getvalue().splitlines()
+
+
+def _assert_exit(cfg, command, code, lines):
+    checked = cfg.get("scheme") == "simulate" and cfg.get("simulate", {}).get("check_ideal")
+    allowed = (0, 1, 2) if command == "simulate" and checked else (0, 2)
+    assert code in allowed, (command, lines)
+    if code == 2:
+        assert len(lines) == 1 and _NAMED.match(lines[0]), (command, lines)
+
+
 @settings(max_examples=120)
 @given(cfg=mutants())
 def test_mutated_configs_exit_0_or_2(cfg):
-    checked = cfg.get("scheme") == "simulate" and cfg.get("simulate", {}).get("check_ideal")
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "config.json")
         with open(config, "w", encoding="utf-8") as handle:
             json.dump(cfg, handle)
         for command in _COMMANDS:
             out = os.path.join(tmp, f"{command}.out")
-            err = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-                warnings.simplefilter("ignore")
-                code = main([command, "--config", config, "--out", out])
-            allowed = (0, 1, 2) if command == "simulate" and checked else (0, 2)
-            assert code in allowed, (command, err.getvalue())
-            # a refused run writes nothing and says why on one line
+            code, lines = _run(command, config, out)
+            _assert_exit(cfg, command, code, lines)
+            # a refused run writes nothing
             assert os.path.exists(out) == (code != 2), (command, code)
-            if code == 2:
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+
+
+# the conversions of config values into SI units that the CLI calls
+_CONVERSIONS = ("angular_from_mhz", "seconds_from_us", "meters_from_um",
+                "c3_si_from_mhz_um3", "c6_si_from_mhz_um6")
+# x0, x1e-320, x1e300, negated
+_CHANGES = (lambda v: v * 0, lambda v: v * 1e-320, lambda v: v * 1e300, lambda v: -v)
+
+
+def test_single_number_scan_names_every_refusal(tmp_path, monkeypatch):
+    # every run exits as above, and none that writes its report turned a
+    # finite config value into an infinity in SI units
+    infinite = []
+    for name in _CONVERSIONS:
+        def checked(value, convert=getattr(cli, name)):
+            si = convert(value)
+            if math.isinf(si) and math.isfinite(value):
+                infinite.append(value)
+            return si
+        monkeypatch.setattr(cli, name, checked)
+    config, out = str(tmp_path / "config.json"), str(tmp_path / "report.out")
+    for source in SOURCES:
+        for path in _number_paths(source):
+            for change in _CHANGES:
+                cfg = copy.deepcopy(source)
+                parent = reduce(getitem, path[:-1], cfg)
+                parent[path[-1]] = change(parent[path[-1]])
+                with open(config, "w", encoding="utf-8") as handle:
+                    json.dump(cfg, handle)
+                for command in _COMMANDS:
+                    infinite.clear()
+                    code, lines = _run(command, config, out)
+                    _assert_exit(cfg, command, code, lines)
+                    assert code == 2 or not infinite, (command, path, infinite)
