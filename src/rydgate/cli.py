@@ -29,10 +29,19 @@ import importlib.resources
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
+
+# No command hands OpenBLAS enough work to gain from a second thread, but
+# numpy's import starts one worker per extra core, and each spins for about
+# 0.1 s: 20-50 ms of CPU billed to a 20-45 ms run on 2 cores.  So the CLI
+# runs it on one thread, unless numpy is already loaded or the user set
+# either variable OpenBLAS reads.
+if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .budget import check_k
 from .lattice import build_layout
@@ -311,7 +320,11 @@ def _omega_grid(grid_cfg: dict[str, Any]) -> list[float]:
         step = (hi - lo) / (points - 1)
         return [lo + i * step for i in range(points)]
     ratio = (hi / lo) ** (1.0 / (points - 1))
-    return [lo * ratio**i for i in range(points)]
+    grid = [lo * ratio**i for i in range(points)]
+    if math.isinf(grid[-1]):
+        raise OverflowError(
+            f"the log grid from {grid_cfg['min']!r} to {grid_cfg['max']!r} MHz steps to inf")
+    return grid
 
 
 _BRACKET_MHZ = "{:g} .. {:g} MHz".format(*map(mhz_from_angular, DEFAULT_BRACKET))

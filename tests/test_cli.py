@@ -918,11 +918,20 @@ def test_simulate_report_without_check_exits_zero(tmp_path):
 
 # ------------------------------------------------- a runtime-only install
 
-def _python(script, *args, flags=()):
+# the environment variables that set OpenBLAS's thread count
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _python(script, *args, flags=(), blas_threads=None):
     """Run ``script`` with ``args`` in a new interpreter, started with the
-    command-line ``flags``, that imports the rydgate under test."""
+    command-line ``flags``, that imports the rydgate under test.  With
+    ``blas_threads``, a dict, the interpreter's _BLAS_THREADS variables are
+    exactly those it sets."""
     path = [os.path.dirname(os.path.dirname(rydgate.__file__)), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    if blas_threads is not None:
+        env = {key: value for key, value in env.items() if key not in _BLAS_THREADS}
+        env.update(blas_threads)
     return subprocess.run([sys.executable, *flags, "-c", script, *args],
                           capture_output=True, text=True, env=env, timeout=300)
 
@@ -930,14 +939,15 @@ def _python(script, *args, flags=()):
 # runs each (argv, warning categories raised as errors) of its argument and
 # prints, per run, the exit code (None where an exception escaped), the
 # run's stderr and its wall time in seconds, then whether numpy.ma was ever
-# imported.  Any import outside the standard library, numpy and rydgate
-# fails.  The first run goes through ``python -m rydgate.cli``'s
-# ``__main__`` guard; the others call ``main``, which is imported under the
-# interpreter's own -W error::UserWarning, so a UserWarning raised while
-# rydgate.cli is imported fails the table.  Each run sets its own filters:
+# imported and the process's thread count (None without /proc).  Any import
+# outside the standard library, numpy and rydgate fails.  The first run goes
+# through ``python -m rydgate.cli``'s ``__main__`` guard; the others call
+# ``main``, which is imported under the interpreter's own -W
+# error::UserWarning, so a UserWarning raised while rydgate.cli is imported
+# fails the table.  Each run sets its own filters:
 # UserWarning back to "default", then its ``errors``.
 _CONTRACT = """
-import builtins, contextlib, io, json, runpy, sys, time, traceback, warnings
+import builtins, contextlib, io, json, os, runpy, sys, time, traceback, warnings
 
 class RuntimeOnly:
     allowed = sys.stdlib_module_names | {"numpy", "rydgate"}
@@ -976,7 +986,8 @@ first, *rest = json.loads(sys.argv[1])
 runs = [run(module_main, *first)]
 from rydgate.cli import main
 runs += [run(main, *argv_errors) for argv_errors in rest]
-print(json.dumps({"runs": runs, "numpy.ma": "numpy.ma" in sys.modules}))
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"runs": runs, "numpy.ma": "numpy.ma" in sys.modules, "threads": threads}))
 """
 
 
@@ -1087,6 +1098,12 @@ CONTRACT_RUNS = [
     _refused("sweep_overflow", "sweep-omega", dict(_SEQUENTIAL_K2, sweep={
         "omega_mhz": {"min": 0.01, "max": 1e160, "points": 50}}),
              "error: sweep-omega row k=2 label ''" + _FLOAT_RANGE),
+    # a log grid whose max/min ratio is inf is refused at the grid, in MHz,
+    # not at the first row that meets an infinite point
+    _refused("sweep_log_overflow", "sweep-omega", dict(_SEQUENTIAL_K2, sweep={
+        "omega_mhz": {"min": 1e-322, "max": 1000.0, "points": 50}}),
+             "error: config invalid at sweep/omega_mhz" + _FLOAT_RANGE, "1e-322 to 1000.0 MHz",
+             absent=(*_MISBLAMED, "row k=")),
     _refused("fit_overflow", "budget", {
         "scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
         "lattice": {"d_um": 1.0, "tau_us": 540.0},
@@ -1195,9 +1212,10 @@ CONTRACT_RUNS = [
 @pytest.fixture(scope="module")
 def contract(tmp_path_factory):
     """Each row of the table with its exit code, stderr and wall time, the
-    report directory, and whether numpy.ma was imported: a runtime-only
-    install has numpy alone, so every run goes through one interpreter, run
-    with -W error::UserWarning, in which importing anything else fails."""
+    report directory, and the script's whole result: a runtime-only install
+    has numpy alone, so every run goes through one interpreter, run with -W
+    error::UserWarning and no OpenBLAS thread variable set, in which
+    importing anything else fails."""
     tmp_path = tmp_path_factory.mktemp("contract")
     out = tmp_path / "out"
     out.mkdir()
@@ -1208,10 +1226,11 @@ def contract(tmp_path_factory):
                   else write_config(tmp_path, run.config, f"{run.name}.json"))
         report = out / (run.out or f"{run.name}.json")
         argvs.append([[run.command, "--config", config, "--out", str(report)], run.errors])
-    proc = _python(_CONTRACT, json.dumps(argvs), flags=("-W", "error::UserWarning"))
+    proc = _python(_CONTRACT, json.dumps(argvs), flags=("-W", "error::UserWarning"),
+                   blas_threads={})
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    return list(zip(CONTRACT_RUNS, result["runs"], strict=True)), out, result["numpy.ma"]
+    return list(zip(CONTRACT_RUNS, result["runs"], strict=True)), out, result
 
 
 def test_every_command_runs_without_scipy(contract):
@@ -1244,8 +1263,8 @@ def test_cli_contract_without_scipy_or_jsonschema(contract):
 def test_simulate_loads_no_numpy_ma(contract):
     # numpy.ma costs about 15 ms to import, and some np.unique call forms
     # load it lazily: it stays unloaded across every run of the table
-    _, out, numpy_ma = contract
-    assert numpy_ma is False
+    _, out, result = contract
+    assert result["numpy.ma"] is False
     assert len(json.loads((out / "simulate.k123.json").read_text())["rows"]) == 4 + 8 + 16
 
 
@@ -1256,6 +1275,89 @@ def test_parse_refusal_line_stays_short(contract):
     err = next(err for run, (_, err, _) in runs if run.name == "parse_int_overflow")
     line = err.replace(str(out.parent / "parse_int_overflow.json"), "/tmp/config.json")
     assert len(line.encode()) < 200, line
+
+
+def test_cli_runs_one_thread(contract):
+    # numpy's OpenBLAS would start one worker per extra core that spins
+    # about 0.1 s; no command gains from it, so the CLI starts none
+    threads = contract[2]["threads"]
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert threads == 1
+
+
+# prints the OpenBLAS thread variables after ``import rydgate.cli``, then the
+# process's thread count (None without /proc)
+_BLAS_ENV = """
+import json, os, sys, rydgate.cli
+task = "/proc/self/task"
+print(json.dumps([{key: os.environ.get(key) for key in sys.argv[1:]},
+                  len(os.listdir(task)) if os.path.isdir(task) else None]))
+"""
+
+
+@pytest.mark.parametrize("blas_threads, expected", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None}),
+    ({"OMP_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2"}),
+])
+def test_cli_leaves_a_set_thread_count(blas_threads, expected):
+    proc = _python(_BLAS_ENV, *_BLAS_THREADS, blas_threads=blas_threads)
+    assert proc.returncode == 0, proc.stderr
+    environ, threads = json.loads(proc.stdout)
+    assert environ == expected
+    if threads is not None and len(os.sched_getaffinity(0)) >= 2:
+        assert threads == (2 if blas_threads else 1)
+
+
+def test_simulate_reports_do_not_depend_on_thread_count(contract, tmp_path):
+    # the k = 8 tables hold the largest matrix products of any command
+    _, out, _ = contract
+    names = ["simulate.cap.sequential", "simulate.cap.simultaneous"]
+    script = ("import sys\nfrom rydgate.cli import main\n"
+              "sys.exit(max(main(['simulate', '--config', config, '--out', out])"
+              " for config, out in zip(sys.argv[1::2], sys.argv[2::2])))")
+    argv = [str(path) for name in names
+            for path in (out.parent / f"{name}.json", tmp_path / f"{name}.json")]
+    proc = _python(script, *argv, blas_threads={"OPENBLAS_NUM_THREADS": "4"})
+    assert proc.returncode == 0, proc.stderr
+    for name in names:
+        assert (tmp_path / f"{name}.json").read_bytes() == (out / f"{name}.json").read_bytes()
+
+
+# prints what ``import rydgate`` loads, then how each exported name resolves
+_EXPORTS = """
+import json, sys
+import rydgate
+numpy_loaded, listed = "numpy" in sys.modules, dir(rydgate)
+value_of = {name: getattr(rydgate, name) for name in rydgate.__all__}
+defined = [name for name, value in value_of.items()
+           if value.__module__.startswith("rydgate.")
+           and getattr(sys.modules[value.__module__], name) is value]
+try:
+    rydgate.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+from rydgate import cli, simulator
+print(json.dumps({"numpy": numpy_loaded, "all": rydgate.__all__, "dir": listed,
+                  "defined": defined, "unknown": unknown,
+                  "submodules": [cli.__name__, simulator.__name__]}))
+"""
+
+
+def test_package_exports_resolve_on_first_use():
+    # importing the package alone loads no numpy, so ``rydgate.cli`` can
+    # choose OpenBLAS's thread count before numpy loads
+    proc = _python(_EXPORTS)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["numpy"] is False
+    assert len(result["all"]) == 32 and result["all"] == sorted(result["all"])
+    assert set(result["all"]) <= set(result["dir"])
+    assert result["defined"] == result["all"]
+    assert result["unknown"] == "module 'rydgate' has no attribute 'no_such_name'"
+    assert result["submodules"] == ["rydgate.cli", "rydgate.simulator"]
 
 
 _EDGE_WARNINGS = """
