@@ -2,14 +2,13 @@
 
 Every builder returns a ``LaurentBudget``: frequency-free coefficients of
 each named term, built once per configuration.  ``at`` evaluates it into
-the cells of a report row, ``table`` over a frequency grid.  Every builder
-checks its inputs through ``check_inputs``.
+the cells of a report row, ``table`` into the columns of a frequency grid.
+Every builder checks its inputs through ``check_inputs``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from itertools import chain
 from operator import mul
 
@@ -101,10 +100,10 @@ class LaurentBudget:
         cells.update(zip((f"diag_{name}" for name in self.diagnostics), values[n:]))
         return cells
 
-    def table(self, omegas: list[float]) -> Iterator[tuple[float, ...]]:
-        """Terms, then total, of a single-frequency budget at each of
-        ``omegas`` (rad/s): one tuple per point in ``terms`` order, from one
-        array evaluation."""
+    def table(self, omegas: list[float]) -> list[list[float]]:
+        """Terms, then total, of a single-frequency budget over ``omegas``
+        (rad/s): one column per term in ``terms`` order, then the total's,
+        each a list of one float per point, from one array evaluation."""
         _check_frequencies(omegas)
         with np.errstate(over="raise", invalid="raise"):  # as ``at`` raises OverflowError
             monomials = np.array([np.asarray(omegas, dtype=float) ** p for _, p in self.powers])
@@ -112,7 +111,7 @@ class LaurentBudget:
             coefficients = np.array(self.coefficients[: len(self.terms)])
             values = (coefficients[:, :, None] * monomials).sum(axis=1)
             totals = values.sum(axis=0).tolist()
-        return zip(*values.tolist(), totals)
+        return [*values.tolist(), totals]
 
     def duration(self, *omegas: float) -> float:
         """Total pulse time at one drive frequency per axis (rad/s), s."""

@@ -8,7 +8,10 @@ drive frequency with analytic and numeric minima), ``simulate``
 ``budget``, ``optimize`` and ``sweep-omega`` are projections of one
 ``_Case`` per (uniform entry or lattice block, k): a budget row is its head,
 frequencies, duration, budget terms and optimum; an optimize row is that
-row renamed and cut; a sweep row is its budget at one grid frequency.
+row renamed and cut; a sweep row is its budget at one grid frequency.  A
+report's ``rows`` are column blocks (``schemas.validate_report``): one per
+budget or optimize report, three per sweep case (its grid and two optima),
+one per simulate or lattice k.  Its JSON holds one object per row.
 
 Configs are JSON in laboratory units (MHz, us, um), checked as written
 against ``schemas.CONFIG_SCHEMA``, then by ``check_cross_rules``, which
@@ -167,8 +170,8 @@ def _normalize(raw: dict[str, Any]) -> dict[str, Any]:
 
 
 # largest sweep-omega grid, in rows: grid points x k values x uniform
-# entries.  A 100 000-row sweep took 2.1 s and 244 MB peak RSS on a 2-core
-# x86 VM and wrote a 45 MB report.
+# entries.  A 100 000-row sweep took 1.2-1.4 s in a fresh process, with a
+# VmHWM of 202 MiB, on a 2-core x86 VM and wrote a 45 MB report.
 _MAX_SWEEP_ROWS = 100_000
 
 
@@ -425,33 +428,31 @@ class _Case:
         return opt
 
 
-def _case_rows(cfg: dict[str, Any], command: str,
-               rows_of: Callable[[_Case], list[dict[str, Any]]]) -> list[dict[str, Any]]:
-    """The rows ``rows_of`` makes of each (uniform entry or lattice block, k)
-    case, in order; arithmetic past the float range and a blockade shift at
-    omega10 are refused at their row."""
-    rows: list[dict[str, Any]] = []
+def _each_case(cfg: dict[str, Any], command: str, visit: Callable[[_Case], None]) -> None:
+    """Visit each (uniform entry or lattice block, k) case, in order;
+    arithmetic past the float range and a blockade shift at omega10 are
+    refused at their row."""
     for entry in cfg.get("uniform", [None]):
         label = "" if entry is None else entry.get("label", "")
         for k in cfg["k"]:
             # name the row only when it is refused: a _float_range block and
             # the name per case took about a tenth of the rows' time
             try:
-                rows.extend(rows_of(_Case(cfg, entry, k)))
+                visit(_Case(cfg, entry, k))
             except ArithmeticError as exc:
                 raise _out_of_range(f"{command} row k={k} label {label!r}", exc) from exc
             except DivergentBudgetError as exc:
                 raise ConfigError(f"{command} row k={k} label {label!r}: a blockade shift meets "
                                   f"omega10_mhz = {cfg['omega10_mhz']} MHz, so the leakage term "
                                   "detuned by omega10 - B diverges") from exc
-    return rows
 
 
-def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
-    """One row per case at the fixed or the optimized frequencies."""
+def _budget_block(cfg: dict[str, Any], command: str) -> dict[str, list[Any]]:
+    """One block, one row per case, at the fixed or the optimized frequencies."""
     freq = cfg["frequencies"]
+    block: dict[str, list[Any]] = {}
 
-    def rows_of(case: _Case) -> list[dict[str, Any]]:
+    def add(case: _Case) -> None:
         keys = case.scheme.frequencies
         if freq["mode"] == "fixed":
             omegas, fit = tuple(angular_from_mhz(freq[key]) for key in keys), {}
@@ -460,18 +461,20 @@ def _budget_rows(cfg: dict[str, Any], command: str) -> list[dict[str, Any]]:
             omegas = opt.argmin
             fit = {"opt_evaluations": opt.evaluations, "opt_converged": opt.converged}
         duration, cells = case.evaluate(command, *omegas)
-        return [{**case.head, **dict(zip(keys, map(mhz_from_angular, omegas))),
-                 "duration_us": us_from_seconds(duration), **cells, **case.analytic, **fit}]
+        for key, value in (*case.head.items(), *zip(keys, map(mhz_from_angular, omegas)),
+                           ("duration_us", us_from_seconds(duration)), *cells.items(),
+                           *case.analytic.items(), *fit.items()):
+            block.setdefault(key, []).append(value)
 
-    return _case_rows(cfg, command, rows_of)
+    _each_case(cfg, command, add)
+    return block
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_budget(cfg: dict[str, Any]) -> dict[str, Any]:
     """Error budget rows, one per configuration and k."""
-    rows = _budget_rows(cfg, "budget")
-    return _report("budget", cfg, rows)
+    return _report("budget", cfg, [_budget_block(cfg, "budget")])
 
 
 def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
@@ -479,35 +482,34 @@ def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
     with _float_range("config invalid at sweep/omega_mhz"):
         grid = _omega_grid(cfg["sweep"]["omega_mhz"])
     grid_mhz = [mhz_from_angular(omega) for omega in grid]
+    blocks: list[dict[str, list[Any]]] = []
 
-    def rows_of(case: _Case) -> list[dict[str, Any]]:
-        base = {"label": case.head["label"], "k": case.head["k"]}
+    def add(case: _Case) -> None:
+        label, k, n = case.head["label"], case.head["k"], len(grid)
         omega = case.optimize("sweep-omega").argmin[0]
-        head = ("grid", *base.values())
-        keys = ("row_type", *base, "omega_mhz", *case.laurent.terms, "total")
-        rows = [dict(zip(keys, (*head, omega_mhz, *point)))
-                for omega_mhz, point in zip(grid_mhz, case.laurent.table(grid))]
-        rows.append(dict(base, row_type="analytic_opt",
-                         omega_mhz=case.analytic["omega_opt_analytic_mhz"],
-                         total=case.analytic["e_opt_analytic"]))
+        keys = (*case.laurent.terms, "total")
+        blocks.append({"row_type": ["grid"] * n, "label": [label] * n, "k": [k] * n,
+                       "omega_mhz": grid_mhz, **dict(zip(keys, case.laurent.table(grid)))})
+        blocks.append({"label": [label], "k": [k], "row_type": ["analytic_opt"],
+                       "omega_mhz": [case.analytic["omega_opt_analytic_mhz"]],
+                       "total": [case.analytic["e_opt_analytic"]]})
         cells = case.laurent.at(omega)
-        rows.append(dict(base, row_type="numeric_opt", omega_mhz=mhz_from_angular(omega),
-                         **{key: cells[key] for key in (*case.laurent.terms, "total")}))
-        return rows
+        blocks.append({"label": [label], "k": [k], "row_type": ["numeric_opt"],
+                       "omega_mhz": [mhz_from_angular(omega)],
+                       **{key: [cells[key]] for key in keys}})
 
-    return _report("sweep-omega", cfg, _case_rows(cfg, "sweep-omega", rows_of))
+    _each_case(cfg, "sweep-omega", add)
+    return _report("sweep-omega", cfg, blocks)
 
 
 def cmd_optimize(cfg: dict[str, Any]) -> dict[str, Any]:
     """Numeric drive-frequency optimization summary.
 
-    The budget rows in optimize mode, cut to OPTIMIZE_KEYS and renamed to
+    The budget block in optimize mode, cut to OPTIMIZE_KEYS and renamed to
     OPTIMIZE_COLUMNS."""
-    forced = dict(cfg, frequencies={"mode": "optimize"})
-    renames = list(zip(OPTIMIZE_KEYS, OPTIMIZE_COLUMNS))
-    rows = [{column: row[key] for key, column in renames if key in row}
-            for row in _budget_rows(forced, "optimize")]
-    return _report("optimize", cfg, rows)
+    block = _budget_block(dict(cfg, frequencies={"mode": "optimize"}), "optimize")
+    return _report("optimize", cfg, [{column: block[key] for key, column
+                                      in zip(OPTIMIZE_KEYS, OPTIMIZE_COLUMNS) if key in block}])
 
 
 def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
@@ -528,42 +530,42 @@ def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
         shifts = [math.inf if isinstance(sim[key], str) else angular_from_mhz(sim[key])
                   for key in scheme.shifts]
 
-    rows: list[dict[str, Any]] = []
+    blocks: list[dict[str, list[Any]]] = []
     for k in cfg["k"]:
         sequence = canonical_sequence(sim["sequence"], k, **omegas)
         interactions = simultaneous_interactions(k, shifts[0], shifts[-1])
         with _float_range(f"simulate row k={k}"):
             result = gate_error_sim(sequence, k, interactions, decay_rates=decay, ideal=gate)
-        passed = bool(max(result.avg_error, *result.errors_by_input) <= sim["tolerance"])
-        base = dict(k=k, sequence=sim["sequence"], gate=gate,
-                    duration_us=us_from_seconds(sequence_duration(sequence)))
-        for index, error in enumerate(result.errors_by_input):
-            ideal = int(result.ideal_outputs[index])
-            rows.append(dict(base, input_index=index, ideal_index=ideal,
-                             prob_ideal=float(result.truth_table[index, ideal]),
-                             error=float(error), avg_error=float(result.avg_error),
-                             ideal_check_passed=passed))
-    return _report("simulate", cfg, rows)
+        # lists of Python numbers: a numpy scalar's repr is not its JSON
+        errors, ideal = result.errors_by_input.tolist(), result.ideal_outputs.tolist()
+        avg_error, n = float(result.avg_error), len(errors)
+        blocks.append({"k": [k] * n, "sequence": [sim["sequence"]] * n, "gate": [gate] * n,
+                       "duration_us": [us_from_seconds(sequence_duration(sequence))] * n,
+                       "input_index": list(range(n)), "ideal_index": ideal,
+                       "prob_ideal": result.truth_table[range(n), ideal].tolist(),
+                       "error": errors, "avg_error": [avg_error] * n,
+                       "ideal_check_passed": [max(avg_error, *errors) <= sim["tolerance"]] * n})
+    return _report("simulate", cfg, blocks)
 
 
 def cmd_lattice(cfg: dict[str, Any]) -> dict[str, Any]:
-    """Square-lattice layout export."""
+    """Square-lattice layout export, one block per k."""
     d_um = cfg["lattice"]["d_um"]
-    rows: list[dict[str, Any]] = []
+    blocks: list[dict[str, list[Any]]] = []
     for k in cfg["k"]:
         # the target at the origin, then the controls in excitation order
         with _float_range(f"lattice row k={k}"):
             sites = [(0, 0), *build_layout(meters_from_um(d_um), k).control_sites]
-        for index, (x, y) in enumerate(sites):
-            x, y = x * d_um, y * d_um
-            rows.append({"k": k, "index": index, "x_um": x, "y_um": y,
-                         "role": "control" if index else "target", "r_um": math.hypot(x, y)})
-    return _report("lattice", cfg, rows)
+        xs, ys = [x * d_um for x, _ in sites], [y * d_um for _, y in sites]
+        blocks.append({"k": [k] * len(sites), "index": list(range(len(sites))),
+                       "x_um": xs, "y_um": ys, "role": ["target"] + ["control"] * k,
+                       "r_um": list(map(math.hypot, xs, ys))})
+    return _report("lattice", cfg, blocks)
 
 
 # ------------------------------------------------------------ serialization
 
-def _report(command: str, cfg: dict[str, Any], rows: list[dict[str, Any]]) -> dict[str, Any]:
+def _report(command: str, cfg: dict[str, Any], rows: list[dict[str, list[Any]]]) -> dict[str, Any]:
     columns = list(report_columns(command, cfg["scheme"]))
     report = dict(schema=REPORT_SCHEMA_VERSION, command=command, config=cfg, columns=columns,
                   rows=rows)
@@ -571,35 +573,57 @@ def _report(command: str, cfg: dict[str, Any], rows: list[dict[str, Any]]) -> di
     return report
 
 
-# one row cell per line: every literal newline the C encoder writes comes
-# from this separator, since it escapes the newlines inside strings
-_ROWS_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n      ", ": "))
+_ENCODE_CELL = json.JSONEncoder(allow_nan=False).encode
 
 
 def render_json(report: dict[str, Any]) -> str:
     """``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)`` and
-    a newline, byte for byte.  The rows, non-empty objects of scalar cells
-    as ``validate_report`` admits them, go through one C-encoder call."""
+    a newline, byte for byte, where each block of the rows stands for its
+    rows.  Those go through one ``%`` template per block: a column of exact
+    ints or finite exact floats through ``%r``, whose text is JSON's, and
+    any other column encoded cell by cell, each string once."""
     head = json.dumps(dict(report, rows=[]), indent=2, sort_keys=True, allow_nan=False)
-    rows = _ROWS_ENCODER.encode(report["rows"])
-    if rows != "[]":
-        # '},\n      {' can only join two rows: a cell is never an object
-        rows = rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-        rows = f"[\n    {{\n      {rows}\n    }}\n  ]"
+    rows: list[str] = []
+    for block in report["rows"]:
+        fields, columns = [], []
+        for key in sorted(block):
+            column = block[key]
+            kinds = set(map(type, column))
+            if kinds == {int} or kinds == {float} and all(map(math.isfinite, column)):
+                field = "%r"
+            else:  # a non-finite float raises ValueError here, as in json.dumps
+                # only strings: 1, 1.0 and True are one dict key, as are 0.0 and -0.0
+                memo = {cell: _ENCODE_CELL(cell) for cell in set(column) if cell.__class__ is str}
+                column = [memo[cell] if cell.__class__ is str else _ENCODE_CELL(cell)
+                          for cell in column]
+                field = "%s"
+            fields.append(f"{_ENCODE_CELL(key).replace('%', '%%')}: {field}")
+            columns.append(column)
+        template = "    {\n      " + ",\n      ".join(fields) + "\n    }"
+        rows += map(template.__mod__, zip(*columns))
+    text = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     before, _, after = head.partition('\n  "rows": []')
-    return f'{before}\n  "rows": {rows}{after}\n'
+    return f'{before}\n  "rows": {text}{after}\n'
+
+
+def _csv_column(column: list[Any]) -> list[Any]:
+    if bool not in set(map(type, column)):
+        return column
+    return [("true" if cell else "false") if cell.__class__ is bool else cell for cell in column]
 
 
 def render_csv(report: dict[str, Any]) -> str:
-    """The report's columns, then one line per row.  The C writer formats
-    each cell: a float with ``repr``, an int or a string with ``str``, None
-    as an empty field; only booleans are written here, as true/false."""
+    """The report's columns, then one line per row, block by block.  The C
+    writer formats each cell: a float with ``repr``, an int or a string
+    with ``str``, None and an absent column as an empty field; only
+    booleans are written here, as true/false."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     columns = report["columns"]
     writer.writerow(columns)
-    writer.writerows([("true" if cell else "false") if cell.__class__ is bool else cell
-                      for cell in map(row.get, columns)] for row in report["rows"])
+    for block in report["rows"]:
+        absent = [None] * len(next(iter(block.values()), ()))
+        writer.writerows(zip(*[_csv_column(block.get(column, absent)) for column in columns]))
     return buffer.getvalue()
 
 
@@ -657,11 +681,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "simulate" and cfg["simulate"]["check_ideal"]:
-        # one line per failed k, for its worst input
+        # one line per failed k (a block each, in config order), for its worst input
         tolerance = cfg["simulate"]["tolerance"]
-        failed = [row for row in report["rows"] if not row["ideal_check_passed"]]
-        for k in dict.fromkeys(row["k"] for row in failed):
-            worst = max((row for row in failed if row["k"] == k), key=lambda row: row["error"])
+        failed = {k: block for k, block in zip(cfg["k"], report["rows"])
+                  if not block["ideal_check_passed"][0]}
+        for k, block in failed.items():
+            i = block["error"].index(max(block["error"]))
+            worst = {key: column[i] for key, column in block.items()}
             over = ["over" if worst[key] > tolerance else "within" for key in ("error", "avg_error")]
             print(f"ideal-limit check failed at k={k}, tolerance {tolerance:g}: worst input "
                   f"{worst['input_index']} population error {worst['error']:.3g} ({over[0]}), "

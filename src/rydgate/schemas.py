@@ -7,8 +7,9 @@ separation of 1 um (so c3 in MHz um^3, c6 in MHz um^6).  The CLI converts to
 SI angular units on load; nothing downstream ever sees a bare MHz.
 
 ``validate_config`` walks ``CONFIG_SCHEMA`` with the small draft 2020-12
-subset it uses, and ``validate_report`` checks a report row by row against
-its command's fixed column order; neither needs a schema library.
+subset it uses, and ``validate_report`` checks a report, column by column
+of its row blocks, against its command's fixed column order; neither needs a
+schema library.
 """
 
 import math
@@ -332,12 +333,17 @@ def report_columns(command: str, scheme: str) -> tuple[str, ...] | None:
     return table.get(scheme) if isinstance(table, dict) else table
 
 
+_CELL_TYPES = (float, int, str, type(None))  # a bool is an int
+_PLAIN = {int, bool, str, type(None)}  # the cell types that need no check per cell
+
+
 def validate_report(report: dict[str, Any]) -> None:
-    """Refuse, in one pass over the cells, all that REPORT_SCHEMA refuses and
-    also: columns other than the command's fixed order for the config's
-    scheme, an empty row, a row key outside the columns, and a cell that is
-    not a finite float, an int, a bool, a str or None.  A non-finite cell is
-    refused as a value past the float range, at its row and cell."""
+    """Refuse all that REPORT_SCHEMA refuses of the rows the blocks stand
+    for, columns other than the command's fixed order, a block that is not a
+    non-empty object from those columns to lists of one non-zero length, and
+    a cell that is not a finite float, an int, a bool, a str or None: each
+    column is checked at once, then the first such cell in row order is
+    refused, a non-finite one as a value past the float range."""
     if sorted(report) != sorted(REPORT_SCHEMA["required"]):
         raise _refusal("report", (), f"keys {sorted(report)} are not {REPORT_SCHEMA['required']}")
     if report["schema"] != REPORT_SCHEMA_VERSION:
@@ -349,16 +355,25 @@ def validate_report(report: dict[str, Any]) -> None:
         raise _refusal("report", (), f"no {command!r} report for scheme {scheme!r} has "
                        f"columns {report['columns']!r} and rows of type {type(rows).__name__}")
     allowed = set(columns)
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict) or not row or not allowed.issuperset(row):
-            raise _refusal("report", ("rows", i), f"{row!r} is not a non-empty object "
-                           "keyed by report columns")
-        for key, value in row.items():
-            if isinstance(value, float):
-                if not math.isfinite(value):
-                    label = f" label {row['label']!r}" if "label" in row else ""
-                    raise ConfigError(f"{command} row k={row.get('k')}{label}: a config value "
-                                      f"leaves the float range: {key} is {value}")
-            elif not isinstance(value, (str, int, type(None))):
-                raise _refusal("report", ("rows", i, key), f"{value!r} is not a finite "
-                               "float, an int, a bool, a str or None")
+    for b, block in enumerate(rows):
+        if not isinstance(block, dict) or not block or not allowed.issuperset(block):
+            shown = f"keys {list(block)!r}" if isinstance(block, dict) else type(block).__name__
+            raise _refusal("report", ("rows", b), f"a block ({shown}) is not a non-empty "
+                           "object keyed by report columns")
+        shapes = sorted({len(column) if isinstance(column, list) else type(column).__name__
+                         for column in block.values()}, key=str)
+        if len(shapes) > 1 or isinstance(shapes[0], str) or not shapes[0]:
+            raise _refusal("report", ("rows", b), f"columns of lengths or types {shapes} are "
+                           "not lists of one non-zero length")
+        odd = [key for key, column in block.items() if not _PLAIN.issuperset(map(type, column))
+               and not (set(map(type, column)) == {float} and all(map(math.isfinite, column)))]
+        for i in range(shapes[0] if odd else 0):  # their cells, row by row
+            for key in odd:
+                if isinstance(value := block[key][i], float) and not math.isfinite(value):
+                    label = f" label {block['label'][i]!r}" if "label" in block else ""
+                    raise ConfigError(f"{command} row k={block['k'][i] if 'k' in block else None}"
+                                      f"{label}: a config value leaves the float range: {key} "
+                                      f"is {value}")
+                if not isinstance(value, _CELL_TYPES):
+                    raise _refusal("report", ("rows", b, key), f"{value!r} is not a finite "
+                                   "float, an int, a bool, a str or None")

@@ -37,6 +37,7 @@ from rydgate.units import (
 )
 
 from oracles import cc_rotation_weight, sum_oracle_grover, sum_oracle_sequential
+from rowform import expand
 
 W10 = angular_from_mhz(9200.0)
 
@@ -260,7 +261,7 @@ def factor_for_gain(gain: float) -> float:
 def test_criterion_9_lattice_minima_vs_analytic_recipe():
     cfg = load_config(preset_path("sequential_lattice_crossover"), "budget")
     report = cmd_budget(cfg)
-    rows = report["rows"]
+    rows = expand(report["rows"])
     ks = [row["k"] for row in rows]
     assert ks == [3, 8, 15, 24, 35]
     emin = np.array([row["total"] for row in rows])

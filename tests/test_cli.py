@@ -46,6 +46,8 @@ from rydgate.schemas import (
 from rydgate.simulator import _MAX_K_TABLE
 from rydgate.units import angular_from_mhz
 
+from rowform import expand, in_blocks
+
 PRESETS = [
     "sequential_uniform",
     "sequential_lattice_crossover",
@@ -85,9 +87,10 @@ def test_bundled_presets_validate(name):
 def test_room_temp_preset_budget_rows():
     cfg = load_config(preset_path("simultaneous_lattice_room_temp"), "budget")
     report = cmd_budget(cfg)
-    assert [row["k"] for row in report["rows"]] == [3, 8, 15, 24, 35]
+    rows = expand(report["rows"])
+    assert [row["k"] for row in rows] == [3, 8, 15, 24, 35]
     assert report["columns"] == list(BUDGET_COLUMNS["simultaneous"])
-    k35 = report["rows"][-1]
+    k35 = rows[-1]
     assert k35["duration_us"] == pytest.approx(0.9400641, rel=1e-6, abs=0.0)
     assert k35["total"] == pytest.approx(0.14588604151728835, rel=1e-10, abs=0.0)
 
@@ -449,7 +452,7 @@ def test_simulate_defaults_are_the_sequence_shifts(tmp_path, sequence):
     assert [sim[key] for key in shifts] == ["inf", 0.0][: len(shifts)]
     # the default gate is the one the sequence performs at a perfect blockade
     assert sim["gate"] == ("grover" if sequence == "grover" else "cnot")
-    assert max(row["avg_error"] for row in cmd_simulate(cfg)["rows"]) < 1.0e-12
+    assert max(row["avg_error"] for row in expand(cmd_simulate(cfg)["rows"])) < 1.0e-12
 
 
 @pytest.mark.parametrize(
@@ -695,7 +698,7 @@ def test_budget_report_validates_and_is_deterministic(tmp_path):
     second = render_json(cmd_budget(load_config(write_config(tmp_path, uniform_cfg()), "budget")))
     assert first == second
     report = json.loads(first)
-    validate_report(report)
+    validate_report(in_blocks(report))
     assert report["schema"] == "rydgate-report/1"
     assert report["columns"] == list(BUDGET_COLUMNS["sequential"])
     for row in report["rows"]:
@@ -722,8 +725,8 @@ def test_csv_cells_are_pinned():
     # cells are empty; the int 1 stays 1, and a label holding a comma and a
     # quote is quoted
     report = {"columns": ["label", "small", "tiny", "k", "yes", "no", "none", "missing"],
-              "rows": [{"label": 'Cs, "100s"', "small": 0.1, "tiny": 1e-300, "k": 1,
-                        "yes": True, "no": False, "none": None}]}
+              "rows": [{"label": ['Cs, "100s"'], "small": [0.1], "tiny": [1e-300], "k": [1],
+                        "yes": [True], "no": [False], "none": [None]}]}
     assert render_csv(report) == ('label,small,tiny,k,yes,no,none,missing\n'
                                   '"Cs, ""100s""",0.1,1e-300,1,true,false,,\n')
 
@@ -736,7 +739,7 @@ def test_main_writes_output_file(tmp_path):
     )
     assert code == 0
     report = json.loads(out.read_text(encoding="utf-8"))
-    validate_report(report)
+    validate_report(in_blocks(report))
     ks = [row["k"] for row in report["rows"]]
     assert ks == [2, 5]
 
@@ -810,9 +813,10 @@ def sweep_cfg():
 def test_sweep_minimum_close_to_numeric_minimum(tmp_path):
     report = cmd_sweep_omega(load_config(write_config(tmp_path, sweep_cfg()), "sweep-omega"))
     assert report["columns"] == list(SWEEP_COLUMNS["sequential"])
-    grid = [row for row in report["rows"] if row["row_type"] == "grid"]
-    numeric = [row for row in report["rows"] if row["row_type"] == "numeric_opt"]
-    analytic = [row for row in report["rows"] if row["row_type"] == "analytic_opt"]
+    rows = expand(report["rows"])
+    grid = [row for row in rows if row["row_type"] == "grid"]
+    numeric = [row for row in rows if row["row_type"] == "numeric_opt"]
+    analytic = [row for row in rows if row["row_type"] == "analytic_opt"]
     assert len(numeric) == 1 and len(analytic) == 1
     swept_best = min(row["total"] for row in grid)
     assert numeric[0]["total"] <= swept_best
@@ -837,7 +841,7 @@ def test_sweep_row_cap(monkeypatch, tmp_path, capsys):
 
 def test_sweep_single_interior_minimum(tmp_path):
     report = cmd_sweep_omega(load_config(write_config(tmp_path, sweep_cfg()), "sweep-omega"))
-    totals = [row["total"] for row in report["rows"] if row["row_type"] == "grid"]
+    totals = [row["total"] for row in expand(report["rows"]) if row["row_type"] == "grid"]
     drops = [b < a for a, b in zip(totals, totals[1:])]
     # strictly decreasing then strictly increasing: exactly one run flip
     assert drops[0] and not drops[-1]
@@ -857,7 +861,7 @@ def test_simulate_ideal_cnot(tmp_path, capsys):
     code = main(["simulate", "--config", write_config(tmp_path, cfg)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    validate_report(report)
+    validate_report(in_blocks(report))
     by_input = {row["input_index"]: row for row in report["rows"]}
     assert by_input[2]["ideal_index"] == 3
     assert by_input[3]["ideal_index"] == 2
@@ -910,9 +914,9 @@ def test_simulate_report_without_check_exits_zero(tmp_path):
         "simulate": {"omega_mhz": 1.0, "b_mhz": 10.0},
     }
     path = write_config(tmp_path, cfg)
-    report = cmd_simulate(load_config(path, "simulate"))
-    assert not any(row["ideal_check_passed"] for row in report["rows"])
-    assert report["rows"][0]["avg_error"] > 0.0
+    rows = expand(cmd_simulate(load_config(path, "simulate"))["rows"])
+    assert not any(row["ideal_check_passed"] for row in rows)
+    assert rows[0]["avg_error"] > 0.0
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "out.json")]) == 0
 
 
@@ -1063,6 +1067,11 @@ CONTRACT_RUNS = [
          dict(_CROSSOVER_LATTICE, scheme="sequential", k=[1, 8, 35, 64], omega10_mhz=9200.0,
               sweep=_BRACKET_SWEEP),
          errors=("UserWarning", "RuntimeWarning")),
+    # a grid of exactly the advertised cap, 5 000 points x 20 k x 1 entry
+    _Run("sweep.cap", "sweep-omega",
+         dict(_SEQUENTIAL_K2, k=list(range(1, 21)), sweep={"omega_mhz": dict(
+             _BRACKET_SWEEP["omega_mhz"], points=cli._MAX_SWEEP_ROWS // 20)}),
+         limit_s=30.0),
     # omega_c below d_cc lies outside the perturbative regime: the run
     # still writes its report, and warns in lab units
     _Run("regime", "budget", {"scheme": "simultaneous", "k": [2, 4], "omega10_mhz": 9200.0,
@@ -1268,6 +1277,13 @@ def test_simulate_loads_no_numpy_ma(contract):
     assert len(json.loads((out / "simulate.k123.json").read_text())["rows"]) == 4 + 8 + 16
 
 
+def test_sweep_at_the_row_cap_writes_every_row(contract):
+    _, out, _ = contract
+    text = (out / "sweep.cap.json").read_text(encoding="utf-8")
+    assert text.count('"row_type": "grid"') == cli._MAX_SWEEP_ROWS == 100_000
+    assert text.count('"row_type": "numeric_opt"') == 20
+
+
 def test_parse_refusal_line_stays_short(contract):
     # a literal past the float range is echoed up to 20 characters, so a
     # 401-digit integer gives a short line for a config at a short path
@@ -1399,7 +1415,7 @@ def test_lattice_export(tmp_path):
     cfg = {"scheme": "sequential", "k": 4, "lattice": {"d_um": 2.0}}
     report = cmd_lattice(load_config(write_config(tmp_path, cfg), "lattice"))
     assert report["columns"] == list(LATTICE_COLUMNS)
-    rows = report["rows"]
+    rows = expand(report["rows"])
     assert rows[0] == {"k": 4, "index": 0, "x_um": 0.0, "y_um": 0.0, "role": "target", "r_um": 0.0}
     coords = [(row["x_um"], row["y_um"]) for row in rows[1:]]
     assert coords == [(2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0)]

@@ -70,7 +70,9 @@ def assert_same_budget(got, want):
 def test_sequential_lattice_matches_pair_loop_oracle(geom, model, omegas, tau_us):
     tau = seconds_from_us(tau_us)
     budget = budget_sequential_lattice(model, geom, tau, W10)
-    for omega, point in zip(omegas, budget.table(omegas)):
+    columns = budget.table(omegas)
+    assert all(len(column) == len(omegas) for column in columns)
+    for omega, point in zip(omegas, zip(*columns)):
         want = sequential_lattice_loops(model, geom, tau, W10, omega)
         assert_same_budget(budget.at(omega), want)
         # the terms in ``terms`` order, then the total

@@ -148,10 +148,12 @@ def test_budget_cells_fit_report_columns(scheme):
     assert set(cells) <= set(BUDGET_COLUMNS[scheme])
     assert cells["total"] == math.fsum(cells[name] for name in budget.terms)
     if scheme in SWEEP_COLUMNS:
-        # a table point holds the terms in ``terms`` order, then the total
+        # a table holds a column per term in ``terms`` order, then the
+        # total's, each one cell per point
         assert {*budget.terms, "total"} <= set(SWEEP_COLUMNS[scheme])
-        for point in budget.table([1.0e5, 1.0e6, 1.0e7]):
-            assert len(point) == len(budget.terms) + 1
+        columns = budget.table([1.0e5, 1.0e6, 1.0e7])
+        assert len(columns) == len(budget.terms) + 1
+        assert all(len(column) == 3 for column in columns)
 
 
 def test_unknown_law_rejected():

@@ -1,24 +1,35 @@
 """The report and config boundary: rendering, the report check and the
 config validator, each against an independent oracle.
 
-``json.dumps(indent=2)`` is the byte-identity oracle for ``render_json``,
-and ``jsonschema`` is the oracle for both checks: ``REPORT_SCHEMA`` over
-every golden report, and ``CONFIG_SCHEMA`` over mutated presets and golden
+``json.dumps(indent=2)`` of the expanded rows is the byte-identity oracle
+for ``render_json``, ``csv.writer`` of them for ``render_csv``, and
+``jsonschema`` is the oracle for both checks: ``REPORT_SCHEMA`` over every
+golden report, and ``CONFIG_SCHEMA`` over mutated presets and golden
 configs.
 """
 
 import copy
+import csv
 import gzip
+import io
 import json
 import math
 import os
 import re
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rydgate.cli import cmd_sweep_omega, load_config, preset_path, render_json
+from rydgate.cli import (
+    cmd_budget,
+    cmd_sweep_omega,
+    load_config,
+    preset_path,
+    render_csv,
+    render_json,
+)
 from rydgate.schemas import (
     CONFIG_SCHEMA,
     REPORT_SCHEMA,
@@ -28,6 +39,8 @@ from rydgate.schemas import (
     validate_config,
     validate_report,
 )
+
+from rowform import expand, in_blocks
 
 BUNDLE = os.path.join(os.path.dirname(__file__), "golden", "reports.json.gz")
 
@@ -49,14 +62,27 @@ def _case_id(case):
 
 
 def _dumps(report):
+    """The oracle of ``render_json``: the report with its rows expanded."""
+    report = dict(report, rows=expand(report["rows"]))
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _csv_rows(report):
+    """The oracle of ``render_csv``: ``csv.writer`` over the expanded rows."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(report["columns"])
+    writer.writerows([[("true" if cell else "false") if cell.__class__ is bool else cell
+                       for cell in map(row.get, report["columns"])]
+                      for row in expand(report["rows"])])
+    return buffer.getvalue()
 
 
 # ------------------------------------------------------------------ render
 
 @pytest.mark.parametrize("case", JSON_CASES, ids=_case_id)
 def test_render_json_is_byte_identical_on_golden_reports(case):
-    report = json.loads(case["report"])
+    report = in_blocks(json.loads(case["report"]))
     assert render_json(report) == _dumps(report) == case["report"]
 
 
@@ -71,31 +97,49 @@ def test_render_json_is_byte_identical_on_a_large_sweep(tmp_path):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     report = cmd_sweep_omega(load_config(str(path), "sweep-omega"))
-    assert len(report["rows"]) >= 4000
+    assert len(expand(report["rows"])) >= 4000
     assert render_json(report) == _dumps(report)
+    assert render_csv(report) == _csv_rows(report)
 
 
-# text that would break a splice done on the rendered text instead of
-# on separators: braces, quotes, newlines, a whole row boundary, the rows
-# key itself and non-ASCII
+# text that would break a splice done on the rendered text instead of on
+# separators (braces, quotes, newlines, a whole row boundary, the rows key
+# itself), or a %-template that took it for a field, and non-ASCII
 HOSTILE = st.sampled_from(
-    ["{", "}", '"', "\n", "},\n      {", '\n  "rows": []', "\\", "Cs 150s", "Ω ≈ 2π", " "]
+    ["{", "}", '"', "\n", "},\n      {", '\n  "rows": []', "\\", "Cs 150s", "Ω ≈ 2π", " ",
+     "%", "%r", "%%", "%s", "%(k)s", "'"]
 )
 TEXT = st.lists(st.one_of(HOSTILE, st.text(max_size=4)), max_size=4).map("".join)
-CELLS = st.one_of(
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+INTS = st.integers(min_value=-(2**70), max_value=2**70)
+CELLS = st.one_of(TEXT, FINITE, INTS, st.booleans(), st.none())
+# one strategy per column: a column of exact floats or of exact ints takes
+# the %r path, and no other column may
+COLUMNS = st.sampled_from([
+    CELLS,
+    FINITE,
+    INTS,
+    st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1]),
+    st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]),
+    FINITE.map(np.float64),  # a float whose repr is np.float64(...) under numpy 2
+    st.sampled_from([1, 1.0, True]),  # one dict key
+    st.sampled_from([0.0, -0.0]),  # one dict key
+    st.one_of(FINITE, st.none()),
     TEXT,
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.integers(min_value=-(2**70), max_value=2**70),
-    st.booleans(),
-    st.none(),
-)
+])
+# report column names too, so that CSV writes the cells of some keys
+KEYS = st.one_of(st.sampled_from(SWEEP_COLUMNS["sequential"]), TEXT)
 
 
-@given(
-    rows=st.lists(st.dictionaries(TEXT, CELLS, min_size=1, max_size=5), max_size=6),
-    description=TEXT,
-)
-def test_render_json_is_byte_identical_on_hostile_rows(rows, description):
+@st.composite
+def blocks(draw):
+    size = draw(st.integers(min_value=1, max_value=4))
+    keys = draw(st.lists(KEYS, min_size=1, max_size=5, unique=True))
+    return {key: draw(st.lists(draw(COLUMNS), min_size=size, max_size=size)) for key in keys}
+
+
+@given(rows=st.lists(blocks(), max_size=4), description=TEXT, extra=TEXT)
+def test_render_json_is_byte_identical_on_hostile_rows(rows, description, extra):
     report = {
         "schema": REPORT_SCHEMA_VERSION,
         "command": "sweep-omega",
@@ -104,11 +148,18 @@ def test_render_json_is_byte_identical_on_hostile_rows(rows, description):
         "rows": rows,
     }
     assert render_json(report) == _dumps(report)
+    # CSV writes the report's columns alone, an absent one as an empty field
+    report["columns"] = [*dict.fromkeys(key for block in rows for key in block), extra]
+    assert render_csv(report) == _csv_rows(report)
 
 
 def test_render_json_refuses_a_non_finite_row_cell():
-    report = json.loads(JSON_CASES[0]["report"])
-    report["rows"][-1]["k"] = math.nan
+    report = in_blocks(json.loads(JSON_CASES[0]["report"]))
+    report["rows"][-1]["k"] = [math.nan]
+    with pytest.raises(ValueError):
+        render_json(report)
+    # in a column of other cells too
+    report["rows"][-1]["k"] = [None, math.inf]
     with pytest.raises(ValueError):
         render_json(report)
 
@@ -119,28 +170,43 @@ def test_render_json_refuses_a_non_finite_row_cell():
 def test_golden_reports_pass_both_report_checks(case):
     report = json.loads(case["report"])
     jsonschema.Draft202012Validator(REPORT_SCHEMA).validate(report)
-    validate_report(report)
+    validate_report(in_blocks(report))
 
 
 def _budget_report():
+    """A golden budget report, each of its rows a one-row block."""
     case = next(c for c in JSON_CASES if c["command"] == "budget")
-    return json.loads(case["report"])
+    return in_blocks(json.loads(case["report"]))
 
 
 def _stray_key(report):
-    report["rows"][1]["bogus"] = 1.0
+    report["rows"][1]["bogus"] = [1.0]
 
 
 def _nan_cell(report):
-    report["rows"][1]["total"] = math.nan
+    report["rows"][1]["total"] = [math.nan]
 
 
 def _list_cell(report):
-    report["rows"][1]["total"] = [1.0]
+    report["rows"][1]["total"] = [[1.0]]
 
 
 def _dict_cell(report):
-    report["rows"][1]["label"] = {"a": 1}
+    report["rows"][1]["label"] = [{"a": 1}]
+
+
+def _column_not_list(report):
+    report["rows"][1]["total"] = (1.0,)
+
+
+def _unequal_columns(report):
+    report["rows"][1]["total"].append(1.0)
+
+
+def _zero_length_columns(report):
+    # a block of no rows: its columns share the length 0
+    block = report["rows"][1]
+    block.update((key, []) for key in block)
 
 
 def _wrong_columns(report):
@@ -151,7 +217,7 @@ def _other_scheme_columns(report):
     report["config"]["scheme"] = "grover"
 
 
-def _empty_row(report):
+def _empty_row(report):  # an empty block
     report["rows"][1] = {}
 
 
@@ -175,6 +241,8 @@ def _unknown_command(report):
     report["command"] = "plot"
 
 
+_SHAPES = "report invalid at rows/1: columns of lengths or types "
+
 MUTATIONS = {
     "stray-key": (_stray_key, "report invalid at rows/1"),
     "nan": (_nan_cell, "total is nan"),
@@ -183,6 +251,9 @@ MUTATIONS = {
     "wrong-columns": (_wrong_columns, "report invalid"),
     "other-scheme-columns": (_other_scheme_columns, "report invalid"),
     "empty-row": (_empty_row, "report invalid at rows/1"),
+    "column-not-list": (_column_not_list, _SHAPES + "[1, 'tuple']"),
+    "unequal-columns": (_unequal_columns, _SHAPES + "[1, 2]"),
+    "zero-length-columns": (_zero_length_columns, _SHAPES + "[0]"),
     "row-not-object": (_row_not_object, "report invalid at rows/1"),
     "stray-top-level-key": (_stray_top_level_key, "report invalid at (top level)"),
     "missing-rows": (_missing_rows, "report invalid at (top level)"),
@@ -203,14 +274,29 @@ def test_mutated_reports_are_refused(mutation):
 
 def test_non_finite_cell_is_refused_in_lab_units():
     report = _budget_report()
-    row = report["rows"][0]
-    row["r_c_2"] = math.inf
+    block = report["rows"][0]
+    block["r_c_2"] = [math.inf]
     with pytest.raises(ConfigError) as refused:
         validate_report(report)
     # the refusal reads nothing from the config, so it blames no input
     assert str(refused.value) == (
-        f"budget row k={row['k']} label {row['label']!r}: a config value leaves the float "
-        "range: r_c_2 is inf")
+        f"budget row k={block['k'][0]} label {block['label'][0]!r}: a config value leaves the "
+        "float range: r_c_2 is inf")
+
+
+def test_non_finite_refusal_names_the_first_row_then_key(tmp_path):
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps({
+        "scheme": "sequential", "k": [2, 5, 8], "omega10_mhz": 9200.0,
+        "uniform": {"b_mhz": 9.0, "tau_us": 540.0, "label": "Cs 125s"}}), encoding="utf-8")
+    report = cmd_budget(load_config(str(path), "budget"))
+    (block,) = report["rows"]
+    assert [key for key in block if key in ("duration_us", "se_t_1", "total")] == [
+        "duration_us", "se_t_1", "total"]  # the block's key order
+    block["duration_us"][2], block["total"][2] = math.inf, math.nan
+    block["total"][1], block["se_t_1"][1] = math.inf, -math.inf
+    with pytest.raises(ConfigError, match=r"^budget row k=5 label 'Cs 125s': .*: se_t_1 is -inf$"):
+        validate_report(report)
 
 
 # --------------------------------------------------------- config validator
