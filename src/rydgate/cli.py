@@ -6,12 +6,13 @@ drive frequency with analytic and numeric minima), ``simulate``
 ``optimize`` (frequency optimization summary).
 
 ``budget``, ``optimize`` and ``sweep-omega`` are projections of one
-``_Case`` per (uniform entry or lattice block, k): a budget row is its head,
-frequencies, duration, budget terms and optimum; an optimize row is that
-row renamed and cut; a sweep row is its budget at one grid frequency.  A
-report's ``rows`` are column blocks (``schemas.validate_report``): one per
-budget or optimize report, three per sweep case (its grid and two optima),
-one per simulate or lattice k.  Its JSON holds one object per row.
+``_Batch`` per uniform entry or lattice block, a batched budget over every
+k of the config: a budget row is a case's head, frequencies, duration,
+budget terms and optimum; an optimize row is that row renamed and cut; a
+sweep row is a case's budget at one grid frequency.  A report's ``rows``
+are column blocks (``schemas.validate_report``): one per budget or
+optimize report, three per sweep case (its grid and two optima), one per
+simulate or lattice k.  Its JSON holds one object per row.
 
 Configs are JSON in laboratory units (MHz, us, um), checked as written
 against ``schemas.CONFIG_SCHEMA``, then by ``check_cross_rules``, which
@@ -30,6 +31,7 @@ import csv
 import functools
 import importlib.resources
 import io
+import itertools
 import json
 import math
 import os
@@ -46,12 +48,13 @@ from typing import Any
 if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np
+
 from .budget import check_k
 from .lattice import build_layout
 from .model import InteractionModel, fit_single_anchor
 from .optimize import (
     DEFAULT_BRACKET,
-    OptimizationResult,
     OptimizerEdgeWarning,
     e_opt_analytic,
     minimize_error,
@@ -341,132 +344,156 @@ _LATTICE_BUILDERS = {"sequential": budget_sequential_lattice,
                      "simultaneous": budget_simultaneous_lattice}
 
 
-class _Case:
-    """One (uniform entry or lattice block, k) pair of a budget config.
+def _row(command: str, k: int, entry: dict[str, Any] | None) -> str:
+    """A row as ``command``'s warnings and refusals name it."""
+    return f"{command} row k={k} label {'' if entry is None else entry.get('label', '')!r}"
 
-    Interaction models, blockade means and the frequency-free Laurent
-    coefficients of the budget (``laurent``) are built once here; evaluating
-    them at the drive frequencies (rad/s) then costs O(1) in k.  ``head``
-    holds the cells that name the case and its blockade scale, one float per
-    shift the scheme reads: the configured shift for uniform runs; for lattice
-    runs the geometric mean of every pair shift (one-shift schemes) or the
+
+class _Batch:
+    """One uniform entry or lattice block of a budget config over a list of k.
+
+    Interaction models, blockade means and one ``LaurentBudget`` with a
+    case per k (``laurent``) are built once here.  ``head`` holds the
+    columns that name each case and its blockade scale, one per shift the
+    scheme reads: the configured shift for uniform runs; for lattice runs
+    the geometric mean of every pair shift (one-shift schemes) or the
     control-target and control-control means.  ``analytic`` holds the
-    analytic-optimum cells of the single-frequency schemes.  ``d_cc_max``
-    is the largest control-control shift (rad/s) of a scheme that reads one,
-    second in its shifts, and 0 for the others.
+    analytic-optimum columns of the single-frequency schemes, ``d_cc_max``
+    each case's largest control-control shift (rad/s; 0 for a scheme
+    without one), and ``pending`` each row's warnings for ``_each_batch``.
     """
 
-    def __init__(self, cfg: dict[str, Any], entry: dict[str, Any] | None, k: int):
+    def __init__(self, cfg: dict[str, Any], entry: dict[str, Any] | None, ks: list[int]):
         scheme = SCHEMES[cfg["scheme"]]
         omega10 = angular_from_mhz(cfg["omega10_mhz"])
-        self.scheme = scheme
-        self.head: dict[str, Any] = {
-            "scheme": cfg["scheme"],
-            "mode": "lattice" if entry is None else "uniform",
-            "label": "" if entry is None else entry.get("label", ""),
-            "k": k,
-        }
-        self.analytic: dict[str, float] = {}
+        n = len(ks)
+        self.scheme, self.entry, self.ks = scheme, entry, ks
+        self.pending: list[list[tuple[str, type[Warning]]]] = [[] for _ in ks]
+        self.head: dict[str, list[Any]] = {
+            "scheme": [cfg["scheme"]] * n, "mode": ["lattice" if entry is None else "uniform"] * n,
+            "label": ["" if entry is None else entry.get("label", "")] * n, "k": list(ks)}
         source = cfg["lattice"] if entry is None else entry
         taus = [seconds_from_us(source[key]) for key in scheme.lifetimes]
         if entry is None:
-            geom = build_layout(meters_from_um(source["d_um"]), k)
+            layouts = [build_layout(meters_from_um(source["d_um"]), k) for k in ks]
             models = [build_interaction(cfg[key], key) for key in scheme.models]
-            self.laurent = _LATTICE_BUILDERS[cfg["scheme"]](*models, geom, *taus, omega10)
-            ct, cc = self.laurent.pair_shifts
+            self.laurent = _LATTICE_BUILDERS[cfg["scheme"]](*models, layouts, *taus, omega10)
+            pairs = self.laurent.pair_shifts
             if len(scheme.shifts) == 1:  # the geometric mean of every pair shift
-                shifts = [math.exp(math.fsum(map(math.log, ct + cc)) / len(ct + cc))]
+                shifts = [[math.exp(math.fsum(map(math.log, ct + cc)) / len(ct + cc))
+                           for ct, cc in pairs]]
             else:  # the control-target and the control-control mean
-                shifts = [math.fsum(ct) / k, math.fsum(cc) / len(cc) if cc else 0.0]
-            self.head.update(zip(scheme.shifts, map(mhz_from_angular, shifts)))
-            d_cc = cc if len(scheme.shifts) > 1 else []
+                shifts = [[math.fsum(ct) / len(ct) for ct, _ in pairs],
+                          [math.fsum(cc) / len(cc) if cc else 0.0 for _, cc in pairs]]
+            self.head.update((key, list(map(mhz_from_angular, column)))
+                             for key, column in zip(scheme.shifts, shifts))
+            self.d_cc_max = [max(cc, default=0.0) if len(shifts) > 1 else 0.0 for _, cc in pairs]
         else:
-            shifts = [angular_from_mhz(entry[key]) for key in scheme.shifts]
-            self.laurent = _UNIFORM_BUILDERS[cfg["scheme"]](k, *shifts, *taus, omega10)
-            self.head.update((key, float(entry[key])) for key in scheme.shifts)
-            d_cc = shifts[1:]
-        self.d_cc_max = max(d_cc, default=0.0)
-        if len(scheme.frequencies) == 1:
-            # the closed-form optimum at the one shift and lifetime
-            (b,), (tau,) = shifts, taus
+            b = [angular_from_mhz(entry[key]) for key in scheme.shifts]
+            self.laurent = _UNIFORM_BUILDERS[cfg["scheme"]](ks, *b, *taus, omega10)
+            self.head.update((key, [float(entry[key])] * n) for key in scheme.shifts)
+            shifts = [[shift] * n for shift in b]
+            self.d_cc_max = [max(b[1:], default=0.0)] * n
+        self.analytic: dict[str, list[float]] = {}
+        if len(scheme.frequencies) == 1:  # the closed-form optimum at the one shift and lifetime
+            (bs,), (tau,) = shifts, taus
             self.analytic = {
-                "omega_opt_analytic_mhz": mhz_from_angular(omega_opt_analytic(b, tau)),
-                "e_opt_analytic": e_opt_analytic(b, tau, k),
+                "omega_opt_analytic_mhz": [mhz_from_angular(omega_opt_analytic(b, tau))
+                                           for b in bs],
+                "e_opt_analytic": [e_opt_analytic(b, tau, k) for b, k in zip(bs, ks)],
             }
 
-    def row(self, command: str) -> str:
-        """The case's row as ``command``'s warnings and refusals name it."""
-        return f"{command} row k={self.head['k']} label {self.head['label']!r}"
-
-    def evaluate(self, command: str, *omegas: float) -> tuple[float, dict[str, float]]:
-        """Gate duration and budget cells of a reported row at its drive
-        frequencies, warning on stderr when a control-control shift reaches
-        omega_c, outside the perturbative regime of the collective gate."""
-        if self.d_cc_max >= omegas[0]:
-            largest = "" if self.head["mode"] == "uniform" else "the largest pair's "
-            d_cc, omega_c = self.scheme.shifts[1], self.scheme.frequencies[0]
-            warnings.warn(f"{self.row(command)}: {largest}{d_cc} = "
-                          f"{mhz_from_angular(self.d_cc_max):g} MHz reaches {omega_c} = "
-                          f"{mhz_from_angular(omegas[0]):g} MHz; the perturbative budget is "
-                          "outside its regime", BlockadeRegimeWarning, stacklevel=2)
+    def evaluate(self, command: str, *omegas) -> tuple[list[float], dict[str, list[float]]]:
+        """Gate durations and budget columns of the rows at their drive
+        frequencies, a float or an array over the cases per axis, holding a
+        warning for each row whose control-control shift reaches omega_c,
+        outside the perturbative regime of the collective gate."""
+        omega_c = np.broadcast_to(omegas[0], len(self.ks)).tolist()
+        for i in np.flatnonzero(np.greater_equal(self.d_cc_max, omega_c)):
+            largest = "the largest pair's " if self.entry is None else ""
+            d_cc, key = self.scheme.shifts[1], self.scheme.frequencies[0]
+            self.pending[i].append((
+                f"{_row(command, self.ks[i], self.entry)}: {largest}{d_cc} = "
+                f"{mhz_from_angular(self.d_cc_max[i]):g} MHz reaches {key} = "
+                f"{mhz_from_angular(omega_c[i]):g} MHz; the perturbative budget is outside its "
+                "regime", BlockadeRegimeWarning))
         return self.laurent.duration(*omegas), self.laurent.at(*omegas)
 
-    def optimize(self, command: str) -> OptimizationResult:
-        """Minimize the total error over the drive frequencies, warning on
-        stderr when the optimum is clamped to a bracket edge, and refusing
-        at the row a budget without an interior minimum."""
-        try:
-            opt = minimize_error(self.laurent)
-        except ValueError as exc:  # the one refusal of minimize_error
-            raise ConfigError(f"{self.row(command)}: the total error has {exc}") from exc
-        for key, omega in zip(self.scheme.frequencies, opt.argmin):
-            if not opt.converged and omega in DEFAULT_BRACKET:
-                warnings.warn(f"{self.row(command)}: {key} = {mhz_from_angular(omega):g} MHz "
-                              f"is clamped to the edge of the optimizer bracket ({_BRACKET_MHZ}); "
-                              "the budget's own minimum lies outside it", OptimizerEdgeWarning,
-                              stacklevel=2)
-        return opt
-
-
-def _each_case(cfg: dict[str, Any], command: str, visit: Callable[[_Case], None]) -> None:
-    """Visit each (uniform entry or lattice block, k) case, in order;
-    arithmetic past the float range and a blockade shift at omega10 are
-    refused at their row."""
-    for entry in cfg.get("uniform", [None]):
-        label = "" if entry is None else entry.get("label", "")
-        for k in cfg["k"]:
-            # name the row only when it is refused: a _float_range block and
-            # the name per case took about a tenth of the rows' time
+    def optimize(self, command: str) -> tuple[tuple[np.ndarray, ...], dict[str, list[Any]]]:
+        """Each case's drive frequencies of least total error, an array over
+        the cases per axis, and the fit columns.  A warning is held for each
+        optimum clamped to a bracket edge; a budget without an interior
+        minimum is refused at its row."""
+        opts = []
+        for i, k in enumerate(self.ks):
             try:
-                visit(_Case(cfg, entry, k))
-            except ArithmeticError as exc:
-                raise _out_of_range(f"{command} row k={k} label {label!r}", exc) from exc
-            except DivergentBudgetError as exc:
-                raise ConfigError(f"{command} row k={k} label {label!r}: a blockade shift meets "
-                                  f"omega10_mhz = {cfg['omega10_mhz']} MHz, so the leakage term "
-                                  "detuned by omega10 - B diverges") from exc
+                opts.append(opt := minimize_error(self.laurent[i]))
+            except ValueError as exc:  # the one refusal of minimize_error
+                raise ConfigError(f"{_row(command, k, self.entry)}: the total error has "
+                                  f"{exc}") from exc
+            for key, omega in zip(self.scheme.frequencies, opt.argmin):
+                if not opt.converged and omega in DEFAULT_BRACKET:
+                    self.pending[i].append((
+                        f"{_row(command, k, self.entry)}: {key} = {mhz_from_angular(omega):g} "
+                        f"MHz is clamped to the edge of the optimizer bracket ({_BRACKET_MHZ}); "
+                        "the budget's own minimum lies outside it", OptimizerEdgeWarning))
+        return tuple(map(np.array, zip(*(opt.argmin for opt in opts)))), {
+            "opt_evaluations": [opt.evaluations for opt in opts],
+            "opt_converged": [opt.converged for opt in opts]}
+
+
+def _each_batch(cfg: dict[str, Any], command: str, build: Callable[[_Batch], Any],
+                entry: dict[str, Any] | None = None, ks: list[int] | None = None) -> list[Any]:
+    """``build`` of one batch over every k per uniform entry or lattice
+    block, in order, each followed by its warnings (or of the batch of
+    ``entry`` over ``ks`` alone).  A batch of several k that raises goes,
+    without its warnings, one k at a time, so that the first failing row
+    raises as it would alone; arithmetic past the float range and a
+    blockade shift at omega10 are refused at that row."""
+    if ks is None:
+        return [built for entry in cfg.get("uniform", [None])
+                for built in _each_batch(cfg, command, build, entry, cfg["k"])]
+    batch = None
+    try:
+        batch = _Batch(cfg, entry, ks)
+        return [build(batch)]
+    except (ArithmeticError, ValueError) as exc:
+        if len(ks) > 1:
+            batch = None
+            return [built for k in ks for built in _each_batch(cfg, command, build, entry, [k])]
+        if isinstance(exc, ArithmeticError):
+            raise _out_of_range(_row(command, ks[0], entry), exc) from exc
+        if isinstance(exc, DivergentBudgetError):
+            raise ConfigError(f"{_row(command, ks[0], entry)}: a blockade shift meets "
+                              f"omega10_mhz = {cfg['omega10_mhz']} MHz, so the leakage term "
+                              "detuned by omega10 - B diverges") from exc
+        raise
+    finally:  # the batch's pending warnings, row by row
+        for message, category in itertools.chain.from_iterable(batch.pending if batch else ()):
+            warnings.warn(message, category)
 
 
 def _budget_block(cfg: dict[str, Any], command: str) -> dict[str, list[Any]]:
     """One block, one row per case, at the fixed or the optimized frequencies."""
     freq = cfg["frequencies"]
-    block: dict[str, list[Any]] = {}
 
-    def add(case: _Case) -> None:
-        keys = case.scheme.frequencies
+    def build(batch: _Batch) -> dict[str, list[Any]]:
+        keys = batch.scheme.frequencies
         if freq["mode"] == "fixed":
             omegas, fit = tuple(angular_from_mhz(freq[key]) for key in keys), {}
         else:
-            opt = case.optimize(command)
-            omegas = opt.argmin
-            fit = {"opt_evaluations": opt.evaluations, "opt_converged": opt.converged}
-        duration, cells = case.evaluate(command, *omegas)
-        for key, value in (*case.head.items(), *zip(keys, map(mhz_from_angular, omegas)),
-                           ("duration_us", us_from_seconds(duration)), *cells.items(),
-                           *case.analytic.items(), *fit.items()):
-            block.setdefault(key, []).append(value)
+            omegas, fit = batch.optimize(command)
+        duration, cells = batch.evaluate(command, *omegas)
+        shown = (np.broadcast_to(mhz_from_angular(omega), len(batch.ks)).tolist()
+                 for omega in omegas)
+        return {**batch.head, **dict(zip(keys, shown)),
+                "duration_us": list(map(us_from_seconds, duration)), **cells, **batch.analytic,
+                **fit}
 
-    _each_case(cfg, command, add)
+    block: dict[str, list[Any]] = {}
+    for columns in _each_batch(cfg, command, build):
+        for key, column in columns.items():
+            block.setdefault(key, []).extend(column)
     return block
 
 
@@ -482,23 +509,26 @@ def cmd_sweep_omega(cfg: dict[str, Any]) -> dict[str, Any]:
     with _float_range("config invalid at sweep/omega_mhz"):
         grid = _omega_grid(cfg["sweep"]["omega_mhz"])
     grid_mhz = [mhz_from_angular(omega) for omega in grid]
-    blocks: list[dict[str, list[Any]]] = []
 
-    def add(case: _Case) -> None:
-        label, k, n = case.head["label"], case.head["k"], len(grid)
-        omega = case.optimize("sweep-omega").argmin[0]
-        keys = (*case.laurent.terms, "total")
-        blocks.append({"row_type": ["grid"] * n, "label": [label] * n, "k": [k] * n,
-                       "omega_mhz": grid_mhz, **dict(zip(keys, case.laurent.table(grid)))})
-        blocks.append({"label": [label], "k": [k], "row_type": ["analytic_opt"],
-                       "omega_mhz": [case.analytic["omega_opt_analytic_mhz"]],
-                       "total": [case.analytic["e_opt_analytic"]]})
-        cells = case.laurent.at(omega)
-        blocks.append({"label": [label], "k": [k], "row_type": ["numeric_opt"],
-                       "omega_mhz": [mhz_from_angular(omega)],
-                       **{key: [cells[key]] for key in keys}})
+    def build(batch: _Batch) -> list[dict[str, list[Any]]]:
+        n, keys = len(grid), (*batch.laurent.terms, "total")
+        (omegas,), _ = batch.optimize("sweep-omega")
+        columns, cells = batch.laurent.table(grid), batch.laurent.at(omegas)
+        blocks = []
+        for i, (label, k, omega) in enumerate(zip(batch.head["label"], batch.ks,
+                                                  omegas.tolist())):
+            blocks.append({"row_type": ["grid"] * n, "label": [label] * n, "k": [k] * n,
+                           "omega_mhz": grid_mhz,
+                           **{key: column[i] for key, column in zip(keys, columns)}})
+            blocks.append({"label": [label], "k": [k], "row_type": ["analytic_opt"],
+                           "omega_mhz": [batch.analytic["omega_opt_analytic_mhz"][i]],
+                           "total": [batch.analytic["e_opt_analytic"][i]]})
+            blocks.append({"label": [label], "k": [k], "row_type": ["numeric_opt"],
+                           "omega_mhz": [mhz_from_angular(omega)],
+                           **{key: [cells[key][i]] for key in keys}})
+        return blocks
 
-    _each_case(cfg, "sweep-omega", add)
+    blocks = [block for built in _each_batch(cfg, "sweep-omega", build) for block in built]
     return _report("sweep-omega", cfg, blocks)
 
 
@@ -601,9 +631,13 @@ def render_json(report: dict[str, Any]) -> str:
             columns.append(column)
         template = "    {\n      " + ",\n      ".join(fields) + "\n    }"
         rows += map(template.__mod__, zip(*columns))
-    text = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     before, _, after = head.partition('\n  "rows": []')
-    return f'{before}\n  "rows": {text}{after}\n'
+    if not rows:
+        return f'{before}\n  "rows": []{after}\n'
+    # one join makes the whole text: no copy of the rows' text beside it
+    rows[0] = f'{before}\n  "rows": [\n{rows[0]}'
+    rows[-1] = f'{rows[-1]}\n  ]{after}\n'
+    return ",\n".join(rows)
 
 
 def _csv_column(column: list[Any]) -> list[Any]:

@@ -106,15 +106,17 @@ def _stationary_point(c: dict[int, float]) -> tuple[float, int]:
 
 
 def minimize_error(budget: LaurentBudget) -> OptimizationResult:
-    """Minimize the total of ``budget`` over its drive frequencies.
+    """Minimize the total of ``budget``, a single case, over its drive
+    frequencies.
 
     Raises ValueError when an axis has no interior minimum.
     """
     lo, hi = DEFAULT_BRACKET
     argmin, steps, converged = [], 0, True
+    totals = budget.total_coefficients.tolist()
     for axis in range(budget.dims):
-        coefficients = dict.fromkeys((-2, -1, 1, 2), 0.0)
-        for (on, p), value in zip(budget.powers, budget.total_coefficients):
+        coefficients = {-2: 0.0, -1: 0.0, 1: 0.0, 2: 0.0}
+        for (on, p), value in zip(budget.powers, totals):
             if on == axis:
                 coefficients[p] += value
         root, n = _stationary_point(coefficients)

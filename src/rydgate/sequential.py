@@ -28,8 +28,10 @@ with probability 2^-i for control i in excitation order).
 Every term is c Omega^p with p in {-1, 1, 2}.  ``budget_sequential_uniform``
 and ``budget_sequential_lattice`` build those coefficients once (the
 uniform closed forms are the lattice pair sums with one shift for every
-pair), together with the pulse time (2k+3) pi / Omega; the returned
-``LaurentBudget`` is evaluated at any frequency with ``at`` or ``table``.
+pair), together with the pulse time (2k+3) pi / Omega, for one k or as one
+batch over a list of k (elementwise closed forms) or of layouts (one set
+of pair sums each); the returned ``LaurentBudget`` is evaluated at any
+frequency with ``at`` or ``table``.
 
 A phase-inversion variant with 2k pulses and no target (the conditional
 phase used inside quantum-search circuits) shares the control bookkeeping;
@@ -41,7 +43,9 @@ from __future__ import annotations
 
 import math
 
-from .budget import LaurentBudget, check_inputs, check_k
+import numpy as np
+
+from .budget import LaurentBudget, check_inputs, check_k, float_errors
 from .lattice import LatticeGeometry, pair_sets
 from .model import pair_shift
 
@@ -83,14 +87,16 @@ def worst_case_detuned_inv_sq(omega10: float, b: float) -> float:
 _POWERS = ((0, -1), (0, 1), (0, 2))
 
 
+@float_errors()
 def _sequential_laurent(
-    k: int,
+    k,
     tau: float,
     omega10: float,
-    sums: tuple[float, float, float, float, float],
-    pair_shifts: tuple[tuple[float, ...], ...] = (),
+    sums,
+    pair_shifts: tuple = (),
 ) -> LaurentBudget:
-    """The C_kNOT budget from its five blockade sums over weighted pairs.
+    """The C_kNOT budget from its five blockade sums over weighted pairs;
+    ``k`` and each sum are a number, or an array with one per case.
 
     ``sums`` are (cc_slots_inv_sq, cc_inv_sq, cc_det, ct_inv_sq, ct_det):
     control j (1-based, excitation order) blocks a later control m with
@@ -101,7 +107,7 @@ def _sequential_laurent(
     ``worst_case_detuned_inv_sq(omega10, B)`` of the pair's shift B.
     """
     cc_slots_inv_sq, cc_inv_sq, cc_det, ct_inv_sq, ct_det = sums
-    half_k = math.ldexp(1.0, -k)
+    half_k = np.ldexp(1.0, -k)
     inv_w10 = 1.0 / (omega10 * omega10)
     rows = (
         (2.0 * math.pi * k / tau, 0.0, 0.0),  # se_c_1
@@ -117,12 +123,14 @@ def _sequential_laurent(
                          pulse_time=((2 * k + 3) * math.pi,))
 
 
-def budget_sequential_uniform(k: int, b: float, tau: float, omega10: float) -> LaurentBudget:
-    """Closed-form budget with one blockade shift ``b`` (rad/s) for every
-    pair; ``tau`` is the Rydberg lifetime, s, and ``omega10`` the qubit
-    splitting, rad/s."""
+@float_errors()
+def budget_sequential_uniform(k, b: float, tau: float, omega10: float) -> LaurentBudget:
+    """Closed-form budget for ``k`` controls (or a batch over a sequence of
+    k) with one blockade shift ``b`` (rad/s) for every pair; ``tau`` is the
+    Rydberg lifetime, s, and ``omega10`` the qubit splitting, rad/s."""
     check_inputs(k, (b,), (tau,), omega10)
-    half_k = math.ldexp(1.0, -k)  # 2^-k, exact
+    k = np.asarray(k)
+    half_k = np.ldexp(1.0, -k)  # 2^-k, exact
     inv_b2 = 1.0 / (b * b)
     det = worst_case_detuned_inv_sq(omega10, b)
     pairs = 0.5 * (k - 2.0 + 2.0 * half_k)  # sum over control pairs of w
@@ -131,25 +139,14 @@ def budget_sequential_uniform(k: int, b: float, tau: float, omega10: float) -> L
     return _sequential_laurent(k, tau, omega10, sums)
 
 
-def budget_sequential_lattice(
-    model, geom: LatticeGeometry, tau: float, omega10: float
-) -> LaurentBudget:
-    """Lattice-averaged budget: per-pair shifts inside the state sums.
-
-    Every blockade-dependent term is evaluated before collapsing, with the
-    shift of the concrete pair involved: the first-in-|0> control j blocks
-    control m through pair_shift(R_jm) and blocks the target through
-    pair_shift(R_j,target).  Terms without blockade dependence keep their
-    closed forms.  With a distance-independent model this reproduces
-    ``budget_sequential_uniform`` exactly.  The budget is built from one
-    ``pair_shift`` per pair; ``pair_shifts`` holds the control-target
-    shifts in excitation order and the control-control shifts in
-    ``pair_sets`` order.
-    """
-    check_k(geom.k)  # before the O(k^2) pair work
+def _layout_sums(model, geom: LatticeGeometry, tau: float, omega10: float):
+    """The five blockade sums of ``_sequential_laurent`` for one layout,
+    and its (control-target, control-control) pair shifts."""
     ps = pair_sets(geom)
-    b_ct = tuple(pair_shift(model, r) for r in ps.control_target)
-    b_cc = tuple(pair_shift(model, sep) for _, _, sep in ps.control_control_ordered)
+    separations = (*ps.control_target, *(sep for _, _, sep in ps.control_control_ordered))
+    shift = {r: pair_shift(model, r) for r in dict.fromkeys(separations)}
+    b_ct = tuple(shift[r] for r in ps.control_target)
+    b_cc = tuple(shift[r] for r in separations[geom.k :])
     check_inputs(geom.k, b_ct + b_cc, (tau,), omega10)
     cc_slots = cc_inv = cc_det = ct_inv = ct_det = 0.0
     for (j0, m0, _), b in zip(ps.control_control_ordered, b_cc):
@@ -161,12 +158,37 @@ def budget_sequential_lattice(
         w = math.ldexp(1.0, -(i0 + 1))  # 2^-i, 1-based first-in-|0> control i
         ct_inv += w / (b * b)
         ct_det += w * worst_case_detuned_inv_sq(omega10, b)
-    sums = (cc_slots, cc_inv, cc_det, ct_inv, ct_det)
-    return _sequential_laurent(geom.k, tau, omega10, sums, (b_ct, b_cc))
+    return (cc_slots, cc_inv, cc_det, ct_inv, ct_det), (b_ct, b_cc)
 
 
-def budget_grover_uniform(k: int, b: float, tau: float, omega10: float) -> LaurentBudget:
-    """Budget for the 2k-pulse conditional-phase variant (no target atom).
+def budget_sequential_lattice(model, geom, tau: float, omega10: float) -> LaurentBudget:
+    """Lattice-averaged budget of layout ``geom`` (or a batch over a
+    sequence of layouts): per-pair shifts inside the state sums.
+
+    Every blockade-dependent term is evaluated before collapsing, with the
+    shift of the concrete pair involved: the first-in-|0> control j blocks
+    control m through pair_shift(R_jm) and blocks the target through
+    pair_shift(R_j,target).  Terms without blockade dependence keep their
+    closed forms.  With a distance-independent model this reproduces
+    ``budget_sequential_uniform`` exactly.  Each layout calls ``pair_shift``
+    once per distinct separation; ``pair_shifts`` holds the control-target
+    shifts in excitation order and the control-control shifts in
+    ``pair_sets`` order.
+    """
+    single = isinstance(geom, LatticeGeometry)
+    geoms = [geom] if single else list(geom)
+    for each in geoms:
+        check_k(each.k)  # before the O(k^2) pair work
+    sums, shifts = zip(*(_layout_sums(model, each, tau, omega10) for each in geoms))
+    ks = np.array([each.k for each in geoms])
+    budget = _sequential_laurent(ks, tau, omega10, np.array(sums).T, shifts)
+    return budget[0] if single else budget
+
+
+@float_errors()
+def budget_grover_uniform(k, b: float, tau: float, omega10: float) -> LaurentBudget:
+    """Budget for the 2k-pulse conditional-phase variant (no target atom),
+    for ``k`` controls or a batch over a sequence of k.
 
     The first control found in |0> makes a full 2 pi excursion through
     |r> and imprints the conditional phase; later controls in |0> are
@@ -176,7 +198,8 @@ def budget_grover_uniform(k: int, b: float, tau: float, omega10: float) -> Laure
     combined detuning weight) is reported under diagnostics.
     """
     check_inputs(k, (b,), (tau,), omega10)
-    half_k = math.ldexp(1.0, -k)
+    k = np.asarray(k)
+    half_k = np.ldexp(1.0, -k)
     inv_b2 = 1.0 / (b * b)
     det = worst_case_detuned_inv_sq(omega10, b)
     pairs = 0.5 * (k - 2.0 + 2.0 * half_k)

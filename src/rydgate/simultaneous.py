@@ -26,8 +26,9 @@ Every term is c omega_c^p (p in {-1, -2, 2}) or c omega_t^p (p in
 {-1, 2}), so the budget separates into an omega_c part and an omega_t
 part.  ``budget_simultaneous_uniform`` and ``budget_simultaneous_lattice``
 build those coefficients once, together with the pulse time
-2 pi / omega_c + 3 pi / omega_t; the returned ``LaurentBudget`` is
-evaluated at any frequency pair with ``at``.
+2 pi / omega_c + 3 pi / omega_t, for one k or as one batch over a list of
+k or of layouts; the returned ``LaurentBudget`` is evaluated at any
+frequency pair with ``at``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 
 import numpy as np
 
-from .budget import LaurentBudget, check_inputs, check_k
+from .budget import LaurentBudget, check_inputs, check_k, float_errors
 from .lattice import LatticeGeometry, pair_sets
 from .model import pair_shift
 
@@ -80,16 +81,18 @@ def target_blockade_sums(k: int, b_ct: float, omega10: float) -> tuple[float, fl
 _POWERS = ((0, -1), (0, -2), (0, 2), (1, -1), (1, 2))
 
 
+@float_errors()
 def _simultaneous_laurent(
-    k: int,
+    k,
     tau_c: float,
     tau_t: float,
     omega10: float,
-    sums: tuple[float, float, float],
-    cubic_variant: tuple[float, ...] | None = None,
-    pair_shifts: tuple[tuple[float, ...], ...] = (),
+    sums,
+    cubic_variant: tuple | None = None,
+    pair_shifts: tuple = (),
 ) -> LaurentBudget:
-    """The collective-gate budget from its three frequency-free sums.
+    """The collective-gate budget from its three frequency-free sums;
+    ``k`` and each sum are a number, or an array with one per case.
 
     ``sums`` are (cc_moment, e_block, e_split): the sum over controls i of
     E[(sum_m eps_m D_im)^2] with independent eps ~ Bernoulli(1/2), then
@@ -98,7 +101,7 @@ def _simultaneous_laurent(
     uniform budget's collapsed r_c_1 polynomial, reported as a diagnostic.
     """
     cc_moment, e_block, e_split = sums
-    half_k = math.ldexp(1.0, -k)
+    half_k = np.ldexp(1.0, -k)
     se_c = math.pi * k / (2.0 * tau_c)
     rows = (
         (se_c, 0.0, 0.0, 3.0 * se_c, 0.0),  # se_c
@@ -118,16 +121,20 @@ def _simultaneous_laurent(
                          pair_shifts, pulse_time=(2.0 * math.pi, 3.0 * math.pi))
 
 
+@float_errors()
 def budget_simultaneous_uniform(
-    k: int, b_ct: float, d_cc: float, tau_c: float, tau_t: float, omega10: float
+    k, b_ct: float, d_cc: float, tau_c: float, tau_t: float, omega10: float
 ) -> LaurentBudget:
-    """Closed-form budget with uniform per-pair shifts ``b_ct`` and
-    ``d_cc`` (rad/s); ``tau_c`` is the storage-level lifetime of the
-    controls, ``tau_t`` the target Rydberg lifetime (s)."""
+    """Closed-form budget for ``k`` controls (or a batch over a sequence of
+    k) with uniform per-pair shifts ``b_ct`` and ``d_cc`` (rad/s); ``tau_c``
+    is the storage-level lifetime of the controls, ``tau_t`` the target
+    Rydberg lifetime (s)."""
     check_inputs(k, (b_ct, d_cc), (tau_c, tau_t), omega10)
+    k = np.asarray(k)
     cc_moment = 4.0 * d_cc**2 * (k * k * (k - 1) / 16)
     cubic = (0.0, d_cc**2 * (k**3 - k) / 16.0, 0.0, 0.0, 0.0)
-    sums = (cc_moment, *target_blockade_sums(k, b_ct, omega10))
+    blockade = [target_blockade_sums(each, b_ct, omega10) for each in k.ravel().tolist()]
+    sums = (cc_moment, *np.reshape(blockade, (*k.shape, 2)).T)
     return _simultaneous_laurent(k, tau_c, tau_t, omega10, sums, cubic)
 
 
@@ -155,11 +162,33 @@ def subset_inverse_square_expectations(
     return float(e_block), float(e_split)
 
 
+def _layout_sums(model_ct, model_cc, geom: LatticeGeometry, lifetimes: tuple[float, float],
+                 omega10: float):
+    """The three frequency-free sums of ``_simultaneous_laurent`` for one
+    layout, and its (control-target, control-control) pair shifts."""
+    k = geom.k
+    ps = pair_sets(geom)
+    shift_ct = {r: pair_shift(model_ct, r) for r in dict.fromkeys(ps.control_target)}
+    separations = [sep for _, _, sep in ps.control_control_ordered]
+    shift_cc = {r: pair_shift(model_cc, r) for r in dict.fromkeys(separations)}
+    b_ct = tuple(shift_ct[r] for r in ps.control_target)
+    d_cc = tuple(shift_cc[r] for r in separations)
+    check_inputs(k, b_ct + d_cc, lifetimes, omega10)
+    d = np.zeros((k, k))
+    for (i, j, _), shift in zip(ps.control_control_ordered, d_cc):
+        d[i, j] = d[j, i] = shift
+    s1 = d.sum(axis=1)
+    s2 = (d * d).sum(axis=1)
+    cc_moment = float(np.sum(0.5 * s2 + 0.25 * (s1 * s1 - s2)))
+    return (cc_moment, *subset_inverse_square_expectations(b_ct, omega10)), (b_ct, d_cc)
+
+
 def budget_simultaneous_lattice(
-    model_ct, model_cc, geom: LatticeGeometry, tau_c: float, tau_t: float, omega10: float
+    model_ct, model_cc, geom, tau_c: float, tau_t: float, omega10: float
 ) -> LaurentBudget:
-    """Lattice-averaged budget with per-pair control-target and
-    control-control interaction models.
+    """Lattice-averaged budget of layout ``geom`` (or a batch over a
+    sequence of layouts) with per-pair control-target and control-control
+    interaction models.
 
     The control-control rotation term uses the exact second moment of the
     summed shift each control sees from the random excited subset of the
@@ -167,22 +196,18 @@ def budget_simultaneous_lattice(
     s2 of D^2, cc_moment = sum 1/2 s2 + 1/4 (s1^2 - s2).  The
     blocked-target term averages 1/X^2 over the excited subset exactly
     (see ``subset_inverse_square_expectations``).  Constant models
-    reproduce ``budget_simultaneous_uniform``.  The budget is built from
-    one ``pair_shift`` per pair; ``pair_shifts`` holds the control-target
-    shifts in excitation order and the control-control shifts in
-    ``pair_sets`` order.
+    reproduce ``budget_simultaneous_uniform``.  Each layout calls
+    ``pair_shift`` once per distinct separation and law; ``pair_shifts``
+    holds the control-target shifts in excitation order and the
+    control-control shifts in ``pair_sets`` order.
     """
-    k = geom.k
-    check_k(k)  # before the O(k^2) pair work
-    ps = pair_sets(geom)
-    b_ct = tuple(pair_shift(model_ct, r) for r in ps.control_target)
-    d_cc = tuple(pair_shift(model_cc, sep) for _, _, sep in ps.control_control_ordered)
-    check_inputs(k, b_ct + d_cc, (tau_c, tau_t), omega10)
-    d = np.zeros((k, k))
-    for (i, j, _), shift in zip(ps.control_control_ordered, d_cc):
-        d[i, j] = d[j, i] = shift
-    s1 = d.sum(axis=1)
-    s2 = (d * d).sum(axis=1)
-    cc_moment = float(np.sum(0.5 * s2 + 0.25 * (s1 * s1 - s2)))
-    sums = (cc_moment, *subset_inverse_square_expectations(b_ct, omega10))
-    return _simultaneous_laurent(k, tau_c, tau_t, omega10, sums, pair_shifts=(b_ct, d_cc))
+    single = isinstance(geom, LatticeGeometry)
+    geoms = [geom] if single else list(geom)
+    for each in geoms:
+        check_k(each.k)  # before the O(k^2) pair work
+    sums, shifts = zip(*(_layout_sums(model_ct, model_cc, each, (tau_c, tau_t), omega10)
+                         for each in geoms))
+    ks = np.array([each.k for each in geoms])
+    budget = _simultaneous_laurent(ks, tau_c, tau_t, omega10, np.array(sums).T,
+                                   pair_shifts=shifts)
+    return budget[0] if single else budget

@@ -47,10 +47,19 @@ def um_from_meters(r: float) -> float:
     return 1.0e6 * r
 
 
+def _coefficient_si(value: float, um_scale: float, units: str) -> float:
+    """2 pi 1e6 ``value`` ``um_scale``: a coefficient in MHz um^p in SI units."""
+    si = TWO_PI * 1.0e6 * value * um_scale
+    if math.isinf(si):  # 2 pi 1e6 value alone passed the float range, not the SI value
+        si = TWO_PI * 1.0e6 * (value * um_scale)
+    return _in_range(value, si, units)
+
+
 def c3_si_from_mhz_um3(c3_mhz_um3: float) -> float:
     """Convert a dipolar coefficient quoted as shift/2pi in MHz at 1 um."""
-    return _in_range(c3_mhz_um3, TWO_PI * 1.0e6 * c3_mhz_um3 * 1.0e-18, "MHz um^3")
+    return _coefficient_si(c3_mhz_um3, 1.0e-18, "MHz um^3")
+
 
 def c6_si_from_mhz_um6(c6_mhz_um6: float) -> float:
     """Convert a van der Waals coefficient quoted as shift/2pi in MHz at 1 um."""
-    return _in_range(c6_mhz_um6, TWO_PI * 1.0e6 * c6_mhz_um6 * 1.0e-36, "MHz um^6")
+    return _coefficient_si(c6_mhz_um6, 1.0e-36, "MHz um^6")

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import pytest
 
 import rydgate
-from rydgate import BlockadeRegimeWarning, cli, sequential, simultaneous
+from rydgate import BlockadeRegimeWarning, OptimizerEdgeWarning, cli, sequential, simultaneous
 from rydgate.cli import (
     cmd_budget,
     cmd_lattice,
@@ -33,6 +33,7 @@ from rydgate.cli import (
     render_csv,
     render_json,
 )
+from rydgate.lattice import build_layout, pair_sets
 from rydgate.schemas import (
     BUDGET_COLUMNS,
     LATTICE_COLUMNS,
@@ -44,7 +45,7 @@ from rydgate.schemas import (
     validate_report,
 )
 from rydgate.simulator import _MAX_K_TABLE
-from rydgate.units import angular_from_mhz
+from rydgate.units import angular_from_mhz, meters_from_um
 
 from rowform import expand, in_blocks
 
@@ -645,20 +646,90 @@ def test_regime_warning_only_for_reported_frequencies(tmp_path, lattice, frequen
     "name", ["sequential_lattice_crossover", "simultaneous_lattice_room_temp"]
 )
 def test_lattice_case_shifts_pairs_once(monkeypatch, name):
-    # a case computes its pair shifts when it is built; budget evaluations
-    # and the whole optimizer run never go back to the geometry
+    # a batch computes its pair shifts when it is built, one per distinct
+    # separation of each layout and model; budget evaluations and the whole
+    # optimizer run never go back to the geometry
     calls = _count_calls(monkeypatch, (cli, sequential, simultaneous),
                          ("pair_sets", "pair_shift"))
     cfg = load_config(preset_path(name), "budget")
+    distinct = 0
     for k in cfg["k"]:
-        before = dict(calls)
-        case = cli._Case(cfg, None, k)
-        case.laurent.at(*[angular_from_mhz(10.0)] * case.laurent.dims)
-        after_one = dict(calls)
-        assert after_one["pair_sets"] - before.get("pair_sets", 0) == 1
-        assert after_one["pair_shift"] - before.get("pair_shift", 0) == k + k * (k - 1) // 2
-        case.optimize("optimize")
-        assert dict(calls) == after_one
+        ps = pair_sets(build_layout(meters_from_um(cfg["lattice"]["d_um"]), k))
+        control_control = [sep for _, _, sep in ps.control_control_ordered]
+        if name.startswith("sequential"):  # one law for every pair
+            distinct += len({*ps.control_target, *control_control})
+        else:  # one law per pair kind
+            distinct += len(set(ps.control_target)) + len(set(control_control))
+    calls.clear()
+    batch = cli._Batch(cfg, None, cfg["k"])
+    batch.laurent.at(*[angular_from_mhz(10.0)] * batch.laurent.dims)
+    after_one = dict(calls)
+    assert after_one == {"pair_sets": len(cfg["k"]), "pair_shift": distinct}
+    assert distinct < sum(k + k * (k - 1) // 2 for k in cfg["k"])
+    batch.optimize("optimize")
+    assert dict(calls) == after_one
+
+
+def test_uniform_entry_is_one_batch(monkeypatch):
+    # the 50 k of one uniform entry make one budget, and one optimizer run
+    # per row on its single-case view
+    calls = Counter()
+    builder = cli._UNIFORM_BUILDERS["sequential"]
+    optimizer = cli.minimize_error
+
+    def build(*args):
+        calls["builder"] += 1
+        return builder(*args)
+
+    def minimize(budget):
+        calls["minimize_error"] += 1
+        assert budget.cases == ()
+        return optimizer(budget)
+
+    monkeypatch.setitem(cli._UNIFORM_BUILDERS, "sequential", build)
+    monkeypatch.setattr(cli, "minimize_error", minimize)
+    cfg = load_config(preset_path("sequential_uniform"), "budget")
+    report = cmd_budget(dict(cfg, uniform=cfg["uniform"][:1]))
+    assert calls == {"builder": 1, "minimize_error": 50}
+    assert report["rows"][0]["k"] == list(range(1, 51))
+
+
+@pytest.mark.parametrize("command, cfg, refusal", [
+    # the k = 64 row's se_c_2 cell passes the float range, the k = 2 row's
+    # cells do not
+    pytest.param("budget", {
+        "scheme": "sequential", "k": [2, 64], "omega10_mhz": 9200.0,
+        "uniform": {"b_mhz": 2e-156, "tau_us": 540.0},
+        "frequencies": {"mode": "fixed", "omega_mhz": 0.01}},
+        "error: budget row k=64 label '': a config value leaves the float range: "
+        "finite coefficients overflow at these frequencies\n", id="overflow"),
+    # omega10^2 past the float range leaves k = 1 no term that grows with
+    # omega; k = 2 keeps its control-pair rotation term
+    pytest.param("optimize", {
+        "scheme": "grover", "k": [2, 1], "omega10_mhz": 9.2e153,
+        "uniform": {"b_mhz": 9.0, "tau_us": 540.0}},
+        "error: optimize row k=1 label '': the total error has no interior minimum for "
+        "coefficients {-2: 0.0, -1: 2908.882086657216, 1: 0.0, 2: 0.0}\n", id="no-minimum"),
+])
+def test_later_row_refused_by_name(tmp_path, capsys, command, cfg, refusal):
+    # the batch of every k raises; the rows run again one k at a time, and
+    # the refusal names the later k, as a run of that k alone does
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == refusal
+
+
+def test_lattice_warnings_in_row_order(tmp_path):
+    # each row of a batch warns of its clamped optimum, then of its
+    # control-control shift above omega_c, before the next row does
+    cfg = _preset_cfg("simultaneous_lattice_room_temp", k=[3, 8, 15],
+                      interaction_cc={"c6_mhz_um6": 9.2e9}, frequencies={"mode": "optimize"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["budget", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out.json")]) == 0
+    seen = [(w.category, str(w.message).split(":")[0]) for w in caught]
+    assert seen == [(category, f"budget row k={k} label ''") for k in (3, 8, 15)
+                    for category in (OptimizerEdgeWarning, BlockadeRegimeWarning)]
 
 
 @pytest.mark.parametrize(
@@ -831,7 +902,7 @@ def test_sweep_row_cap(monkeypatch, tmp_path, capsys):
     cfg = dict(sweep_cfg(), k=[2, 8], uniform=entries, sweep={"omega_mhz": grid})
     load_config(write_config(tmp_path, cfg), "sweep-omega")
     grid["points"] += 1
-    monkeypatch.setattr(cli, "_Case", lambda *args: pytest.fail("a sweep case was built"))
+    monkeypatch.setattr(cli, "_Batch", lambda *args: pytest.fail("a sweep batch was built"))
     assert _run(tmp_path, cfg, "sweep-omega") == (2, False)
     assert capsys.readouterr().err == (
         "error: config invalid: sweep-omega would build 100004 grid rows "
@@ -1199,6 +1270,12 @@ CONTRACT_RUNS = [
         "lattice": {"d_um": 1.0, "tau_us": 540.0}, "interaction": {"c6_mhz_um6": 1e-300}},
              "error: config invalid at interaction" + _FLOAT_RANGE, "1e-300 MHz um^6",
              absent=_MISBLAMED),
+    # a c3 whose SI value, 6.3e290, is finite: its conversion never passes
+    # through inf, and the shifts it gives at a 1e50 um spacing are finite
+    _Run("c3_large", "budget", {
+        "scheme": "sequential", "k": [2, 8], "omega10_mhz": 9200.0,
+        "lattice": {"d_um": 1e50, "tau_us": 540.0}, "interaction": {"c3_mhz_um3": 1e302}},
+         absent=("MHz um^3 is inf",)),
     _refused("simulate_frequencies", "simulate", {
         "scheme": "simulate", "k": 2, "frequencies": {"mode": "fixed", "omega_mhz": 3.0},
         "simulate": {"omega_mhz": 1.0}}, "error: config invalid at frequencies: "),

@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rydgate import (
     InteractionModel,
@@ -18,7 +19,7 @@ from rydgate import (
     pair_shift,
 )
 from rydgate.schemas import BUDGET_COLUMNS, SWEEP_COLUMNS
-from rydgate.units import angular_from_mhz
+from rydgate.units import angular_from_mhz, c6_si_from_mhz_um6, seconds_from_us
 
 UM = 1.0e-6
 
@@ -94,16 +95,18 @@ class _ConstantLaw:
 BUILDERS = ["sequential", "grover", "simultaneous", "sequential-lattice", "simultaneous-lattice"]
 
 
-def _budget(scheme, k=3, shift=1.0e8, tau=1.0e-4, omega10=5.0e10):
-    """One budget per builder; ``shift`` and ``tau`` stand for every shift
-    and lifetime the builder takes."""
+def _budget(scheme, k=3, shift=1.0e8, tau=1.0e-4, omega10=5.0e10, law=None):
+    """One budget per builder, or a batch where ``k`` is a list; ``shift``
+    and ``tau`` stand for every shift and lifetime the builder takes, and a
+    lattice takes ``law``, a constant one by default."""
     if scheme == "sequential":
         return budget_sequential_uniform(k, shift, tau, omega10)
     if scheme == "grover":
         return budget_grover_uniform(k, shift, tau, omega10)
     if scheme == "simultaneous":
         return budget_simultaneous_uniform(k, shift, shift, tau, tau, omega10)
-    law, geom = _ConstantLaw(shift), build_layout(UM, k)
+    law = law or _ConstantLaw(shift)
+    geom = build_layout(UM, k) if isinstance(k, int) else [build_layout(UM, each) for each in k]
     if scheme == "sequential-lattice":
         return budget_sequential_lattice(law, geom, tau, omega10)
     return budget_simultaneous_lattice(law, law, geom, tau, tau, omega10)
@@ -179,3 +182,46 @@ def test_unknown_law_rejected():
 def test_interaction_law_refused(build, kwargs, refusal):
     with pytest.raises(ValueError, match=refusal):
         build(**kwargs)
+
+
+def _close(got, want):
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@settings(deadline=None)  # no per-example deadline: lattice layouts reach k = 64
+@given(
+    scheme=st.sampled_from(BUILDERS),
+    ks=st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=5),
+    shift_mhz=st.floats(min_value=0.5, max_value=500.0),
+    c6_mhz_um6=st.floats(min_value=1.0e3, max_value=1.0e6),
+    tau_us=st.floats(min_value=10.0, max_value=1000.0),
+    data=st.data(),
+)
+def test_batch_matches_one_k_budgets(scheme, ks, shift_mhz, c6_mhz_um6, tau_us, data):
+    # a batch over k (or layouts) holds, case by case, the budget that k
+    # alone gives: every cell at per-case drive frequencies, the duration,
+    # each frequency grid and the optimizer's input
+    inputs = dict(shift=angular_from_mhz(shift_mhz), tau=seconds_from_us(tau_us),
+                  omega10=angular_from_mhz(9200.0),
+                  law=InteractionModel(c6=c6_si_from_mhz_um6(c6_mhz_um6)))
+    batch = _budget(scheme, ks, **inputs)
+    assert batch.cases == (len(ks),)
+    logs = st.lists(st.floats(min_value=-1.0, max_value=3.0), min_size=len(ks), max_size=len(ks))
+    omegas = [[angular_from_mhz(10.0**x) for x in data.draw(logs)] for _ in range(batch.dims)]
+    cells = batch.at(*map(np.array, omegas))
+    durations = batch.duration(*map(np.array, omegas))
+    grid = [angular_from_mhz(nu) for nu in (0.1, 3.0, 80.0)]
+    columns = batch.table(grid) if batch.dims == 1 else None
+    for i, k in enumerate(ks):
+        one = _budget(scheme, k, **inputs)
+        at = [omega[i] for omega in omegas]
+        assert tuple(cells) == tuple(one.at(*at))
+        for name, value in one.at(*at).items():
+            _close(cells[name][i], value)
+        assert cells["total"][i] == math.fsum(cells[name][i] for name in batch.terms)
+        _close(durations[i], one.duration(*at))
+        _close(batch[i].total_coefficients.tolist(), one.total_coefficients.tolist())
+        assert batch[i].pair_shifts == one.pair_shifts
+        if columns is not None:
+            for got, want in zip(columns, one.table(grid)):
+                _close(got[i], want)

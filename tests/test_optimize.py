@@ -17,7 +17,7 @@ from rydgate import (
     minimize_error,
     omega_opt_analytic,
 )
-from rydgate.cli import _each_case, load_config, preset_path
+from rydgate.cli import _each_batch, load_config, preset_path
 from rydgate.optimize import DEFAULT_BRACKET
 from rydgate.units import angular_from_mhz, mhz_from_angular
 
@@ -230,18 +230,20 @@ def test_closed_form_2d_argmin_matches_coordinate_descent_oracle(a, b, c, cross,
 def test_preset_optima_match_golden_section_oracle(name):
     checked = []
 
-    def check(case):
-        result = case.optimize("optimize")
-        oracle = golden_section_minimize(
-            lambda *omegas: case.laurent.at(*omegas)["total"], dims=case.laurent.dims
-        )
-        for got, want in zip(result.argmin, oracle.argmin):
-            assert abs(math.log(got / want)) <= 1e-4
-        assert case.laurent.at(*result.argmin)["total"] <= oracle.min_error
-        assert result.converged == oracle.converged
-        checked.append(case)
+    def check(batch):
+        omegas, fit = batch.optimize("optimize")
+        for i, converged in enumerate(fit["opt_converged"]):
+            case, argmin = batch.laurent[i], [float(axis[i]) for axis in omegas]
+            oracle = golden_section_minimize(
+                lambda *omegas: case.at(*omegas)["total"], dims=case.dims
+            )
+            for got, want in zip(argmin, oracle.argmin):
+                assert abs(math.log(got / want)) <= 1e-4
+            assert case.at(*argmin)["total"] <= oracle.min_error
+            assert converged == oracle.converged
+            checked.append(case)
 
-    _each_case(load_config(preset_path(name), "optimize"), "optimize", check)
+    _each_batch(load_config(preset_path(name), "optimize"), "optimize", check)
     assert checked
 
 
