@@ -14,7 +14,7 @@ _EXPORTS = {
     "lattice": ("LatticeGeometry", "build_layout", "pair_sets"),
     "model": ("InteractionModel", "InvalidModelError", "fit_single_anchor", "pair_shift"),
     "optimize": ("OptimizationResult", "OptimizerEdgeWarning", "e_opt_analytic",
-                 "minimize_error", "omega_opt_analytic"),
+                 "minimize_error", "minimize_errors", "omega_opt_analytic"),
     "sequential": ("budget_grover_uniform", "budget_sequential_lattice",
                    "budget_sequential_uniform"),
     "simulator": ("PulseStep", "SimResult", "SimState", "canonical_sequence",

@@ -111,8 +111,16 @@ class LaurentBudget:
                 for case in row.reshape(-1, len(self.powers)).tolist():
                     if not all(map(math.isfinite, case)):
                         raise OverflowError(f"the coefficients of {name} are {tuple(case)}")
-        # the coefficients of the total, per case and column
-        self.total_coefficients = _fsum(self.coefficients[: len(self.terms)])
+        # the coefficients of the total, per case and column: a plain sum of
+        # at most two terms that are not a literal 0 is already the exact
+        # float sum; fsum takes the other columns, and refuses an overflow
+        summands = self.coefficients[: len(self.terms)]
+        with np.errstate(over="ignore"):
+            self.total_coefficients = summands.sum(axis=0)
+        overflow = not np.isfinite(self.total_coefficients).all()
+        for column, cells in enumerate(zip(*terms.values())):
+            if overflow or sum(not (isinstance(cell, float) and cell == 0.0) for cell in cells) > 2:
+                self.total_coefficients[..., column] = _fsum(summands[..., column])
 
     def __getitem__(self, i: int) -> LaurentBudget:
         """Case ``i`` of a batch, as a single-case budget sharing its arrays."""

@@ -57,7 +57,7 @@ from .optimize import (
     DEFAULT_BRACKET,
     OptimizerEdgeWarning,
     e_opt_analytic,
-    minimize_error,
+    minimize_errors,
     omega_opt_analytic,
 )
 from .schemas import (
@@ -423,14 +423,13 @@ class _Batch:
         """Each case's drive frequencies of least total error, an array over
         the cases per axis, and the fit columns.  A warning is held for each
         optimum clamped to a bracket edge; a budget without an interior
-        minimum is refused at its row."""
-        opts = []
-        for i, k in enumerate(self.ks):
-            try:
-                opts.append(opt := minimize_error(self.laurent[i]))
-            except ValueError as exc:  # the one refusal of minimize_error
-                raise ConfigError(f"{_row(command, k, self.entry)}: the total error has "
-                                  f"{exc}") from exc
+        minimum is refused at its row (a batch runs again one k at a time)."""
+        try:
+            opts = minimize_errors(self.laurent)
+        except ValueError as exc:  # the one refusal of minimize_errors
+            raise ConfigError(f"{_row(command, self.ks[0], self.entry)}: the total error has "
+                              f"{exc}") from exc
+        for i, (k, opt) in enumerate(zip(self.ks, opts)):
             for key, omega in zip(self.scheme.frequencies, opt.argmin):
                 if not opt.converged and omega in DEFAULT_BRACKET:
                     self.pending[i].append((

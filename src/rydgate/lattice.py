@@ -5,13 +5,16 @@ control atoms occupy the k nearest lattice sites.  Controls are indexed in
 excitation order: ascending distance from the target, ties broken by polar
 angle counterclockwise from the +x axis.  All separations derive from
 integer site coordinates, so every pair distance is d*sqrt(m) for some
-integer m >= 1.
+integer m >= 1, and the budgets group their pair sums by m
+(``squared_separations``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -83,3 +86,14 @@ def pair_sets(geom: LatticeGeometry) -> PairSets:
             xj, yj = geom.control_sites[j]
             ordered.append((i, j, geom.d * math.hypot(xi - xj, yi - yj)))
     return PairSets(control_target=ct, control_control_ordered=tuple(ordered))
+
+
+def squared_separations(geom: LatticeGeometry) -> tuple[np.ndarray, ...]:
+    """Every separation of ``geom`` over d, squared, an integer m: one per
+    control from the target (excitation order), then the index arrays
+    (i, j) of the control pairs i < j in ``pair_sets`` order and one m per
+    pair."""
+    x, y = np.array(geom.control_sites).T
+    index = np.arange(geom.k)
+    i, j = np.nonzero(index[:, None] < index)  # np.triu_indices(k, 1), at a third of its cost
+    return x * x + y * y, i, j, (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2

@@ -12,8 +12,9 @@ with minimum error
     e_opt = 3 pi^(2/3)/2^(1/3) * k/(b tau)^(2/3)
           + pi^(4/3)/2^(8/3) * k^2/(b tau)^(4/3).
 
-``minimize_error`` finds the exact minimum of the full budget instead.
-Along each drive frequency the total is a Laurent polynomial
+``minimize_errors`` finds the exact minimum of the full budget instead,
+for every case of a batch in one pass, and ``minimize_error`` for a single
+case.  Along each drive frequency the total is a Laurent polynomial
 E = c_-2/W^2 + c_-1/W + c_1 W + c_2 W^2 with non-negative coefficients, and
 the two-frequency budget of the collective gate is a sum of one such
 polynomial per frequency.  The minimum along an axis is the one positive
@@ -71,7 +72,8 @@ def e_opt_analytic(b: float, tau: float, k: int) -> float:
         raise ValueError("k must be >= 0")
     bt = b * tau
     first = 3.0 * math.pi ** (2.0 / 3.0) / 2.0 ** (1.0 / 3.0) * k / bt ** (2.0 / 3.0)
-    second = math.pi ** (4.0 / 3.0) / 2.0 ** (8.0 / 3.0) * k * k / bt ** (4.0 / 3.0)
+    per_k = k / bt ** (2.0 / 3.0)  # squared: (b tau)^(4/3) alone can leave the float range
+    second = math.pi ** (4.0 / 3.0) / 2.0 ** (8.0 / 3.0) * (per_k * per_k)
     return first + second
 
 
@@ -105,23 +107,34 @@ def _stationary_point(c: dict[int, float]) -> tuple[float, int]:
         steps += 1
 
 
-def minimize_error(budget: LaurentBudget) -> OptimizationResult:
-    """Minimize the total of ``budget``, a single case, over its drive
-    frequencies.
+def minimize_errors(budget: LaurentBudget) -> list[OptimizationResult]:
+    """Minimize the total of each case of ``budget`` over its drive
+    frequencies, in one pass over its total coefficients: a list of one
+    result per case (of one for a single case).
 
-    Raises ValueError when an axis has no interior minimum.
+    Raises ValueError when an axis of a case has no interior minimum.
     """
     lo, hi = DEFAULT_BRACKET
-    argmin, steps, converged = [], 0, True
-    totals = budget.total_coefficients.tolist()
-    for axis in range(budget.dims):
-        coefficients = {-2: 0.0, -1: 0.0, 1: 0.0, 2: 0.0}
-        for (on, p), value in zip(budget.powers, totals):
-            if on == axis:
-                coefficients[p] += value
-        root, n = _stationary_point(coefficients)
-        steps += n
-        omega = min(max(root, lo), hi)
-        converged = converged and omega == root
-        argmin.append(omega)
-    return OptimizationResult(tuple(argmin), steps, converged)
+    # (p, column) of each axis's monomials: the basis holds each (axis, p) once
+    axes = [[(p, column) for column, (on, p) in enumerate(budget.powers) if on == axis]
+            for axis in range(budget.dims)]
+    results = []
+    for totals in budget.total_coefficients.reshape(-1, len(budget.powers)).tolist():
+        argmin, steps, converged = [], 0, True
+        for monomials in axes:
+            coefficients = {-2: 0.0, -1: 0.0, 1: 0.0, 2: 0.0}
+            for p, column in monomials:
+                coefficients[p] = totals[column]
+            root, n = _stationary_point(coefficients)
+            omega = lo if root < lo else hi if root > hi else root
+            argmin.append(omega)
+            steps += n
+            converged = converged and omega == root
+        results.append(OptimizationResult(tuple(argmin), steps, converged))
+    return results
+
+
+def minimize_error(budget: LaurentBudget) -> OptimizationResult:
+    """``minimize_errors`` of ``budget``, a single case."""
+    (result,) = minimize_errors(budget)
+    return result

@@ -23,7 +23,9 @@ B = omega10 the builders raise ``DivergentBudgetError`` instead.
 Lattice-averaged budgets keep each blockade shift with the atom pair that
 produced it, weighted by the probability that this pair is the one acting
 (the first control found in |0> blocks everyone after it, which happens
-with probability 2^-i for control i in excitation order).
+with probability 2^-i for control i in excitation order).  The pairs at one
+squared separation share a shift, so each sum runs over the distinct
+separations of a layout with the summed weights of their pairs.
 
 Every term is c Omega^p with p in {-1, 1, 2}.  ``budget_sequential_uniform``
 and ``budget_sequential_lattice`` build those coefficients once (the
@@ -46,7 +48,7 @@ import math
 import numpy as np
 
 from .budget import LaurentBudget, check_inputs, check_k, float_errors
-from .lattice import LatticeGeometry, pair_sets
+from .lattice import LatticeGeometry, squared_separations
 from .model import pair_shift
 
 SEQUENTIAL_TERMS = (
@@ -139,26 +141,30 @@ def budget_sequential_uniform(k, b: float, tau: float, omega10: float) -> Lauren
     return _sequential_laurent(k, tau, omega10, sums)
 
 
+@float_errors()
 def _layout_sums(model, geom: LatticeGeometry, tau: float, omega10: float):
     """The five blockade sums of ``_sequential_laurent`` for one layout,
-    and its (control-target, control-control) pair shifts."""
-    ps = pair_sets(geom)
-    separations = (*ps.control_target, *(sep for _, _, sep in ps.control_control_ordered))
-    shift = {r: pair_shift(model, r) for r in dict.fromkeys(separations)}
-    b_ct = tuple(shift[r] for r in ps.control_target)
-    b_cc = tuple(shift[r] for r in separations[geom.k :])
-    check_inputs(geom.k, b_ct + b_cc, (tau,), omega10)
-    cc_slots = cc_inv = cc_det = ct_inv = ct_det = 0.0
-    for (j0, m0, _), b in zip(ps.control_control_ordered, b_cc):
-        w = math.ldexp(1.0, -(j0 + 2))  # 2^-(j+1), 1-based blocker j
-        cc_slots += (4 + 2 * (geom.k - m0 - 1)) * w / (b * b)
-        cc_inv += w / (b * b)
-        cc_det += w * worst_case_detuned_inv_sq(omega10, b)
-    for i0, b in enumerate(b_ct):
-        w = math.ldexp(1.0, -(i0 + 1))  # 2^-i, 1-based first-in-|0> control i
-        ct_inv += w / (b * b)
-        ct_det += w * worst_case_detuned_inv_sq(omega10, b)
-    return (cc_slots, cc_inv, cc_det, ct_inv, ct_det), (b_ct, b_cc)
+    and its (control-target, control-control) pair shifts: each sum is the
+    exact float sum, over the squared separations m, of the summed weight
+    of m's pairs times 1/B^2 or det of m's shift."""
+    k = geom.k
+    ct, blocker, blocked, cc = squared_separations(geom)
+    ct_m, cc_m = ct.tolist(), cc.tolist()
+    shift = {m: pair_shift(model, geom.d * math.sqrt(m)) for m in dict.fromkeys(ct_m + cc_m)}
+    check_inputs(k, shift.values(), (tau,), omega10)
+    inv = np.array([1.0 / (b * b) for b in shift.values()])
+    det = np.array([worst_case_detuned_inv_sq(omega10, b) for b in shift.values()])
+    seps, top = list(shift), 1 + max(shift)
+    w = np.ldexp(1.0, -(blocker + 2))  # 2^-(j+1), 1-based blocker j
+    cc_slots, cc_w = (np.bincount(cc, weights, top)[seps] for weights
+                      in ((4 + 2 * (k - blocked - 1)) * w, w))
+    # 2^-i, 1-based first-in-|0> control i
+    ct_w = np.bincount(ct, np.ldexp(1.0, -np.arange(1, k + 1)), top)[seps]
+    weights = np.array((cc_slots, cc_w, cc_w, ct_w, ct_w))
+    # an m without pairs of a kind adds 0 to their sums, even where 1/B^2 is inf
+    terms = np.where(weights > 0.0, weights * (inv, inv, det, inv, det), 0.0)
+    b_ct, b_cc = tuple(map(shift.__getitem__, ct_m)), tuple(map(shift.__getitem__, cc_m))
+    return list(map(math.fsum, terms.tolist())), (b_ct, b_cc)
 
 
 def budget_sequential_lattice(model, geom, tau: float, omega10: float) -> LaurentBudget:
@@ -170,10 +176,10 @@ def budget_sequential_lattice(model, geom, tau: float, omega10: float) -> Lauren
     control m through pair_shift(R_jm) and blocks the target through
     pair_shift(R_j,target).  Terms without blockade dependence keep their
     closed forms.  With a distance-independent model this reproduces
-    ``budget_sequential_uniform`` exactly.  Each layout calls ``pair_shift``
-    once per distinct separation; ``pair_shifts`` holds the control-target
-    shifts in excitation order and the control-control shifts in
-    ``pair_sets`` order.
+    ``budget_sequential_uniform`` to rounding.  Each layout calls
+    ``pair_shift`` once per distinct squared separation; ``pair_shifts``
+    holds the control-target shifts in excitation order and the
+    control-control shifts in ``pair_sets`` order.
     """
     single = isinstance(geom, LatticeGeometry)
     geoms = [geom] if single else list(geom)

@@ -19,8 +19,8 @@ concrete excited subset.  The quadratic control term has an exact
 closed-moment expectation; the target terms need E[1/X^2] over random
 subsets.  1/X^2 is the integral of t*exp(-tX) over t > 0 and the subset
 average of exp(-tX) is a product over the shifts, so one fixed exp-sinh
-quadrature rule gives it in O(k) work per node, for every k.  None of
-these sums depends on the drive frequencies.
+quadrature rule gives it in O(distinct shifts) work per node, for every k.
+None of these sums depends on the drive frequencies.
 
 Every term is c omega_c^p (p in {-1, -2, 2}) or c omega_t^p (p in
 {-1, 2}), so the budget separates into an omega_c part and an omega_t
@@ -34,11 +34,12 @@ frequency pair with ``at``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from .budget import LaurentBudget, check_inputs, check_k, float_errors
-from .lattice import LatticeGeometry, pair_sets
+from .lattice import LatticeGeometry, squared_separations
 from .model import pair_shift
 
 # Exp-sinh (double-exponential) rule on (0, inf), after Takahasi & Mori
@@ -149,34 +150,36 @@ def subset_inverse_square_expectations(
     removing the empty subset leaves 2^-k expm1(sum log1p(exp(-t b_i))),
     which is evaluated without cancellation.  Time is measured in units of
     1/(offset + min b), the slowest surviving decay, and the integral over
-    t is one fixed exp-sinh rule, so both offsets cost one (2, nodes, k)
-    array.
+    t is one fixed exp-sinh rule, so both offsets cost one (distinct
+    shifts, 2, nodes) array.
     """
-    b = np.asarray(shifts, dtype=float)
+    counts = Counter(shifts)  # equal shifts enter once, with their multiplicity
+    b, n = np.array(list(counts)), np.array(list(counts.values()), dtype=float)
     offsets = np.array([0.0, omega10])
     scale = offsets + b.min()
     t = _DE_NODES / scale[:, None]
-    subsets = np.expm1(np.log1p(np.exp(-t[:, :, None] * b)).sum(axis=2))
+    # (distinct shifts, 2, nodes): each array pass runs along the nodes
+    subsets = np.expm1((np.log1p(np.exp(-t * b[:, None, None])) * n[:, None, None]).sum(axis=0))
     integrand = t * subsets * np.exp(-t * offsets[:, None])
-    e_block, e_split = math.ldexp(1.0, -len(b)) * (integrand @ _DE_WEIGHTS) / scale
+    e_block, e_split = math.ldexp(1.0, -len(shifts)) * (integrand @ _DE_WEIGHTS) / scale
     return float(e_block), float(e_split)
 
 
+@float_errors()
 def _layout_sums(model_ct, model_cc, geom: LatticeGeometry, lifetimes: tuple[float, float],
                  omega10: float):
     """The three frequency-free sums of ``_simultaneous_laurent`` for one
     layout, and its (control-target, control-control) pair shifts."""
     k = geom.k
-    ps = pair_sets(geom)
-    shift_ct = {r: pair_shift(model_ct, r) for r in dict.fromkeys(ps.control_target)}
-    separations = [sep for _, _, sep in ps.control_control_ordered]
-    shift_cc = {r: pair_shift(model_cc, r) for r in dict.fromkeys(separations)}
-    b_ct = tuple(shift_ct[r] for r in ps.control_target)
-    d_cc = tuple(shift_cc[r] for r in separations)
-    check_inputs(k, b_ct + d_cc, lifetimes, omega10)
+    ct, i, j, cc = squared_separations(geom)
+    shift_ct, shift_cc = ({m: pair_shift(model, geom.d * math.sqrt(m))
+                           for m in dict.fromkeys(squared.tolist())}
+                          for model, squared in ((model_ct, ct), (model_cc, cc)))
+    check_inputs(k, (*shift_ct.values(), *shift_cc.values()), lifetimes, omega10)
+    b_ct, d_cc = (tuple(map(shift.__getitem__, m.tolist()))
+                  for shift, m in ((shift_ct, ct), (shift_cc, cc)))
     d = np.zeros((k, k))
-    for (i, j, _), shift in zip(ps.control_control_ordered, d_cc):
-        d[i, j] = d[j, i] = shift
+    d[i, j] = d[j, i] = d_cc
     s1 = d.sum(axis=1)
     s2 = (d * d).sum(axis=1)
     cc_moment = float(np.sum(0.5 * s2 + 0.25 * (s1 * s1 - s2)))
@@ -197,9 +200,9 @@ def budget_simultaneous_lattice(
     blocked-target term averages 1/X^2 over the excited subset exactly
     (see ``subset_inverse_square_expectations``).  Constant models
     reproduce ``budget_simultaneous_uniform``.  Each layout calls
-    ``pair_shift`` once per distinct separation and law; ``pair_shifts``
-    holds the control-target shifts in excitation order and the
-    control-control shifts in ``pair_sets`` order.
+    ``pair_shift`` once per distinct squared separation and law;
+    ``pair_shifts`` holds the control-target shifts in excitation order and
+    the control-control shifts in ``pair_sets`` order.
     """
     single = isinstance(geom, LatticeGeometry)
     geoms = [geom] if single else list(geom)

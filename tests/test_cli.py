@@ -21,7 +21,8 @@ from typing import NamedTuple
 import pytest
 
 import rydgate
-from rydgate import BlockadeRegimeWarning, OptimizerEdgeWarning, cli, sequential, simultaneous
+from rydgate import (BlockadeRegimeWarning, OptimizerEdgeWarning, cli, lattice, sequential,
+                     simultaneous)
 from rydgate.cli import (
     cmd_budget,
     cmd_lattice,
@@ -647,9 +648,10 @@ def test_regime_warning_only_for_reported_frequencies(tmp_path, lattice, frequen
 )
 def test_lattice_case_shifts_pairs_once(monkeypatch, name):
     # a batch computes its pair shifts when it is built, one per distinct
-    # separation of each layout and model; budget evaluations and the whole
+    # separation of each layout and model, grouped by squared separation
+    # rather than read from ``pair_sets``; budget evaluations and the whole
     # optimizer run never go back to the geometry
-    calls = _count_calls(monkeypatch, (cli, sequential, simultaneous),
+    calls = _count_calls(monkeypatch, (cli, lattice, sequential, simultaneous),
                          ("pair_sets", "pair_shift"))
     cfg = load_config(preset_path(name), "budget")
     distinct = 0
@@ -664,33 +666,33 @@ def test_lattice_case_shifts_pairs_once(monkeypatch, name):
     batch = cli._Batch(cfg, None, cfg["k"])
     batch.laurent.at(*[angular_from_mhz(10.0)] * batch.laurent.dims)
     after_one = dict(calls)
-    assert after_one == {"pair_sets": len(cfg["k"]), "pair_shift": distinct}
+    assert after_one == {"pair_shift": distinct}
     assert distinct < sum(k + k * (k - 1) // 2 for k in cfg["k"])
     batch.optimize("optimize")
     assert dict(calls) == after_one
 
 
 def test_uniform_entry_is_one_batch(monkeypatch):
-    # the 50 k of one uniform entry make one budget, and one optimizer run
-    # per row on its single-case view
+    # the 50 k of one uniform entry make one budget and one optimizer call
+    # over its 50 cases
     calls = Counter()
     builder = cli._UNIFORM_BUILDERS["sequential"]
-    optimizer = cli.minimize_error
+    optimizer = cli.minimize_errors
 
     def build(*args):
         calls["builder"] += 1
         return builder(*args)
 
     def minimize(budget):
-        calls["minimize_error"] += 1
-        assert budget.cases == ()
+        calls["minimize_errors"] += 1
+        assert budget.cases == (50,)
         return optimizer(budget)
 
     monkeypatch.setitem(cli._UNIFORM_BUILDERS, "sequential", build)
-    monkeypatch.setattr(cli, "minimize_error", minimize)
+    monkeypatch.setattr(cli, "minimize_errors", minimize)
     cfg = load_config(preset_path("sequential_uniform"), "budget")
     report = cmd_budget(dict(cfg, uniform=cfg["uniform"][:1]))
-    assert calls == {"builder": 1, "minimize_error": 50}
+    assert calls == {"builder": 1, "minimize_errors": 1}
     assert report["rows"][0]["k"] == list(range(1, 51))
 
 
@@ -1276,6 +1278,26 @@ CONTRACT_RUNS = [
         "scheme": "sequential", "k": [2, 8], "omega10_mhz": 9200.0,
         "lattice": {"d_um": 1e50, "tau_us": 540.0}, "interaction": {"c3_mhz_um3": 1e302}},
          absent=("MHz um^3 is inf",)),
+    # at a 1000 um spacing that c3 gives b tau near 3e296, whose 4/3 power is
+    # past the float range; e_opt_analytic squares k / (b tau)^(2/3) instead
+    _Run("c3_large_e_opt", "budget", {
+        "scheme": "sequential", "k": [2, 8], "omega10_mhz": 9200.0,
+        "lattice": {"d_um": 1000.0, "tau_us": 540.0}, "interaction": {"c3_mhz_um3": 1e302}}),
+    # a shift whose square is subnormal: 1/B^2 is inf, and the sums over the
+    # separations without pairs of a kind stay 0, not 0 * inf
+    _refused("c3_tiny", "budget", dict(_CROSSOVER_LATTICE, scheme="sequential", k=2,
+                                       omega10_mhz=9200.0, interaction={"c3_mhz_um3": 1e-166},
+                                       frequencies={"mode": "fixed", "omega_mhz": 1.0}),
+             "error: budget row k=2 label ''" + _FLOAT_RANGE,
+             "the coefficients of se_c_2 are (0.0, inf, 0.0)", absent=("nan",)),
+    # a control-control shift whose square overflows: refused by name, with
+    # no numpy float warning on the way
+    _refused("d_cc_overflow", "budget", {
+        "scheme": "simultaneous", "k": 3, "omega10_mhz": 9200.0,
+        "lattice": {"d_um": 1.0, "tau_c_us": 148.0, "tau_t_us": 97.0},
+        "interaction_ct": {"c3_mhz_um3": 640.0}, "interaction_cc": {"c3_mhz_um3": 1e200}},
+             "error: budget row k=3 label ''" + _FLOAT_RANGE, "the coefficients of r_c_1 are",
+             absent=("RuntimeWarning",)),
     _refused("simulate_frequencies", "simulate", {
         "scheme": "simulate", "k": 2, "frequencies": {"mode": "fixed", "omega_mhz": 3.0},
         "simulate": {"omega_mhz": 1.0}}, "error: config invalid at frequencies: "),
@@ -1300,7 +1322,8 @@ def contract(tmp_path_factory):
     """Each row of the table with its exit code, stderr and wall time, the
     report directory, and the script's whole result: a runtime-only install
     has numpy alone, so every run goes through one interpreter, run with -W
-    error::UserWarning and no OpenBLAS thread variable set, in which
+    error::UserWarning, -W error::RuntimeWarning (no numpy float warning
+    leaks from a command) and no OpenBLAS thread variable set, in which
     importing anything else fails."""
     tmp_path = tmp_path_factory.mktemp("contract")
     out = tmp_path / "out"
@@ -1312,7 +1335,8 @@ def contract(tmp_path_factory):
                   else write_config(tmp_path, run.config, f"{run.name}.json"))
         report = out / (run.out or f"{run.name}.json")
         argvs.append([[run.command, "--config", config, "--out", str(report)], run.errors])
-    proc = _python(_CONTRACT, json.dumps(argvs), flags=("-W", "error::UserWarning"),
+    proc = _python(_CONTRACT, json.dumps(argvs),
+                   flags=("-W", "error::UserWarning", "-W", "error::RuntimeWarning"),
                    blas_threads={})
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
@@ -1446,7 +1470,7 @@ def test_package_exports_resolve_on_first_use():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["numpy"] is False
-    assert len(result["all"]) == 32 and result["all"] == sorted(result["all"])
+    assert len(result["all"]) == 33 and result["all"] == sorted(result["all"])
     assert set(result["all"]) <= set(result["dir"])
     assert result["defined"] == result["all"]
     assert result["unknown"] == "module 'rydgate' has no attribute 'no_such_name'"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rydgate import LatticeGeometry, build_layout, pair_sets
+from rydgate.lattice import squared_separations
 
 UM = 1.0e-6
 
@@ -78,6 +79,19 @@ def test_every_separation_is_sqrt_integer_multiple_of_d(k, d_um):
         m = (r / d) ** 2
         assert m >= 1.0 - 1e-9
         assert abs(m - round(m)) < 1e-6
+
+
+@given(k=st.integers(min_value=1, max_value=64), d_um=st.floats(min_value=0.1, max_value=50.0))
+def test_squared_separations_follow_pair_sets(k, d_um):
+    # the budgets read each pair's m from index arrays in pair_sets order,
+    # and d sqrt(m) is that pair's separation
+    geom = build_layout(d_um * UM, k)
+    ps = pair_sets(geom)
+    ct, i, j, cc = squared_separations(geom)
+    assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a, b, _ in ps.control_control_ordered]
+    separations = [*ps.control_target, *(sep for _, _, sep in ps.control_control_ordered)]
+    for m, r in zip([*ct.tolist(), *cc.tolist()], separations, strict=True):
+        assert geom.d * math.sqrt(m) == pytest.approx(r, rel=1e-15, abs=0.0)
 
 
 def test_minimum_separation_is_d():

@@ -15,6 +15,7 @@ from rydgate import (
     LatticeGeometry,
     budget_sequential_lattice,
     budget_simultaneous_lattice,
+    build_layout,
 )
 from rydgate.units import (
     angular_from_mhz,
@@ -99,3 +100,23 @@ def test_simultaneous_lattice_matches_pair_loop_oracle(
             model_ct, model_cc, geom, tau_c, tau_t, W10, omega_c, omega_t
         )
         assert_same_budget(budget.at(omega_c, omega_t), want)
+
+
+@given(
+    ks=st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=4),
+    d_um=st.floats(min_value=0.5, max_value=10.0),
+    model=laws(),
+    omegas=OMEGAS,
+    tau_us=st.floats(10.0, 1000.0),
+)
+def test_sequential_lattice_batch_matches_pair_loop_oracle(ks, d_um, model, omegas, tau_us):
+    # nearest-site layouts up to k = 64 share each squared separation among
+    # many pairs; a batch of them sums by separation, the oracle pair by pair
+    tau = seconds_from_us(tau_us)
+    geoms = [build_layout(meters_from_um(d_um), k) for k in ks]
+    batch = budget_sequential_lattice(model, geoms, tau, W10)
+    for omega in omegas:
+        cells = batch.at(omega)
+        for i, geom in enumerate(geoms):
+            want = sequential_lattice_loops(model, geom, tau, W10, omega)
+            assert_same_budget({name: column[i] for name, column in cells.items()}, want)

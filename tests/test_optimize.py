@@ -7,14 +7,16 @@ twenty decades and on every optimized preset row.
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rydgate import (
     LaurentBudget,
     budget_sequential_uniform,
     e_opt_analytic,
     minimize_error,
+    minimize_errors,
     omega_opt_analytic,
 )
 from rydgate.cli import _each_batch, load_config, preset_path
@@ -206,6 +208,33 @@ def test_closed_form_argmin_matches_golden_section_oracle(alpha, beta, gamma):
     assert result.evaluations <= MAX_NEWTON_STEPS
     if not root_near_edge(slope, 0):
         assert result.converged == oracle.converged
+
+
+# the coefficient ranges of the two oracle tests below
+CUBIC_CASES = st.tuples(decades(-5.0, 15.0), decades(-15.0, 5.0), decades(-25.0, -5.0))
+SEPARABLE_CASES = st.tuples(decades(-5.0, 15.0), decades(-5.0, 25.0), decades(-25.0, -5.0),
+                            decades(-5.0, 15.0), decades(-25.0, -5.0))
+
+
+@given(st.one_of(
+    st.tuples(st.just(cubic_budget), st.lists(CUBIC_CASES, min_size=1, max_size=64)),
+    st.tuples(st.just(separable_budget), st.lists(SEPARABLE_CASES, min_size=1, max_size=64))))
+# a root below the bracket, one above it (both clamped to its edge) and one inside
+@example((cubic_budget, [(1.0e-5, 1.0e-15, 1.0e-5), (1.0e15, 1.0e-15, 1.0e-25),
+                         (1.0e5, 1.0e-5, 1.0e-15)]))
+def test_batch_argmin_equals_one_case_argmin(drawn):
+    # one pass over a batch gives each case's result bit for bit as the
+    # case alone does, as a view of the batch or built by itself: argmin,
+    # Newton steps and convergence
+    build, cases = drawn
+    batch = build(*map(np.array, zip(*cases)))
+
+    def bits(result):
+        return tuple(map(float.hex, result.argmin)), result.evaluations, result.converged
+
+    got = list(map(bits, minimize_errors(batch)))
+    assert got == [bits(minimize_error(batch[i])) for i in range(len(cases))]
+    assert got == [bits(minimize_error(build(*case))) for case in cases]
 
 
 @given(

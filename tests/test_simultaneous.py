@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rydgate import (
     BlockadeRegimeWarning,
@@ -19,6 +19,7 @@ from rydgate import (
     budget_simultaneous_lattice,
     budget_simultaneous_uniform,
     build_layout,
+    pair_sets,
     subset_inverse_square_expectations,
 )
 from rydgate.cli import cmd_budget, load_config
@@ -133,6 +134,21 @@ def test_subset_expectations_match_oracles(shifts):
     e_block, e_split = subset_inverse_square_expectations(shifts, W10)
     assert e_block == pytest.approx(oracle(shifts, 0.0), rel=1e-12, abs=0.0)
     assert e_split == pytest.approx(oracle(shifts, W10), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40)
+@given(k=st.integers(min_value=2, max_value=20), d_um=st.floats(min_value=1.0, max_value=10.0),
+       c3_mhz_um3=st.floats(min_value=1.0e2, max_value=1.0e4))
+def test_subset_expectations_of_repeated_lattice_shifts_match_enumeration(k, d_um, c3_mhz_um3):
+    # the k nearest sites share a few distances from the target, so equal
+    # shifts enter the quadrature once each, with their multiplicity
+    model = InteractionModel(c3=c3_si_from_mhz_um3(c3_mhz_um3))
+    ps = pair_sets(build_layout(meters_from_um(d_um), k))
+    shifts = tuple(model.shift_at(r) for r in ps.control_target)
+    assert len(set(shifts)) < k
+    e_block, e_split = subset_inverse_square_expectations(shifts, W10)
+    assert e_block == pytest.approx(subset_inv_sq_enumerated(shifts, 0.0), rel=1e-12, abs=0.0)
+    assert e_split == pytest.approx(subset_inv_sq_enumerated(shifts, W10), rel=1e-12, abs=0.0)
 
 
 # Frozen lattice-averaged totals for the bundled room-temperature preset:
