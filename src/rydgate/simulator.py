@@ -16,18 +16,18 @@ coupling of the spectator qubit state.  A truth table builds each distinct
 pulse once, whatever its phase, and runs in one of two bases.  A gate
 symmetric under permutations of its controls, such as the simultaneous
 gate's, runs in the class basis: the controls in the driven ground level
-stay in their symmetric (Dicke) subspace, so one chain per control count
-replaces the 2^|A|-square pattern blocks, with 6 (k + 1)**2 rows (486 at
-``k = 8``); ``class_amplitudes`` gives its amplitudes up to ``k = 64``.
-Any other gate runs in the reachable basis, where each atom keeps the
-closure of its input level under the sequence's pulses: 6 * 3**k rows for
-the sequential gate (39 366 at ``k = 8``, against 10.1 M amplitudes over
-the full basis).  A pulse on one atom is a set of two-level problems,
-solved in closed form, and the blocks of a multi-atom pulse are
-exponentiated by Pade.  The README gives the measured time and memory of a
-truth table at k = 6..8.
+stay in their symmetric (Dicke) subspace, so a pulse on all controls is
+one chain per control count, exponentiated by Pade, over 6 (k + 1)**2 rows
+(486 at ``k = 8``); ``class_amplitudes`` gives its amplitudes up to ``k =
+64``.  Any other gate runs in the reachable basis, where each atom keeps
+the closure of its input level under the sequence's pulses: 6 * 3**k rows
+for the sequential gate (39 366 at ``k = 8``, against 10.1 M amplitudes
+over the full basis).  There every pulse drives one atom and is a set of
+two-level problems, solved in closed form; a pulse on several atoms is
+refused.  The README gives the measured time and memory of a truth table
+at k = 6..8.
 ``evolve`` steps one state over the full ``3**(k+1)`` basis, up to
-``k = 10``.
+``k = 10``, by single-atom pulses.
 """
 
 from __future__ import annotations
@@ -200,9 +200,9 @@ def _basis(keys: np.ndarray, natoms: int, interactions: np.ndarray,
            decay_rates: np.ndarray) -> tuple[np.ndarray, ...]:
     """The rows a propagation runs over, given by sorted (input, base-3
     index) keys, and what no pulse changes: each row's digits, its
-    excited-atom bitmask, its diagonal of pair shifts and decay, and
-    whether it holds a doubly excited infinite-shift pair.  Atom 0 is the
-    most significant base-3 digit of the index."""
+    diagonal of pair shifts and decay, and whether it holds a doubly
+    excited infinite-shift pair.  Atom 0 is the most significant base-3
+    digit of the index."""
     digits = keys[:, None] // 3 ** np.arange(natoms - 1, -1, -1) % 3
     excited = (digits == 2) @ (1 << np.arange(natoms))
     # the diagonal depends only on which atoms a row excites: each of the
@@ -213,7 +213,7 @@ def _basis(keys: np.ndarray, natoms: int, interactions: np.ndarray,
     finite = np.where(blocked, 0.0, interactions)
     diag = 0.5 * np.einsum("sa,ab,sb->s", patterns, finite, patterns)
     diag = np.where(forbidden, 0.0, diag - 0.5j * (patterns @ decay_rates))
-    return keys, digits, excited, diag[excited], forbidden[excited]
+    return keys, digits, diag[excited], forbidden[excited]
 
 
 def _reach_keys(sequence: Sequence[PulseStep], natoms: int) -> np.ndarray:
@@ -269,56 +269,25 @@ def _two_level_blocks(step: PulseStep, idle: np.ndarray, lower: np.ndarray,
 
 
 def _pulse_blocks(step: PulseStep, basis: tuple) -> list[tuple]:
-    """One pulse's blocks at phase 0 over ``basis``, whose rows the pulse
-    must map into themselves: per group of blocks, their rows, ``which``
-    exponential each takes, the exponentials, and each row's count of
-    excited driven atoms (None for 1 x 1 blocks).
-
-    A pulse keeps every undriven digit and the active set A of driven atoms
-    in its ground level or 2 (not the other ground level), so the rows
-    split into blocks of the 2^|A| excitation patterns of A, whose rows are
-    found by key.  A block carries pair shifts and decay on its diagonal
-    and half-Rabi couplings off it.  States holding a doubly excited
-    infinite-shift pair get a zero diagonal and no couplings, so perfect
-    blockade leaves them untouched.
-
-    A single-atom pulse's 2 x 2 blocks are row pairs, found by key and
-    solved by ``_two_level_blocks``.  Multi-atom blocks sharing A are
-    exponentiated in one Pade batch, and those that also excite the same
-    atoms share one exponential."""
-    keys, digits, excited, diag, forbidden = basis
+    """A single-atom pulse's blocks at phase 0 over ``basis``, whose rows
+    the pulse must map into themselves: the rows holding the atom in the
+    other ground level, and the row pairs of the atom in the driven ground
+    level and lifted, found by key and solved by ``_two_level_blocks``.  A
+    pulse on several atoms is refused: it runs only in the class basis."""
+    keys, digits, diag, forbidden = basis
     natoms = digits.shape[1]
-    if max(step.atoms) >= natoms:
-        raise ValueError(f"pulse drives atom {max(step.atoms)} but only {natoms} exist")
+    if len(step.atoms) > 1:
+        raise ValueError("a pulse on several atoms runs only in the class basis: every pulse "
+                         "on the target alone or on all controls from one ground level, one "
+                         "control-target shift, one control-control shift and one control "
+                         "decay rate")
+    (atom,) = step.atoms
+    if atom >= natoms:
+        raise ValueError(f"pulse drives atom {atom} but only {natoms} exist")
     ground = _TRANSITIONS[step.transition]
-    driven = digits[:, list(step.atoms)]
-    lift = (2 - ground) * 3 ** (natoms - 1 - np.array(step.atoms))
-    time = step.effective_duration
-    if len(step.atoms) == 1:
-        idle, lower = (np.flatnonzero(driven[:, 0] == level) for level in (1 - ground, ground))
-        upper = np.searchsorted(keys, keys[lower] + lift[0])
-        return _two_level_blocks(step, idle, lower, upper, diag, forbidden)
-    bases = np.flatnonzero(np.all(driven != 2, axis=1))  # blocks' unexcited rows
-    active = (driven[bases] == ground) @ (1 << np.arange(len(step.atoms)))
-    blocks = []
-    # with return_inverse, np.unique takes a path that never imports numpy.ma
-    masks, group = np.unique(active, return_inverse=True)
-    for m, mask in enumerate(masks):
-        on = (mask >> np.arange(len(step.atoms))) & 1 == 1
-        members = bases[group == m]
-        if not mask:  # 1 x 1 blocks: each row only picks up its diagonal
-            blocks.append((members, None, np.exp(-1j * time * diag[members]), None))
-            continue
-        bits = (np.arange(2 ** on.sum())[:, None] >> np.arange(on.sum())) & 1
-        index = np.searchsorted(keys, keys[members, None] + bits @ lift[on])
-        _, first, which = np.unique(excited[members], return_index=True, return_inverse=True)
-        allowed = ~forbidden[index[first]]
-        # patterns one excitation apart are coupled
-        coupled = np.sum(bits[:, None] != bits, axis=2) == 1
-        h = (0.5 * step.rabi + 0j) * (coupled & allowed[:, :, None] & allowed[:, None, :])
-        np.einsum("bii->bi", h)[:] = diag[index[first]]
-        blocks.append((index, which, _expm(-1j * time * h), bits.sum(axis=1)))
-    return blocks
+    idle, lower = (np.flatnonzero(digits[:, atom] == level) for level in (1 - ground, ground))
+    upper = np.searchsorted(keys, keys[lower] + (2 - ground) * 3 ** (natoms - 1 - atom))
+    return _two_level_blocks(step, idle, lower, upper, diag, forbidden)
 
 
 def _apply_pulse(psi: np.ndarray, phase: float, blocks: list[tuple]) -> np.ndarray:
@@ -328,7 +297,7 @@ def _apply_pulse(psi: np.ndarray, phase: float, blocks: list[tuple]) -> np.ndarr
     diag(exp(i phase n)), n a row's count of excited driven atoms: a truth
     table builds each distinct pulse once and applies each phase as this
     frame change, in place on a single-atom pulse's row pairs and through
-    one stacked product per group of multi-atom blocks."""
+    one stacked product per group of chains."""
     out = np.empty_like(psi)
     for rows, which, u, excitations in blocks:
         if which is None:
@@ -388,12 +357,13 @@ def _class_basis(k: int, b_ct: float, d_cc: float, decay_c: float,
 
 
 def _class_blocks(step: PulseStep, k: int, basis: tuple) -> list[tuple]:
-    """One pulse's phase-0 blocks over the class basis, as ``_pulse_blocks``
-    gives them.  A target pulse pairs the rows (n, g) and (n, r) for
-    ``_two_level_blocks``.  The collective pulse is one chain per (w, input
-    target bit, target level), coupling n and n + 1 excitations by (Omega /
-    2) sqrt((w - n)(n + 1)); the chains of one w with the target in r, or
-    not, share an exponential, all in one Pade batch."""
+    """One pulse's phase-0 blocks over the class basis.  A target pulse
+    pairs the rows (n, g) and (n, r) for ``_two_level_blocks``.  The
+    collective pulse is one chain per (w, input target bit, target level),
+    coupling n and n + 1 excitations by (Omega / 2) sqrt((w - n)(n + 1));
+    the chains of one w with the target in r, or not, share an exponential,
+    all in one Pade batch.  Its one group holds the chains' rows, ``which``
+    exponential each chain takes, the exponentials, and each row's n."""
     w, level, n, diag, forbidden = basis
     ground = _TRANSITIONS[step.transition]
     if step.atoms == (k,):
@@ -486,8 +456,9 @@ def evolve(
     interactions: np.ndarray,
     decay_rates=None,
 ) -> SimState:
-    """Apply one pulse to a state, tracking population lost to decay.  The
-    atom count is that of the interaction matrix."""
+    """Apply one single-atom pulse to a state, tracking population lost to
+    decay.  The atom count is that of the interaction matrix.  A pulse on
+    several atoms is refused: it runs only in ``class_amplitudes``."""
     natoms = len(interactions)
     v = _normalize_interactions(natoms, interactions)
     if state.amplitudes.shape != (3**natoms,):
@@ -576,7 +547,8 @@ def gate_error_sim(
     symmetric under permutations of its controls (every pulse on the target
     alone or on all controls from one ground level; one control-target
     shift, one control-control shift, one control decay rate) runs through
-    ``class_amplitudes``, any other over the reachable basis.
+    ``class_amplitudes``, any other over the reachable basis, where every
+    pulse must drive one atom: a pulse on several atoms is refused there.
     """
     if not 1 <= k <= _MAX_K_TABLE:
         raise ValueError("k must be >= 1" if k < 1 else

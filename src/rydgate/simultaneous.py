@@ -182,7 +182,7 @@ def _layout_sums(model_ct, model_cc, geom: LatticeGeometry, lifetimes: tuple[flo
     d[i, j] = d[j, i] = d_cc
     s1 = d.sum(axis=1)
     s2 = (d * d).sum(axis=1)
-    cc_moment = float(np.sum(0.5 * s2 + 0.25 * (s1 * s1 - s2)))
+    cc_moment = float(np.sum(0.25 * (s1 * s1 + s2)))
     return (cc_moment, *subset_inverse_square_expectations(b_ct, omega10)), (b_ct, d_cc)
 
 
@@ -196,7 +196,8 @@ def budget_simultaneous_lattice(
     The control-control rotation term uses the exact second moment of the
     summed shift each control sees from the random excited subset of the
     others: with the row sums s1 of the control-control shift matrix D and
-    s2 of D^2, cc_moment = sum 1/2 s2 + 1/4 (s1^2 - s2).  The
+    s2 of D^2, cc_moment = sum 1/2 s2 + 1/4 (s1^2 - s2), evaluated as the
+    equal sum 1/4 (s1^2 + s2), which takes no difference.  The
     blocked-target term averages 1/X^2 over the excited subset exactly
     (see ``subset_inverse_square_expectations``).  Constant models
     reproduce ``budget_simultaneous_uniform``.  Each layout calls

@@ -19,7 +19,11 @@ in plain Python.  ``dense_hamiltonian`` assembles one pulse's whole 3^n
 Hamiltonian, the oracle of the simulator's block propagator, and
 ``gate_error_sim_full_basis`` runs every computational input through a
 sequence on the full 3^n basis, block by block, the oracle of the
-reachable-basis truth table.
+reachable-basis truth table.  ``pattern_blocks`` builds a pulse on several
+atoms over the reachable basis, by Pade on the blocks of its excitation
+patterns: in place of the simulator's single-atom builder, it gives the
+reachable-basis table of a collective pulse, the reference of the class
+basis.
 """
 
 import math
@@ -40,6 +44,7 @@ from rydgate.simulator import (
     _expm,
     _normalize_decay,
     _normalize_interactions,
+    _pulse_blocks,
     ideal_map,
 )
 from rydgate.simultaneous import subset_inverse_square_expectations
@@ -456,6 +461,50 @@ def dense_hamiltonian(natoms, step, interactions, decay_rates):
         h[s_e[keep], s_g[keep]] = half
         h[s_g[keep], s_e[keep]] = np.conj(half)
     return h
+
+
+def pattern_blocks(step, basis):
+    """One pulse's phase-0 blocks over a ``_basis`` tuple, in the groups of
+    ``_apply_pulse``; a single-atom pulse is the simulator's own.
+
+    A pulse keeps every undriven digit and the active set A of driven atoms
+    in its ground level or 2 (not the other ground level), so the rows
+    split into blocks of the 2^|A| excitation patterns of A, whose rows are
+    found by key.  A block carries pair shifts and decay on its diagonal
+    and half-Rabi couplings off it.  States holding a doubly excited
+    infinite-shift pair get a zero diagonal and no couplings, so perfect
+    blockade leaves them untouched.  Blocks sharing A are exponentiated in
+    one Pade batch, and those that also excite the same atoms share one
+    exponential."""
+    if len(step.atoms) == 1:
+        return _pulse_blocks(step, basis)
+    keys, digits, diag, forbidden = basis
+    natoms = digits.shape[1]
+    excited = (digits == 2) @ (1 << np.arange(natoms))
+    ground = _TRANSITIONS[step.transition]
+    driven = digits[:, list(step.atoms)]
+    lift = (2 - ground) * 3 ** (natoms - 1 - np.array(step.atoms))
+    time = step.effective_duration
+    bases = np.flatnonzero(np.all(driven != 2, axis=1))  # blocks' unexcited rows
+    active = (driven[bases] == ground) @ (1 << np.arange(len(step.atoms)))
+    blocks = []
+    masks, group = np.unique(active, return_inverse=True)
+    for m, mask in enumerate(masks):
+        on = (mask >> np.arange(len(step.atoms))) & 1 == 1
+        members = bases[group == m]
+        if not mask:  # 1 x 1 blocks: each row only picks up its diagonal
+            blocks.append((members, None, np.exp(-1j * time * diag[members]), None))
+            continue
+        bits = (np.arange(2 ** on.sum())[:, None] >> np.arange(on.sum())) & 1
+        index = np.searchsorted(keys, keys[members, None] + bits @ lift[on])
+        _, first, which = np.unique(excited[members], return_index=True, return_inverse=True)
+        allowed = ~forbidden[index[first]]
+        # patterns one excitation apart are coupled
+        coupled = np.sum(bits[:, None] != bits, axis=2) == 1
+        h = (0.5 * step.rabi + 0j) * (coupled & allowed[:, :, None] & allowed[:, None, :])
+        np.einsum("bii->bi", h)[:] = diag[index[first]]
+        blocks.append((index, which, _expm(-1j * time * h), bits.sum(axis=1)))
+    return blocks
 
 
 def _full_basis_pulse(columns, step, interactions, decay_rates):

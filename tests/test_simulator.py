@@ -7,7 +7,9 @@ detuned-drive solution, and decay against first-order exposure times.
 The block propagator is checked against a dense full-space oracle, and
 the reachable-basis truth table against the full-basis one, on sequences
 that repeat pulses at new phases; a pulse's phase is checked as a frame
-change on its phase-0 blocks.
+change on its phase-0 blocks.  The reachable basis takes single-atom
+pulses only; the tests' pattern blocks give it a collective pulse, the
+reference the class basis is checked against.
 """
 
 import dataclasses
@@ -46,10 +48,14 @@ from rydgate.simulator import (
 )
 from rydgate.units import angular_from_mhz
 
-from oracles import basis_diagonal, dense_hamiltonian, gate_error_sim_full_basis
+from oracles import basis_diagonal, dense_hamiltonian, gate_error_sim_full_basis, pattern_blocks
 
 OMEGA = 2.0 * math.pi * 1.0e6
 W10 = angular_from_mhz(9200.0)
+MULTI_ATOM_REFUSAL = (
+    "^a pulse on several atoms runs only in the class basis: every pulse on the target alone "
+    "or on all controls from one ground level, one control-target shift, one control-control "
+    "shift and one control decay rate$")
 
 
 # ------------------------------------------------------------ ideal tables
@@ -240,6 +246,8 @@ def test_table_cap_enforced():
 # (call, its arguments, refusal) for each input check of the simulator's
 # public entry points
 BLOCKED_PAIR = uniform_interactions(1, math.inf)
+UNEQUAL_CC = simultaneous_interactions(3, math.inf, 0.0)
+UNEQUAL_CC[0, 1] = UNEQUAL_CC[1, 0] = 0.5 * OMEGA
 SIM_REFUSALS = {
     "state-index-past-last": (computational_state, (1, 4), "index out of range"),
     "state-index-negative": (computational_state, (1, -1), "index out of range"),
@@ -255,6 +263,14 @@ SIM_REFUSALS = {
                        "decay rates must be >= 0"),
     "pulse-atom-past-last": (gate_error_sim, ([PulseStep("g0-r", OMEGA, atoms=(2,))], 1,
                                               BLOCKED_PAIR), "drives atom 2 but only 2 exist"),
+    # a pulse on several atoms off the class basis: the simultaneous gate
+    # with one unequal control-control shift, and any such pulse in evolve
+    "table-multi-atom-asymmetric": (gate_error_sim, (canonical_sequence(
+        "simultaneous", 3, omega_c=5.0 * OMEGA, omega_t=OMEGA), 3, UNEQUAL_CC),
+        MULTI_ATOM_REFUSAL),
+    "evolve-multi-atom": (evolve, (computational_state(1, 0),
+                                   PulseStep("g0-r", OMEGA, atoms=(0, 1)), BLOCKED_PAIR),
+                          MULTI_ATOM_REFUSAL),
     "sequence-k-below-1": (canonical_sequence, ("sequential", 0, OMEGA), "^k must be >= 1$"),
     "sequence-omega-missing": (canonical_sequence, ("grover", 2), "grover sequence requires"),
     "sequence-omega-t-missing": (canonical_sequence, ("simultaneous", 2, None, OMEGA),
@@ -355,7 +371,7 @@ def _two_level_blocks(a, b, rabi, time, blocked):
     forbidden = np.column_stack([np.zeros(pairs, dtype=bool), blocked]).ravel()
     step = PulseStep("g0-r", rabi, atoms=(0,), duration=time)
     (idle, *_), (lower, upper, (u00, u01, u11), _) = _pulse_blocks(
-        step, (keys, (keys % 3)[:, None], None, diag, forbidden))
+        step, (keys, (keys % 3)[:, None], diag, forbidden))
     assert idle.size == 0
     np.testing.assert_array_equal(np.column_stack([lower, upper]).ravel(), np.arange(2 * pairs))
     c = np.where(blocked, 0.0, 0.5 * rabi)
@@ -421,7 +437,7 @@ def test_basis_diagonal_matches_per_row_oracle(k, blockade):
     sequences = [canonical_sequence("sequential", k, omega=OMEGA),
                  canonical_sequence("simultaneous", k, omega_c=5 * OMEGA, omega_t=OMEGA)]
     keys = np.unique(np.concatenate([_reach_keys(seq, n) for seq in sequences]))
-    diag, forbidden = _basis(keys, n, v, decay)[3:]
+    diag, forbidden = _basis(keys, n, v, decay)[2:]
     want_diag, want_forbidden = basis_diagonal(keys, n, v, decay)
     assert forbidden.tolist() == want_forbidden
     assert any(want_forbidden) == (blockade == "infinite")
@@ -494,8 +510,16 @@ def _pulse_instances(draw):
 
 @given(_pulse_instances())
 def test_block_propagator_matches_dense_oracle(instance):
+    # a pulse on several atoms runs only in the class basis, so evolve
+    # refuses it; the draw's single-atom pulses are checked against the
+    # dense propagator
     k, v, decay, steps, start = instance
     n = k + 1
+    for step in steps:
+        if len(step.atoms) > 1:
+            with pytest.raises(ValueError, match=MULTI_ATOM_REFUSAL):
+                evolve(SimState(amplitudes=start), step, v, decay_rates=decay)
+    steps = [step for step in steps if len(step.atoms) == 1]
     u = np.eye(3**n, dtype=complex)
     for step in steps:
         h = dense_hamiltonian(n, step, v, decay)
@@ -531,14 +555,15 @@ def test_phase_is_a_diagonal_frame_change(phase):
     # shifts: a multi-atom pulse's blocks through P u(0) P^dag, P =
     # diag(exp(i phi n)) over the driven atoms n each row excites, and a
     # single-atom pulse's row pairs through the phase their in-place
-    # update carries
+    # update carries.  The reachable basis refuses the multi-atom pulse,
+    # so its blocks come from the tests' pattern builder
     n = 3
     v = np.array([[0.0, 2.0, -1.5], [2.0, 0.0, 0.7], [-1.5, 0.7, 0.0]]) * OMEGA
     decay = np.array([0.1, 0.2, 0.05]) * OMEGA
     basis = _basis(np.arange(3**n), n, v, decay)
     for atoms in ((2, 0, 1), (1,)):
         step = PulseStep("g0-r", 1.3 * OMEGA, atoms=atoms, phase=phase, duration=2.0 / OMEGA)
-        blocks = _pulse_blocks(step, basis)
+        blocks = pattern_blocks(step, basis)
         got = np.column_stack([_apply_pulse(column, phase, blocks)
                                for column in np.eye(3**n, dtype=complex)])
         want = expm(-1j * step.effective_duration * dense_hamiltonian(n, step, v, decay))
@@ -555,12 +580,12 @@ def test_each_distinct_pulse_is_exponentiated_once(monkeypatch, sequence, builds
     # at k = 3 the sequential gate's 9 pulses are 5 distinct ones, grover's
     # 6 are 3 and the simultaneous gate's 5 are 3, its collective pulse
     # coming back at phase pi.  Single-atom pulses are solved in closed
-    # form, with no Pade batch and no np.unique.  The simultaneous gate is
-    # symmetric under control permutations, so its collective pulse is one
-    # Pade batch of 2 (k + 1) chains in the class basis; with one unequal
-    # control-control shift it takes the reachable basis, where it makes 7
-    # batches, one per nonzero active set, and is the only np.unique caller
-    pulses, batches, uniques = [], [], []
+    # form, with no Pade batch.  The simultaneous gate is symmetric under
+    # control permutations, so its collective pulse is one Pade batch of
+    # 2 (k + 1) chains in the class basis; with one unequal control-control
+    # shift it takes the reachable basis, which refuses that pulse, the
+    # first it builds
+    pulses, batches = [], []
 
     def built(build):
         def record(step, *args):
@@ -572,32 +597,25 @@ def test_each_distinct_pulse_is_exponentiated_once(monkeypatch, sequence, builds
         batches.append(len(a))
         return _expm(a)
 
-    def unique(*args, **kwargs):
-        uniques.append(pulses[-1][1])
-        return numpy_unique(*args, **kwargs)
-
-    numpy_unique = np.unique
     monkeypatch.setattr(simulator, "_pulse_blocks", built(_pulse_blocks))
     monkeypatch.setattr(simulator, "_class_blocks", built(_class_blocks))
     monkeypatch.setattr(simulator, "_expm", counted)
-    monkeypatch.setattr(np, "unique", unique)
     scheme = sequence.removesuffix("-unequal")
     seq = canonical_sequence(scheme, 3, omega=OMEGA, omega_c=5.0 * OMEGA, omega_t=OMEGA)
     gate = "grover" if scheme == "grover" else "cnot"
     v = simultaneous_interactions(3, math.inf, 0.0 if scheme == "simultaneous" else math.inf)
     if sequence == "simultaneous-unequal":
         v[0, 1] = v[1, 0] = 0.5 * OMEGA
+        with pytest.raises(ValueError, match=MULTI_ATOM_REFUSAL):
+            gate_error_sim(seq, 3, v, ideal=gate)
+        assert pulses == [("_pulse_blocks", seq[0])] and not batches
+        return
     res = gate_error_sim(seq, 3, v, ideal=gate)
     assert len(pulses) == builds
     basis = "_class_blocks" if sequence == "simultaneous" else "_pulse_blocks"
     assert {name for name, _ in pulses} == {basis}
-    assert len(batches) == {"simultaneous": 1, "simultaneous-unequal": 7}.get(sequence, 0)
-    if sequence == "simultaneous":
-        assert batches == [8]
-    assert all(len(step.atoms) == 3 for step in uniques)
-    assert bool(uniques) == (sequence == "simultaneous-unequal")
-    if sequence != "simultaneous-unequal":
-        assert res.avg_error == pytest.approx(0.0, abs=1e-12)
+    assert batches == ([8] if sequence == "simultaneous" else [])
+    assert res.avg_error == pytest.approx(0.0, abs=1e-12)
 
 
 def _assert_same_table(res, want):
@@ -617,9 +635,19 @@ def test_truth_table_matches_full_basis_oracle(gate, ideal):
     # the class basis each symmetric input's Dicke chains, so both must give
     # the full basis's tables to rounding, whatever drives what
     k, v, decay, steps = gate
-    res = gate_error_sim(steps, k, v, decay_rates=decay, ideal=ideal)
     want = gate_error_sim_full_basis(steps, k, v, decay_rates=decay, ideal=ideal)
-    _assert_same_table(res, want)
+    if (any(len(step.atoms) > 1 for step in steps)
+            and simulator._symmetric_form(steps, k, v, decay) is None):
+        # a pulse on several atoms runs only in the class basis; the tests'
+        # pattern blocks, the class basis's reference, run it over the
+        # reachable basis
+        with pytest.raises(ValueError, match=MULTI_ATOM_REFUSAL):
+            gate_error_sim(steps, k, v, decay_rates=decay, ideal=ideal)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_pulse_blocks", pattern_blocks)
+            _assert_same_table(gate_error_sim(steps, k, v, decay_rates=decay, ideal=ideal), want)
+        return
+    _assert_same_table(gate_error_sim(steps, k, v, decay_rates=decay, ideal=ideal), want)
 
 
 # (control-target shift, control-control shift, decay rate) in units of
@@ -638,14 +666,16 @@ CLASS_CASES = {
 @pytest.mark.parametrize("k", range(1, 9))
 def test_class_basis_matches_reachable_basis(monkeypatch, k, case):
     # the simultaneous gate is symmetric under control permutations, so its
-    # table runs in the class basis; forced over the reachable basis, it
-    # must come out the same
+    # table runs in the class basis; forced over the reachable basis, with
+    # its collective pulse built by the tests' pattern blocks, it must come
+    # out the same
     b_ct, d_cc, rate = CLASS_CASES[case]
     decay = np.repeat(rate, [k, 1]) if isinstance(rate, list) else rate
     seq = canonical_sequence("simultaneous", k, omega_c=5.0 * OMEGA, omega_t=OMEGA)
     v = simultaneous_interactions(k, b_ct * OMEGA, d_cc * OMEGA)
     res = gate_error_sim(seq, k, v, decay_rates=np.multiply(decay, OMEGA))
     monkeypatch.setattr(simulator, "_symmetric_form", lambda *args: None)
+    monkeypatch.setattr(simulator, "_pulse_blocks", pattern_blocks)
     _assert_same_table(res, gate_error_sim(seq, k, v, decay_rates=np.multiply(decay, OMEGA)))
 
 
@@ -655,8 +685,8 @@ def test_one_step_from_symmetry_takes_the_reachable_basis(monkeypatch, case):
     # a lossy simultaneous gate at k = 3 runs in the class basis; one
     # unequal control-control shift, one control with its own decay rate, a
     # pulse on a strict subset of the controls, or controls driven from both
-    # ground levels sends it over the reachable basis, which still matches
-    # the full basis
+    # ground levels sends it over the reachable basis, which refuses its
+    # pulses on several atoms
     k = 3
     seq = list(canonical_sequence("simultaneous", k, omega_c=5.0 * OMEGA, omega_t=OMEGA))
     v = simultaneous_interactions(k, 20.0 * OMEGA, 0.3 * OMEGA)
@@ -674,8 +704,13 @@ def test_one_step_from_symmetry_takes_the_reachable_basis(monkeypatch, case):
         run = getattr(simulator, name)
         monkeypatch.setattr(simulator, name,
                             lambda *args, name=name, run=run: paths.append(name) or run(*args))
+    if case != "symmetric":
+        with pytest.raises(ValueError, match=MULTI_ATOM_REFUSAL):
+            gate_error_sim(seq, k, v, decay_rates=decay)
+        assert paths == ["_reach_outputs"]
+        return
     res = gate_error_sim(seq, k, v, decay_rates=decay)
-    assert paths == ["class_amplitudes" if case == "symmetric" else "_reach_outputs"]
+    assert paths == ["class_amplitudes"]
     _assert_same_table(res, gate_error_sim_full_basis(seq, k, v, decay_rates=decay))
 
 
