@@ -51,7 +51,7 @@ if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
 import numpy as np
 
 from .budget import check_k
-from .lattice import build_layout
+from .lattice import LatticeGeometry, build_layout
 from .model import InteractionModel, fit_single_anchor
 from .optimize import (
     DEFAULT_BRACKET,
@@ -173,8 +173,8 @@ def _normalize(raw: dict[str, Any]) -> dict[str, Any]:
 
 
 # largest sweep-omega grid, in rows: grid points x k values x uniform
-# entries.  A 100 000-row sweep took 1.2-1.4 s in a fresh process, with a
-# VmHWM of 202 MiB, on a 2-core x86 VM and wrote a 45 MB report.
+# entries.  A 100 000-row sweep took 1.0-1.1 s in a fresh process, with a
+# VmHWM of 184.7 MiB, on a 2-core x86 VM and wrote a 45 MB report.
 _MAX_SWEEP_ROWS = 100_000
 
 
@@ -375,7 +375,9 @@ class _Batch:
         source = cfg["lattice"] if entry is None else entry
         taus = [seconds_from_us(source[key]) for key in scheme.lifetimes]
         if entry is None:
-            layouts = [build_layout(meters_from_um(source["d_um"]), k) for k in ks]
+            # the k nearest sites are the first k of the largest layout
+            layout = build_layout(meters_from_um(source["d_um"]), max(ks))
+            layouts = [LatticeGeometry(layout.d, layout.control_sites[:k]) for k in ks]
             models = [build_interaction(cfg[key], key) for key in scheme.models]
             self.laurent = _LATTICE_BUILDERS[cfg["scheme"]](*models, layouts, *taus, omega10)
             pairs = self.laurent.pair_shifts
@@ -580,11 +582,11 @@ def cmd_simulate(cfg: dict[str, Any]) -> dict[str, Any]:
 def cmd_lattice(cfg: dict[str, Any]) -> dict[str, Any]:
     """Square-lattice layout export, one block per k."""
     d_um = cfg["lattice"]["d_um"]
+    with _float_range(f"lattice row k={cfg['k'][0]}"):
+        controls = build_layout(meters_from_um(d_um), max(cfg["k"])).control_sites
     blocks: list[dict[str, list[Any]]] = []
     for k in cfg["k"]:
-        # the target at the origin, then the controls in excitation order
-        with _float_range(f"lattice row k={k}"):
-            sites = [(0, 0), *build_layout(meters_from_um(d_um), k).control_sites]
+        sites = [(0, 0), *controls[:k]]  # the target, then the controls in excitation order
         xs, ys = [x * d_um for x, _ in sites], [y * d_um for _, y in sites]
         blocks.append({"k": [k] * len(sites), "index": list(range(len(sites))),
                        "x_um": xs, "y_um": ys, "role": ["target"] + ["control"] * k,

@@ -5,8 +5,8 @@ control atoms occupy the k nearest lattice sites.  Controls are indexed in
 excitation order: ascending distance from the target, ties broken by polar
 angle counterclockwise from the +x axis.  All separations derive from
 integer site coordinates, so every pair distance is d*sqrt(m) for some
-integer m >= 1, and the budgets group their pair sums by m
-(``squared_separations``).
+integer m >= 1: ``squared_separations`` gives each m, by which the
+budgets group their pair sums, and ``pair_sets`` each distance.
 """
 
 from __future__ import annotations
@@ -78,20 +78,17 @@ class PairSets:
 
 
 def pair_sets(geom: LatticeGeometry) -> PairSets:
-    ct = tuple(geom.d * math.hypot(x, y) for (x, y) in geom.control_sites)
-    ordered = []
-    for i in range(geom.k):
-        xi, yi = geom.control_sites[i]
-        for j in range(i + 1, geom.k):
-            xj, yj = geom.control_sites[j]
-            ordered.append((i, j, geom.d * math.hypot(xi - xj, yi - yj)))
-    return PairSets(control_target=ct, control_control_ordered=tuple(ordered))
+    """The separations of ``squared_separations``, each d sqrt(m), in its
+    orders."""
+    ct, i, j, cc = squared_separations(geom)
+    ct, cc = (geom.d * np.sqrt(m) for m in (ct, cc))
+    return PairSets(tuple(ct.tolist()), tuple(zip(i.tolist(), j.tolist(), cc.tolist())))
 
 
 def squared_separations(geom: LatticeGeometry) -> tuple[np.ndarray, ...]:
     """Every separation of ``geom`` over d, squared, an integer m: one per
     control from the target (excitation order), then the index arrays
-    (i, j) of the control pairs i < j in ``pair_sets`` order and one m per
+    (i, j) of the control pairs i < j in excitation order and one m per
     pair."""
     x, y = np.array(geom.control_sites).T
     index = np.arange(geom.k)

@@ -4,23 +4,25 @@ Five pulses total: one collective pi pulse takes every |0> control to a
 storage Rydberg level |s> at Rabi frequency omega_c, three pulses at
 omega_t swap the target ground states through |r>, and a collective
 return pulse (pi phase offset) brings the controls back.  Because the
-controls are excited together, blockade physics is driven by the number
-j of excited controls: control-control shifts add up to j*d_cc on each
-excited control, and the target sees a total shift of j*b_ct.  State
-averaging therefore produces binomial sums over j.
+controls are excited together, blockade physics is driven by the excited
+subset: each excited control sees the summed control-control shift of
+the others, the target the summed control-target shift X (j*b_ct for j
+controls at uniform shifts), each averaged over uniform-random subsets.
 
-The control-control rotation term carries the binomial weight
-(k / 2^(k+1)) sum_j C(k-1, j) j^2, which reduces to k^2 (k-1)/16 exactly;
-the collapsed polynomial (k^3 - k)/16 overstates it, so that variant is
-only reported under diagnostics.
+The control-control rotation term is a second moment, which stays a
+closed form in both modes.  At uniform shifts it carries the binomial
+weight (k / 2^(k+1)) sum_j C(k-1, j) j^2, which reduces to k^2 (k-1)/16
+exactly; the collapsed polynomial (k^3 - k)/16 overstates it, so that
+variant is only reported under diagnostics.  On a lattice it is the exact
+moment of the row sums of the control-control shift matrix.
 
-Lattice averaging replaces the j identical shifts by sums over the
-concrete excited subset.  The quadratic control term has an exact
-closed-moment expectation; the target terms need E[1/X^2] over random
-subsets.  1/X^2 is the integral of t*exp(-tX) over t > 0 and the subset
-average of exp(-tX) is a product over the shifts, so one fixed exp-sinh
-quadrature rule gives it in O(distinct shifts) work per node, for every k.
-None of these sums depends on the drive frequencies.
+The target terms need E[1/X^2] and E[1/(X + omega10)^2] over random
+subsets, and one rule serves both modes.  1/X^2 is the integral of
+t*exp(-tX) over t > 0 and the subset average of exp(-tX) is a product
+over the shifts, so one fixed exp-sinh quadrature rule gives it in
+O(distinct shifts) work per node, for every k; a uniform entry is its one
+shift with multiplicity k.  None of these sums depends on the drive
+frequencies.
 
 Every term is c omega_c^p (p in {-1, -2, 2}) or c omega_t^p (p in
 {-1, 2}), so the budget separates into an omega_c part and an omega_t
@@ -60,22 +62,6 @@ SIMULTANEOUS_DIAGNOSTICS = ("r_c_1_cubic_variant", "r_t_blockade_part", "r_t_spl
 
 class BlockadeRegimeWarning(UserWarning):
     """Control-control shift is not small against the control Rabi frequency."""
-
-
-def target_blockade_sums(k: int, b_ct: float, omega10: float) -> tuple[float, float]:
-    """The two binomial sums of the blocked-target rotation term.
-
-    Returns (sum over j of C(k,j)/2^k / (j b_ct)^2,
-             sum over j of C(k,j)/2^k / (j b_ct + omega10)^2), j = 1..k.
-    """
-    scale = math.ldexp(1.0, -k)
-    s_block = 0.0
-    s_split = 0.0
-    for j in range(1, k + 1):
-        w = math.comb(k, j) * scale
-        s_block += w / (j * b_ct) ** 2
-        s_split += w / (j * b_ct + omega10) ** 2
-    return s_block, s_split
 
 
 # the monomial basis: omega_c^-1, omega_c^-2, omega_c^2, omega_t^-1, omega_t^2
@@ -126,15 +112,18 @@ def _simultaneous_laurent(
 def budget_simultaneous_uniform(
     k, b_ct: float, d_cc: float, tau_c: float, tau_t: float, omega10: float
 ) -> LaurentBudget:
-    """Closed-form budget for ``k`` controls (or a batch over a sequence of
-    k) with uniform per-pair shifts ``b_ct`` and ``d_cc`` (rad/s); ``tau_c``
-    is the storage-level lifetime of the controls, ``tau_t`` the target
-    Rydberg lifetime (s)."""
+    """Budget for ``k`` controls (or a batch over a sequence of k) with
+    uniform per-pair shifts ``b_ct`` and ``d_cc`` (rad/s): the
+    control-control moment in closed form, the target terms from
+    ``subset_inverse_square_expectations`` at ``b_ct`` repeated k times.
+    ``tau_c`` is the storage-level lifetime of the controls, ``tau_t`` the
+    target Rydberg lifetime (s)."""
     check_inputs(k, (b_ct, d_cc), (tau_c, tau_t), omega10)
     k = np.asarray(k)
     cc_moment = 4.0 * d_cc**2 * (k * k * (k - 1) / 16)
     cubic = (0.0, d_cc**2 * (k**3 - k) / 16.0, 0.0, 0.0, 0.0)
-    blockade = [target_blockade_sums(each, b_ct, omega10) for each in k.ravel().tolist()]
+    blockade = [subset_inverse_square_expectations((b_ct,) * each, omega10)
+                for each in k.ravel().tolist()]
     sums = (cc_moment, *np.reshape(blockade, (*k.shape, 2)).T)
     return _simultaneous_laurent(k, tau_c, tau_t, omega10, sums, cubic)
 

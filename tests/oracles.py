@@ -3,12 +3,15 @@
 ``sum_oracle_sequential`` and ``sum_oracle_grover`` evaluate the uniform
 budgets from their per-state sums with exact rational weights.
 ``sequential_lattice_loops`` and ``simultaneous_lattice_loops`` evaluate
-the lattice budgets the direct way: every call rebuilds the pair sets and
-calls ``pair_shift`` for each pair inside the per-pair weighted loops, with
-the drive frequency inside every summand.  All four return the report
-cells ``LaurentBudget.at`` returns.  ``cc_rotation_weight`` is the exact
+the lattice budgets the direct way: every call rebuilds the pair sets with
+``pair_sets_loop``, one ``math.hypot`` per pair of sites, and calls
+``pair_shift`` for each pair inside the per-pair weighted loops, with the
+drive frequency inside every summand.  All four return the report cells
+``LaurentBudget.at`` returns.  ``cc_rotation_weight`` is the exact
 rational binomial weight of the collective gate's control-control rotation
-term.  ``subset_inv_sq_enumerated`` and ``subset_inv_sq_quad`` are two
+term.  ``target_blockade_sums`` is the binomial sum over the number j of
+excited controls of its target terms at one repeated shift.
+``subset_inv_sq_enumerated`` and ``subset_inv_sq_quad`` are two
 independent routes to the subset expectation E[1/(X + offset)^2]: all 2^k
 subsets, and adaptive quadrature of its Laplace-transform integral.
 ``golden_section_minimize`` minimizes any objective numerically (a
@@ -33,8 +36,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from rydgate import pair_sets, pair_shift
+from rydgate import pair_shift
 from rydgate.budget import check_inputs
+from rydgate.lattice import PairSets
 from rydgate.optimize import DEFAULT_BRACKET
 from rydgate.sequential import worst_case_detuned_inv_sq
 from rydgate.simulator import (
@@ -66,6 +70,35 @@ def cc_rotation_weight(k: int) -> Fraction:
     """
     total = sum(math.comb(k - 1, j) * j * j for j in range(1, k))
     return Fraction(k * total, 2 ** (k + 1))
+
+
+def target_blockade_sums(k: int, b_ct: float, omega10: float) -> tuple[float, float]:
+    """The two binomial sums of the collective gate's blocked-target
+    rotation term at one shift ``b_ct`` for every control-target pair.
+
+    Returns (sum over j of C(k,j)/2^k / (j b_ct)^2,
+             sum over j of C(k,j)/2^k / (j b_ct + omega10)^2), j = 1..k.
+    """
+    scale = math.ldexp(1.0, -k)
+    s_block = 0.0
+    s_split = 0.0
+    for j in range(1, k + 1):
+        w = math.comb(k, j) * scale
+        s_block += w / (j * b_ct) ** 2
+        s_split += w / (j * b_ct + omega10) ** 2
+    return s_block, s_split
+
+
+def pair_sets_loop(geom) -> PairSets:
+    """The pair sets of ``geom``, one ``math.hypot`` per pair of sites."""
+    ct = tuple(geom.d * math.hypot(x, y) for (x, y) in geom.control_sites)
+    ordered = []
+    for i in range(geom.k):
+        xi, yi = geom.control_sites[i]
+        for j in range(i + 1, geom.k):
+            xj, yj = geom.control_sites[j]
+            ordered.append((i, j, geom.d * math.hypot(xi - xj, yi - yj)))
+    return PairSets(control_target=ct, control_control_ordered=tuple(ordered))
 
 
 # Exact rational state weights for the un-collapsed sums.  Control i
@@ -189,7 +222,7 @@ def sequential_lattice_loops(model, geom, tau, w10, om) -> dict:
     pair by pair per call."""
     k = geom.k
     half_k = math.ldexp(1.0, -k)
-    ps = pair_sets(geom)
+    ps = pair_sets_loop(geom)
     b_ct = [pair_shift(model, r) for r in ps.control_target]
     b_cc: dict[tuple[int, int], float] = {
         (i, j): pair_shift(model, sep) for (i, j, sep) in ps.control_control_ordered
@@ -245,7 +278,7 @@ def simultaneous_lattice_loops(
     summed pair by pair per call."""
     k = geom.k
     half_k = math.ldexp(1.0, -k)
-    ps = pair_sets(geom)
+    ps = pair_sets_loop(geom)
     b_ct = tuple(pair_shift(model_ct, r) for r in ps.control_target)
     d = np.zeros((k, k))
     for (i, j, sep) in ps.control_control_ordered:

@@ -1095,6 +1095,16 @@ _SEQUENTIAL_K2 = {"scheme": "sequential", "k": 2, "omega10_mhz": 9200.0,
 _CROSSOVER_LATTICE = {"lattice": {"d_um": 1.0, "tau_us": 170.0},
                       "interaction": {"c3_mhz_um3": 2800.0, "c6_mhz_um6": 43750.0,
                                       "crossover_um": 2.5}}
+
+
+def _simultaneous_uniform(b_ct_mhz: float) -> dict:
+    """A uniform collective-gate budget at fixed frequencies over k = 1, 8, 64."""
+    return {"scheme": "simultaneous", "k": [1, 8, 64], "omega10_mhz": 9200.0,
+            "uniform": {"b_ct_mhz": b_ct_mhz, "d_cc_mhz": 2.0, "tau_c_us": 148.0,
+                        "tau_t_us": 97.0},
+            "frequencies": {"mode": "fixed", "omega_c_mhz": 100.0, "omega_t_mhz": 1.0}}
+
+
 _BRACKET_SWEEP = {"omega_mhz": {"min": 0.01, "max": 10000.0, "points": 500}}
 _FLOAT_RANGE = ": a config value leaves the float range: "
 # text of a refusal that blames another cause than the float range
@@ -1299,6 +1309,13 @@ CONTRACT_RUNS = [
              "error: budget row k=3 label ''" + _FLOAT_RANGE,
              "the coefficients of r_c_1 are (0.0, inf, 0.0, 0.0, 0.0)",
              absent=("RuntimeWarning", "nan")),
+    # a control-target shift whose square is past the float range gives a
+    # finite 1/X^2, and one whose inverse square is past it is refused by the
+    # coefficient that holds it
+    _Run("b_ct_large", "budget", _simultaneous_uniform(1e150)),
+    _refused("b_ct_tiny", "budget", _simultaneous_uniform(1e-170),
+             "error: budget row k=1 label ''" + _FLOAT_RANGE,
+             "the coefficients of r_t are (0.0, 0.0, 0.0, 0.0, inf)", absent=("nan",)),
     _refused("simulate_frequencies", "simulate", {
         "scheme": "simulate", "k": 2, "frequencies": {"mode": "fixed", "omega_mhz": 3.0},
         "simulate": {"omega_mhz": 1.0}}, "error: config invalid at frequencies: "),
@@ -1384,6 +1401,15 @@ def test_sweep_at_the_row_cap_writes_every_row(contract):
     text = (out / "sweep.cap.json").read_text(encoding="utf-8")
     assert text.count('"row_type": "grid"') == cli._MAX_SWEEP_ROWS == 100_000
     assert text.count('"row_type": "numeric_opt"') == 20
+
+
+def test_large_control_target_shift_keeps_its_target_term(contract):
+    # at k = 1 the blocked target errs by 3/8 (omega_t / b_ct)^2, here
+    # 3.75e-301: 1/b_ct^2 is subnormal, not the overflow of b_ct^2
+    _, out, _ = contract
+    rows = json.loads((out / "b_ct_large.json").read_text(encoding="utf-8"))["rows"]
+    assert [row["k"] for row in rows] == [1, 8, 64]
+    assert rows[0]["diag_r_t_blockade_part"] == pytest.approx(3.75e-301, rel=1e-6, abs=0.0)
 
 
 def test_parse_refusal_line_stays_short(contract):

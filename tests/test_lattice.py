@@ -13,6 +13,8 @@ from hypothesis import given, strategies as st
 from rydgate import LatticeGeometry, build_layout, pair_sets
 from rydgate.lattice import squared_separations
 
+from oracles import pair_sets_loop
+
 UM = 1.0e-6
 
 
@@ -86,12 +88,28 @@ def test_squared_separations_follow_pair_sets(k, d_um):
     # the budgets read each pair's m from index arrays in pair_sets order,
     # and d sqrt(m) is that pair's separation
     geom = build_layout(d_um * UM, k)
-    ps = pair_sets(geom)
+    ps = pair_sets_loop(geom)
     ct, i, j, cc = squared_separations(geom)
     assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a, b, _ in ps.control_control_ordered]
     separations = [*ps.control_target, *(sep for _, _, sep in ps.control_control_ordered)]
     for m, r in zip([*ct.tolist(), *cc.tolist()], separations, strict=True):
         assert geom.d * math.sqrt(m) == pytest.approx(r, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("d_um", [1.0, 2.5, 3.3, 4.0])
+def test_pair_sets_match_pair_loop(d_um):
+    # the view of squared_separations is the hypot loop, bit for bit
+    for k in range(1, 65):
+        geom = build_layout(d_um * UM, k)
+        assert pair_sets(geom) == pair_sets_loop(geom), k
+
+
+def test_each_layout_is_a_prefix_of_every_larger_one():
+    # so a block of several k builds one layout, at its largest k
+    sites = {k: build_layout(UM, k).control_sites for k in range(1, 65)}
+    for big in range(1, 65):
+        for k in range(1, big + 1):
+            assert sites[k] == sites[big][:k], (k, big)
 
 
 def test_minimum_separation_is_d():

@@ -23,7 +23,6 @@ from rydgate import (
     subset_inverse_square_expectations,
 )
 from rydgate.cli import cmd_budget, load_config
-from rydgate.simultaneous import target_blockade_sums
 from rydgate.units import (
     angular_from_mhz,
     c3_si_from_mhz_um3,
@@ -31,7 +30,12 @@ from rydgate.units import (
     meters_from_um,
 )
 
-from oracles import cc_rotation_weight, subset_inv_sq_enumerated, subset_inv_sq_quad
+from oracles import (
+    cc_rotation_weight,
+    subset_inv_sq_enumerated,
+    subset_inv_sq_quad,
+    target_blockade_sums,
+)
 
 W10 = angular_from_mhz(9200.0)
 
@@ -99,6 +103,22 @@ def test_target_blockade_sums_small_k_by_hand():
     s_block, s_split = target_blockade_sums(2, 1.0, 0.0)
     assert s_block == pytest.approx(0.5 + 0.25 / 4.0, rel=1e-14, abs=0.0)
     assert s_split == s_block
+
+
+@settings(max_examples=200)
+@given(k=st.integers(min_value=1, max_value=64), log_b=st.floats(min_value=-3.0, max_value=13.0),
+       log_w10=st.floats(min_value=-3.0, max_value=13.0))
+@example(k=64, log_b=-3.0, log_w10=13.0)
+@example(k=64, log_b=13.0, log_w10=-3.0)
+def test_uniform_target_terms_match_binomial_sums(k, log_b, log_w10):
+    # at one shift b_ct repeated k times the subset rule's average is the
+    # binomial sum over the number j of excited controls
+    b_ct, omega10 = 10.0**log_b, 10.0**log_w10
+    cells = budget_simultaneous_uniform(k, b_ct, D_CC, 148e-6, 97e-6, omega10).at(OMEGA_C, OMEGA_T)
+    s_block, s_split = (0.75 * OMEGA_T**2 * s for s in target_blockade_sums(k, b_ct, omega10))
+    assert cells["r_t"] == pytest.approx(s_block + s_split, rel=1e-13, abs=0.0)
+    assert cells["diag_r_t_blockade_part"] == pytest.approx(s_block, rel=1e-13, abs=0.0)
+    assert cells["diag_r_t_splitting_part"] == pytest.approx(s_split, rel=1e-13, abs=0.0)
 
 
 @given(
